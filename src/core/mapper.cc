@@ -204,24 +204,45 @@ placementOrder(const ProgramInfo &info)
     return order;
 }
 
-/** Shared state for incremental objective evaluation during search. */
+/**
+ * Shared state for one mapQubits call: the placement order, the pairs
+ * each placement scores, and the flat score table every search scorer
+ * reads.
+ *
+ * The table holds pairScore for every hardware pair (row-major,
+ * symmetric) with its clamped log, and each readout reliability with
+ * its clamped log: the same doubles mappingMinReliability and
+ * mappingLogProduct compute, without their bounds-checked lookups and
+ * per-term std::log. Summed in the same order they give the same bits,
+ * which is what keeps every placement identical to scoring through the
+ * public evaluators.
+ */
 struct SearchContext
 {
     const ProgramInfo &info;
     const ReliabilityMatrix &rel;
     bool includeReadout;
+    int numHw;
     std::vector<ProgQubit> order;
     // For each position k in `order`, the pairs whose *second* endpoint
     // is order[k] and whose other endpoint was placed earlier.
     std::vector<std::vector<ProgramInfo::Pair>> backPairs;
     std::vector<bool> measuredFlag;
+    // Interaction partners of each program qubit.
+    std::vector<std::vector<ProgQubit>> partners;
+    std::vector<double> pair, logPair, ro, logRo;
 
     SearchContext(const ProgramInfo &i, const ReliabilityMatrix &r,
                   bool include_ro)
         : info(i), rel(r), includeReadout(include_ro),
-          order(placementOrder(i)),
+          numHw(r.numQubits()), order(placementOrder(i)),
           backPairs(order.size()),
-          measuredFlag(static_cast<size_t>(i.numProgQubits), false)
+          measuredFlag(static_cast<size_t>(i.numProgQubits), false),
+          partners(static_cast<size_t>(i.numProgQubits)),
+          pair(static_cast<size_t>(numHw) * static_cast<size_t>(numHw),
+               0.0),
+          logPair(pair.size(), 0.0), ro(static_cast<size_t>(numHw)),
+          logRo(static_cast<size_t>(numHw))
     {
         std::vector<int> pos(static_cast<size_t>(i.numProgQubits), 0);
         for (size_t k = 0; k < order.size(); ++k)
@@ -231,9 +252,93 @@ struct SearchContext
                 std::max(pos[static_cast<size_t>(p.a)],
                          pos[static_cast<size_t>(p.b)]));
             backPairs[k].push_back(p);
+            partners[static_cast<size_t>(p.a)].push_back(p.b);
+            partners[static_cast<size_t>(p.b)].push_back(p.a);
         }
         for (ProgQubit q : i.measured)
             measuredFlag[static_cast<size_t>(q)] = true;
+        for (HwQubit a = 0; a < numHw; ++a) {
+            for (HwQubit b = 0; b < numHw; ++b) {
+                if (a == b)
+                    continue;
+                size_t ab = cell(a, b);
+                pair[ab] = pairScore(r, a, b);
+                logPair[ab] = std::log(std::max(pair[ab], 1e-300));
+            }
+            ro[static_cast<size_t>(a)] = r.readoutReliability(a);
+            logRo[static_cast<size_t>(a)] =
+                std::log(std::max(ro[static_cast<size_t>(a)], 1e-300));
+        }
+    }
+
+    size_t
+    cell(HwQubit a, HwQubit b) const
+    {
+        return static_cast<size_t>(a) * static_cast<size_t>(numHw) +
+               static_cast<size_t>(b);
+    }
+
+    double sym(HwQubit a, HwQubit b) const { return pair[cell(a, b)]; }
+
+    double
+    logSym(HwQubit a, HwQubit b) const
+    {
+        return logPair[cell(a, b)];
+    }
+
+    bool
+    scoresReadout(ProgQubit q) const
+    {
+        return includeReadout && measuredFlag[static_cast<size_t>(q)];
+    }
+
+    /** mappingMinReliability of a complete placement, from the table. */
+    double
+    minReliability(const std::vector<HwQubit> &map) const
+    {
+        double m = 1.0;
+        for (const auto &p : info.pairs)
+            m = std::min(m, sym(map[static_cast<size_t>(p.a)],
+                                map[static_cast<size_t>(p.b)]));
+        if (includeReadout)
+            for (ProgQubit q : info.measured)
+                m = std::min(m, ro[static_cast<size_t>(
+                                    map[static_cast<size_t>(q)])]);
+        return m;
+    }
+
+    /**
+     * mappingLogProduct of a complete placement, from the table and in
+     * its summation order (pairs, then readouts), so the sum is
+     * bit-identical to it.
+     */
+    double
+    logProduct(const std::vector<HwQubit> &map) const
+    {
+        double s = 0.0;
+        for (const auto &p : info.pairs)
+            s += p.weight * logSym(map[static_cast<size_t>(p.a)],
+                                   map[static_cast<size_t>(p.b)]);
+        if (includeReadout)
+            for (ProgQubit q : info.measured)
+                s += logRo[static_cast<size_t>(
+                    map[static_cast<size_t>(q)])];
+        return s;
+    }
+
+    /**
+     * Min over the pairs and readout incident to program qubit q alone:
+     * an upper bound on minReliability(map), since it ranges over a
+     * subset of the same terms.
+     */
+    double
+    incidentMin(ProgQubit q, const std::vector<HwQubit> &map) const
+    {
+        HwQubit h = map[static_cast<size_t>(q)];
+        double m = scoresReadout(q) ? ro[static_cast<size_t>(h)] : 1.0;
+        for (ProgQubit o : partners[static_cast<size_t>(q)])
+            m = std::min(m, sym(h, map[static_cast<size_t>(o)]));
+        return m;
     }
 
     /**
@@ -249,10 +354,10 @@ struct SearchContext
         for (const auto &p : backPairs[k]) {
             ProgQubit other = p.a == q ? p.b : p.a;
             HwQubit oh = map[static_cast<size_t>(other)];
-            m = std::min(m, pairScore(rel, oh, h));
+            m = std::min(m, sym(oh, h));
         }
-        if (includeReadout && measuredFlag[static_cast<size_t>(q)])
-            m = std::min(m, rel.readoutReliability(h));
+        if (scoresReadout(q))
+            m = std::min(m, ro[static_cast<size_t>(h)]);
         return m;
     }
 };
@@ -277,7 +382,7 @@ finishMapping(const ProgramInfo &info, const ReliabilityMatrix &rel,
 std::vector<HwQubit>
 greedyPlace(const SearchContext &ctx)
 {
-    const int m = ctx.rel.numQubits();
+    const int m = ctx.numHw;
     std::vector<HwQubit> map(static_cast<size_t>(ctx.info.numProgQubits),
                              -1);
     std::vector<bool> used(static_cast<size_t>(m), false);
@@ -290,7 +395,7 @@ greedyPlace(const SearchContext &ctx)
                 continue;
             double score = ctx.placementScore(k, h, map);
             // Tie-break: prefer reliable readout neighborhoods.
-            double tie = ctx.rel.readoutReliability(h);
+            double tie = ctx.ro[static_cast<size_t>(h)];
             if (score > best_score + 1e-15 ||
                 (score > best_score - 1e-15 && tie > best_tie)) {
                 best = h;
@@ -310,21 +415,29 @@ greedyPlace(const SearchContext &ctx)
  * lexicographically (primary metric first, the other as tie-break).
  * Anytime: returns false when the budget deadline fired before the
  * climb converged (the map still holds the best placement reached).
+ *
+ * Under max-min most moves are settled without a rescore: the min over
+ * the moved qubit's and its displaced occupant's own pairs and readouts
+ * caps the candidate's primary score, so a cap below the rejection
+ * threshold proves `better` would refuse the move. Every other
+ * candidate is rescored in full from the table, in the public
+ * evaluators' summation order, so the climb takes exactly the moves a
+ * full rescore of every candidate takes; a delta-updated log sum would
+ * drift in the last bits and let the 1e-12 tie-break pick other moves.
  */
 bool
-localSearch(const ProgramInfo &info, const ReliabilityMatrix &rel,
-            bool include_ro, MappingObjective objective,
+localSearch(const SearchContext &ctx, MappingObjective objective,
             std::vector<HwQubit> &map,
             const CompileBudget &budget = CompileBudget())
 {
-    const int mhw = rel.numQubits();
-    const int n = info.numProgQubits;
+    const int mhw = ctx.numHw;
+    const int n = ctx.info.numProgQubits;
+    const bool maxmin = objective == MappingObjective::MaxMin;
     auto score = [&](const std::vector<HwQubit> &mp) {
-        double mn = mappingMinReliability(info, rel, mp, include_ro);
-        double lp = mappingLogProduct(info, rel, mp, include_ro);
-        return objective == MappingObjective::MaxMin
-                   ? std::pair<double, double>(mn, lp)
-                   : std::pair<double, double>(lp, mn);
+        double mn = ctx.minReliability(mp);
+        double lp = ctx.logProduct(mp);
+        return maxmin ? std::pair<double, double>(mn, lp)
+                      : std::pair<double, double>(lp, mn);
     };
     auto better = [](const std::pair<double, double> &a,
                      const std::pair<double, double> &b) {
@@ -338,6 +451,17 @@ localSearch(const ProgramInfo &info, const ReliabilityMatrix &rel,
     for (int p = 0; p < n; ++p)
         inv[static_cast<size_t>(map[static_cast<size_t>(p)])] = p;
     auto cur = score(map);
+    // The screen, on the move already applied to `map`: true when the
+    // moved qubits' own terms cap the candidate's min below the
+    // threshold `better` needs, i.e. a provable rejection.
+    auto screened_out = [&](ProgQubit p, ProgQubit occupant) {
+        if (!maxmin)
+            return false;
+        double cap = ctx.incidentMin(p, map);
+        if (occupant != -1)
+            cap = std::min(cap, ctx.incidentMin(occupant, map));
+        return cap < cur.first - 1e-15;
+    };
     for (int pass = 0; pass < 32; ++pass) {
         bool improved = false;
         for (int p = 0; p < n; ++p) {
@@ -351,9 +475,14 @@ localSearch(const ProgramInfo &info, const ReliabilityMatrix &rel,
                 map[static_cast<size_t>(p)] = h;
                 if (occupant != -1)
                     map[static_cast<size_t>(occupant)] = old;
-                auto cand = score(map);
-                if (better(cand, cur)) {
-                    cur = cand;
+                bool accept = false;
+                if (!screened_out(p, occupant)) {
+                    auto cand = score(map);
+                    accept = better(cand, cur);
+                    if (accept)
+                        cur = cand;
+                }
+                if (accept) {
                     improved = true;
                     inv[static_cast<size_t>(h)] = p;
                     inv[static_cast<size_t>(old)] = occupant;
@@ -461,7 +590,7 @@ struct PruneTables
     bool useSymmetry = false;
     bool useDominance = false;
 
-    std::vector<double> rowMax, logRowMax, ro, logRo;
+    std::vector<double> rowMax, logRowMax;
     // Per hardware qubit: every other qubit with its symmetric pair
     // score, sorted best-first (ties by index, for determinism).
     std::vector<std::vector<std::pair<double, HwQubit>>> partnerScore;
@@ -526,20 +655,18 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
     t.useBound = use_bound;
     t.useSymmetry = use_symmetry;
     t.useDominance = use_dominance;
-    const int mhw = ctx.rel.numQubits();
+    const int mhw = ctx.numHw;
     const size_t n = ctx.order.size();
 
-    t.rowMax.resize(static_cast<size_t>(mhw));
+    t.rowMax.assign(static_cast<size_t>(mhw), 0.0);
     t.logRowMax.resize(static_cast<size_t>(mhw));
-    t.ro.resize(static_cast<size_t>(mhw));
-    t.logRo.resize(static_cast<size_t>(mhw));
     for (HwQubit h = 0; h < mhw; ++h) {
-        t.rowMax[static_cast<size_t>(h)] = ctx.rel.bestPairReliability(h);
+        double &best = t.rowMax[static_cast<size_t>(h)];
+        for (HwQubit x = 0; x < mhw; ++x)
+            if (x != h)
+                best = std::max(best, ctx.sym(h, x));
         t.logRowMax[static_cast<size_t>(h)] =
-            std::log(std::max(t.rowMax[static_cast<size_t>(h)], 1e-300));
-        t.ro[static_cast<size_t>(h)] = ctx.rel.readoutReliability(h);
-        t.logRo[static_cast<size_t>(h)] =
-            std::log(std::max(t.ro[static_cast<size_t>(h)], 1e-300));
+            std::log(std::max(best, 1e-300));
     }
 
     std::vector<int> pos(static_cast<size_t>(ctx.info.numProgQubits), 0);
@@ -571,7 +698,7 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
             row.reserve(static_cast<size_t>(mhw - 1));
             for (HwQubit x = 0; x < mhw; ++x)
                 if (x != h)
-                    row.push_back({pairScore(ctx.rel, h, x), x});
+                    row.push_back({ctx.sym(h, x), x});
             std::sort(row.begin(), row.end(),
                       [](const auto &a, const auto &b) {
                           if (a.first != b.first)
@@ -584,8 +711,7 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
         for (size_t k = n; k-- > 0;) {
             ProgQubit q = ctx.order[k];
             bool has_pair = t.lastPartnerPos[k] != -1;
-            bool measured = ctx.includeReadout &&
-                            ctx.measuredFlag[static_cast<size_t>(q)];
+            bool measured = ctx.scoresReadout(q);
             double cap_q = has_pair || measured ? 0.0 : 1.0;
             double cap_e = measured || t.attrW[k] > 0.0
                                ? -std::numeric_limits<double>::infinity()
@@ -598,14 +724,14 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
                     else if (has_pair)
                         c = std::min(c, t.rowMax[static_cast<size_t>(h)]);
                     if (measured)
-                        c = std::min(c, t.ro[static_cast<size_t>(h)]);
+                        c = std::min(c, ctx.ro[static_cast<size_t>(h)]);
                     cap_q = std::max(cap_q, c);
                 }
                 if (measured || t.attrW[k] > 0.0) {
                     double e =
                         t.attrW[k] * t.logRowMax[static_cast<size_t>(h)];
                     if (measured)
-                        e += t.logRo[static_cast<size_t>(h)];
+                        e += ctx.logRo[static_cast<size_t>(h)];
                     cap_e = std::max(cap_e, e);
                 }
             }
@@ -628,15 +754,14 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
                 if (h1 == h2)
                     continue;
                 if (ctx.includeReadout &&
-                    t.ro[static_cast<size_t>(h2)] <
-                        t.ro[static_cast<size_t>(h1)])
+                    ctx.ro[static_cast<size_t>(h2)] <
+                        ctx.ro[static_cast<size_t>(h1)])
                     continue;
                 bool ge = true;
                 for (HwQubit x = 0; x < mhw && ge; ++x) {
                     if (x == h1 || x == h2)
                         continue;
-                    ge = pairScore(ctx.rel, h2, x) >=
-                         pairScore(ctx.rel, h1, x);
+                    ge = ctx.sym(h2, x) >= ctx.sym(h1, x);
                 }
                 t.domGE[static_cast<size_t>(h2)][static_cast<size_t>(h1)] =
                     ge ? 1 : 0;
@@ -646,30 +771,54 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
 }
 
 /**
- * The free hardware qubits sorted best-readout-first (ties by index):
- * the assignment order used by the exact isolated-suffix closure.
+ * Fill `free_hw` with the free hardware qubits sorted best-readout-first
+ * (ties by index): the assignment order used by the exact
+ * isolated-suffix closure.
  */
-std::vector<HwQubit>
-freeByReadout(const SearchContext &ctx, const std::vector<bool> &used)
+void
+freeByReadout(const SearchContext &ctx, const std::vector<bool> &used,
+              std::vector<HwQubit> &free_hw)
 {
-    std::vector<HwQubit> free_hw;
-    for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h)
+    free_hw.clear();
+    for (HwQubit h = 0; h < ctx.numHw; ++h)
         if (!used[static_cast<size_t>(h)])
             free_hw.push_back(h);
     std::sort(free_hw.begin(), free_hw.end(),
               [&](HwQubit a, HwQubit b) {
-                  double ra = ctx.rel.readoutReliability(a);
-                  double rb = ctx.rel.readoutReliability(b);
+                  double ra = ctx.ro[static_cast<size_t>(a)];
+                  double rb = ctx.ro[static_cast<size_t>(b)];
                   if (ra != rb)
                       return ra > rb;
                   return a < b;
               });
-    return free_hw;
 }
+
+/**
+ * Per-depth scratch of a B&B engine: the candidate list, the symmetry
+ * class-seen flags and the expanded siblings. Each placement depth owns
+ * one frame that every node at that depth reuses, so search nodes
+ * allocate nothing: a node only touches deeper frames while its own is
+ * live, and its frame is dead once its subtree is done.
+ */
+template <class Cand>
+struct DepthFrame
+{
+    std::vector<Cand> cands;
+    std::vector<uint8_t> classSeen;
+    std::vector<HwQubit> expanded;
+};
 
 /** Exact max-min search with incumbent + admissible-bound pruning. */
 struct BnbSearch
 {
+    struct Cand
+    {
+        double nm;  // objective prefix after this placement
+        double ub;  // admissible bound on any completion below it
+        double cap; // this site's own forward-degree cap
+        HwQubit h;
+    };
+
     const SearchContext &ctx;
     const PruneTables &tab;
     SearchCore core;
@@ -677,6 +826,8 @@ struct BnbSearch
     std::vector<HwQubit> bestMap;
     std::vector<HwQubit> map;
     std::vector<bool> used;
+    std::vector<DepthFrame<Cand>> frames;
+    std::vector<HwQubit> freeHw;
 
     BnbSearch(const SearchContext &c, const PruneTables &t,
               long node_budget, const CompileBudget &clk,
@@ -684,7 +835,8 @@ struct BnbSearch
         : ctx(c), tab(t), core(node_budget, clk), bestMin(incumbent),
           bestMap(std::move(incumbent_map)),
           map(static_cast<size_t>(c.info.numProgQubits), -1),
-          used(static_cast<size_t>(c.rel.numQubits()), false)
+          used(static_cast<size_t>(c.numHw), false),
+          frames(c.order.size())
     {
     }
 
@@ -696,24 +848,22 @@ struct BnbSearch
     void
     closeIsolatedSuffix(size_t k, double cur_min)
     {
-        std::vector<HwQubit> free_hw = freeByReadout(ctx, used);
+        freeByReadout(ctx, used, freeHw);
         size_t r = 0;
         for (size_t j = k; j < ctx.order.size(); ++j)
-            if (ctx.includeReadout &&
-                ctx.measuredFlag[static_cast<size_t>(ctx.order[j])])
+            if (ctx.scoresReadout(ctx.order[j]))
                 ++r;
         double value = cur_min;
         if (r > 0)
-            value = std::min(value, ctx.rel.readoutReliability(
-                                        free_hw[r - 1]));
+            value = std::min(value,
+                             ctx.ro[static_cast<size_t>(freeHw[r - 1])]);
         if (value <= bestMin + 1e-15)
             return;
         size_t mi = 0, oi = r;
         for (size_t j = k; j < ctx.order.size(); ++j) {
             ProgQubit q = ctx.order[j];
-            bool meas = ctx.includeReadout &&
-                        ctx.measuredFlag[static_cast<size_t>(q)];
-            map[static_cast<size_t>(q)] = free_hw[meas ? mi++ : oi++];
+            map[static_cast<size_t>(q)] =
+                freeHw[ctx.scoresReadout(q) ? mi++ : oi++];
         }
         bestMin = value;
         bestMap = map;
@@ -753,23 +903,16 @@ struct BnbSearch
                          : 1.0;
         const int fdeg = tab.fwdDeg[k];
         const bool fwd = tab.hasForward(k);
-        // Order candidates by score so good branches are explored first.
-        struct Cand
-        {
-            double nm;  // objective prefix after this placement
-            double ub;  // admissible bound on any completion below it
-            double cap; // this site's own forward-degree cap
-            HwQubit h;
-        };
-        std::vector<Cand> cands;
-        std::vector<uint8_t> class_seen;
+        DepthFrame<Cand> &frame = frames[k];
+        std::vector<Cand> &cands = frame.cands;
+        cands.clear();
         if (tab.useSymmetry)
-            class_seen.assign(static_cast<size_t>(tab.numClasses), 0);
-        for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h) {
+            frame.classSeen.assign(static_cast<size_t>(tab.numClasses), 0);
+        for (HwQubit h = 0; h < ctx.numHw; ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
             if (tab.useSymmetry) {
-                uint8_t &seen = class_seen[static_cast<size_t>(
+                uint8_t &seen = frame.classSeen[static_cast<size_t>(
                     tab.hwClass[static_cast<size_t>(h)])];
                 if (seen) {
                     ++core.symmetryPruned;
@@ -793,11 +936,13 @@ struct BnbSearch
             else
                 ++core.boundPruned;
         }
+        // Order candidates by score so good branches are explored first.
         std::sort(cands.begin(), cands.end(),
                   [](const Cand &a, const Cand &b) {
                       return a.nm > b.nm;
                   });
-        std::vector<HwQubit> expanded;
+        std::vector<HwQubit> &expanded = frame.expanded;
+        expanded.clear();
         for (const auto &c : cands) {
             if (c.ub <= bestMin + 1e-15) {
                 // Incumbent improved since candidate listing.
@@ -839,6 +984,14 @@ struct BnbSearch
  */
 struct BnbProductSearch
 {
+    struct Cand
+    {
+        double ns;  // objective prefix after this placement
+        double ub;  // admissible bound on any completion below it
+        double pot; // dyn_pot to carry into the child
+        HwQubit h;
+    };
+
     const SearchContext &ctx;
     const PruneTables &tab;
     SearchCore core;
@@ -846,6 +999,8 @@ struct BnbProductSearch
     std::vector<HwQubit> bestMap;
     std::vector<HwQubit> map;
     std::vector<bool> used;
+    std::vector<DepthFrame<Cand>> frames;
+    std::vector<HwQubit> freeHw;
     // Legacy bound: suffixPotential[k] caps the contribution of
     // placements k..end at the device-wide best reliabilities.
     std::vector<double> suffixPotential;
@@ -856,23 +1011,22 @@ struct BnbProductSearch
         : ctx(c), tab(t), core(node_budget, clk), bestSum(incumbent),
           bestMap(std::move(incumbent_map)),
           map(static_cast<size_t>(c.info.numProgQubits), -1),
-          used(static_cast<size_t>(c.rel.numQubits()), false)
+          used(static_cast<size_t>(c.numHw), false),
+          frames(c.order.size())
     {
         if (!tab.useBound) {
             double max_pair_log =
                 std::log(std::max(ctx.rel.maxPairReliability(), 1e-300));
             double best_ro = 0.0;
-            for (int h = 0; h < ctx.rel.numQubits(); ++h)
-                best_ro =
-                    std::max(best_ro, ctx.rel.readoutReliability(h));
+            for (double r : ctx.ro)
+                best_ro = std::max(best_ro, r);
             double max_ro_log = std::log(std::max(best_ro, 1e-300));
             suffixPotential.assign(ctx.order.size() + 1, 0.0);
             for (size_t k = ctx.order.size(); k-- > 0;) {
                 double pot = suffixPotential[k + 1];
                 for (const auto &p : ctx.backPairs[k])
                     pot += p.weight * max_pair_log;
-                if (ctx.includeReadout &&
-                    ctx.measuredFlag[static_cast<size_t>(ctx.order[k])])
+                if (ctx.scoresReadout(ctx.order[k]))
                     pot += max_ro_log;
                 suffixPotential[k] = pot;
             }
@@ -888,13 +1042,10 @@ struct BnbProductSearch
         for (const auto &p : ctx.backPairs[k]) {
             ProgQubit other = p.a == q ? p.b : p.a;
             HwQubit oh = map[static_cast<size_t>(other)];
-            s += p.weight *
-                 std::log(std::max(pairScore(ctx.rel, oh, h), 1e-300));
+            s += p.weight * ctx.logSym(oh, h);
         }
-        if (ctx.includeReadout &&
-            ctx.measuredFlag[static_cast<size_t>(q)])
-            s += std::log(
-                std::max(ctx.rel.readoutReliability(h), 1e-300));
+        if (ctx.scoresReadout(q))
+            s += ctx.logRo[static_cast<size_t>(h)];
         return s;
     }
 
@@ -921,24 +1072,21 @@ struct BnbProductSearch
     void
     closeIsolatedSuffix(size_t k, double cur_sum)
     {
-        std::vector<HwQubit> free_hw = freeByReadout(ctx, used);
+        freeByReadout(ctx, used, freeHw);
         size_t r = 0;
         for (size_t j = k; j < ctx.order.size(); ++j)
-            if (ctx.includeReadout &&
-                ctx.measuredFlag[static_cast<size_t>(ctx.order[j])])
+            if (ctx.scoresReadout(ctx.order[j]))
                 ++r;
         double value = cur_sum;
         for (size_t i = 0; i < r; ++i)
-            value += std::log(std::max(
-                ctx.rel.readoutReliability(free_hw[i]), 1e-300));
+            value += ctx.logRo[static_cast<size_t>(freeHw[i])];
         if (value <= bestSum + 1e-12)
             return;
         size_t mi = 0, oi = r;
         for (size_t j = k; j < ctx.order.size(); ++j) {
             ProgQubit q = ctx.order[j];
-            bool meas = ctx.includeReadout &&
-                        ctx.measuredFlag[static_cast<size_t>(q)];
-            map[static_cast<size_t>(q)] = free_hw[meas ? mi++ : oi++];
+            map[static_cast<size_t>(q)] =
+                freeHw[ctx.scoresReadout(q) ? mi++ : oi++];
         }
         bestSum = value;
         bestMap = map;
@@ -971,22 +1119,16 @@ struct BnbProductSearch
         }
         const double back_adj = tab.useBound ? backAdjust(k) : 0.0;
         const bool fwd = tab.hasForward(k);
-        struct Cand
-        {
-            double ns;  // objective prefix after this placement
-            double ub;  // admissible bound on any completion below it
-            double pot; // dyn_pot to carry into the child
-            HwQubit h;
-        };
-        std::vector<Cand> cands;
-        std::vector<uint8_t> class_seen;
+        DepthFrame<Cand> &frame = frames[k];
+        std::vector<Cand> &cands = frame.cands;
+        cands.clear();
         if (tab.useSymmetry)
-            class_seen.assign(static_cast<size_t>(tab.numClasses), 0);
-        for (HwQubit h = 0; h < ctx.rel.numQubits(); ++h) {
+            frame.classSeen.assign(static_cast<size_t>(tab.numClasses), 0);
+        for (HwQubit h = 0; h < ctx.numHw; ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
             if (tab.useSymmetry) {
-                uint8_t &seen = class_seen[static_cast<size_t>(
+                uint8_t &seen = frame.classSeen[static_cast<size_t>(
                     tab.hwClass[static_cast<size_t>(h)])];
                 if (seen) {
                     ++core.symmetryPruned;
@@ -1014,7 +1156,8 @@ struct BnbProductSearch
                   [](const Cand &a, const Cand &b) {
                       return a.ns > b.ns;
                   });
-        std::vector<HwQubit> expanded;
+        std::vector<HwQubit> &expanded = frame.expanded;
+        expanded.clear();
         for (const auto &c : cands) {
             if (c.ub <= bestSum + 1e-12) {
                 // Incumbent improved since candidate listing.
@@ -1073,19 +1216,15 @@ validPlacement(const std::vector<HwQubit> &map, int n_prog, int n_hw)
  * fired during the extra polish.
  */
 bool
-keepBetterSeed(const ProgramInfo &info, const ReliabilityMatrix &rel,
-               const MappingOptions &opts, const SearchContext &ctx,
+keepBetterSeed(const SearchContext &ctx, const MappingOptions &opts,
                std::vector<HwQubit> &seed)
 {
     std::vector<HwQubit> cold = greedyPlace(ctx);
-    bool converged = localSearch(info, rel, opts.includeReadout,
-                                 opts.objective, cold, opts.budget);
+    bool converged = localSearch(ctx, opts.objective, cold, opts.budget);
     auto value = [&](const std::vector<HwQubit> &m) {
         return opts.objective == MappingObjective::MaxMin
-                   ? mappingMinReliability(info, rel, m,
-                                           opts.includeReadout)
-                   : mappingLogProduct(info, rel, m,
-                                       opts.includeReadout);
+                   ? ctx.minReliability(m)
+                   : ctx.logProduct(m);
     };
     if (value(cold) > value(seed))
         seed = std::move(cold);
@@ -1143,10 +1282,10 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
       case MapperKind::Greedy: {
         SearchContext ctx(info, rel, opts.includeReadout);
         auto map = warm ? opts.warmStart : greedyPlace(ctx);
-        bool converged = localSearch(info, rel, opts.includeReadout,
-                                     opts.objective, map, opts.budget);
+        bool converged =
+            localSearch(ctx, opts.objective, map, opts.budget);
         if (warm && converged)
-            converged = keepBetterSeed(info, rel, opts, ctx, map);
+            converged = keepBetterSeed(ctx, opts, map);
         Mapping m = finishMapping(info, rel, std::move(map),
                                   opts.includeReadout, false, 0,
                                   "greedy");
@@ -1161,10 +1300,10 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
       case MapperKind::BranchAndBound: {
         SearchContext ctx(info, rel, opts.includeReadout);
         auto seed = warm ? opts.warmStart : greedyPlace(ctx);
-        bool converged = localSearch(info, rel, opts.includeReadout,
-                                     opts.objective, seed, opts.budget);
+        bool converged =
+            localSearch(ctx, opts.objective, seed, opts.budget);
         if (warm && converged)
-            converged = keepBetterSeed(info, rel, opts, ctx, seed);
+            converged = keepBetterSeed(ctx, opts, seed);
         // The seed is the anytime floor: if the deadline already
         // fired, skip the exact search and return it.
         if (!converged || opts.budget.expired()) {
@@ -1208,15 +1347,13 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
             return m;
         };
         if (opts.objective == MappingObjective::Product) {
-            double incumbent = mappingLogProduct(info, rel, seed,
-                                                 opts.includeReadout);
+            double incumbent = ctx.logProduct(seed);
             BnbProductSearch search(ctx, tab, opts.nodeBudget,
                                     opts.budget, incumbent, seed);
             search.dfs(0, 0.0, 0.0);
             return finish(search.core, search.bestMap);
         }
-        double incumbent = mappingMinReliability(info, rel, seed,
-                                                 opts.includeReadout);
+        double incumbent = ctx.minReliability(seed);
         // Search strictly above the incumbent; the incumbent map is
         // returned when nothing better exists.
         BnbSearch search(ctx, tab, opts.nodeBudget, opts.budget,

@@ -216,22 +216,6 @@ ReliabilityMatrix::readoutReliability(HwQubit q) const
     return readoutRel_[static_cast<size_t>(q)];
 }
 
-double
-ReliabilityMatrix::bestPairReliability(HwQubit h) const
-{
-    checkQubit(h);
-    double best = 0.0;
-    for (int x = 0; x < numQubits_; ++x) {
-        if (x == h)
-            continue;
-        best = std::max(
-            best,
-            std::max(pairRel_[static_cast<size_t>(h)][static_cast<size_t>(x)],
-                     pairRel_[static_cast<size_t>(x)][static_cast<size_t>(h)]));
-    }
-    return best;
-}
-
 std::vector<int>
 ReliabilityMatrix::equivalenceClasses() const
 {

@@ -81,14 +81,6 @@ class ReliabilityMatrix
     double maxPairReliability() const;
 
     /**
-     * The best symmetric pair reliability achievable *through* qubit h:
-     * max over partners x of max(pair(h,x), pair(x,h)). This is the
-     * optimistic cap the mapper's admissible bound charges for any
-     * not-yet-scored 2Q operation incident to a qubit placed at h.
-     */
-    double bestPairReliability(HwQubit h) const;
-
-    /**
      * Hardware-qubit equivalence classes with respect to the mapper's
      * scoring function: h1 and h2 share a class iff they have equal
      * readout reliability and, for every third qubit x, equal symmetric

@@ -2,12 +2,16 @@
  * @file
  * Mapper tests: interaction extraction, engine validity (injectivity),
  * branch-and-bound optimality against exhaustive search on random
- * instances, SMT/B&B agreement, and the max-min objective semantics.
+ * instances, SMT/B&B agreement, the max-min objective semantics, golden
+ * placements on the fig13 supremacy ladder, and local optimality of the
+ * greedy hill-climb under the public scorers.
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -15,9 +19,11 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/decompose.hh"
+#include "core/fingerprint.hh"
 #include "core/mapper.hh"
 #include "device/machines.hh"
 #include "workloads/benchmarks.hh"
+#include "workloads/supremacy.hh"
 
 namespace triq
 {
@@ -596,6 +602,248 @@ TEST(WarmStart, EnvVetoDisablesWarmStart)
     unsetenv("TRIQ_MAPPER_WARM");
     EXPECT_FALSE(m.warmStarted);
     EXPECT_TRUE(m.optimal);
+}
+
+// ---------------------------------------------------------------------
+// Golden placements on the fig13 supremacy ladder (IBMQ14 noise spec,
+// calibration day 1, makeSupremacy seed 1): every engine output is
+// pinned bit for bit — the placement's FNV-1a hash, both objective
+// values as exact hex floats, and the B&B node and bound-prune counts.
+// Any change to scoring order, tolerances, tie-breaks, candidate order
+// or pruning that moves one placement or one counter fails here.
+
+struct Golden
+{
+    uint64_t mapHash;
+    double minReliability;
+    double logProduct;
+    long nodes;
+    long boundPruned;
+};
+
+struct GoldenRung
+{
+    int rows, cols, depth;
+    // MaxMin greedy, MaxMin B&B, Product greedy, Product B&B.
+    Golden cases[4];
+};
+
+const GoldenRung kGoldenLadder[] = {
+    {2, 3, 16,
+     {{0x12dba2de5bf04c04ull, 0x1.aabdb4339d2bfp-1, -0x1.ecfd58002ae2fp+0,
+       0, 0},
+      {0x12dba2de5bf04c04ull, 0x1.aabdb4339d2bfp-1, -0x1.ecfd58002ae2fp+0,
+       53, 106},
+      {0xc95f848e2eecef84ull, 0x1.9b4489ace868cp-1, -0x1.dba735d76d6d2p+0,
+       0, 0},
+      {0x13c2bd6bb7f1b1a4ull, 0x1.9d7bcc2282ba7p-1, -0x1.c8be55fc66cb3p+0,
+       478, 571}}},
+    {3, 4, 24,
+     {{0xbd270ac67adb0985ull, 0x1.9a9a5b999daeep-1, -0x1.6ae2ad83ffafp+2,
+       0, 0},
+      {0x6a9a9f8da5692885ull, 0x1.9c97fde6b6d7p-1, -0x1.cae24994ef3eep+2,
+       7654, 38688},
+      {0x2db37d1772309ac5ull, 0x1.8501d07d1cfd7p-1, -0x1.cae28c84dc489p+2,
+       0, 0},
+      {0x2db37d1772309ac5ull, 0x1.8501d07d1cfd7p-1, -0x1.cae28c84dc489p+2,
+       20001, 78480}}},
+    {4, 4, 32,
+     {{0x8184891d8db906a5ull, 0x1.73f7a156d85a6p-1, -0x1.d349bd4368469p+3,
+       0, 0},
+      {0xb0be7c66c3e23d25ull, 0x1.9fb4672b2ab22p-1, -0x1.4f4afb79af7e4p+3,
+       20001, 84280},
+      {0x2989f1441b02f265ull, 0x1.73f7a156d85a6p-1, -0x1.a437c976f2f6dp+3,
+       0, 0},
+      {0x2989f1441b02f265ull, 0x1.73f7a156d85a6p-1, -0x1.a437c976f2f6dp+3,
+       20001, 86020}}},
+    {4, 6, 48,
+     {{0x79de894574504625ull, 0x1.4e5bbde3b2346p-1, -0x1.7b9191a19537dp+5,
+       0, 0},
+      {0x79de894574504625ull, 0x1.4e5bbde3b2346p-1, -0x1.7b9191a19537dp+5,
+       20001, 162799},
+      {0x9cd9d580127375e5ull, 0x1.127100f6d169dp-1, -0x1.582e258d8ff77p+5,
+       0, 0},
+      {0x9cd9d580127375e5ull, 0x1.127100f6d169dp-1, -0x1.582e258d8ff77p+5,
+       20001, 89291}}},
+    {6, 6, 64,
+     {{0x08622776b99ddec5ull, 0x1.16e12bd659477p-1, -0x1.c045b7442a74ep+6,
+       0, 0},
+      {0x08622776b99ddec5ull, 0x1.16e12bd659477p-1, -0x1.c045b7442a74ep+6,
+       20001, 170117},
+      {0x35d7fc777c33df85ull, 0x1.ce3883ee6d448p-2, -0x1.93bcb93fbe4ep+6,
+       0, 0},
+      {0x35d7fc777c33df85ull, 0x1.ce3883ee6d448p-2, -0x1.93bcb93fbe4ep+6,
+       20001, 220218}}},
+    {6, 9, 96,
+     {{0x1228095bfcfd0de4ull, 0x1.ee96e06d88e1p-2, -0x1.440f5ab3ce3bbp+8,
+       0, 0},
+      {0x1228095bfcfd0de4ull, 0x1.ee96e06d88e1p-2, -0x1.440f5ab3ce3bbp+8,
+       20001, 373578},
+      {0x72d4eccb6a8c41c4ull, 0x1.c408772147ab4p-3, -0x1.32b03b4ae3183p+8,
+       0, 0},
+      {0x72d4eccb6a8c41c4ull, 0x1.c408772147ab4p-3, -0x1.32b03b4ae3183p+8,
+       20001, 75962}}},
+    {6, 12, 128,
+     {{0xc1f124e8b51b7465ull, 0x1.47f31ca435ad3p-1, -0x1.33cc44b2d6f05p+8,
+       0, 0},
+      {0xc1f124e8b51b7465ull, 0x1.47f31ca435ad3p-1, -0x1.33cc44b2d6f05p+8,
+       20001, 588896},
+      {0xcc0d85913629f085ull, 0x1.fb4fddd689fc1p-2, -0x1.624b30b014ef6p+8,
+       0, 0},
+      {0xcc0d85913629f085ull, 0x1.fb4fddd689fc1p-2, -0x1.624b30b014ef6p+8,
+       20001, 505178}}},
+};
+
+uint64_t
+placementHash(const std::vector<HwQubit> &map)
+{
+    Fnv1a h;
+    for (HwQubit q : map)
+        h.i64(q);
+    return h.value();
+}
+
+/** A Golden initializer for `m`, to show what a mismatching case got. */
+std::string
+goldenLiteral(const Mapping &m)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "{0x%016llxull, %a, %a, %ld, %ld}",
+                  static_cast<unsigned long long>(placementHash(m.progToHw)),
+                  m.minReliability, m.logProduct, m.nodesExplored,
+                  m.boundPruned);
+    return buf;
+}
+
+TEST(GoldenMapping, Fig13LadderIsBitIdentical)
+{
+    const NoiseSpec noise = makeIbmQ14().noiseSpec();
+    for (const GoldenRung &rung : kGoldenLadder) {
+        const int n = rung.rows * rung.cols;
+        Device dev("Grid" + std::to_string(n),
+                   Topology::grid(rung.rows, rung.cols), GateSet::ibm(),
+                   noise);
+        Circuit lowered = decomposeToCnotBasis(
+            makeSupremacy(rung.rows, rung.cols, rung.depth, 1),
+            dev.gateSet().nativeCphase);
+        ProgramInfo info = ProgramInfo::fromCircuit(lowered);
+        ReliabilityMatrix rel(dev.topology(), dev.calibrate(1),
+                              dev.vendor());
+        int i = 0;
+        for (MappingObjective obj :
+             {MappingObjective::MaxMin, MappingObjective::Product})
+            for (MapperKind kind :
+                 {MapperKind::Greedy, MapperKind::BranchAndBound}) {
+                const Golden &want = rung.cases[i++];
+                MappingOptions opts;
+                opts.kind = kind;
+                opts.objective = obj;
+                opts.nodeBudget = 20000;
+                Mapping m = mapQubits(info, rel, opts);
+                SCOPED_TRACE(std::to_string(n) + "q " +
+                             mapperKindName(kind) +
+                             (obj == MappingObjective::MaxMin
+                                  ? " max-min"
+                                  : " product") +
+                             ": got " + goldenLiteral(m));
+                EXPECT_EQ(placementHash(m.progToHw), want.mapHash);
+                EXPECT_EQ(m.minReliability, want.minReliability);
+                EXPECT_EQ(m.logProduct, want.logProduct);
+                EXPECT_EQ(m.nodesExplored, want.nodes);
+                EXPECT_EQ(m.boundPruned, want.boundPruned);
+            }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The greedy engine's hill-climb must stop at a true local optimum of
+// its own comparator. Checked with the public evaluators only, so the
+// climb's internal scoring and move screening are tested against code
+// they do not share.
+
+/** The climb's lexicographic key: (primary, tie-break) objective. */
+std::pair<double, double>
+climbKey(const ProgramInfo &info, const ReliabilityMatrix &rel,
+         MappingObjective obj, const std::vector<HwQubit> &map)
+{
+    double mn = mappingMinReliability(info, rel, map, true);
+    double lp = mappingLogProduct(info, rel, map, true);
+    return obj == MappingObjective::MaxMin ? std::make_pair(mn, lp)
+                                           : std::make_pair(lp, mn);
+}
+
+/** Would the climb accept `cand` over `cur`? (1e-15 / 1e-12 tolerances) */
+bool
+climbAccepts(const std::pair<double, double> &cand,
+             const std::pair<double, double> &cur)
+{
+    if (cand.first > cur.first + 1e-15)
+        return true;
+    if (cand.first < cur.first - 1e-15)
+        return false;
+    return cand.second > cur.second + 1e-12;
+}
+
+/** A seeded random CNOT program on 2..10 qubits, some measured. */
+ProgramInfo
+randomProgram(uint64_t seed)
+{
+    Rng rng(seed);
+    const int nq = 2 + rng.uniformInt(9);
+    Circuit c(nq);
+    const int gates = nq + rng.uniformInt(3 * nq);
+    for (int g = 0; g < gates; ++g) {
+        int a = rng.uniformInt(nq);
+        int b = rng.uniformInt(nq - 1);
+        if (b >= a)
+            ++b;
+        c.add(Gate::cnot(a, b));
+    }
+    for (int q = 0; q < nq; ++q)
+        if (rng.bernoulli(0.7))
+            c.add(Gate::measure(q));
+    return ProgramInfo::fromCircuit(c);
+}
+
+TEST(GreedyClimb, StopsAtLocalOptimumOfPublicScorers)
+{
+    for (const Device &dev :
+         {makeIbmQ14(), makeIbmQ16(), makeRigettiAspen1()}) {
+        for (uint64_t seed = 1; seed <= 12; ++seed) {
+            ProgramInfo info = randomProgram(seed * 7919 + 13);
+            ReliabilityMatrix rel(dev.topology(),
+                                  dev.calibrate(static_cast<int>(seed)),
+                                  dev.vendor());
+            for (MappingObjective obj :
+                 {MappingObjective::MaxMin, MappingObjective::Product}) {
+                MappingOptions opts;
+                opts.kind = MapperKind::Greedy;
+                opts.objective = obj;
+                Mapping m = mapQubits(info, rel, opts);
+                const auto cur = climbKey(info, rel, obj, m.progToHw);
+                std::vector<ProgQubit> inv = m.hwToProg(rel.numQubits());
+                for (int p = 0; p < info.numProgQubits; ++p)
+                    for (HwQubit h = 0; h < rel.numQubits(); ++h) {
+                        HwQubit old = m.progToHw[static_cast<size_t>(p)];
+                        if (h == old)
+                            continue;
+                        std::vector<HwQubit> moved = m.progToHw;
+                        moved[static_cast<size_t>(p)] = h;
+                        ProgQubit occupant = inv[static_cast<size_t>(h)];
+                        if (occupant != -1)
+                            moved[static_cast<size_t>(occupant)] = old;
+                        EXPECT_FALSE(climbAccepts(
+                            climbKey(info, rel, obj, moved), cur))
+                            << dev.name() << " seed " << seed
+                            << (obj == MappingObjective::MaxMin
+                                    ? " max-min"
+                                    : " product")
+                            << ": moving program qubit " << p << " to "
+                            << h << " improves the greedy mapping";
+                    }
+            }
+        }
+    }
 }
 
 } // namespace
