@@ -1,15 +1,15 @@
 /**
  * @file
- * Fusion + dedup microbenchmark: runs the fig07 benchmark set through
- * executeNoisy in four configurations — PR-1 baseline (fusion and
- * dedup off), fusion only, dedup only, and both — plus a threaded
- * both-on run, and emits BENCH_sim_fusion.json with per-benchmark and
- * aggregate wall-clock, speedups and histogram-identity flags.
+ * Gate-fusion microbenchmark: runs the fig07 benchmark set through
+ * executeNoisy in three configurations — the unfused per-gate baseline,
+ * fusion only, and fusion with threaded trajectories — and emits
+ * BENCH_sim_fusion.json with per-benchmark and aggregate wall-clock,
+ * speedups and histogram-identity flags.
  *
  * The run doubles as an acceptance check: every configuration must
- * reproduce the baseline's histogram exactly (dedup is bit-identical
- * by construction; fusion empirically — see DESIGN.md), and the
- * process exits 4 when any benchmark disagrees.
+ * reproduce the baseline's histogram exactly (threading by
+ * construction; fusion empirically — see DESIGN.md), and the process
+ * exits 4 when any benchmark disagrees.
  *
  * Usage:
  *   micro_fusion [--device NAME] [--trials N] [--threads N] [--reps N]
@@ -17,7 +17,7 @@
  *
  * Each configuration runs --reps times (default 3) and reports the
  * fastest repetition, so one cold-cache or descheduled run does not
- * skew the speedup ratios. The engines are deterministic, so every
+ * skew the speedup ratios. The engine is deterministic, so every
  * repetition produces the same histogram.
  */
 
@@ -50,12 +50,6 @@ runMs(const Circuit &hw, const Device &dev, const Calibration &calib,
         *out = std::move(r);
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
-
-struct ConfigTotals
-{
-    double ms = 0.0;
-    bool identical = true;
-};
 
 } // namespace
 
@@ -99,23 +93,22 @@ try {
     int day = bench::defaultDay();
     Calibration calib = dev.calibrate(day);
 
-    // The five measured configurations. "baseline" reproduces the PR-1
-    // engine exactly: per-trial replay, no fusion.
+    // The three measured configurations. "baseline" replays every
+    // trajectory gate by gate.
     struct Config
     {
         const char *name;
         int fusion;
-        int dedup;
         int threads;
     };
     const Config configs[] = {
-        {"baseline", -1, -1, 1},     {"fusion_only", 1, -1, 1},
-        {"dedup_only", -1, 1, 1},    {"fusion_dedup", 1, 1, 1},
-        {"fusion_dedup_threaded", 1, 1, threads},
+        {"baseline", -1, 1},
+        {"fusion_only", 1, 1},
+        {"fusion_threaded", 1, threads},
     };
     constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
-    ConfigTotals totals[kNumConfigs];
+    double total_ms[kNumConfigs] = {};
     std::ostringstream rows;
     bool all_identical = true;
 
@@ -129,10 +122,10 @@ try {
 
         double ms[kNumConfigs];
         ExecutionResult res[kNumConfigs];
+        bool row_identical = true;
         for (size_t ci = 0; ci < kNumConfigs; ++ci) {
             ExecOptions opts;
             opts.fusion = configs[ci].fusion;
-            opts.dedup = configs[ci].dedup;
             opts.threads = configs[ci].threads;
             ms[ci] = runMs(compiled.hwCircuit, dev, calib, trials, opts,
                            &res[ci]);
@@ -140,38 +133,30 @@ try {
                 ms[ci] = std::min(
                     ms[ci], runMs(compiled.hwCircuit, dev, calib, trials,
                                   opts, nullptr));
-            totals[ci].ms += ms[ci];
-            bool same = res[ci].histogram == res[0].histogram &&
-                        res[ci].successRate == res[0].successRate;
-            totals[ci].identical = totals[ci].identical && same;
-            all_identical = all_identical && same;
+            total_ms[ci] += ms[ci];
+            row_identical = row_identical &&
+                            res[ci].histogram == res[0].histogram &&
+                            res[ci].successRate == res[0].successRate;
         }
+        all_identical = all_identical && row_identical;
 
         rows << "    {\n"
              << "      \"benchmark\": \"" << name << "\",\n"
              << "      \"baseline_ms\": " << ms[0] << ",\n"
              << "      \"fusion_only_ms\": " << ms[1] << ",\n"
-             << "      \"dedup_only_ms\": " << ms[2] << ",\n"
-             << "      \"fusion_dedup_ms\": " << ms[3] << ",\n"
-             << "      \"fusion_dedup_threaded_ms\": " << ms[4] << ",\n"
+             << "      \"fusion_threaded_ms\": " << ms[2] << ",\n"
              << "      \"speedup\": "
-             << (ms[3] > 0.0 ? ms[0] / ms[3] : 0.0) << ",\n"
+             << (ms[1] > 0.0 ? ms[0] / ms[1] : 0.0) << ",\n"
              << "      \"faulty_trials\": "
              << res[0].simulatedTrajectories << ",\n"
-             << "      \"distinct_patterns\": "
-             << res[3].simulatedTrajectories << ",\n"
              << "      \"histograms_identical\": "
-             << (totals[1].identical && totals[2].identical &&
-                         totals[3].identical && totals[4].identical
-                     ? "true"
-                     : "false")
-             << "\n"
+             << (row_identical ? "true" : "false") << "\n"
              << "    }" << (bi + 1 < bench_names.size() ? "," : "")
              << "\n";
     }
 
     auto speedup = [&](size_t ci) {
-        return totals[ci].ms > 0.0 ? totals[0].ms / totals[ci].ms : 0.0;
+        return total_ms[ci] > 0.0 ? total_ms[0] / total_ms[ci] : 0.0;
     };
     std::ostringstream json;
     json << "{\n"
@@ -182,17 +167,11 @@ try {
          << "  \"reps\": " << reps << ",\n"
          << "  \"benchmarks\": [\n"
          << rows.str() << "  ],\n"
-         << "  \"total_baseline_ms\": " << totals[0].ms << ",\n"
-         << "  \"total_fusion_only_ms\": " << totals[1].ms << ",\n"
-         << "  \"total_dedup_only_ms\": " << totals[2].ms << ",\n"
-         << "  \"total_fusion_dedup_ms\": " << totals[3].ms << ",\n"
-         << "  \"total_fusion_dedup_threaded_ms\": " << totals[4].ms
-         << ",\n"
+         << "  \"total_baseline_ms\": " << total_ms[0] << ",\n"
+         << "  \"total_fusion_only_ms\": " << total_ms[1] << ",\n"
+         << "  \"total_fusion_threaded_ms\": " << total_ms[2] << ",\n"
          << "  \"fusion_only_speedup\": " << speedup(1) << ",\n"
-         << "  \"dedup_only_speedup\": " << speedup(2) << ",\n"
-         << "  \"fusion_dedup_speedup\": " << speedup(3) << ",\n"
-         << "  \"fusion_dedup_threaded_speedup\": " << speedup(4)
-         << ",\n"
+         << "  \"fusion_threaded_speedup\": " << speedup(2) << ",\n"
          << "  \"identical_across_configs\": "
          << (all_identical ? "true" : "false") << "\n"
          << "}\n";

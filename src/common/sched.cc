@@ -318,24 +318,6 @@ estimateChunkUs(const SchedCalib &c, int qubits, int gates,
 }
 
 double
-estimateGroupUs(const SchedCalib &c, int qubits, int gates)
-{
-    const double dim = std::ldexp(1.0, std::clamp(qubits, 0, 40));
-    // One (partially checkpoint-resumed) trajectory plus the shared
-    // sampling scan over the final state.
-    return (0.5 * replayOps(qubits, gates) + 2.0 * dim) / c.ampOpsPerUs;
-}
-
-double
-estimatePresampleUs(const SchedCalib &c, int sites, int chunk_trials)
-{
-    // One Bernoulli per site per trial plus a couple of bookkeeping
-    // draws; a Bernoulli is a handful of amp-op-equivalents.
-    return std::max(chunk_trials, 0) *
-           (6.0 * std::max(sites, 0) + 16.0) / c.ampOpsPerUs;
-}
-
-double
 estimateCompileUs(const SchedCalib &c, int qubits, int gates_2q,
                   int gates)
 {

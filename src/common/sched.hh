@@ -178,20 +178,6 @@ double estimateChunkUs(const SchedCalib &c, int qubits, int gates,
                        int chunk_trials, double faulty_fraction);
 
 /**
- * Estimated serial microseconds to replay one deduplicated
- * fault-pattern group (one trajectory through the circuit plus a
- * sampling scan). Monotone in qubits and gates.
- */
-double estimateGroupUs(const SchedCalib &c, int qubits, int gates);
-
-/**
- * Estimated serial microseconds to pre-sample one RNG chunk's fault
- * patterns (`sites` Bernoulli draws per trial). Monotone in both.
- */
-double estimatePresampleUs(const SchedCalib &c, int sites,
-                           int chunk_trials);
-
-/**
  * Estimated serial microseconds to compile one sweep cell: a program
  * of `gates` total gates (`gates_2q` two-qubit) onto a `qubits`-qubit
  * device. Dominated by the mapper's per-interaction work, so it grows

@@ -98,7 +98,7 @@ struct CrashBundle
      * NAME=value entries (captureTriqEnv()). Replays re-apply them —
      * minus TRIQ_FAULT/TRIQ_FAULT_SEED, whose effects are already
      * baked into the bundled inputs — so knob-dependent behavior
-     * (TRIQ_SCHED_CALIB, TRIQ_SIM_DEDUP, ...) reproduces faithfully.
+     * (TRIQ_SCHED_CALIB, TRIQ_SIM_FUSION, ...) reproduces faithfully.
      */
     std::vector<std::string> envKnobs;
 

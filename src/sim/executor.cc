@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/env.hh"
@@ -36,30 +34,6 @@ msSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/**
- * Execute `items` indexed work items per the scheduler's plan: the
- * true serial loop when the plan says serial (no pool is touched),
- * otherwise batched ranges on the shared process pool. The RNG
- * chunking is fixed upstream of this choice, so the plan can never
- * change a result — only its wall-clock time.
- */
-void
-runPerPlan(const SchedDecision &dec, int items,
-           const std::function<void(int)> &fn)
-{
-    if (!dec.threaded) {
-        for (int i = 0; i < items; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool &pool = processPool(dec.threads);
-    parallelForRanges(pool, items, dec.itemsPerTask,
-                      [&fn](int lo, int hi) {
-                          for (int i = lo; i < hi; ++i)
-                              fn(i);
-                      });
 }
 
 /** Histograms this narrow use a flat per-chunk count vector. */
@@ -141,7 +115,7 @@ advanceState(const TrajectoryContext &ctx, StateVector &sv, int from,
  * Draw the Pauli choice for a fired site. Idle sites deterministically
  * inject Z (pure dephasing) and consume no randomness; 1Q sites draw a
  * uniform X/Y/Z; 2Q sites draw a uniform non-identity two-qubit Pauli
- * (index 1..15 in base 4). The returned code fits in 5 bits.
+ * (index 1..15 in base 4).
  */
 int
 drawPauliCode(Rng &rng, const ErrorSite &s)
@@ -279,203 +253,6 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
 }
 
 /**
- * Flat per-trial randomness the dedup engine pre-draws. The draws are
- * consumed from each trial's RNG position in exactly runChunk's order
- * (site Bernoullis, Pauli codes in injection order, one measurement
- * uniform, readout flips), so grouping trials afterwards cannot change
- * any trial's randomness. Fault patterns — fired (site << 5 | code)
- * words in injection order — are stored back to back per chunk, so
- * presampling a trial allocates nothing.
- */
-struct PresampledDraws
-{
-    std::vector<std::vector<uint32_t>> chunkWords; //!< Patterns, per chunk.
-    std::vector<int> patternLen;                   //!< Per trial.
-    std::vector<int> firstGate; //!< Per trial; INT_MAX = fault-free.
-    std::vector<double> u;      //!< Per trial: measurement uniform.
-    std::vector<uint64_t> flips; //!< Per trial: readout-flip mask.
-};
-
-/** Pre-draw one chunk of trials [lo, lo+n) into `words` and `out`. */
-void
-presampleChunk(const TrajectoryContext &ctx, Rng rng, int lo, int n,
-               std::vector<uint32_t> &words, PresampledDraws &out)
-{
-    const std::vector<ErrorSite> &sites = *ctx.sites;
-    const std::vector<double> &ro_err = *ctx.roErr;
-    std::vector<bool> fired(sites.size(), false);
-    for (int t = lo; t < lo + n; ++t) {
-        bool any = false;
-        int first_gate = INT_MAX;
-        for (size_t i = 0; i < sites.size(); ++i) {
-            fired[i] = rng.bernoulli(sites[i].prob);
-            if (fired[i]) {
-                any = true;
-                first_gate = std::min(first_gate, sites[i].gateIdx);
-            }
-        }
-        int len = 0;
-        if (any)
-            for (int si : *ctx.injOrder) {
-                if (!fired[static_cast<size_t>(si)])
-                    continue;
-                int code = drawPauliCode(
-                    rng, sites[static_cast<size_t>(si)]);
-                words.push_back((static_cast<uint32_t>(si) << 5) |
-                                static_cast<uint32_t>(code));
-                ++len;
-            }
-        out.patternLen[static_cast<size_t>(t)] = len;
-        out.firstGate[static_cast<size_t>(t)] = first_gate;
-        out.u[static_cast<size_t>(t)] = rng.uniform();
-        uint64_t fl = 0;
-        for (size_t k = 0; k < ro_err.size(); ++k)
-            if (rng.bernoulli(ro_err[k]))
-                fl ^= uint64_t{1} << k;
-        out.flips[static_cast<size_t>(t)] = fl;
-    }
-}
-
-/** FNV-1a over a fault pattern's raw words. */
-uint64_t
-patternHash(const uint32_t *p, int n)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (int i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
-/** One distinct fault pattern and the trials that drew it. */
-struct PatternGroup
-{
-    const uint32_t *pattern = nullptr; //!< Into PresampledDraws words.
-    int patternLen = 0;
-    int firstGate = INT_MAX;
-    std::vector<int> trials; // ascending
-};
-
-/** Length of the common (site, code) prefix of two fault patterns. */
-int
-patternLcp(const uint32_t *a, int la, const uint32_t *b, int lb)
-{
-    int n = std::min(la, lb), k = 0;
-    while (k < n && a[k] == b[k])
-        ++k;
-    return k;
-}
-
-/**
- * Sample every member trial's measurement from the group's final state.
- *
- * Sampling stays bit-identical to per-trial sampleMeasurement(u): the
- * member uniforms are sorted and assigned in one cumulative scan whose
- * accumulation order (basis index ascending) matches the per-trial
- * scan, so each uniform maps to exactly the basis index it would have
- * mapped to alone.
- */
-void
-sampleGroupTrials(const StateVector &state, const PatternGroup &group,
-                  const PresampledDraws &draws,
-                  std::vector<uint64_t> &basis_of)
-{
-    std::vector<std::pair<double, int>> us;
-    us.reserve(group.trials.size());
-    for (int t : group.trials)
-        us.emplace_back(draws.u[static_cast<size_t>(t)], t);
-    std::sort(us.begin(), us.end());
-
-    const std::vector<Cplx> &amps = state.amps();
-    const uint64_t dim = state.dim();
-    size_t p = 0;
-    double acc = 0.0;
-    for (uint64_t i = 0; i < dim && p < us.size(); ++i) {
-        acc += std::norm(amps[i]);
-        while (p < us.size() && us[p].first < acc)
-            basis_of[static_cast<size_t>(us[p++].second)] = i;
-    }
-    while (p < us.size())
-        basis_of[static_cast<size_t>(us[p++].second)] = dim - 1;
-}
-
-/**
- * Simulate a contiguous slice of pattern-sorted groups, sharing state
- * between patterns with a common injection prefix.
- *
- * `order` lists group indices sorted lexicographically by pattern
- * content, so patterns that start with the same (site, code) injections
- * sit next to each other. While replaying a pattern the slice snapshots
- * the state after each injection it still shares with the *next*
- * pattern; that pattern then resumes from the deepest shared snapshot
- * instead of replaying the common prefix again. A snapshot is a copy of
- * exactly the state a from-scratch replay would reach (the prefix
- * determines the checkpoint seek, every advance and every injection),
- * so the reuse is bitwise invisible — results do not depend on slice
- * boundaries or thread count.
- */
-void
-runGroupSlice(const TrajectoryContext &ctx,
-              const std::vector<PatternGroup> &groups,
-              const std::vector<int> &order, size_t lo, size_t hi,
-              const PresampledDraws &draws, std::vector<uint64_t> &basis_of)
-{
-    const std::vector<ErrorSite> &sites = *ctx.sites;
-    StateVector traj(ctx.circuit->numQubits());
-    traj.setKernelThreads(ctx.kernelThreads);
-    std::vector<StateVector> snaps; // state after injection k
-    std::vector<int> snapPos;       // gates applied at that point
-    int valid_depth = 0;            // prefix of snaps shared with `traj`'s
-                                    // last pattern that is still live
-
-    for (size_t p = lo; p < hi; ++p) {
-        const PatternGroup &group = groups[static_cast<size_t>(order[p])];
-        if (group.patternLen == 0) {
-            // Fault-free pattern (sorts first): sample the cached ideal.
-            sampleGroupTrials(*ctx.ideal, group, draws, basis_of);
-            valid_depth = 0;
-            continue;
-        }
-        int next_lcp = 0;
-        if (p + 1 < hi) {
-            const PatternGroup &next =
-                groups[static_cast<size_t>(order[p + 1])];
-            next_lcp = patternLcp(group.pattern, group.patternLen,
-                                  next.pattern, next.patternLen);
-        }
-        if (next_lcp > static_cast<int>(snaps.size())) {
-            snaps.resize(static_cast<size_t>(next_lcp),
-                         StateVector(ctx.circuit->numQubits()));
-            snapPos.resize(static_cast<size_t>(next_lcp));
-        }
-
-        int pos;
-        int resume = std::min(valid_depth, group.patternLen);
-        if (resume > 0) {
-            traj.amps() = snaps[static_cast<size_t>(resume - 1)].amps();
-            pos = snapPos[static_cast<size_t>(resume - 1)];
-        } else {
-            pos = seekCheckpoint(ctx, traj, group.firstGate);
-        }
-        for (int k = resume; k < group.patternLen; ++k) {
-            const uint32_t entry = group.pattern[k];
-            const ErrorSite &s = sites[entry >> 5];
-            advanceState(ctx, traj, pos, s.gateIdx + 1);
-            pos = std::max(pos, s.gateIdx + 1);
-            injectPauli(traj, s, static_cast<int>(entry & 31u));
-            if (k < next_lcp) {
-                snaps[static_cast<size_t>(k)].amps() = traj.amps();
-                snapPos[static_cast<size_t>(k)] = pos;
-            }
-        }
-        advanceState(ctx, traj, pos, ctx.circuit->numGates());
-        sampleGroupTrials(traj, group, draws, basis_of);
-        valid_depth = next_lcp;
-    }
-}
-
-/**
  * The executeNoisy body. `planned_bytes` reports the reservation the
  * run held, so the public wrapper can attribute a std::bad_alloc that
  * escapes any allocation in here (including ones rethrown from pool
@@ -548,7 +325,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     // Reserve the run's predicted peak memory against the process
     // budget before the first state vector exists. When the full plan
     // does not fit, degrade to the low-memory plan (serial, no
-    // checkpoints, no dedup: ideal + one trajectory state) before
+    // checkpoints: ideal + one trajectory state) before
     // giving up; only when even that cannot fit does the reservation
     // throw a structured ResourceError.
     ResourceGovernor &gov = processGovernor();
@@ -571,8 +348,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         warn("executeNoisy: memory budget ",
              formatBytes(gov.budgetBytes()), " forces the low-memory ",
              "plan for ", hw.name(), " (serial trajectories, no ",
-             "checkpoints, no dedup; kernel threading unaffected — it ",
-             "adds no state copies)");
+             "checkpoints; kernel threading unaffected — it adds no ",
+             "state copies)");
     }
 
     // Ideal reference evolution, snapshotted every K gates so faulty
@@ -634,7 +411,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
              "); success is counted against the dominant outcome");
 
     // Injection order: site indices sorted by (gateIdx, site index).
-    // Both engines draw fired sites' Pauli codes and apply their
+    // Every trial draws its fired sites' Pauli codes and applies their
     // injections in exactly this order.
     std::vector<int> inj_order(sites.size());
     for (size_t i = 0; i < sites.size(); ++i)
@@ -647,9 +424,6 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     const bool use_fusion =
         opts.fusion > 0 || (opts.fusion == 0 && defaultSimFusion());
-    const bool use_dedup =
-        !low_mem &&
-        (opts.dedup > 0 || (opts.dedup == 0 && defaultSimDedup()));
     FusedProgram fused_program;
     if (use_fusion) {
         // Align fused operators to the checkpoint interval so replays
@@ -684,207 +458,42 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     const int num_chunks = (trials + chunk_size - 1) / chunk_size;
     const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
+    // Plan the chunk fan-out: a forced thread request batches onto the
+    // pool even where the model predicts a loss; otherwise the cost
+    // model picks serial or threaded. The RNG chunking is fixed above,
+    // so the plan can never change a result — only its wall-clock time.
     const SchedCalib &scal = schedCalib();
-    const double faulty_frac =
-        std::clamp(1.0 - res.noErrorProb, 0.0, 1.0);
-    auto plan = [&](int items, double us_per_item) {
-        return threads_req > 0
-                   ? planForced(scal, items, us_per_item, threads_req,
-                                processPoolStarted())
-                   : planParallel(scal, items, us_per_item, 0,
-                                  processPoolStarted());
-    };
-
-    if (use_dedup) {
-        // Phase A: pre-draw every trial's randomness, chunk-parallel.
-        // Chunks write disjoint trial slots and their own word buffers,
-        // so scheduling cannot change any draw.
-        PresampledDraws draws;
-        draws.chunkWords.resize(static_cast<size_t>(num_chunks));
-        draws.patternLen.resize(static_cast<size_t>(trials));
-        draws.firstGate.resize(static_cast<size_t>(trials));
-        draws.u.resize(static_cast<size_t>(trials));
-        draws.flips.resize(static_cast<size_t>(trials));
-        auto presample = [&](int ci) {
-            int lo = ci * chunk_size;
-            int n = std::min(chunk_size, trials - lo);
-            presampleChunk(ctx,
-                           Rng::stream(stream_seed,
-                                       static_cast<uint64_t>(ci)),
-                           lo, n,
-                           draws.chunkWords[static_cast<size_t>(ci)],
-                           draws);
-        };
-        // Presampling is cheap per chunk (a few Bernoullis per site),
-        // so the cost model usually keeps it serial — exactly the case
-        // where the old per-call pool spawn used to eat the win.
-        SchedDecision pre_dec =
-            plan(num_chunks,
-                 estimatePresampleUs(scal,
-                                     static_cast<int>(sites.size()),
-                                     chunk_size));
-        runPerPlan(pre_dec, num_chunks, presample);
-
-        // Phase B: group trials by identical fault pattern, in trial
-        // order (deterministic first-seen group numbering). The hash
-        // only picks a bucket; group identity is pattern equality.
-        std::vector<PatternGroup> groups;
-        std::unordered_map<uint64_t, std::vector<int>> buckets;
-        buckets.reserve(static_cast<size_t>(trials) / 2 + 1);
-        for (int ci = 0, t = 0; ci < num_chunks; ++ci) {
-            const uint32_t *w =
-                draws.chunkWords[static_cast<size_t>(ci)].data();
-            const int n =
-                std::min(chunk_size, trials - ci * chunk_size);
-            for (int k = 0; k < n; ++k, ++t) {
-                const int len =
-                    draws.patternLen[static_cast<size_t>(t)];
-                std::vector<int> &bucket =
-                    buckets[patternHash(w, len)];
-                int gidx = -1;
-                for (int g : bucket) {
-                    const PatternGroup &pg =
-                        groups[static_cast<size_t>(g)];
-                    if (pg.patternLen == len &&
-                        std::equal(pg.pattern, pg.pattern + len, w)) {
-                        gidx = g;
-                        break;
-                    }
-                }
-                if (gidx < 0) {
-                    gidx = static_cast<int>(groups.size());
-                    PatternGroup g;
-                    g.pattern = w;
-                    g.patternLen = len;
-                    g.firstGate =
-                        draws.firstGate[static_cast<size_t>(t)];
-                    groups.push_back(std::move(g));
-                    bucket.push_back(gidx);
-                }
-                groups[static_cast<size_t>(gidx)].trials.push_back(t);
-                w += len;
-            }
-        }
-
-        // Phase C: simulate each distinct pattern once. Groups are
-        // sorted by pattern content so patterns sharing an injection
-        // prefix run back to back and reuse the shared state (see
-        // runGroupSlice); each parallel worker takes one contiguous
-        // slice of the sorted order. Groups write disjoint basis_of
-        // slots and snapshot reuse is bitwise exact, so neither
-        // scheduling nor the slice boundaries can change any result.
-        std::vector<uint64_t> basis_of(static_cast<size_t>(trials));
-        const int num_groups = static_cast<int>(groups.size());
-        std::vector<int> order(static_cast<size_t>(num_groups));
-        for (int gi = 0; gi < num_groups; ++gi)
-            order[static_cast<size_t>(gi)] = gi;
-        std::sort(order.begin(), order.end(), [&](int a, int b) {
-            const PatternGroup &ga = groups[static_cast<size_t>(a)];
-            const PatternGroup &gb = groups[static_cast<size_t>(b)];
-            return std::lexicographical_compare(
-                ga.pattern, ga.pattern + ga.patternLen, gb.pattern,
-                gb.pattern + gb.patternLen);
-        });
-        SchedDecision dec =
-            plan(num_groups,
-                 estimateGroupUs(scal, cc.circuit.numQubits(),
-                                 num_gates));
-        // Kernel threading and the group fan-out share the process
-        // pool: when the fan-out is threaded, trajectory kernels must
-        // stay serial (pool jobs cannot submit to the pool); when it
-        // is serial, the kernels get the whole pool. Bit-identical
-        // either way.
-        ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
-        auto t_run = std::chrono::steady_clock::now();
-        if (!dec.threaded) {
-            runGroupSlice(ctx, groups, order, 0,
-                          static_cast<size_t>(num_groups), draws,
-                          basis_of);
-        } else {
-            // One contiguous slice per worker (not the generic batched
-            // ranges): coarse slices keep the LCP state sharing between
-            // neighboring patterns maximal, and slicing is bitwise
-            // invisible (see runGroupSlice).
-            const int slices = std::min(dec.threads, num_groups);
-            ThreadPool &pool = processPool(dec.threads);
-            parallelFor(pool, slices, [&](int w) {
-                size_t lo = static_cast<size_t>(num_groups) *
-                            static_cast<size_t>(w) /
-                            static_cast<size_t>(slices);
-                size_t hi = static_cast<size_t>(num_groups) *
-                            static_cast<size_t>(w + 1) /
-                            static_cast<size_t>(slices);
-                runGroupSlice(ctx, groups, order, lo, hi, draws,
-                              basis_of);
-            });
-            dec.threads = slices;
-            dec.tasks = slices;
-            dec.itemsPerTask = (num_groups + slices - 1) / slices;
-        }
-        dec.actualMs = msSince(t_run);
-        res.sched = dec;
-        for (const PatternGroup &g : groups)
-            if (g.patternLen > 0)
-                ++res.simulatedTrajectories;
-
-        // Phase D: serial tally in trial order.
-        int successes = 0;
-        if (ctx.flatHistogram) {
-            std::vector<int> total(uint64_t{1} << measured.size(), 0);
-            for (int t = 0; t < trials; ++t) {
-                uint64_t key =
-                    outcomeKey(basis_of[static_cast<size_t>(t)],
-                               measured) ^
-                    draws.flips[static_cast<size_t>(t)];
-                if (key == ideal_key)
-                    ++successes;
-                ++total[key];
-            }
-            res.histogram.reserve(total.size());
-            for (size_t k = 0; k < total.size(); ++k)
-                if (total[k] != 0)
-                    res.histogram.emplace(static_cast<uint64_t>(k),
-                                          total[k]);
-        } else {
-            res.histogram.reserve(static_cast<size_t>(trials));
-            for (int t = 0; t < trials; ++t) {
-                uint64_t key =
-                    outcomeKey(basis_of[static_cast<size_t>(t)],
-                               measured) ^
-                    draws.flips[static_cast<size_t>(t)];
-                if (key == ideal_key)
-                    ++successes;
-                ++res.histogram[key];
-            }
-        }
-        res.successRate = static_cast<double>(successes) / trials;
-        int modal_count = 0;
-        for (const auto &[key, count] : res.histogram)
-            if (count > modal_count)
-                modal_count = count;
-        res.correctIsModal = successes == modal_count;
-        return res;
-    }
+    const double chunk_us = estimateChunkUs(
+        scal, cc.circuit.numQubits(), num_gates, chunk_size,
+        std::clamp(1.0 - res.noErrorProb, 0.0, 1.0));
+    SchedDecision dec =
+        threads_req > 0
+            ? planForced(scal, num_chunks, chunk_us, threads_req,
+                         processPoolStarted())
+            : planParallel(scal, num_chunks, chunk_us, 0,
+                           processPoolStarted());
+    // Kernel threading and the chunk fan-out share the process pool: a
+    // threaded fan-out runs serial trajectory kernels (pool jobs cannot
+    // submit to the pool), and a serial one gives the kernels the whole
+    // pool. The low-memory degraded plan forces threads_req == 1, so
+    // its lone trajectory state keeps full kernel threading at the same
+    // 2-state footprint. Bit-identical either way.
+    ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
 
     std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
-    auto run_chunk = [&](int ci) {
-        int lo = ci * chunk_size;
-        int n = std::min(chunk_size, trials - lo);
-        runChunk(ctx, Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
-                 n, stats[static_cast<size_t>(ci)]);
+    auto run_chunks = [&](int lo, int hi) {
+        for (int ci = lo; ci < hi; ++ci)
+            runChunk(ctx,
+                     Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
+                     std::min(chunk_size, trials - ci * chunk_size),
+                     stats[static_cast<size_t>(ci)]);
     };
-    SchedDecision dec =
-        plan(num_chunks, estimateChunkUs(scal, cc.circuit.numQubits(),
-                                         num_gates, chunk_size,
-                                         faulty_frac));
-    // Same pool-sharing rule as the dedup path: threaded chunk fan-out
-    // means serial trajectory kernels, and vice versa. The low-memory
-    // degraded plan lands here with threads_req == 1, so its lone
-    // trajectory state keeps full kernel threading at the same 2-state
-    // footprint.
-    ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
     auto t_run = std::chrono::steady_clock::now();
-    runPerPlan(dec, num_chunks, run_chunk);
+    if (dec.threaded)
+        parallelForRanges(processPool(dec.threads), num_chunks,
+                          dec.itemsPerTask, run_chunks);
+    else
+        run_chunks(0, num_chunks);
     dec.actualMs = msSince(t_run);
     res.sched = dec;
 
@@ -1003,12 +612,6 @@ bool
 defaultSimFusion(bool fallback)
 {
     return envInt("TRIQ_SIM_FUSION", fallback ? 1 : 0, 0) != 0;
-}
-
-bool
-defaultSimDedup(bool fallback)
-{
-    return envInt("TRIQ_SIM_DEDUP", fallback ? 1 : 0, 0) != 0;
 }
 
 } // namespace triq

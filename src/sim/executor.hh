@@ -21,13 +21,9 @@
  *    |0...0>;
  *  - gate fusion (sim/fusion.hh, TRIQ_SIM_FUSION, default on) rewrites
  *    the compact circuit into fused kernels so each replay makes fewer
- *    passes over the state;
- *  - fault-pattern deduplication (TRIQ_SIM_DEDUP, default on)
- *    pre-samples every trial's fault pattern, simulates each distinct
- *    pattern once and draws all of its trials' measurement samples
- *    from the shared final state. Dedup consumes the per-trial RNG
- *    draws in exactly the per-trial engine's order, so its histograms
- *    are bit-identical to the dedup-off path.
+ *    passes over the state.
+ *
+ * Every faulty trial replays its own trajectory.
  */
 
 #ifndef TRIQ_SIM_EXECUTOR_HH
@@ -64,10 +60,9 @@ struct ExecutionResult
     double noErrorProb = 0.0;
 
     /**
-     * Distinct state-vector trajectories simulated. With fault-pattern
-     * deduplication on (the default) this is the number of *distinct
-     * non-empty fault patterns*; with it off, the number of faulty
-     * trials (every faulty trial replays individually).
+     * State-vector trajectories simulated: the number of faulty trials
+     * (each replays individually; fault-free trials sample the cached
+     * ideal state).
      */
     int simulatedTrajectories = 0;
 
@@ -140,15 +135,6 @@ struct ExecOptions
     int fusion = 0;
 
     /**
-     * Fault-pattern deduplication: > 0 on, < 0 off, 0 reads
-     * TRIQ_SIM_DEDUP (default on). Bit-identical to the per-trial
-     * engine for any thread count: it consumes the RNG draws in the
-     * same per-trial order and samples measurements by the same
-     * cumulative scan.
-     */
-    int dedup = 0;
-
-    /**
      * Intra-state kernel threading: how each gate kernel shards its
      * amplitude loops (see StateVector::setKernelThreads). > 0 forces
      * that many workers (1 = true serial kernels); < 0 requests
@@ -218,12 +204,6 @@ int defaultKernelThreads(int fallback = 1);
  * variable (0 disables), falling back to `fallback` (on).
  */
 bool defaultSimFusion(bool fallback = true);
-
-/**
- * Default fault-pattern-dedup setting: reads the TRIQ_SIM_DEDUP
- * environment variable (0 disables), falling back to `fallback` (on).
- */
-bool defaultSimDedup(bool fallback = true);
 
 /**
  * Re-order an outcome key from the executor's hardware-measured-qubit

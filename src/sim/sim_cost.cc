@@ -61,7 +61,7 @@ predictSimulationBytes(int active_qubits, int workers)
 {
     uint64_t per_state = stateVectorBytes(active_qubits);
     uint64_t w = static_cast<uint64_t>(std::max(workers, 1));
-    uint64_t states = satMul(per_state, satAdd(1, satMul(2, w)));
+    uint64_t states = satMul(per_state, satAdd(1, w));
     uint64_t ckpts =
         per_state < kCheckpointBudgetBytes ? kCheckpointBudgetBytes : 0;
     return satAdd(states, ckpts);

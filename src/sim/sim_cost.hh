@@ -35,17 +35,17 @@ uint64_t densityMatrixBytes(int qubits);
 /**
  * Predicted peak committed bytes for executeNoisy over a compact
  * circuit of `active_qubits` qubits fanned out across `workers`
- * concurrent trial chunks: the cached ideal state, one trajectory
- * state per worker, a dedup/LCP snapshot allowance per worker, and
- * the executor's bounded checkpoint budget (charged only when the
- * executor would actually take checkpoints).
+ * concurrent trial chunks: the cached ideal state, the one trajectory
+ * state each running chunk allocates, and the executor's bounded
+ * checkpoint budget (charged only when the executor would actually
+ * take checkpoints).
  */
 uint64_t predictSimulationBytes(int active_qubits, int workers);
 
 /**
  * Predicted bytes of the degraded low-memory plan: serial
- * trajectories, no checkpoints, no dedup — the ideal state plus a
- * single trajectory state (~2 x stateVectorBytes). executeNoisy falls
+ * trajectories, no checkpoints — the ideal state plus a single
+ * trajectory state (~2 x stateVectorBytes). executeNoisy falls
  * back to this plan automatically when the full plan does not fit the
  * budget. Kernel threading stays available in this plan at the same
  * 2-state footprint (kernel workers add no state copies), so degraded

@@ -373,12 +373,7 @@ StateVector::applyCircuit(const Circuit &c)
 uint64_t
 StateVector::sampleMeasurement(Rng &rng) const
 {
-    return sampleMeasurement(rng.uniform());
-}
-
-uint64_t
-StateVector::sampleMeasurement(double r) const
-{
+    const double r = rng.uniform();
     double acc = 0.0;
     for (uint64_t i = 0; i < dim(); ++i) {
         acc += std::norm(amps_[i]);

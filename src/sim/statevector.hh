@@ -160,15 +160,6 @@ class StateVector
     uint64_t sampleMeasurement(Rng &rng) const;
 
     /**
-     * Deterministic variant: map a caller-supplied uniform draw
-     * r in [0, 1) to a basis index by the same cumulative scan as
-     * sampleMeasurement(Rng&). Lets the dedup executor pre-draw each
-     * trial's uniform and sample many trials from one shared state
-     * while staying bit-identical to the per-trial path.
-     */
-    uint64_t sampleMeasurement(double r) const;
-
-    /**
      * The most probable basis state.
      * @param prob_out When non-null, receives that state's probability.
      */

@@ -1,17 +1,22 @@
 /**
  * @file
  * Noise-model and executor tests: error-site enumeration, analytic
- * cross-checks of measured success rates, determinism and the modal
- * outcome flag.
+ * cross-checks of measured success rates, determinism, the modal
+ * outcome flag and golden histograms over the study matrix.
  */
 
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 
 #include "core/compiler.hh"
+#include "core/fingerprint.hh"
 #include "device/machines.hh"
 #include "sim/executor.hh"
 #include "sim/noise.hh"
@@ -233,14 +238,27 @@ TEST(Executor, BitIdenticalAcrossThreadCounts)
     CompileResult res = compileForDevice(program, dev, c, opts);
     ExecOptions serial;
     serial.threads = 1;
+    serial.fusion = 1;
     ExecutionResult base =
         executeNoisy(res.hwCircuit, dev, c, 1500, 99, serial);
     EXPECT_GT(base.simulatedTrajectories, 0);
+    // Threaded fused runs must match bit for bit, and so must an
+    // unfused serial run. Fusion reassociates floating point, so that
+    // last equality is empirical (a uniform draw would have to land
+    // within ~1e-13 of a cumulative-probability boundary to flip), not
+    // algebraic.
+    std::vector<ExecOptions> runs;
     for (int threads : {2, 8}) {
-        ExecOptions t;
+        ExecOptions t = serial;
         t.threads = threads;
+        runs.push_back(t);
+    }
+    ExecOptions unfused = serial;
+    unfused.fusion = -1;
+    runs.push_back(unfused);
+    for (const ExecOptions &o : runs) {
         ExecutionResult r =
-            executeNoisy(res.hwCircuit, dev, c, 1500, 99, t);
+            executeNoisy(res.hwCircuit, dev, c, 1500, 99, o);
         EXPECT_DOUBLE_EQ(r.successRate, base.successRate);
         EXPECT_EQ(r.simulatedTrajectories, base.simulatedTrajectories);
         EXPECT_EQ(r.correctOutcome, base.correctOutcome);
@@ -273,20 +291,15 @@ TEST(Executor, CheckpointedReplayMatchesFullReplay)
     }
     circ.add(Gate::measure(0));
     circ.add(Gate::measure(1));
-    // This test exercises the per-trial checkpoint replay engine, so
-    // fault-pattern dedup is pinned off (it would collapse the 800
-    // trials to their distinct patterns); fusion off keeps the replay
-    // strictly gate by gate.
+    // Fusion off keeps the replay strictly gate by gate.
     ExecOptions full;
     full.checkpointInterval = -1; // replay from |00> every time
-    full.dedup = -1;
     full.fusion = -1;
     ExecutionResult a = executeNoisy(circ, dev, c, 800, 21, full);
     EXPECT_EQ(a.simulatedTrajectories, a.trials);
     for (int interval : {1, 2, 5, 0}) {
         ExecOptions ck;
         ck.checkpointInterval = interval;
-        ck.dedup = -1;
         ck.fusion = -1;
         ExecutionResult b = executeNoisy(circ, dev, c, 800, 21, ck);
         EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
@@ -315,6 +328,142 @@ TEST(Executor, DefaultTrialsEnv)
     setenv("TRIQ_TRIALS", "bogus", 1);
     EXPECT_EQ(defaultTrials(1234), 1234);
     unsetenv("TRIQ_TRIALS");
+}
+
+// ---------------------------------------------------------------------
+// Golden histograms over the paper's study matrix: the 12 fig07
+// programs on the 7 study devices (programs wider than a device are
+// skipped), calibration day 3, default compile and execution options,
+// 8192 trials (5000 on UMDTI) and seed 2019. Each cell pins the FNV-1a
+// hash of its sorted histogram and its success rate as an exact hex
+// float, so any change to the sampling order, the RNG streams, the
+// noise model or a compiled circuit that moves one count fails here.
+
+struct GoldenCell
+{
+    const char *bench;
+    const char *device;
+    uint64_t histogramHash;
+    double successRate;
+};
+
+const GoldenCell kGoldenStudy[] = {
+    {"BV4", "IBMQ5", 0x172c129278ec5480ull, 0x1.798p-1},
+    {"BV4", "IBMQ14", 0xb2cc68778dadbe6cull, 0x1.596p-1},
+    {"BV4", "IBMQ16", 0x33d88cfaa1018408ull, 0x1.936p-1},
+    {"BV4", "Agave", 0xa0f6b1970e4525c8ull, 0x1.1c6p-2},
+    {"BV4", "Aspen1", 0x4a8ce86d679454a1ull, 0x1.388p-1},
+    {"BV4", "Aspen3", 0xb1cafd3bb198197dull, 0x1.30ep-1},
+    {"BV4", "UMDTI", 0x8ca1d5f4bc6d3be0ull, 0x1.f03afb7e90ff9p-1},
+    {"BV6", "IBMQ14", 0x4470cf253f695713ull, 0x1.9ccp-2},
+    {"BV6", "IBMQ16", 0xfc0917f70f463b44ull, 0x1.0cep-1},
+    {"BV6", "Aspen1", 0x5657d273de7d8bedull, 0x1.1f8p-2},
+    {"BV6", "Aspen3", 0x51394a1274290ff1ull, 0x1.2ecp-2},
+    {"BV8", "IBMQ14", 0x3187260f781186dfull, 0x1.77cp-3},
+    {"BV8", "IBMQ16", 0x01fd1651b23dd9a0ull, 0x1.2b8p-2},
+    {"BV8", "Aspen1", 0x9627dcbdeed19205ull, 0x1.b2p-4},
+    {"BV8", "Aspen3", 0x36619cfb1b5161a5ull, 0x1.26p-4},
+    {"HS2", "IBMQ5", 0x5f91fd96ea82e859ull, 0x1.b45p-1},
+    {"HS2", "IBMQ14", 0x96c6a2618cc4c942ull, 0x1.8dfp-1},
+    {"HS2", "IBMQ16", 0x474417da0f021e2eull, 0x1.bcp-1},
+    {"HS2", "Agave", 0xc226ce9cb1510126ull, 0x1.59bp-1},
+    {"HS2", "Aspen1", 0xf250373308bcb88dull, 0x1.762p-1},
+    {"HS2", "Aspen3", 0x05ca8e3034d2be81ull, 0x1.968p-1},
+    {"HS2", "UMDTI", 0x1fe4259ba8cacad6ull, 0x1.f50b0f27bb2ffp-1},
+    {"HS4", "IBMQ5", 0x712a0c2c83f8c2dfull, 0x1.4aep-1},
+    {"HS4", "IBMQ14", 0xa1be07ed4c66ae0dull, 0x1.32p-1},
+    {"HS4", "IBMQ16", 0x751c74dcbf1d7c46ull, 0x1.7eap-1},
+    {"HS4", "Agave", 0xb574f51b3bea7295ull, 0x1.694p-2},
+    {"HS4", "Aspen1", 0xbe4b1a3c4eee5f9dull, 0x1.136p-1},
+    {"HS4", "Aspen3", 0xcf819c3c80379fa4ull, 0x1.236p-1},
+    {"HS4", "UMDTI", 0x597a51dd48b6a3c1ull, 0x1.e6e978d4fdf3bp-1},
+    {"HS6", "IBMQ14", 0xd60046e68a70a50bull, 0x1.e74p-2},
+    {"HS6", "IBMQ16", 0x8ccef64d83332797ull, 0x1.4d8p-1},
+    {"HS6", "Aspen1", 0xa385c6c6f88b485dull, 0x1.7aap-2},
+    {"HS6", "Aspen3", 0xe749c643298107afull, 0x1.ad2p-2},
+    {"Toffoli", "IBMQ5", 0x8362e18d48b1082eull, 0x1.56bp-1},
+    {"Toffoli", "IBMQ14", 0x8ea7a56bca16fbb9ull, 0x1.0e8p-1},
+    {"Toffoli", "IBMQ16", 0x3a16b30316aed110ull, 0x1.1eap-1},
+    {"Toffoli", "Agave", 0x1f67420cb99a5c4dull, 0x1.6dcp-3},
+    {"Toffoli", "Aspen1", 0xe3fbf8e04835538aull, 0x1.0e4p-2},
+    {"Toffoli", "Aspen3", 0x7891a201bdb1202cull, 0x1.b3cp-2},
+    {"Toffoli", "UMDTI", 0xd3423991dde63e95ull, 0x1.e2339c0ebedfap-1},
+    {"Fredkin", "IBMQ5", 0xc254c876a22e37a5ull, 0x1.315p-1},
+    {"Fredkin", "IBMQ14", 0x712e54ff16672451ull, 0x1.afep-2},
+    {"Fredkin", "IBMQ16", 0xd4788cffdac29acaull, 0x1.e1ap-2},
+    {"Fredkin", "Agave", 0x3f9d69f9f5bcbdc1ull, 0x1.134p-3},
+    {"Fredkin", "Aspen1", 0xf31b83cdfeb03aa6ull, 0x1.474p-2},
+    {"Fredkin", "Aspen3", 0xec6f9c2004384a1bull, 0x1.752p-2},
+    {"Fredkin", "UMDTI", 0x534bd5778021e7c5ull, 0x1.df6fd21ff2e49p-1},
+    {"Or", "IBMQ5", 0x04f302190ddc3f12ull, 0x1.56ap-1},
+    {"Or", "IBMQ14", 0x33af3b8d09ba6e53ull, 0x1.023p-1},
+    {"Or", "IBMQ16", 0x8214c27ecea76916ull, 0x1.1bbp-1},
+    {"Or", "Agave", 0x8e9dd6d6285a10a3ull, 0x1.79p-3},
+    {"Or", "Aspen1", 0x20cac35d4c1e9c45ull, 0x1.326p-2},
+    {"Or", "Aspen3", 0x16c551bf850dc57eull, 0x1.cfep-2},
+    {"Or", "UMDTI", 0xb8e36fcddbe5b7abull, 0x1.e2339c0ebedfap-1},
+    {"Peres", "IBMQ5", 0x5b100dbd7fe4b746ull, 0x1.4bbp-1},
+    {"Peres", "IBMQ14", 0x932d0943263061d7ull, 0x1.7d2p-2},
+    {"Peres", "IBMQ16", 0x8450f102e1afc939ull, 0x1.c86p-2},
+    {"Peres", "Agave", 0xe221ca3729265140ull, 0x1.678p-3},
+    {"Peres", "Aspen1", 0x38fc883876e959d1ull, 0x1.216p-2},
+    {"Peres", "Aspen3", 0x25cdaf121557a40bull, 0x1.bd6p-2},
+    {"Peres", "UMDTI", 0xac56f2580bd0ccbfull, 0x1.e28240b780347p-1},
+    {"QFT", "IBMQ5", 0xaf22fdc3d0d17485ull, 0x1.978p-3},
+    {"QFT", "IBMQ14", 0x084295a13f9558caull, 0x1.028p-3},
+    {"QFT", "IBMQ16", 0xef9a67a903cde577ull, 0x1.2a4p-3},
+    {"QFT", "Agave", 0x54b1fccdff3a3df2ull, 0x1.ebp-5},
+    {"QFT", "Aspen1", 0xbcf99364dda8eb75ull, 0x1.7fp-4},
+    {"QFT", "Aspen3", 0xa0081f690f0c4b1cull, 0x1.1bcp-3},
+    {"QFT", "UMDTI", 0x63f280f358d98a9cull, 0x1.a1ff2e48e8a72p-1},
+    {"Adder", "IBMQ5", 0xddf36d6c431dddacull, 0x1.7dcp-2},
+    {"Adder", "IBMQ14", 0x44bd67f0a1b4339aull, 0x1.708p-3},
+    {"Adder", "IBMQ16", 0x437aae43c89889d5ull, 0x1.7bp-3},
+    {"Adder", "Agave", 0x459a8dd2b6f27c68ull, 0x1.27p-4},
+    {"Adder", "Aspen1", 0x1bd65444987ba9cfull, 0x1.738p-4},
+    {"Adder", "Aspen3", 0xf8288d431e56e50cull, 0x1.f98p-4},
+    {"Adder", "UMDTI", 0x5ae2404fa353ac12ull, 0x1.c1205bc01a36ep-1},
+};
+
+uint64_t
+histogramHash(const ExecutionResult &r)
+{
+    Fnv1a h;
+    for (const auto &[key, count] : r.sortedHistogram())
+        h.u64(key).i64(count);
+    return h.value();
+}
+
+TEST(GoldenHistogram, Fig07StudyIsBitIdentical)
+{
+    const std::vector<Device> devices = allStudyDevices();
+    size_t i = 0;
+    for (const std::string &name : benchmarkNames()) {
+        Circuit program = makeBenchmark(name);
+        for (const Device &dev : devices) {
+            if (program.numQubits() > dev.numQubits())
+                continue;
+            ASSERT_LT(i, std::size(kGoldenStudy));
+            const GoldenCell &want = kGoldenStudy[i++];
+            ASSERT_EQ(name, want.bench);
+            ASSERT_EQ(dev.name(), want.device);
+            Calibration calib = dev.calibrate(3);
+            CompileResult res =
+                compileForDevice(program, dev, calib, CompileOptions{});
+            const int trials = dev.name() == "UMDTI" ? 5000 : 8192;
+            ExecutionResult r =
+                executeNoisy(res.hwCircuit, dev, calib, trials, 2019);
+            const uint64_t hash = histogramHash(r);
+            char got[64];
+            std::snprintf(got, sizeof got, "0x%016llxull, %a",
+                          static_cast<unsigned long long>(hash),
+                          r.successRate);
+            SCOPED_TRACE(name + " on " + dev.name() + ": got " + got);
+            EXPECT_EQ(hash, want.histogramHash);
+            EXPECT_EQ(r.successRate, want.successRate);
+        }
+    }
+    EXPECT_EQ(i, std::size(kGoldenStudy));
 }
 
 } // namespace

@@ -1,10 +1,9 @@
 /**
  * @file
- * Gate-fusion and fault-pattern-dedup tests: fused replay must match
- * the gate-by-gate path to 1e-12 on random circuits over the full
- * fast-path gate set, partial-range application must fall back
- * correctly at fused-op boundaries, and dedup must reproduce the
- * per-trial engine's histograms bit for bit at any thread count.
+ * Gate-fusion tests: fused replay must match the gate-by-gate path to
+ * 1e-12 on random circuits over the full fast-path gate set, and
+ * partial-range application must fall back correctly at fused-op
+ * boundaries.
  */
 
 #include <cmath>
@@ -13,13 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "core/compiler.hh"
 #include "core/unitary.hh"
-#include "device/machines.hh"
 #include "sim/executor.hh"
 #include "sim/fusion.hh"
 #include "sim/statevector.hh"
-#include "workloads/benchmarks.hh"
 
 namespace triq
 {
@@ -242,102 +238,6 @@ TEST(Fusion, EnvDefaultToggles)
     setenv("TRIQ_SIM_FUSION", "1", 1);
     EXPECT_TRUE(defaultSimFusion());
     unsetenv("TRIQ_SIM_FUSION");
-
-    unsetenv("TRIQ_SIM_DEDUP");
-    EXPECT_TRUE(defaultSimDedup());
-    setenv("TRIQ_SIM_DEDUP", "0", 1);
-    EXPECT_FALSE(defaultSimDedup());
-    unsetenv("TRIQ_SIM_DEDUP");
-}
-
-/** Compile one benchmark for IBMQ5 and return its hardware circuit. */
-CompileResult
-compiledPeres(const Device &dev, const Calibration &c)
-{
-    Circuit program = makeBenchmark("Peres");
-    CompileOptions opts;
-    return compileForDevice(program, dev, c, opts);
-}
-
-TEST(Dedup, BitIdenticalToPerTrialEngine)
-{
-    // With fusion pinned off both engines replay the identical gate
-    // sequence, so dedup on vs. off must agree bit for bit: same
-    // histogram, same success rate, for any thread count.
-    Device dev = makeIbmQ5();
-    Calibration c = dev.calibrate(2);
-    CompileResult res = compiledPeres(dev, c);
-    ExecOptions base;
-    base.threads = 1;
-    base.fusion = -1;
-    base.dedup = -1;
-    ExecutionResult a = executeNoisy(res.hwCircuit, dev, c, 2000, 99, base);
-    EXPECT_GT(a.simulatedTrajectories, 0);
-    for (int threads : {1, 2, 8}) {
-        ExecOptions d;
-        d.threads = threads;
-        d.fusion = -1;
-        d.dedup = 1;
-        ExecutionResult b =
-            executeNoisy(res.hwCircuit, dev, c, 2000, 99, d);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.histogram, a.histogram);
-        EXPECT_EQ(b.correctOutcome, a.correctOutcome);
-        // Dedup simulates each distinct pattern once — never more
-        // trajectories than the per-trial engine's faulty-trial count.
-        EXPECT_LE(b.simulatedTrajectories, a.simulatedTrajectories);
-        EXPECT_GT(b.simulatedTrajectories, 0);
-    }
-}
-
-TEST(Dedup, FusionPlusDedupMatchesBaselineHistogram)
-{
-    // Fusion reassociates floating point, so this equality is the
-    // empirical acceptance guarantee (a uniform draw would have to
-    // land within ~1e-13 of a cumulative-probability boundary to
-    // flip), not an algebraic one.
-    Device dev = makeIbmQ5();
-    Calibration c = dev.calibrate(2);
-    CompileResult res = compiledPeres(dev, c);
-    ExecOptions base;
-    base.threads = 1;
-    base.fusion = -1;
-    base.dedup = -1;
-    ExecutionResult a = executeNoisy(res.hwCircuit, dev, c, 2000, 99, base);
-    for (int threads : {1, 2, 8}) {
-        ExecOptions d;
-        d.threads = threads;
-        d.fusion = 1;
-        d.dedup = 1;
-        ExecutionResult b =
-            executeNoisy(res.hwCircuit, dev, c, 2000, 99, d);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.histogram, a.histogram);
-    }
-}
-
-TEST(Dedup, ZeroFaultCircuitSimulatesNothing)
-{
-    // Readout-only noise: every pattern is empty, so dedup samples all
-    // trials from the cached ideal state without one trajectory.
-    Topology t = Topology::line(2);
-    NoiseSpec spec{0.0, 0.0, 0.05, 1e18, 0.0, 0.0, {0.1, 0.4, 3.0}};
-    Device dev("Probe2", std::move(t), GateSet::rigetti(), spec);
-    Calibration c = dev.averageCalibration();
-    Circuit circ(2, "ro");
-    circ.add(Gate::x(0));
-    circ.add(Gate::measure(0));
-    circ.add(Gate::measure(1));
-    ExecOptions d;
-    d.dedup = 1;
-    ExecutionResult r = executeNoisy(circ, dev, c, 4000, 7, d);
-    EXPECT_EQ(r.simulatedTrajectories, 0);
-    ExecOptions off;
-    off.dedup = -1;
-    off.fusion = -1;
-    ExecutionResult base = executeNoisy(circ, dev, c, 4000, 7, off);
-    EXPECT_EQ(r.histogram, base.histogram);
-    EXPECT_DOUBLE_EQ(r.successRate, base.successRate);
 }
 
 } // namespace

@@ -213,7 +213,7 @@ TEST(Kernels, ApplyGateCircuitBitIdenticalAcrossThreadCounts)
 
 TEST(Kernels, ExecutorHistogramsBitIdenticalAcrossKernelThreads)
 {
-    // Full executor stack (fusion + dedup + checkpoints) with kernel
+    // Full executor stack (fusion + checkpoints) with kernel
     // threading forced on: histograms and rates must equal the serial
     // kernels' run exactly.
     Device dev = makeIbmQ5();

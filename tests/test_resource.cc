@@ -256,7 +256,7 @@ TEST(CostModel, AdmitsUnderBudgetRejectsOver)
 TEST(CostModel, DegradedPlanAdmitsWhatFullPlanCannot)
 {
     // Budget sized between the low-memory plan (2 states) and the full
-    // fan-out plan (1 + 2*workers states + checkpoint budget): the
+    // fan-out plan (1 + workers states + checkpoint budget): the
     // verdict must admit, because the executor degrades automatically.
     const int q = 20; // 16 MiB per state
     uint64_t low = predictLowMemSimulationBytes(q);
@@ -302,8 +302,8 @@ TEST(ExecutorGovernor, LowMemoryPlanIsBitIdentical)
 {
     ExecutionResult full = runBV8(2);
     // A budget that fits the low-memory plan but not the full plan
-    // forces the degraded path (serial, no checkpoints, no dedup) —
-    // which must produce bit-identical results.
+    // forces the degraded path (serial, no checkpoints), which must
+    // produce bit-identical results.
     BudgetGuard guard(1ull << 20);
     ExecutionResult degraded = runBV8(2);
     EXPECT_EQ(full.histogram, degraded.histogram);

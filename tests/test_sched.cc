@@ -95,20 +95,6 @@ TEST(SchedCostModel, ChunkEstimateMonotone)
     EXPECT_LE(estimateChunkUs(c, 6, 40, 64, 0.1), base);
 }
 
-TEST(SchedCostModel, GroupAndPresampleEstimatesMonotone)
-{
-    SchedCalib c = fakeCalib();
-    double g = estimateGroupUs(c, 6, 40);
-    EXPECT_GT(g, 0.0);
-    EXPECT_GE(estimateGroupUs(c, 8, 40), g);
-    EXPECT_GE(estimateGroupUs(c, 6, 80), g);
-
-    double p = estimatePresampleUs(c, 30, 64);
-    EXPECT_GT(p, 0.0);
-    EXPECT_GE(estimatePresampleUs(c, 60, 64), p);
-    EXPECT_GE(estimatePresampleUs(c, 30, 128), p);
-}
-
 TEST(SchedCostModel, CompileEstimateMonotone)
 {
     SchedCalib c = fakeCalib();

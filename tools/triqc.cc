@@ -251,8 +251,8 @@ run(int argc, char **argv)
     if (!args.replayDir.empty()) {
         CrashBundle b = CrashBundle::load(args.replayDir);
         // Reproduce the crashing process's TRIQ_* knobs (sched
-        // calibration, dedup/fusion toggles, ...); TRIQ_FAULT* is
-        // skipped inside applyTriqEnv.
+        // calibration, fusion toggle, ...); TRIQ_FAULT* is skipped
+        // inside applyTriqEnv.
         int applied = applyTriqEnv(b.envKnobs);
         if (applied > 0)
             std::cerr << "triqc: replay applied " << applied
