@@ -18,7 +18,8 @@
  * Each configuration runs --reps times (default 3) and reports the
  * fastest repetition, so one cold-cache or descheduled run does not
  * skew the speedup ratios. The engine is deterministic, so every
- * repetition produces the same histogram.
+ * repetition produces the same histogram. Programs wider than the
+ * device are skipped and listed under "skipped".
  */
 
 #include <chrono>
@@ -110,11 +111,15 @@ try {
 
     double total_ms[kNumConfigs] = {};
     std::ostringstream rows;
+    std::vector<std::string> skipped;
     bool all_identical = true;
 
-    for (size_t bi = 0; bi < bench_names.size(); ++bi) {
-        const std::string &name = bench_names[bi];
+    for (const std::string &name : bench_names) {
         Circuit program = makeBenchmark(name);
+        if (program.numQubits() > dev.numQubits()) {
+            skipped.push_back(name);
+            continue;
+        }
         CompileOptions copts;
         copts.emitAssembly = false;
         CompileResult compiled =
@@ -140,7 +145,7 @@ try {
         }
         all_identical = all_identical && row_identical;
 
-        rows << "    {\n"
+        rows << (rows.tellp() > 0 ? ",\n" : "") << "    {\n"
              << "      \"benchmark\": \"" << name << "\",\n"
              << "      \"baseline_ms\": " << ms[0] << ",\n"
              << "      \"fusion_only_ms\": " << ms[1] << ",\n"
@@ -151,9 +156,10 @@ try {
              << res[0].simulatedTrajectories << ",\n"
              << "      \"histograms_identical\": "
              << (row_identical ? "true" : "false") << "\n"
-             << "    }" << (bi + 1 < bench_names.size() ? "," : "")
-             << "\n";
+             << "    }";
     }
+    if (rows.tellp() > 0)
+        rows << "\n";
 
     auto speedup = [&](size_t ci) {
         return total_ms[ci] > 0.0 ? total_ms[0] / total_ms[ci] : 0.0;
@@ -166,8 +172,14 @@ try {
          << "  \"threads\": " << threads << ",\n"
          << "  \"reps\": " << reps << ",\n"
          << "  \"benchmarks\": [\n"
-         << rows.str() << "  ],\n"
-         << "  \"total_baseline_ms\": " << total_ms[0] << ",\n"
+         << rows.str() << "  ],\n";
+    if (!skipped.empty()) {
+        json << "  \"skipped\": [";
+        for (size_t k = 0; k < skipped.size(); ++k)
+            json << (k > 0 ? ", " : "") << "\"" << skipped[k] << "\"";
+        json << "],\n";
+    }
+    json << "  \"total_baseline_ms\": " << total_ms[0] << ",\n"
          << "  \"total_fusion_only_ms\": " << total_ms[1] << ",\n"
          << "  \"total_fusion_threaded_ms\": " << total_ms[2] << ",\n"
          << "  \"fusion_only_speedup\": " << speedup(1) << ",\n"

@@ -21,12 +21,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 /** FNV-1a hash for string seeds. */
 uint64_t
 hashString(const std::string &s)
@@ -52,27 +46,6 @@ Rng::Rng(const std::string &seed) : Rng(hashString(seed))
 {
 }
 
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
@@ -92,16 +65,6 @@ Rng::uniformInt(int n)
         r = next();
     } while (r >= limit);
     return static_cast<int>(r % un);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double

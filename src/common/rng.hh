@@ -35,10 +35,25 @@ class Rng
     explicit Rng(const std::string &seed);
 
     /** Next raw 64 random bits. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits -> [0, 1).
+        return (next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
@@ -47,7 +62,14 @@ class Rng
     int uniformInt(int n);
 
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /** Standard normal deviate (Box-Muller, cached pair). */
     double normal();
@@ -77,6 +99,11 @@ class Rng
     static Rng stream(uint64_t seed, uint64_t stream_index);
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     double cachedNormal_;
     bool hasCachedNormal_;

@@ -160,18 +160,18 @@ injectPauli(StateVector &sv, const ErrorSite &s, int code)
 }
 
 /**
- * Seek the last ideal-prefix checkpoint at or before `first_gate` and
- * load it into `sv` (or reset to |0...0>). The prefix is fault-free, so
- * its evolution is identical to a full replay's.
+ * Seek the last ideal-prefix checkpoint taken after at most `prefix`
+ * gates and load it into `sv` (or reset to |0...0>). The caller passes
+ * one past its first faulted gate: every Pauli is injected after its
+ * gate, so that prefix is fault-free and its evolution is the ideal one.
  * @return Number of gates already applied to `sv`.
  */
 int
-seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv,
-               int first_gate)
+seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv, int prefix)
 {
     const std::vector<Checkpoint> &ckpts = *ctx.checkpoints;
     auto it = std::upper_bound(
-        ckpts.begin(), ckpts.end(), first_gate,
+        ckpts.begin(), ckpts.end(), prefix,
         [](int g, const Checkpoint &c) { return g < c.gatesApplied; });
     if (it != ckpts.begin()) {
         const Checkpoint &c = *std::prev(it);
@@ -223,7 +223,7 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
             basis = ctx.ideal->sampleMeasurement(rng);
         } else {
             ++out.simulated;
-            int pos = seekCheckpoint(ctx, traj, first_gate);
+            int pos = seekCheckpoint(ctx, traj, first_gate + 1);
             // Walk the fired sites in injection order — (gateIdx, site
             // index) ascending — advancing the state up to each site's
             // gate before injecting its Pauli.
@@ -427,11 +427,10 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     FusedProgram fused_program;
     if (use_fusion) {
         // Align fused operators to the checkpoint interval so replays
-        // resumed from a checkpoint start on an operator boundary
-        // instead of falling back to plain gates mid-operator. A
+        // resumed from a checkpoint start on an operator boundary. A
         // per-gate interval would forbid all fusion, so leave operators
-        // unaligned there — every boundary is an op boundary anyway
-        // once spans stay small.
+        // unaligned there: a resume or a Pauli inside an operator costs
+        // one pass of its split head or tail (FusedProgram::apply).
         FusionOptions fopt;
         fopt.alignBoundary = interval > 1 ? interval : 0;
         fused_program = FusedProgram(cc.circuit, fopt);

@@ -16,8 +16,9 @@
  *    bit-identical for any thread count (TRIQ_SIM_THREADS; 0 = let the
  *    common/sched.hh cost model decide serial vs. threaded and batch
  *    several chunks per pool task);
- *  - faulty trajectories replay from the nearest ideal-prefix
- *    checkpoint before their first fired error site instead of from
+ *  - faulty trajectories resume from the nearest ideal-prefix
+ *    checkpoint through their first faulted gate (every Pauli lands
+ *    after its gate, so that prefix is fault-free) instead of from
  *    |0...0>;
  *  - gate fusion (sim/fusion.hh, TRIQ_SIM_FUSION, default on) rewrites
  *    the compact circuit into fused kernels so each replay makes fewer

@@ -165,6 +165,78 @@ gateMatrixOnSupport(const Gate &g, const std::vector<int> &support)
 }
 
 /**
+ * Multiply a diagonal table over sorted `support` (bit k = support[k])
+ * in place by diagonal gate g's phases.
+ */
+void
+mulGateDiagonal(std::vector<Cplx> &table, const Gate &g,
+                const std::vector<int> &support)
+{
+    if (g.kind == GateKind::I)
+        return;
+    Matrix gm = gateMatrix(g);
+    std::vector<int> pos(g.arity());
+    for (int o = 0; o < g.arity(); ++o)
+        pos[o] = supportIndex(support, g.qubit(o));
+    for (uint64_t l = 0; l < table.size(); ++l) {
+        uint64_t local = 0;
+        for (int o = 0; o < g.arity(); ++o)
+            local |= ((l >> pos[o]) & 1) << o;
+        table[l] *= gm(static_cast<int>(local), static_cast<int>(local));
+    }
+}
+
+/**
+ * The split operators of a fused op over original gates [lo, hi) and
+ * sorted `support`, in the op's data layout (see FusedProgram::Op):
+ * heads[s - lo - 1] is gates [lo, s) and tails[s - lo - 1] gates
+ * [s, hi). Built incrementally, head(s + 1) = G_s head(s) and
+ * tail(s) = tail(s + 1) G_s, so each costs one small product.
+ */
+void
+buildSplits(const Circuit &c, int lo, int hi,
+            const std::vector<int> &support, bool diag,
+            std::vector<Cplx> &heads, std::vector<Cplx> &tails)
+{
+    const int k = hi - lo;
+    const size_t dim = size_t{1} << support.size();
+    const size_t n = diag ? dim : dim * dim;
+    heads.resize(static_cast<size_t>(k - 1) * n);
+    tails.resize(static_cast<size_t>(k - 1) * n);
+    if (diag) {
+        std::vector<Cplx> head(dim, Cplx(1.0, 0.0)), tail = head;
+        for (int j = 0; j + 1 < k; ++j) {
+            mulGateDiagonal(head, c.gate(lo + j), support);
+            mulGateDiagonal(tail, c.gate(hi - 1 - j), support);
+            std::copy(head.begin(), head.end(), heads.begin() + j * n);
+            std::copy(tail.begin(), tail.end(),
+                      tails.begin() + (k - 2 - j) * n);
+        }
+        return;
+    }
+    std::vector<Matrix> g;
+    g.reserve(k);
+    for (int gi = lo; gi < hi; ++gi)
+        g.push_back(gateMatrixOnSupport(c.gate(gi), support));
+    auto store = [&](std::vector<Cplx> &out, int idx, const Matrix &m) {
+        Cplx *dst = out.data() + static_cast<size_t>(idx) * n;
+        for (size_t r = 0; r < dim; ++r)
+            for (size_t col = 0; col < dim; ++col)
+                dst[r * dim + col] =
+                    m(static_cast<int>(r), static_cast<int>(col));
+    };
+    Matrix head = g[0], tail = g[k - 1];
+    for (int j = 0; j + 1 < k; ++j) {
+        if (j > 0) {
+            head = g[j] * head;
+            tail = tail * g[k - 1 - j];
+        }
+        store(heads, j, head);
+        store(tails, k - 2 - j, tail);
+    }
+}
+
+/**
  * One unit of the fusion worklist: either a single original gate, a
  * fence (Measure/Barrier/composite), or a fused candidate carrying its
  * matrix/table over a sorted support.
@@ -279,22 +351,8 @@ collapseDiagonalRuns(std::vector<Item> items, const Circuit &c,
         fused.gateCount = static_cast<int>(j - i);
         fused.cost = fusedDiagCost(static_cast<int>(support.size()));
         fused.diag.assign(1ull << support.size(), Cplx(1.0, 0.0));
-        for (size_t k = i; k < j; ++k) {
-            const Gate &g = c.gate(items[k].lo);
-            if (g.kind == GateKind::I)
-                continue;
-            Matrix gm = gateMatrix(g);
-            std::vector<int> pos(g.arity());
-            for (int o = 0; o < g.arity(); ++o)
-                pos[o] = supportIndex(support, g.qubit(o));
-            for (uint64_t l = 0; l < fused.diag.size(); ++l) {
-                uint64_t local = 0;
-                for (int o = 0; o < g.arity(); ++o)
-                    local |= ((l >> pos[o]) & 1) << o;
-                fused.diag[l] *= gm(static_cast<int>(local),
-                                    static_cast<int>(local));
-            }
-        }
+        for (size_t k = i; k < j; ++k)
+            mulGateDiagonal(fused.diag, c.gate(items[k].lo), support);
         out.push_back(std::move(fused));
         i = j;
     }
@@ -415,9 +473,10 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
     const int max_span = std::max(1, opt.maxGatesPerOp);
     const int align = std::max(0, opt.alignBoundary);
 
-    // Precompile the per-gate fallback path: cache the 2x2 (or XX 4x4)
-    // unitaries once so partial-range replays go through the fused
-    // kernels instead of allocating a Matrix per gate per trajectory.
+    // Precompile the per-gate path (Pass ops, wide diagonal runs, ranges
+    // inside one op): cache the 2x2 (or XX 4x4) unitaries once so those
+    // replays go through the fused kernels instead of allocating a
+    // Matrix per gate per trajectory.
     plain_.resize(c.numGates());
     for (int gi = 0; gi < c.numGates(); ++gi) {
         const Gate &g = c.gate(gi);
@@ -513,6 +572,11 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
             op.data = it.diag;
             fused_total += fusedDiagCost(op.nq);
             ++stats_.diagonal;
+            if (op.nq <= 3)
+                buildSplits(c, op.lo, op.hi, it.support, true, op.heads,
+                            op.tails);
+            else
+                ++stats_.wideDiagonal;
         } else {
             op.kind = op.nq == 1   ? Op::Kind::Dense1
                       : op.nq == 2 ? Op::Kind::Dense2
@@ -526,6 +590,8 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
                     op.data[static_cast<size_t>(r) * dim + col] =
                         it.mat(r, col);
             fused_total += fusedDenseCost(op.nq);
+            buildSplits(c, op.lo, op.hi, it.support, false, op.heads,
+                        op.tails);
             if (op.nq == 1)
                 ++stats_.dense1;
             else if (op.nq == 2)
@@ -629,22 +695,31 @@ FusedProgram::applyPlainRange(StateVector &sv, int lo, int hi) const
 void
 FusedProgram::applyOp(StateVector &sv, const Op &op) const
 {
-    switch (op.kind) {
-      case Op::Kind::Pass:
+    if (op.kind == Op::Kind::Pass)
         applyPlainRange(sv, op.lo, op.hi);
-        break;
+    else
+        applyTable(sv, op, op.data.data());
+}
+
+void
+FusedProgram::applyTable(StateVector &sv, const Op &op,
+                         const Cplx *m) const
+{
+    switch (op.kind) {
       case Op::Kind::Dense1:
-        sv.applyFused1(op.data.data(), op.q[0]);
+        sv.applyFused1(m, op.q[0]);
         break;
       case Op::Kind::Dense2:
-        sv.applyFused2(op.data.data(), op.q[0], op.q[1]);
+        sv.applyFused2(m, op.q[0], op.q[1]);
         break;
       case Op::Kind::Dense3:
-        sv.applyFused3(op.data.data(), op.q[0], op.q[1], op.q[2]);
+        sv.applyFused3(m, op.q[0], op.q[1], op.q[2]);
         break;
       case Op::Kind::Diag:
-        sv.applyDiagonal(op.data.data(), op.qs.data(), op.nq);
+        sv.applyDiagonal(m, op.qs.data(), op.nq);
         break;
+      case Op::Kind::Pass:
+        panic("FusedProgram::applyTable: Pass op has no table");
     }
 }
 
@@ -728,10 +803,17 @@ FusedProgram::apply(StateVector &sv, int from_gate, int to_gate) const
             applyOp(sv, op);
             gi = op.hi;
         } else {
-            // Range boundary lands inside this op: replay its original
-            // gates for just the overlapping part.
+            // The range starts or stops inside this op: one pass of its
+            // split tail or head, or of its original gates for just the
+            // overlap when it has no splits or the range lies inside it.
             const int stop = std::min(op.hi, to_gate);
-            applyPlainRange(sv, gi, stop);
+            const size_t n = op.data.size();
+            if (op.heads.empty() || (gi != op.lo && stop != op.hi))
+                applyPlainRange(sv, gi, stop);
+            else if (gi == op.lo)
+                applyTable(sv, op, op.heads.data() + (stop - op.lo - 1) * n);
+            else
+                applyTable(sv, op, op.tails.data() + (gi - op.lo - 1) * n);
             gi = stop;
         }
     }

@@ -19,8 +19,9 @@
  * Fused operators remember the original gate range they cover, so the
  * executor can still start or stop evolution at *any* original gate
  * index (checkpoints resume mid-circuit; Pauli faults inject after a
- * specific gate): a boundary inside a fused operator falls back to the
- * original gates for just that operator.
+ * specific gate). Each fused operator also stores its split operators,
+ * the products of its leading and trailing gates, so a range that
+ * starts or stops inside it still costs one kernel pass.
  */
 
 #ifndef TRIQ_SIM_FUSION_HH
@@ -45,18 +46,19 @@ struct FusionOptions
     int maxDiagonalQubits = 10;
 
     /**
-     * Largest original-gate span one fused operator may cover. A range
-     * boundary inside a fused operator (checkpoint resume, mid-circuit
-     * Pauli injection) replays that operator's original gates, so
-     * unbounded spans turn partial overlaps into long plain replays.
+     * Largest original-gate span one fused operator may cover. An
+     * operator of k gates also stores 2(k-1) split operators (see
+     * FusedProgram), so the span bounds that storage: at most 22
+     * tables of at most 64 amplitudes (22 KiB) per operator at the
+     * default.
      */
     int maxGatesPerOp = 12;
 
     /**
      * When > 0, fused operators never span gate indices that are
      * multiples of this value. The executor sets it to its checkpoint
-     * interval so replays resumed from a checkpoint always start on an
-     * operator boundary instead of falling back to plain gates.
+     * interval (when above 1) so replays resumed from a checkpoint
+     * always start on an operator boundary.
      */
     int alignBoundary = 0;
 
@@ -94,6 +96,7 @@ struct FusionStats
     int dense2 = 0;      //!< Fused 4x4 operators.
     int dense3 = 0;      //!< Fused 8x8 operators.
     int diagonal = 0;    //!< Collapsed diagonal runs.
+    int wideDiagonal = 0; //!< Of those, runs over > 3 qubits (no splits).
     int passthrough = 0; //!< Ops that replay original gates unchanged.
     int fusedGates = 0;  //!< Gates absorbed into fused operators.
     int tileRuns = 0;    //!< Cache-blocked runs of consecutive ops.
@@ -107,11 +110,14 @@ struct FusionStats
  * A circuit compiled for fast state-vector replay.
  *
  * Construction runs the fusion pass once; apply() then replays any
- * original-gate range [from, to) against a StateVector, using fused
- * operators wherever the range covers them completely and original
- * gates at partial boundaries. Measure gates inside the range are
- * skipped (the executor samples measurements separately), matching the
- * unfused replay loop.
+ * original-gate range [from, to) against a StateVector. An operator the
+ * range covers completely costs one kernel pass. So does one the range
+ * only starts or stops inside, through its split tail or head (dense
+ * operators, and diagonal ones over at most 3 qubits). Original gates
+ * replay one by one only for Pass ops, wider diagonal ops, and a range
+ * that starts and stops inside one operator. Measure gates inside the
+ * range are skipped (the executor samples measurements separately),
+ * matching the unfused replay loop.
  */
 class FusedProgram
 {
@@ -153,13 +159,23 @@ class FusedProgram
         int q[3] = {0, 0, 0};   //!< Dense operands, ascending (bit i = q[i]).
         std::vector<int> qs;    //!< Diag support, ascending (bit k = qs[k]).
         std::vector<Cplx> data; //!< Row-major matrix or diagonal table.
+
+        /**
+         * Split operators, each in the layout of `data`: for
+         * lo < s < hi, entry s - lo - 1 of `heads` is the product of
+         * gates [lo, s) and that of `tails` the product of gates
+         * [s, hi). Empty for Pass ops and Diag ops over > 3 qubits.
+         */
+        std::vector<Cplx> heads;
+        std::vector<Cplx> tails;
     };
 
     /**
-     * Precompiled per-gate fallback: how applyPlainRange applies one
-     * original gate. Dense single-qubit gates (and XX) cache their
-     * unitary at fusion time so partial-range replays hit the fused
-     * kernels instead of re-deriving a heap-allocated Matrix per gate.
+     * How applyPlainRange applies one original gate: for Pass ops, Diag
+     * ops over > 3 qubits, and ranges that start and stop inside one
+     * op. Dense single-qubit gates (and XX) cache their unitary at
+     * fusion time so these replays hit the fused kernels instead of
+     * re-deriving a heap-allocated Matrix per gate.
      */
     struct PlainRec
     {
@@ -188,6 +204,7 @@ class FusedProgram
     };
 
     void applyOp(StateVector &sv, const Op &op) const;
+    void applyTable(StateVector &sv, const Op &op, const Cplx *m) const;
     void applyOpRange(StateVector &sv, const Op &op, uint64_t lo,
                       uint64_t hi) const;
     void applyTileRun(StateVector &sv, const TileRun &run) const;

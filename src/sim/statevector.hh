@@ -97,8 +97,10 @@ class StateVector
     /**
      * Specialized kernels for the gate families that dominate compiled
      * circuits (diagonal phases, CNOT/CZ, SWAP). applyGate dispatches
-     * here instead of the general 2x2/4x4 matrix path; they are exact,
-     * so results match the matrix path bit for bit.
+     * here instead of the general 2x2/4x4 matrix path. The Paulis,
+     * CNOT, CZ and SWAP only move or negate components, so they match
+     * the matrix path exactly (up to the sign of an exact zero); the
+     * phase kernels agree with it to rounding.
      */
     void applyPhase1(int q, Cplx phase); //!< diag(1, phase) on qubit q.
     void applyRz(int q, double theta);   //!< diag(e^-it/2, e^+it/2).
