@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -572,8 +573,22 @@ struct SearchCore
  *
  * Symmetry. hwClass comes from ReliabilityMatrix::equivalenceClasses();
  * expanding more than one free member of a class at a node only
- * re-derives permuted copies of the same subtree, so the candidate scan
- * keeps the lowest-indexed free member per class.
+ * re-derives permuted copies of the same subtree, so a node keeps one
+ * representative per class: the lowest-indexed free member, i.e. the
+ * free site none of whose lowerPeers is free. The max-min engine counts
+ * the pruned members arithmetically (free sites minus classes with a
+ * free site) instead of visiting them; the product engine tests each
+ * site of its scan.
+ *
+ * Site walk (max-min). partnerScore[oh] lists every site best-first by
+ * its pair score with oh. Once a partner oh of order[k] is placed, a
+ * candidate h satisfies ub <= nm <= placementScore <= sym(oh, h), so a
+ * site whose score with oh is at or below the incumbent is bound-pruned
+ * whatever else holds: a node scores only the free sites in the head of
+ * that row above the incumbent, taking the shortest head over its
+ * placed partners (a qubit with no placed partner scans every site).
+ * The survivors go back into ascending site order before the score
+ * sort, so the children and their order are the full scan's.
  *
  * Dominance. domGE[h2][h1] = h2's scoring row is pointwise >= h1's on
  * every third qubit (readout included). At depths where the qubit being
@@ -609,12 +624,38 @@ struct PruneTables
     size_t firstIsolated = 0;
     std::vector<int> hwClass;
     int numClasses = 0;
+    // Per hardware qubit: the lower-indexed members of its class.
+    std::vector<std::vector<HwQubit>> lowerPeers;
     std::vector<std::vector<uint8_t>> domGE;
 
     bool
     hasForward(size_t k) const
     {
         return lastPartnerPos[k] > static_cast<int>(k);
+    }
+
+    /** True when free site h is the lowest-indexed free one of its class. */
+    bool
+    representative(HwQubit h, const std::vector<bool> &used) const
+    {
+        for (HwQubit x : lowerPeers[static_cast<size_t>(h)])
+            if (!used[static_cast<size_t>(x)])
+                return false;
+        return true;
+    }
+
+    /**
+     * The leading entries of oh's partner row that score above
+     * `cutoff`: every site past them pairs with oh at or below it.
+     */
+    std::span<const std::pair<double, HwQubit>>
+    headAbove(HwQubit oh, double cutoff) const
+    {
+        const auto &row = partnerScore[static_cast<size_t>(oh)];
+        auto end = std::partition_point(
+            row.begin(), row.end(),
+            [cutoff](const auto &e) { return e.first > cutoff; });
+        return {row.begin(), end};
     }
 
     /** f-th best partner score of h over all sites (f >= 1). */
@@ -691,21 +732,22 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
            t.lastPartnerPos[t.firstIsolated - 1] == -1)
         --t.firstIsolated;
 
+    t.partnerScore.resize(static_cast<size_t>(mhw));
+    for (HwQubit h = 0; h < mhw; ++h) {
+        auto &row = t.partnerScore[static_cast<size_t>(h)];
+        row.reserve(static_cast<size_t>(mhw - 1));
+        for (HwQubit x = 0; x < mhw; ++x)
+            if (x != h)
+                row.push_back({ctx.sym(h, x), x});
+        std::sort(row.begin(), row.end(),
+                  [](const auto &a, const auto &b) {
+                      if (a.first != b.first)
+                          return a.first > b.first;
+                      return a.second < b.second;
+                  });
+    }
+
     if (use_bound) {
-        t.partnerScore.resize(static_cast<size_t>(mhw));
-        for (HwQubit h = 0; h < mhw; ++h) {
-            auto &row = t.partnerScore[static_cast<size_t>(h)];
-            row.reserve(static_cast<size_t>(mhw - 1));
-            for (HwQubit x = 0; x < mhw; ++x)
-                if (x != h)
-                    row.push_back({ctx.sym(h, x), x});
-            std::sort(row.begin(), row.end(),
-                      [](const auto &a, const auto &b) {
-                          if (a.first != b.first)
-                              return a.first > b.first;
-                          return a.second < b.second;
-                      });
-        }
         t.suffixCap.assign(n + 1, 1.0);
         t.suffixCapE.assign(n + 1, 0.0);
         for (size_t k = n; k-- > 0;) {
@@ -742,8 +784,14 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
 
     if (use_symmetry) {
         t.hwClass = ctx.rel.equivalenceClasses();
-        for (int c : t.hwClass)
+        t.lowerPeers.resize(static_cast<size_t>(mhw));
+        for (HwQubit h = 0; h < mhw; ++h) {
+            const int c = t.hwClass[static_cast<size_t>(h)];
             t.numClasses = std::max(t.numClasses, c + 1);
+            for (HwQubit x = 0; x < h; ++x)
+                if (t.hwClass[static_cast<size_t>(x)] == c)
+                    t.lowerPeers[static_cast<size_t>(h)].push_back(x);
+        }
     }
 
     if (use_dominance) {
@@ -794,17 +842,16 @@ freeByReadout(const SearchContext &ctx, const std::vector<bool> &used,
 }
 
 /**
- * Per-depth scratch of a B&B engine: the candidate list, the symmetry
- * class-seen flags and the expanded siblings. Each placement depth owns
- * one frame that every node at that depth reuses, so search nodes
- * allocate nothing: a node only touches deeper frames while its own is
- * live, and its frame is dead once its subtree is done.
+ * Per-depth scratch of a B&B engine: the candidate list and the expanded
+ * siblings. Each placement depth owns one frame that every node at that
+ * depth reuses, so search nodes allocate nothing: a node only touches
+ * deeper frames while its own is live, and its frame is dead once its
+ * subtree is done.
  */
 template <class Cand>
 struct DepthFrame
 {
     std::vector<Cand> cands;
-    std::vector<uint8_t> classSeen;
     std::vector<HwQubit> expanded;
 };
 
@@ -828,6 +875,10 @@ struct BnbSearch
     std::vector<bool> used;
     std::vector<DepthFrame<Cand>> frames;
     std::vector<HwQubit> freeHw;
+    // Symmetry bookkeeping: free sites per class, and the number of
+    // classes that still have one (= representatives at a node).
+    std::vector<int> classFree;
+    long freeClasses = 0;
 
     BnbSearch(const SearchContext &c, const PruneTables &t,
               long node_budget, const CompileBudget &clk,
@@ -836,8 +887,34 @@ struct BnbSearch
           bestMap(std::move(incumbent_map)),
           map(static_cast<size_t>(c.info.numProgQubits), -1),
           used(static_cast<size_t>(c.numHw), false),
-          frames(c.order.size())
+          frames(c.order.size()),
+          classFree(static_cast<size_t>(t.numClasses), 0),
+          freeClasses(t.numClasses)
     {
+        for (int cls : tab.hwClass)
+            ++classFree[static_cast<size_t>(cls)];
+    }
+
+    void
+    place(ProgQubit q, HwQubit h)
+    {
+        map[static_cast<size_t>(q)] = h;
+        used[static_cast<size_t>(h)] = true;
+        if (tab.useSymmetry &&
+            --classFree[static_cast<size_t>(
+                tab.hwClass[static_cast<size_t>(h)])] == 0)
+            --freeClasses;
+    }
+
+    void
+    unplace(ProgQubit q, HwQubit h)
+    {
+        map[static_cast<size_t>(q)] = -1;
+        used[static_cast<size_t>(h)] = false;
+        if (tab.useSymmetry &&
+            classFree[static_cast<size_t>(
+                tab.hwClass[static_cast<size_t>(h)])]++ == 0)
+            ++freeClasses;
     }
 
     /**
@@ -901,28 +978,24 @@ struct BnbSearch
         const double static_cap =
             tab.useBound ? std::min(tab.suffixCap[k + 1], inherited)
                          : 1.0;
+        const double cutoff = bestMin + 1e-15;
         const int fdeg = tab.fwdDeg[k];
         const bool fwd = tab.hasForward(k);
         DepthFrame<Cand> &frame = frames[k];
         std::vector<Cand> &cands = frame.cands;
         cands.clear();
-        if (tab.useSymmetry)
-            frame.classSeen.assign(static_cast<size_t>(tab.numClasses), 0);
-        for (HwQubit h = 0; h < ctx.numHw; ++h) {
-            if (used[static_cast<size_t>(h)])
-                continue;
-            if (tab.useSymmetry) {
-                uint8_t &seen = frame.classSeen[static_cast<size_t>(
-                    tab.hwClass[static_cast<size_t>(h)])];
-                if (seen) {
-                    ++core.symmetryPruned;
-                    continue;
-                }
-                seen = 1;
-            }
+        // List site h when it is a free class representative whose bound
+        // beats the incumbent. The free-site degree cap walks h's row,
+        // so it is taken only when the cheaper terms leave h alive.
+        auto consider = [&](HwQubit h) {
+            if (used[static_cast<size_t>(h)] ||
+                (tab.useSymmetry && !tab.representative(h, used)))
+                return;
             double s = ctx.placementScore(k, h, map);
             double nm = std::min(cur_min, s);
             double ub = std::min(nm, static_cap);
+            if (ub <= cutoff)
+                return;
             double cap = 1.0;
             if (tab.useBound && fdeg > 0) {
                 // q's fdeg forward partners need fdeg distinct free
@@ -931,11 +1004,37 @@ struct BnbSearch
                 cap = tab.kthBestFree(h, fdeg, used);
                 ub = std::min(ub, cap);
             }
-            if (ub > bestMin + 1e-15)
+            if (ub > cutoff)
                 cands.push_back({nm, ub, cap, h});
-            else
-                ++core.boundPruned;
+        };
+        const auto &back = ctx.backPairs[k];
+        if (back.empty()) {
+            for (HwQubit h = 0; h < ctx.numHw; ++h)
+                consider(h);
+        } else {
+            // Only the head of a placed partner's row can beat the
+            // incumbent; walk the shortest such head.
+            std::span<const std::pair<double, HwQubit>> head;
+            for (size_t i = 0; i < back.size(); ++i) {
+                const auto &p = back[i];
+                auto h = tab.headAbove(
+                    map[static_cast<size_t>(p.a == q ? p.b : p.a)], cutoff);
+                if (i == 0 || h.size() < head.size())
+                    head = h;
+            }
+            for (const auto &e : head)
+                consider(e.second);
+            // Back to ascending site order: the score sort below is not
+            // stable, so it must see the sequence a full scan lists.
+            std::sort(cands.begin(), cands.end(),
+                      [](const Cand &a, const Cand &b) { return a.h < b.h; });
         }
+        // Each free site is a class representative or a pruned class
+        // member, and each representative is listed or bound-pruned.
+        const long free_sites = ctx.numHw - static_cast<long>(k);
+        const long reps = tab.useSymmetry ? freeClasses : free_sites;
+        core.symmetryPruned += free_sites - reps;
+        core.boundPruned += reps - static_cast<long>(cands.size());
         // Order candidates by score so good branches are explored first.
         std::sort(cands.begin(), cands.end(),
                   [](const Cand &a, const Cand &b) {
@@ -962,11 +1061,9 @@ struct BnbSearch
                     continue;
                 }
             }
-            map[static_cast<size_t>(q)] = c.h;
-            used[static_cast<size_t>(c.h)] = true;
+            place(q, c.h);
             dfs(k + 1, c.nm, std::min(inherited, c.cap));
-            used[static_cast<size_t>(c.h)] = false;
-            map[static_cast<size_t>(q)] = -1;
+            unplace(q, c.h);
             if (core.exhausted)
                 return;
             if (tab.useDominance && !fwd)
@@ -1122,19 +1219,12 @@ struct BnbProductSearch
         DepthFrame<Cand> &frame = frames[k];
         std::vector<Cand> &cands = frame.cands;
         cands.clear();
-        if (tab.useSymmetry)
-            frame.classSeen.assign(static_cast<size_t>(tab.numClasses), 0);
         for (HwQubit h = 0; h < ctx.numHw; ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
-            if (tab.useSymmetry) {
-                uint8_t &seen = frame.classSeen[static_cast<size_t>(
-                    tab.hwClass[static_cast<size_t>(h)])];
-                if (seen) {
-                    ++core.symmetryPruned;
-                    continue;
-                }
-                seen = 1;
+            if (tab.useSymmetry && !tab.representative(h, used)) {
+                ++core.symmetryPruned;
+                continue;
             }
             double ns = cur_sum + contribution(k, h);
             double ub;

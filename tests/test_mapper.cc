@@ -3,8 +3,9 @@
  * Mapper tests: interaction extraction, engine validity (injectivity),
  * branch-and-bound optimality against exhaustive search on random
  * instances, SMT/B&B agreement, the max-min objective semantics, golden
- * placements on the fig13 supremacy ladder, and local optimality of the
- * greedy hill-climb under the public scorers.
+ * placements on the fig13 supremacy ladder, a golden digest of every
+ * B&B output on the study corpus (pruning counters included), and local
+ * optimality of the greedy hill-climb under the public scorers.
  */
 
 #include <algorithm>
@@ -753,6 +754,65 @@ TEST(GoldenMapping, Fig13LadderIsBitIdentical)
                 EXPECT_EQ(m.boundPruned, want.boundPruned);
             }
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden digest of the study corpus: every fig07 program on every study
+// machine wide enough for it, on the day-0 calibration and on the
+// average one (the TriQ-1QOptC matrix), B&B under both objectives and
+// all eight bound/symmetry/dominance toggles. The fig13 ladder's
+// sampled calibrations make every symmetry class a singleton and never
+// fire dominance; the average calibrations have real classes, so this
+// digest pins the symmetry and dominance counters as well.
+
+TEST(GoldenMapping, StudyCorpusIsBitIdentical)
+{
+    Fnv1a digest;
+    int calls = 0, symmetry_calls = 0, dominance_calls = 0,
+        exhausted_calls = 0;
+    for (const Device &dev : allStudyDevices()) {
+        const ReliabilityMatrix mats[] = {
+            {dev.topology(), dev.calibrate(0), dev.vendor()},
+            {dev.topology(), dev.averageCalibration(), dev.vendor()}};
+        for (const std::string &name : benchmarkNames()) {
+            Circuit lowered = decomposeToCnotBasis(
+                makeBenchmark(name), dev.gateSet().nativeCphase);
+            if (lowered.numQubits() > dev.numQubits())
+                continue;
+            ProgramInfo info = ProgramInfo::fromCircuit(lowered);
+            for (const ReliabilityMatrix &rel : mats)
+                for (MappingObjective obj :
+                     {MappingObjective::MaxMin, MappingObjective::Product})
+                    for (int toggles = 0; toggles < 8; ++toggles) {
+                        MappingOptions opts;
+                        opts.kind = MapperKind::BranchAndBound;
+                        opts.objective = obj;
+                        opts.nodeBudget = 20000;
+                        opts.useStrongBound = (toggles & 1) != 0;
+                        opts.useSymmetry = (toggles & 2) != 0;
+                        opts.useDominance = (toggles & 4) != 0;
+                        Mapping m = mapQubits(info, rel, opts);
+                        for (HwQubit q : m.progToHw)
+                            digest.i64(q);
+                        digest.f64(m.minReliability)
+                            .f64(m.logProduct)
+                            .i64(m.nodesExplored)
+                            .i64(m.boundPruned)
+                            .i64(m.symmetryPruned)
+                            .i64(m.dominancePruned)
+                            .b(m.optimal);
+                        ++calls;
+                        symmetry_calls += m.symmetryPruned > 0;
+                        dominance_calls += m.dominancePruned > 0;
+                        exhausted_calls += m.nodesExplored > opts.nodeBudget;
+                    }
+        }
+    }
+    EXPECT_EQ(calls, 2400);
+    EXPECT_EQ(symmetry_calls, 144);
+    EXPECT_EQ(dominance_calls, 40);
+    EXPECT_EQ(exhausted_calls, 64);
+    EXPECT_EQ(digest.value(), 0xb564ba2fcdb61839ull);
 }
 
 // ---------------------------------------------------------------------
