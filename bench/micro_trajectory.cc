@@ -1,22 +1,20 @@
 /**
  * @file
  * Trajectory-engine microbenchmark: measures executeNoisy throughput
- * (trials/sec) on fig07-style compiled workloads in four
+ * (trials/sec) on fig07-style compiled workloads in three
  * configurations — serial without prefix checkpointing, serial with
- * it, multi-threaded trajectories, and serial trajectories with
- * adaptive intra-state kernel threading — and emits one JSON object
+ * it, and multi-threaded trajectories — and emits one JSON object
  * with a row per benchmark so CI can track the simulator's
  * performance trajectory across PRs. The default row set (BV8, QFT,
  * Adder) spans the study's width range: BV8 is wide and shallow, QFT
  * and Adder are narrow and gate-dense, which is where checkpointing
  * and threading trade places. --wide appends 20-24-qubit GHZ
- * round-trip and QFT rows compiled onto the Google72 grid — the
- * register sizes where kernel threading (which shards amplitude
- * loops, not trials) starts to matter.
+ * round-trip and QFT rows compiled onto the Google72 grid, where each
+ * replay is a pass over megabytes of amplitudes.
  *
- * The run doubles as a determinism check: all four configurations
+ * The run doubles as a determinism check: all three configurations
  * must produce bit-identical results per row, and the JSON records
- * whether they did.
+ * whether they did (exit 4 when they do not).
  *
  * Usage:
  *   micro_trajectory [--bench NAME]... [--device NAME] [--trials N]
@@ -173,7 +171,6 @@ try {
         // Serial with automatic prefix checkpointing.
         ExecOptions serial;
         serial.threads = 1;
-        serial.kernelThreads = 1;
         ExecutionResult r_serial;
         double serial_ms = runMs(spec.hw, row_dev, row_calib,
                                  row_trials, serial, &r_serial);
@@ -186,31 +183,15 @@ try {
         double threaded_ms = runMs(spec.hw, row_dev, row_calib,
                                    row_trials, threaded, &r_threaded);
 
-        // Serial trajectories with adaptive intra-state kernel
-        // threading: the same memory plan as `serial` (kernel workers
-        // add no state copies), sharding amplitude loops instead of
-        // trials — the configuration the governor's low-memory plan
-        // degrades to on big registers.
-        ExecOptions kernel;
-        kernel.threads = 1;
-        kernel.kernelThreads = -1;
-        ExecutionResult r_kernel;
-        double kernel_ms = runMs(spec.hw, row_dev, row_calib,
-                                 row_trials, kernel, &r_kernel);
-
         bool identical =
             r_serial.successRate == r_threaded.successRate &&
             r_serial.successRate == r_base.successRate &&
-            r_serial.successRate == r_kernel.successRate &&
             r_serial.simulatedTrajectories ==
                 r_threaded.simulatedTrajectories &&
             r_serial.simulatedTrajectories ==
                 r_base.simulatedTrajectories &&
-            r_serial.simulatedTrajectories ==
-                r_kernel.simulatedTrajectories &&
             r_serial.histogram == r_threaded.histogram &&
-            r_serial.histogram == r_base.histogram &&
-            r_serial.histogram == r_kernel.histogram;
+            r_serial.histogram == r_base.histogram;
         all_identical = all_identical && identical;
 
         rows << "    {\n"
@@ -234,12 +215,6 @@ try {
              << trialsPerSec(row_trials, threaded_ms) << ",\n"
              << "      \"thread_speedup\": "
              << (threaded_ms > 0.0 ? serial_ms / threaded_ms : 0.0)
-             << ",\n"
-             << "      \"kernel_ms\": " << kernel_ms << ",\n"
-             << "      \"kernel_trials_per_sec\": "
-             << trialsPerSec(row_trials, kernel_ms) << ",\n"
-             << "      \"kernel_speedup\": "
-             << (kernel_ms > 0.0 ? serial_ms / kernel_ms : 0.0)
              << ",\n"
              << "      \"identical_across_configs\": "
              << (identical ? "true" : "false") << "\n"

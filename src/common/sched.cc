@@ -250,38 +250,6 @@ planForced(const SchedCalib &c, int items, double us_per_item,
     return d;
 }
 
-SchedDecision
-planKernel(const SchedCalib &c, double amp_ops, int setting,
-           bool pool_hot)
-{
-    SchedDecision d;
-    amp_ops = std::max(amp_ops, 0.0);
-    const double serial_us = amp_ops / c.ampOpsPerUs;
-    d.predictedSerialMs = serial_us / 1000.0;
-    d.predictedMs = d.predictedSerialMs;
-    if (setting == 1)
-        return d;
-
-    // One shard per worker: the loop is homogeneous, so finer batching
-    // would only add dispatch overhead without improving balance.
-    const int t = setting > 1 ? setting
-                              : std::max(1, c.hardwareThreads);
-    if (t <= 1)
-        return d;
-    const double spawn_us = pool_hot ? 0.0 : c.poolSpawnUs;
-    const double threaded_us =
-        spawn_us + t * c.perTaskOverheadUs + serial_us / t;
-    if (setting == 0 && threaded_us * kSpeedupMargin >= serial_us)
-        return d;
-
-    d.threaded = true;
-    d.threads = t;
-    d.tasks = t;
-    d.itemsPerTask = 1;
-    d.predictedMs = threaded_us / 1000.0;
-    return d;
-}
-
 namespace
 {
 

@@ -146,28 +146,6 @@ SchedDecision planForced(const SchedCalib &c, int items,
                          bool pool_hot = false);
 
 /**
- * Plan the intra-state sharding of ONE kernel pass of `amp_ops`
- * amplitude updates over a state vector (see sim/statevector.hh,
- * "kernel threading"). Unlike planParallel's item fan-outs, the work
- * here is one homogeneous loop, so the plan is simply a thread count:
- * the caller splits the index space into `tasks` contiguous,
- * alignment-preserving ranges.
- *
- * `setting` follows the TRIQ_KERNEL_THREADS convention: 1 = true
- * serial (the pool is never touched), N > 1 = forced to N workers
- * even when the model predicts a loss (benches and bit-identity
- * tests), 0 = adaptive — threaded only when the modeled win clears
- * the same margin planParallel uses, so small registers stay serial
- * and a 1-CPU box always picks the serial path.
- *
- * Determinism: shards are disjoint amplitude groups and kernels carry
- * no cross-group reductions, so every plan computes bit-identical
- * amplitudes — the decision only moves wall-clock time.
- */
-SchedDecision planKernel(const SchedCalib &c, double amp_ops, int setting,
-                         bool pool_hot = false);
-
-/**
  * Estimated serial microseconds to noisy-simulate one RNG chunk of
  * `chunk_trials` trials of a compact `qubits`-wide circuit with
  * `gates` gates, of which a `faulty_fraction` of trials replay the

@@ -856,7 +856,6 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
         // be entered from several workers at once.
         ExecOptions eo;
         eo.threads = 1;
-        eo.kernelThreads = 1; // same rule for intra-state kernel sharding
         crash.simThreads = 1;
         ExecutionResult run;
         try {

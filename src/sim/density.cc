@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "core/unitary.hh"
 #include "sim/compact.hh"
-#include "sim/executor.hh"
 #include "sim/noise.hh"
 
 namespace triq
@@ -222,10 +221,6 @@ exactSuccessProbability(const Circuit &hw, const Device &dev,
             static_cast<int>(i));
 
     DensityMatrix rho(cc.circuit.numQubits());
-    // Runs on the caller's (control) thread, so the vectorized state
-    // may shard its kernels; channel branches copy the setting with
-    // the state. Probabilities are bit-identical for any setting.
-    rho.setKernelThreads(defaultKernelThreads(1));
     for (int gi = 0; gi < cc.circuit.numGates(); ++gi) {
         const Gate &g = cc.circuit.gate(gi);
         if (g.kind != GateKind::Measure)

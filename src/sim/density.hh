@@ -37,17 +37,6 @@ class DensityMatrix
 
     int numQubits() const { return numQubits_; }
 
-    /**
-     * Kernel threading for the underlying vectorized state — same
-     * contract and bit-identity guarantee as
-     * StateVector::setKernelThreads (every channel below is a convex
-     * mix of gate kernels on that state, so probabilities are
-     * bit-identical for any setting). Only enable on a matrix driven
-     * from the control thread.
-     */
-    void setKernelThreads(int setting) { vec_.setKernelThreads(setting); }
-    int kernelThreadSetting() const { return vec_.kernelThreadSetting(); }
-
     /** Reset to the ground-state projector. */
     void reset();
 

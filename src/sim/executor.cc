@@ -72,15 +72,6 @@ struct TrajectoryContext
     const FusedProgram *fused;                  // null = replay plain gates
     uint64_t correctOutcome;
     bool flatHistogram;
-
-    /**
-     * Kernel-thread setting for trajectory states (see
-     * StateVector::setKernelThreads). Must be 1 whenever the
-     * trajectory fan-out itself is threaded: chunk workers live on the
-     * shared process pool and pool jobs must not submit to it. The
-     * fan-out planner sets this per phase.
-     */
-    int kernelThreads = 1;
 };
 
 /** Per-chunk accumulator; merged into the result in chunk order. */
@@ -200,7 +191,6 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
     const int num_gates = circuit.numGates();
 
     StateVector traj(circuit.numQubits());
-    traj.setKernelThreads(ctx.kernelThreads);
     std::vector<bool> fired(sites.size(), false);
     if (ctx.flatHistogram)
         out.flat.assign(uint64_t{1} << measured.size(), 0);
@@ -313,15 +303,6 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     if (threads_req < 0)
         threads_req = 0;
 
-    // Intra-state kernel threading, same convention. Kernel sharding
-    // adds no state copies (workers write disjoint slices of the one
-    // state), so it is orthogonal to the memory plan below.
-    int kernel_threads = opts.kernelThreads;
-    if (kernel_threads == 0)
-        kernel_threads = defaultKernelThreads(1);
-    if (kernel_threads < 0)
-        kernel_threads = 0;
-
     // Reserve the run's predicted peak memory against the process
     // budget before the first state vector exists. When the full plan
     // does not fit, degrade to the low-memory plan (serial, no
@@ -348,8 +329,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         warn("executeNoisy: memory budget ",
              formatBytes(gov.budgetBytes()), " forces the low-memory ",
              "plan for ", hw.name(), " (serial trajectories, no ",
-             "checkpoints; kernel threading unaffected — it adds no ",
-             "state copies)");
+             "checkpoints)");
     }
 
     // Ideal reference evolution, snapshotted every K gates so faulty
@@ -361,10 +341,6 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     // independent of the fusion setting.
     const int num_gates = cc.circuit.numGates();
     StateVector ideal(cc.circuit.numQubits());
-    // The ideal evolution runs on the control thread, so it may always
-    // shard its kernels; on small registers the adaptive plan (and the
-    // serial default) keeps it serial.
-    ideal.setKernelThreads(kernel_threads);
     int interval = low_mem ? -1 : opts.checkpointInterval;
     if (interval == 0) {
         uint64_t bytes_per = ideal.dim() * sizeof(Cplx);
@@ -471,13 +447,6 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                          processPoolStarted())
             : planParallel(scal, num_chunks, chunk_us, 0,
                            processPoolStarted());
-    // Kernel threading and the chunk fan-out share the process pool: a
-    // threaded fan-out runs serial trajectory kernels (pool jobs cannot
-    // submit to the pool), and a serial one gives the kernels the whole
-    // pool. The low-memory degraded plan forces threads_req == 1, so
-    // its lone trajectory state keeps full kernel threading at the same
-    // 2-state footprint. Bit-identical either way.
-    ctx.kernelThreads = dec.threaded ? 1 : kernel_threads;
 
     std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
     auto run_chunks = [&](int lo, int hi) {
@@ -598,13 +567,6 @@ defaultSimThreads(int fallback)
 {
     // min 0: TRIQ_SIM_THREADS=0 is valid and means "adaptive".
     return envInt("TRIQ_SIM_THREADS", fallback, 0);
-}
-
-int
-defaultKernelThreads(int fallback)
-{
-    // min 0: TRIQ_KERNEL_THREADS=0 is valid and means "adaptive".
-    return envInt("TRIQ_KERNEL_THREADS", fallback, 0);
 }
 
 bool

@@ -136,19 +136,8 @@ struct ExecOptions
     int fusion = 0;
 
     /**
-     * Intra-state kernel threading: how each gate kernel shards its
-     * amplitude loops (see StateVector::setKernelThreads). > 0 forces
-     * that many workers (1 = true serial kernels); < 0 requests
-     * adaptive mode (the cost model decides per pass, so small
-     * registers stay serial); 0 reads TRIQ_KERNEL_THREADS, where 0
-     * likewise means adaptive and unset defaults to 1.
-     *
-     * Kernel threading and the trajectory fan-out share the process
-     * pool, so they never stack: phases whose trajectory plan is
-     * threaded run their kernels serially, and phases that run
-     * trajectories serially (including the governor's low-memory
-     * degraded plan) shard the kernels instead. Either way the state
-     * footprint is unchanged and results are bit-identical.
+     * Ignored: gate kernels run serially inside each trajectory. Kept
+     * only because the triqbench `triqd` workload sets it.
      */
     int kernelThreads = 0;
 };
@@ -190,15 +179,6 @@ int defaultTrials(int fallback = 1000);
  * common/sched.hh picks serial or threaded per job.
  */
 int defaultSimThreads(int fallback = 1);
-
-/**
- * Default intra-state kernel thread count: reads the
- * TRIQ_KERNEL_THREADS environment variable, falling back to `fallback`
- * (1 = serial kernels). TRIQ_KERNEL_THREADS=0 returns 0, meaning
- * "adaptive": the common/sched.hh cost model picks serial or threaded
- * per kernel pass.
- */
-int defaultKernelThreads(int fallback = 1);
 
 /**
  * Default gate-fusion setting: reads the TRIQ_SIM_FUSION environment

@@ -1,11 +1,11 @@
 /**
  * @file
- * Cache-blocked apply kernels for the gate-fusion pre-pass (see
- * sim/fusion.hh). Kept in a separate translation unit so the build can
- * give just these hot loops tuned optimization flags (TRIQ_NATIVE_KERNELS)
- * without changing code generation for the per-gate baseline paths in
- * statevector.cc — benchmarks compare the two, so the baseline must keep
- * the generic build.
+ * Apply kernels for the gate-fusion pre-pass (see sim/fusion.hh). Kept
+ * in a separate translation unit so the build can give just these hot
+ * loops tuned optimization flags (TRIQ_NATIVE_KERNELS) without changing
+ * code generation for the per-gate baseline paths in statevector.cc —
+ * benchmarks compare the two, so the baseline must keep the generic
+ * build.
  *
  * The kernels work on the raw double representation of the amplitude
  * array instead of std::complex. GCC compiles std::complex operator*
@@ -34,17 +34,11 @@
  * gate, locked by tests/test_fusion.cc), so the kernels are free to
  * pick the fastest association.
  *
- * Range structure: every dense kernel is expressed over its flattened
- * group space — group index t is the basis index with the operand bits
- * deleted, so the whole pass is [0, dim >> nq). kernels::forSegments
- * expands any sub-range of t back into maximal contiguous amplitude
- * runs and the same inner bodies run over them, which is what lets one
- * implementation serve three callers bit-identically: the full serial
- * pass, the sharded parallel pass (disjoint t-ranges per worker), and
- * the fusion pass's cache tiles (applyFused*Range over one tile's
- * groups). Per-vector-unit arithmetic never depends on where a range
- * boundary falls — ranges are aligned so two-amplitude vector units
- * are never split — so every caller computes identical bits.
+ * Group structure: every dense kernel walks its flattened group space
+ * — group index t is the basis index with the operand bits deleted, so
+ * the whole pass is [0, dim >> nq). forSegments expands it back into
+ * maximal contiguous runs of group base amplitudes, which the inner
+ * bodies walk one group (or one two-amplitude vector unit) at a time.
  */
 
 #include "sim/statevector.hh"
@@ -53,7 +47,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "sim/kernel_dispatch.hh"
 
 #if defined(__AVX2__) && defined(__FMA__)
 #define TRIQ_KERNELS_AVX2 1
@@ -67,14 +60,29 @@ namespace
 {
 
 /**
- * Alignment mask for a ranged kernel: bounds must be multiples of
- * 2^(q_max + 1) (range closed under the operator) and of
- * 8 * 2^nq (group-space shard/vector grain). See statevector.hh.
+ * Enumerate the `groups` group bases of a fused kernel as maximal
+ * contiguous amplitude runs.
+ *
+ * Group index t is the basis index with the k operand bits deleted;
+ * `strides` are the operand bit values in ascending order. Expanding t
+ * back to the group's base amplitude index inserts a zero bit at each
+ * stride position, so the strides[0] consecutive groups from each
+ * multiple of strides[0] map to consecutive amplitudes, and each
+ * callback fn(i, n) covers one run [i, i + n) with n = strides[0].
+ * `groups` = dim >> k is a multiple of strides[0]: with k distinct
+ * operands, the lowest sits at or below bit log2(dim) - k.
  */
-uint64_t
-rangeMask(uint64_t top_bit, uint64_t group_grain)
+template <typename Fn>
+inline void
+forSegments(uint64_t groups, const uint64_t *strides, int k, const Fn &fn)
 {
-    return std::max(top_bit << 1, group_grain * 8) - 1;
+    const uint64_t s0 = strides[0];
+    for (uint64_t t = 0; t < groups; t += s0) {
+        uint64_t i = t;
+        for (int j = 0; j < k; ++j)
+            i = ((i & ~(strides[j] - 1)) << 1) | (i & (strides[j] - 1));
+        fn(i, s0);
+    }
 }
 
 } // namespace
@@ -119,15 +127,14 @@ cmul2(__m256d x, __m256d mr, __m256d mi)
  * `m` is the (2^{k+1})^2 row-major matrix, `c0` qubit 0's column bit,
  * `hcol[g]`/`hoff[g]` the column bits and amplitude offset (doubles) of
  * high-operand combination g, `strides` the high operands' amplitude
- * strides ascending. One vector unit covers one group; the group range
- * [t_lo, t_hi) walks them in halved-stride space (vector unit w holds
- * amplitudes 2w and 2w+1), so any sub-range computes the same bits as
- * the full pass.
+ * strides ascending. One vector unit covers one group; the `groups`
+ * groups are walked in halved-stride space (vector unit w holds
+ * amplitudes 2w and 2w+1).
  */
 template <int K>
 inline void
-applyStride1Dense(double *ad, uint64_t t_lo, uint64_t t_hi, const Cplx *m,
-                  int c0, const int *hcol, const uint64_t *hoff,
+applyStride1Dense(double *ad, uint64_t groups, const Cplx *m, int c0,
+                  const int *hcol, const uint64_t *hoff,
                   const uint64_t *strides)
 {
     constexpr int G = 1 << K;      // high-bit combinations
@@ -146,26 +153,24 @@ applyStride1Dense(double *ad, uint64_t t_lo, uint64_t t_hi, const Cplx *m,
     uint64_t vstrides[K];
     for (int j = 0; j < K; ++j)
         vstrides[j] = strides[j] >> 1;
-    kernels::forSegments(
-        t_lo, t_hi, vstrides, K, [&](uint64_t w0, uint64_t n) {
-            for (uint64_t w = w0; w < w0 + n; ++w) {
-                const uint64_t i = 2 * w;
-                __m256d v[G], dup[NC];
-                for (int g = 0; g < G; ++g) {
-                    v[g] = _mm256_loadu_pd(ad + 2 * i + hoff[g]);
-                    dup[hcol[g]] =
-                        _mm256_permute2f128_pd(v[g], v[g], 0x00);
-                    dup[hcol[g] | c0] =
-                        _mm256_permute2f128_pd(v[g], v[g], 0x11);
-                }
-                for (int g = 0; g < G; ++g) {
-                    __m256d acc = cmul2(dup[0], cr[g][0], ci[g][0]);
-                    for (int c = 1; c < NC; ++c)
-                        acc = cmulAdd2(dup[c], cr[g][c], ci[g][c], acc);
-                    _mm256_storeu_pd(ad + 2 * i + hoff[g], acc);
-                }
+    forSegments(groups, vstrides, K, [&](uint64_t w0, uint64_t n) {
+        for (uint64_t w = w0; w < w0 + n; ++w) {
+            const uint64_t i = 2 * w;
+            __m256d v[G], dup[NC];
+            for (int g = 0; g < G; ++g) {
+                v[g] = _mm256_loadu_pd(ad + 2 * i + hoff[g]);
+                dup[hcol[g]] = _mm256_permute2f128_pd(v[g], v[g], 0x00);
+                dup[hcol[g] | c0] =
+                    _mm256_permute2f128_pd(v[g], v[g], 0x11);
             }
-        });
+            for (int g = 0; g < G; ++g) {
+                __m256d acc = cmul2(dup[0], cr[g][0], ci[g][0]);
+                for (int c = 1; c < NC; ++c)
+                    acc = cmulAdd2(dup[c], cr[g][c], ci[g][c], acc);
+                _mm256_storeu_pd(ad + 2 * i + hoff[g], acc);
+            }
+        }
+    });
 }
 
 } // namespace
@@ -173,10 +178,11 @@ applyStride1Dense(double *ad, uint64_t t_lo, uint64_t t_hi, const Cplx *m,
 #endif // TRIQ_KERNELS_AVX2
 
 void
-StateVector::fused1Groups(const Cplx *m, int q, uint64_t t_lo,
-                          uint64_t t_hi)
+StateVector::applyFused1(const Cplx *m, int q)
 {
+    checkQubit(q);
     const uint64_t bit = uint64_t{1} << q;
+    const uint64_t groups = dim() >> 1;
     const double m00r = m[0].real(), m00i = m[0].imag();
     const double m01r = m[1].real(), m01i = m[1].imag();
     const double m10r = m[2].real(), m10i = m[2].imag();
@@ -191,7 +197,7 @@ StateVector::fused1Groups(const Cplx *m, int q, uint64_t t_lo,
         const __m256d ai = _mm256_setr_pd(m00i, m00i, m10i, m10i);
         const __m256d br = _mm256_setr_pd(m01r, m01r, m11r, m11r);
         const __m256d bi = _mm256_setr_pd(m01i, m01i, m11i, m11i);
-        for (uint64_t t = t_lo; t < t_hi; ++t) {
+        for (uint64_t t = 0; t < groups; ++t) {
             __m256d v = _mm256_loadu_pd(ad + 4 * t);
             __m256d xlo = _mm256_permute2f128_pd(v, v, 0x00);
             __m256d xhi = _mm256_permute2f128_pd(v, v, 0x11);
@@ -205,135 +211,34 @@ StateVector::fused1Groups(const Cplx *m, int q, uint64_t t_lo,
         const __m256d r01 = _mm256_set1_pd(m01r), i01 = _mm256_set1_pd(m01i);
         const __m256d r10 = _mm256_set1_pd(m10r), i10 = _mm256_set1_pd(m10i);
         const __m256d r11 = _mm256_set1_pd(m11r), i11 = _mm256_set1_pd(m11i);
-        kernels::forSegments(
-            t_lo, t_hi, &bit, 1, [&](uint64_t i0, uint64_t n) {
-                for (uint64_t i = i0; i < i0 + n; i += 2) {
-                    double *p0 = ad + 2 * i;
-                    double *p1 = ad + 2 * (i | bit);
-                    __m256d x0 = _mm256_loadu_pd(p0);
-                    __m256d x1 = _mm256_loadu_pd(p1);
-                    __m256d y0 =
-                        cmulAdd2(x1, r01, i01, cmul2(x0, r00, i00));
-                    __m256d y1 =
-                        cmulAdd2(x1, r11, i11, cmul2(x0, r10, i10));
-                    _mm256_storeu_pd(p0, y0);
-                    _mm256_storeu_pd(p1, y1);
-                }
-            });
+        forSegments(groups, &bit, 1, [&](uint64_t i0, uint64_t n) {
+            for (uint64_t i = i0; i < i0 + n; i += 2) {
+                double *p0 = ad + 2 * i;
+                double *p1 = ad + 2 * (i | bit);
+                __m256d x0 = _mm256_loadu_pd(p0);
+                __m256d x1 = _mm256_loadu_pd(p1);
+                __m256d y0 = cmulAdd2(x1, r01, i01, cmul2(x0, r00, i00));
+                __m256d y1 = cmulAdd2(x1, r11, i11, cmul2(x0, r10, i10));
+                _mm256_storeu_pd(p0, y0);
+                _mm256_storeu_pd(p1, y1);
+            }
+        });
         return;
     }
 #else
-    kernels::forSegments(
-        t_lo, t_hi, &bit, 1, [&](uint64_t i0, uint64_t n) {
-            for (uint64_t i = i0; i < i0 + n; ++i) {
-                double *p0 = ad + 2 * i;
-                double *p1 = ad + 2 * (i | bit);
-                const double x0 = p0[0], y0 = p0[1];
-                const double x1 = p1[0], y1 = p1[1];
-                p0[0] = m00r * x0 - m00i * y0 + m01r * x1 - m01i * y1;
-                p0[1] = m00r * y0 + m00i * x0 + m01r * y1 + m01i * x1;
-                p1[0] = m10r * x0 - m10i * y0 + m11r * x1 - m11i * y1;
-                p1[1] = m10r * y0 + m10i * x0 + m11r * y1 + m11i * x1;
-            }
-        });
+    forSegments(groups, &bit, 1, [&](uint64_t i0, uint64_t n) {
+        for (uint64_t i = i0; i < i0 + n; ++i) {
+            double *p0 = ad + 2 * i;
+            double *p1 = ad + 2 * (i | bit);
+            const double x0 = p0[0], y0 = p0[1];
+            const double x1 = p1[0], y1 = p1[1];
+            p0[0] = m00r * x0 - m00i * y0 + m01r * x1 - m01i * y1;
+            p0[1] = m00r * y0 + m00i * x0 + m01r * y1 + m01i * x1;
+            p1[0] = m10r * x0 - m10i * y0 + m11r * x1 - m11i * y1;
+            p1[1] = m10r * y0 + m10i * x0 + m11r * y1 + m11i * x1;
+        }
+    });
 #endif
-}
-
-void
-StateVector::applyFused1(const Cplx *m, int q)
-{
-    checkQubit(q);
-    kernels::shard(kernelThreads_, dim() >> 1, 8,
-                   static_cast<double>(dim()),
-                   [&](uint64_t lo, uint64_t hi) {
-                       fused1Groups(m, q, lo, hi);
-                   });
-}
-
-void
-StateVector::applyFused1Range(const Cplx *m, int q, uint64_t lo,
-                              uint64_t hi)
-{
-    checkQubit(q);
-    const uint64_t bit = uint64_t{1} << q;
-    if (((lo | hi) & rangeMask(bit, 2)) || hi > dim())
-        panic("applyFused1Range: misaligned range");
-    fused1Groups(m, q, lo >> 1, hi >> 1);
-}
-
-void
-StateVector::fused2Groups(const Cplx *m, int q0, int q1, uint64_t t_lo,
-                          uint64_t t_hi)
-{
-    const uint64_t b0 = uint64_t{1} << q0;
-    const uint64_t b1 = uint64_t{1} << q1;
-    const uint64_t bl = std::min(b0, b1);
-    const uint64_t bh = std::max(b0, b1);
-    const uint64_t strides[2] = {bl, bh};
-    const double *md = reinterpret_cast<const double *>(m);
-    double *ad = reinterpret_cast<double *>(amps_.data());
-#ifdef TRIQ_KERNELS_AVX2
-    if (bl >= 2) {
-        kernels::forSegments(
-            t_lo, t_hi, strides, 2, [&](uint64_t i0, uint64_t n) {
-                for (uint64_t i = i0; i < i0 + n; i += 2) {
-                    double *p[4] = {ad + 2 * i, ad + 2 * (i | b0),
-                                    ad + 2 * (i | b1),
-                                    ad + 2 * (i | b0 | b1)};
-                    __m256d x[4];
-                    for (int k = 0; k < 4; ++k)
-                        x[k] = _mm256_loadu_pd(p[k]);
-                    for (int r = 0; r < 4; ++r) {
-                        const double *row = md + 8 * r;
-                        __m256d acc =
-                            cmul2(x[0], _mm256_set1_pd(row[0]),
-                                  _mm256_set1_pd(row[1]));
-                        for (int c = 1; c < 4; ++c)
-                            acc = cmulAdd2(
-                                x[c], _mm256_set1_pd(row[2 * c]),
-                                _mm256_set1_pd(row[2 * c + 1]), acc);
-                        _mm256_storeu_pd(p[r], acc);
-                    }
-                }
-            });
-        return;
-    }
-    {
-        // Qubit 0 is an operand: pairs (i, i|1) are adjacent.
-        const int c0 = b0 == 1 ? 1 : 2;
-        const int hcol[2] = {0, b0 == 1 ? 2 : 1};
-        const uint64_t hoff[2] = {0, 2 * bh};
-        const uint64_t hstrides[1] = {bh};
-        applyStride1Dense<1>(ad, t_lo, t_hi, m, c0, hcol, hoff,
-                             hstrides);
-        return;
-    }
-#endif
-    kernels::forSegments(
-        t_lo, t_hi, strides, 2, [&](uint64_t i0, uint64_t n) {
-            for (uint64_t i = i0; i < i0 + n; ++i) {
-                double *p[4] = {ad + 2 * i, ad + 2 * (i | b0),
-                                ad + 2 * (i | b1),
-                                ad + 2 * (i | b0 | b1)};
-                double xr[4], xi[4];
-                for (int k = 0; k < 4; ++k) {
-                    xr[k] = p[k][0];
-                    xi[k] = p[k][1];
-                }
-                for (int r = 0; r < 4; ++r) {
-                    const double *row = md + 8 * r;
-                    double sr = 0.0, si = 0.0;
-                    for (int c = 0; c < 4; ++c) {
-                        const double br = row[2 * c];
-                        const double bi = row[2 * c + 1];
-                        sr += br * xr[c] - bi * xi[c];
-                        si += br * xi[c] + bi * xr[c];
-                    }
-                    p[r][0] = sr;
-                    p[r][1] = si;
-                }
-            }
-        });
 }
 
 void
@@ -343,30 +248,80 @@ StateVector::applyFused2(const Cplx *m, int q0, int q1)
     checkQubit(q1);
     if (q0 == q1)
         panic("applyFused2: identical qubits");
-    kernels::shard(kernelThreads_, dim() >> 2, 8, 2.0 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       fused2Groups(m, q0, q1, lo, hi);
-                   });
+    const uint64_t b0 = uint64_t{1} << q0;
+    const uint64_t b1 = uint64_t{1} << q1;
+    const uint64_t bl = std::min(b0, b1);
+    const uint64_t bh = std::max(b0, b1);
+    const uint64_t strides[2] = {bl, bh};
+    const uint64_t groups = dim() >> 2;
+    const double *md = reinterpret_cast<const double *>(m);
+    double *ad = reinterpret_cast<double *>(amps_.data());
+#ifdef TRIQ_KERNELS_AVX2
+    if (bl >= 2) {
+        forSegments(groups, strides, 2, [&](uint64_t i0, uint64_t n) {
+            for (uint64_t i = i0; i < i0 + n; i += 2) {
+                double *p[4] = {ad + 2 * i, ad + 2 * (i | b0),
+                                ad + 2 * (i | b1), ad + 2 * (i | b0 | b1)};
+                __m256d x[4];
+                for (int k = 0; k < 4; ++k)
+                    x[k] = _mm256_loadu_pd(p[k]);
+                for (int r = 0; r < 4; ++r) {
+                    const double *row = md + 8 * r;
+                    __m256d acc = cmul2(x[0], _mm256_set1_pd(row[0]),
+                                        _mm256_set1_pd(row[1]));
+                    for (int c = 1; c < 4; ++c)
+                        acc = cmulAdd2(x[c], _mm256_set1_pd(row[2 * c]),
+                                       _mm256_set1_pd(row[2 * c + 1]),
+                                       acc);
+                    _mm256_storeu_pd(p[r], acc);
+                }
+            }
+        });
+        return;
+    }
+    {
+        // Qubit 0 is an operand: pairs (i, i|1) are adjacent.
+        const int c0 = b0 == 1 ? 1 : 2;
+        const int hcol[2] = {0, b0 == 1 ? 2 : 1};
+        const uint64_t hoff[2] = {0, 2 * bh};
+        const uint64_t hstrides[1] = {bh};
+        applyStride1Dense<1>(ad, groups, m, c0, hcol, hoff, hstrides);
+        return;
+    }
+#endif
+    forSegments(groups, strides, 2, [&](uint64_t i0, uint64_t n) {
+        for (uint64_t i = i0; i < i0 + n; ++i) {
+            double *p[4] = {ad + 2 * i, ad + 2 * (i | b0), ad + 2 * (i | b1),
+                            ad + 2 * (i | b0 | b1)};
+            double xr[4], xi[4];
+            for (int k = 0; k < 4; ++k) {
+                xr[k] = p[k][0];
+                xi[k] = p[k][1];
+            }
+            for (int r = 0; r < 4; ++r) {
+                const double *row = md + 8 * r;
+                double sr = 0.0, si = 0.0;
+                for (int c = 0; c < 4; ++c) {
+                    const double br = row[2 * c];
+                    const double bi = row[2 * c + 1];
+                    sr += br * xr[c] - bi * xi[c];
+                    si += br * xi[c] + bi * xr[c];
+                }
+                p[r][0] = sr;
+                p[r][1] = si;
+            }
+        }
+    });
 }
 
 void
-StateVector::applyFused2Range(const Cplx *m, int q0, int q1, uint64_t lo,
-                              uint64_t hi)
+StateVector::applyFused3(const Cplx *m, int q0, int q1, int q2)
 {
     checkQubit(q0);
     checkQubit(q1);
-    if (q0 == q1)
-        panic("applyFused2Range: identical qubits");
-    const uint64_t top = uint64_t{1} << std::max(q0, q1);
-    if (((lo | hi) & rangeMask(top, 4)) || hi > dim())
-        panic("applyFused2Range: misaligned range");
-    fused2Groups(m, q0, q1, lo >> 2, hi >> 2);
-}
-
-void
-StateVector::fused3Groups(const Cplx *m, int q0, int q1, int q2,
-                          uint64_t t_lo, uint64_t t_hi)
-{
+    checkQubit(q2);
+    if (q0 == q1 || q0 == q2 || q1 == q2)
+        panic("applyFused3: identical qubits");
     const uint64_t b0 = uint64_t{1} << q0;
     const uint64_t b1 = uint64_t{1} << q1;
     const uint64_t b2 = uint64_t{1} << q2;
@@ -378,39 +333,38 @@ StateVector::fused3Groups(const Cplx *m, int q0, int q1, int q2,
     if (s0 > s1)
         std::swap(s0, s1);
     const uint64_t strides[3] = {s0, s1, s2};
+    const uint64_t groups = dim() >> 3;
     const double *md = reinterpret_cast<const double *>(m);
     double *ad = reinterpret_cast<double *>(amps_.data());
 #ifdef TRIQ_KERNELS_AVX2
     if (s0 >= 2) {
-        kernels::forSegments(
-            t_lo, t_hi, strides, 3, [&](uint64_t i0, uint64_t n) {
-                for (uint64_t i = i0; i < i0 + n; i += 2) {
-                    double *p[8];
-                    __m256d x[8];
-                    for (int k = 0; k < 8; ++k) {
-                        uint64_t j = i;
-                        if (k & 1)
-                            j |= b0;
-                        if (k & 2)
-                            j |= b1;
-                        if (k & 4)
-                            j |= b2;
-                        p[k] = ad + 2 * j;
-                        x[k] = _mm256_loadu_pd(p[k]);
-                    }
-                    for (int r = 0; r < 8; ++r) {
-                        const double *row = md + 16 * r;
-                        __m256d acc =
-                            cmul2(x[0], _mm256_set1_pd(row[0]),
-                                  _mm256_set1_pd(row[1]));
-                        for (int col = 1; col < 8; ++col)
-                            acc = cmulAdd2(
-                                x[col], _mm256_set1_pd(row[2 * col]),
-                                _mm256_set1_pd(row[2 * col + 1]), acc);
-                        _mm256_storeu_pd(p[r], acc);
-                    }
+        forSegments(groups, strides, 3, [&](uint64_t i0, uint64_t n) {
+            for (uint64_t i = i0; i < i0 + n; i += 2) {
+                double *p[8];
+                __m256d x[8];
+                for (int k = 0; k < 8; ++k) {
+                    uint64_t j = i;
+                    if (k & 1)
+                        j |= b0;
+                    if (k & 2)
+                        j |= b1;
+                    if (k & 4)
+                        j |= b2;
+                    p[k] = ad + 2 * j;
+                    x[k] = _mm256_loadu_pd(p[k]);
                 }
-            });
+                for (int r = 0; r < 8; ++r) {
+                    const double *row = md + 16 * r;
+                    __m256d acc = cmul2(x[0], _mm256_set1_pd(row[0]),
+                                        _mm256_set1_pd(row[1]));
+                    for (int col = 1; col < 8; ++col)
+                        acc = cmulAdd2(x[col], _mm256_set1_pd(row[2 * col]),
+                                       _mm256_set1_pd(row[2 * col + 1]),
+                                       acc);
+                    _mm256_storeu_pd(p[r], acc);
+                }
+            }
+        });
         return;
     }
     {
@@ -434,77 +388,50 @@ StateVector::fused3Groups(const Cplx *m, int q0, int q1, int q2,
         const int hcol[4] = {0, ca, cb, ca | cb};
         const uint64_t hoff[4] = {0, 2 * sa, 2 * sb, 2 * (sa | sb)};
         const uint64_t hstrides[2] = {sa, sb};
-        applyStride1Dense<2>(ad, t_lo, t_hi, m, c0, hcol, hoff,
-                             hstrides);
+        applyStride1Dense<2>(ad, groups, m, c0, hcol, hoff, hstrides);
         return;
     }
 #endif
-    kernels::forSegments(
-        t_lo, t_hi, strides, 3, [&](uint64_t i0, uint64_t n) {
-            for (uint64_t i = i0; i < i0 + n; ++i) {
-                double *p[8];
-                double xr[8], xi[8];
-                for (int k = 0; k < 8; ++k) {
-                    uint64_t j = i;
-                    if (k & 1)
-                        j |= b0;
-                    if (k & 2)
-                        j |= b1;
-                    if (k & 4)
-                        j |= b2;
-                    p[k] = ad + 2 * j;
-                    xr[k] = p[k][0];
-                    xi[k] = p[k][1];
-                }
-                for (int r = 0; r < 8; ++r) {
-                    const double *row = md + 16 * r;
-                    double sr = 0.0, si = 0.0;
-                    for (int col = 0; col < 8; ++col) {
-                        const double br = row[2 * col];
-                        const double bi = row[2 * col + 1];
-                        sr += br * xr[col] - bi * xi[col];
-                        si += br * xi[col] + bi * xr[col];
-                    }
-                    p[r][0] = sr;
-                    p[r][1] = si;
-                }
+    forSegments(groups, strides, 3, [&](uint64_t i0, uint64_t n) {
+        for (uint64_t i = i0; i < i0 + n; ++i) {
+            double *p[8];
+            double xr[8], xi[8];
+            for (int k = 0; k < 8; ++k) {
+                uint64_t j = i;
+                if (k & 1)
+                    j |= b0;
+                if (k & 2)
+                    j |= b1;
+                if (k & 4)
+                    j |= b2;
+                p[k] = ad + 2 * j;
+                xr[k] = p[k][0];
+                xi[k] = p[k][1];
             }
-        });
+            for (int r = 0; r < 8; ++r) {
+                const double *row = md + 16 * r;
+                double sr = 0.0, si = 0.0;
+                for (int col = 0; col < 8; ++col) {
+                    const double br = row[2 * col];
+                    const double bi = row[2 * col + 1];
+                    sr += br * xr[col] - bi * xi[col];
+                    si += br * xi[col] + bi * xr[col];
+                }
+                p[r][0] = sr;
+                p[r][1] = si;
+            }
+        }
+    });
 }
 
 void
-StateVector::applyFused3(const Cplx *m, int q0, int q1, int q2)
+StateVector::applyDiagonal(const Cplx *diag, const int *qubits,
+                           int num_qubits)
 {
-    checkQubit(q0);
-    checkQubit(q1);
-    checkQubit(q2);
-    if (q0 == q1 || q0 == q2 || q1 == q2)
-        panic("applyFused3: identical qubits");
-    kernels::shard(kernelThreads_, dim() >> 3, 8, 4.0 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       fused3Groups(m, q0, q1, q2, lo, hi);
-                   });
-}
-
-void
-StateVector::applyFused3Range(const Cplx *m, int q0, int q1, int q2,
-                              uint64_t lo, uint64_t hi)
-{
-    checkQubit(q0);
-    checkQubit(q1);
-    checkQubit(q2);
-    if (q0 == q1 || q0 == q2 || q1 == q2)
-        panic("applyFused3Range: identical qubits");
-    const uint64_t top = uint64_t{1} << std::max({q0, q1, q2});
-    if (((lo | hi) & rangeMask(top, 8)) || hi > dim())
-        panic("applyFused3Range: misaligned range");
-    fused3Groups(m, q0, q1, q2, lo >> 3, hi >> 3);
-}
-
-void
-StateVector::diagonalRange(const Cplx *diag, const int *qubits,
-                           int num_qubits, uint64_t lo, uint64_t hi)
-{
+    if (num_qubits < 1)
+        panic("applyDiagonal: need at least one qubit");
+    for (int k = 0; k < num_qubits; ++k)
+        checkQubit(qubits[k]);
     const double *dd = reinterpret_cast<const double *>(diag);
     double *ad = reinterpret_cast<double *>(amps_.data());
 
@@ -555,7 +482,7 @@ StateVector::diagonalRange(const Cplx *diag, const int *qubits,
     };
 
 #ifdef TRIQ_KERNELS_AVX2
-    for (uint64_t i = lo; i < hi; i += 2) {
+    for (uint64_t i = 0; i < dim(); i += 2) {
         const uint32_t l0 = localIdx(i), l1 = localIdx(i + 1);
         __m256d c = _mm256_set_m128d(_mm_loadu_pd(dd + 2 * l1),
                                      _mm_loadu_pd(dd + 2 * l0));
@@ -565,7 +492,7 @@ StateVector::diagonalRange(const Cplx *diag, const int *qubits,
         _mm256_storeu_pd(ad + 2 * i, y);
     }
 #else
-    for (uint64_t i = lo; i < hi; ++i) {
+    for (uint64_t i = 0; i < dim(); ++i) {
         const uint32_t local = localIdx(i);
         const double br = dd[2 * local], bi = dd[2 * local + 1];
         const double xr = ad[2 * i], xi = ad[2 * i + 1];
@@ -573,36 +500,6 @@ StateVector::diagonalRange(const Cplx *diag, const int *qubits,
         ad[2 * i + 1] = br * xi + bi * xr;
     }
 #endif
-}
-
-void
-StateVector::applyDiagonal(const Cplx *diag, const int *qubits,
-                           int num_qubits)
-{
-    if (num_qubits < 1)
-        panic("applyDiagonal: need at least one qubit");
-    for (int k = 0; k < num_qubits; ++k)
-        checkQubit(qubits[k]);
-    // Sharded callers rebuild the (tiny) index tables per range; the
-    // threshold in kernels::shard guarantees ranges are large enough
-    // that the rebuild is noise.
-    kernels::shard(kernelThreads_, dim(), 8, 0.75 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       diagonalRange(diag, qubits, num_qubits, lo, hi);
-                   });
-}
-
-void
-StateVector::applyDiagonalRange(const Cplx *diag, const int *qubits,
-                                int num_qubits, uint64_t lo, uint64_t hi)
-{
-    if (num_qubits < 1)
-        panic("applyDiagonalRange: need at least one qubit");
-    for (int k = 0; k < num_qubits; ++k)
-        checkQubit(qubits[k]);
-    if (((lo | hi) & 7) || hi > dim())
-        panic("applyDiagonalRange: misaligned range");
-    diagonalRange(diag, qubits, num_qubits, lo, hi);
 }
 
 } // namespace triq

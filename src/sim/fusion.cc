@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/unitary.hh"
-#include "sim/kernel_dispatch.hh"
 
 namespace triq
 {
-
-int
-defaultTileQubits()
-{
-    return envInt("TRIQ_SIM_TILE", 12, 0);
-}
 
 namespace
 {
@@ -623,52 +615,6 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
     stats_.ops = static_cast<int>(ops_.size());
     stats_.modeledCostRatio =
         plain_total > 0.0 ? fused_total / plain_total : 1.0;
-
-    // Cache-blocked tiling: find maximal runs of >= 2 consecutive ops
-    // whose operands all sit below the tile boundary. Such runs are
-    // closed on every 2^tile_bits-amplitude tile, so the run can be
-    // replayed tile by tile while the tile is hot in cache — bit-exact
-    // by construction (see FusionOptions::tileQubits).
-    int tile_bits =
-        opt.tileQubits < 0 ? defaultTileQubits() : opt.tileQubits;
-    if (tile_bits > 0)
-        tile_bits = std::clamp(tile_bits, 6, StateVector::maxQubits());
-    if (tile_bits > 0 && c.numQubits() > tile_bits) {
-        auto tileable = [&](const Op &op) {
-            switch (op.kind) {
-              case Op::Kind::Pass:
-                return false; // replays applyGate, full-state only
-              case Op::Kind::Diag:
-                return op.qs.back() < tile_bits;
-              default:
-                return op.q[op.nq - 1] < tile_bits;
-            }
-        };
-        runOfOp_.assign(ops_.size(), -1);
-        size_t oi = 0;
-        while (oi < ops_.size()) {
-            if (!tileable(ops_[oi])) {
-                ++oi;
-                continue;
-            }
-            size_t oj = oi + 1;
-            while (oj < ops_.size() && tileable(ops_[oj]))
-                ++oj;
-            if (oj - oi >= 2) {
-                for (size_t k = oi; k < oj; ++k)
-                    runOfOp_[k] = static_cast<int>(tileRuns_.size());
-                tileRuns_.push_back({static_cast<int>(oi),
-                                     static_cast<int>(oj)});
-                ++stats_.tileRuns;
-                stats_.tiledOps += static_cast<int>(oj - oi);
-            }
-            oi = oj;
-        }
-        if (tileRuns_.empty())
-            runOfOp_.clear();
-        else
-            tileBits_ = tile_bits;
-    }
 }
 
 void
@@ -724,82 +670,14 @@ FusedProgram::applyTable(StateVector &sv, const Op &op,
 }
 
 void
-FusedProgram::applyOpRange(StateVector &sv, const Op &op, uint64_t lo,
-                           uint64_t hi) const
-{
-    switch (op.kind) {
-      case Op::Kind::Dense1:
-        sv.applyFused1Range(op.data.data(), op.q[0], lo, hi);
-        break;
-      case Op::Kind::Dense2:
-        sv.applyFused2Range(op.data.data(), op.q[0], op.q[1], lo, hi);
-        break;
-      case Op::Kind::Dense3:
-        sv.applyFused3Range(op.data.data(), op.q[0], op.q[1], op.q[2],
-                            lo, hi);
-        break;
-      case Op::Kind::Diag:
-        sv.applyDiagonalRange(op.data.data(), op.qs.data(), op.nq, lo,
-                              hi);
-        break;
-      case Op::Kind::Pass:
-        panic("FusedProgram::applyOpRange: Pass op in a tile run");
-    }
-}
-
-void
-FusedProgram::applyTileRun(StateVector &sv, const TileRun &run) const
-{
-    const uint64_t tile = uint64_t{1} << tileBits_;
-    // Model the run's total work for the kernel-threading plan; tiles
-    // are the shard grain, so each worker replays whole tiles and the
-    // per-tile op order is preserved everywhere.
-    double amp_ops = 0.0;
-    for (int oi = run.opLo; oi < run.opHi; ++oi) {
-        switch (ops_[oi].kind) {
-          case Op::Kind::Dense1:
-            amp_ops += static_cast<double>(sv.dim());
-            break;
-          case Op::Kind::Dense2:
-            amp_ops += 2.0 * sv.dim();
-            break;
-          case Op::Kind::Dense3:
-            amp_ops += 4.0 * sv.dim();
-            break;
-          default:
-            amp_ops += 0.75 * sv.dim();
-            break;
-        }
-    }
-    kernels::shard(sv.kernelThreadSetting(), sv.dim(), tile, amp_ops,
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t t0 = lo; t0 < hi; t0 += tile)
-                           for (int oi = run.opLo; oi < run.opHi; ++oi)
-                               applyOpRange(sv, ops_[oi], t0, t0 + tile);
-                   });
-}
-
-void
 FusedProgram::apply(StateVector &sv, int from_gate, int to_gate) const
 {
     from_gate = std::max(from_gate, 0);
     to_gate = std::min(to_gate, numGates());
     int gi = from_gate;
     while (gi < to_gate) {
-        const int oi = opOfGate_[gi];
-        const Op &op = ops_[oi];
+        const Op &op = ops_[opOfGate_[gi]];
         if (gi == op.lo && op.hi <= to_gate) {
-            // Replay a whole tile run cache-blocked when the range
-            // covers it from its first op; tiling only engages on
-            // states with more than tileBits_ qubits.
-            const int r = runOfOp_.empty() ? -1 : runOfOp_[oi];
-            if (r >= 0 && tileRuns_[r].opLo == oi &&
-                ops_[tileRuns_[r].opHi - 1].hi <= to_gate &&
-                sv.dim() > (uint64_t{1} << tileBits_)) {
-                applyTileRun(sv, tileRuns_[r]);
-                gi = ops_[tileRuns_[r].opHi - 1].hi;
-                continue;
-            }
             applyOp(sv, op);
             gi = op.hi;
         } else {

@@ -12,9 +12,9 @@
  *  - runs of adjacent single-qubit gates on the same qubit merge into
  *    one 2x2 unitary;
  *  - small contiguous regions whose gates touch at most 2 (or 3)
- *    qubits fuse into one dense unitary applied by the cache-blocked
- *    kernels in sim/statevector.hh, when a pass-count cost model says
- *    the fused form is cheaper.
+ *    qubits fuse into one dense unitary applied by the fused kernels
+ *    in sim/statevector.hh, when a pass-count cost model says the
+ *    fused form is cheaper.
  *
  * Fused operators remember the original gate range they cover, so the
  * executor can still start or stop evolution at *any* original gate
@@ -61,31 +61,7 @@ struct FusionOptions
      * always start on an operator boundary.
      */
     int alignBoundary = 0;
-
-    /**
-     * Cache-blocked tiling: runs of >= 2 consecutive fused operators
-     * whose operands all sit below bit `tileQubits` are applied one
-     * 2^tileQubits-amplitude tile at a time, so the tile stays hot in
-     * L1/L2 across the whole run instead of streaming the full state
-     * once per operator. Tiling is bit-exact: such operators are closed
-     * on each tile, and the ranged kernels perform per-amplitude
-     * arithmetic identical to the full-state passes.
-     *
-     * -1 picks the default (TRIQ_SIM_TILE, see defaultTileQubits());
-     * 0 disables tiling; values > 0 are clamped to >= 6 so tile bounds
-     * keep the fused kernels' group-space alignment (see
-     * StateVector::applyFused1Range). Tiling only engages on registers
-     * larger than one tile.
-     */
-    int tileQubits = -1;
 };
-
-/**
- * Tile size used when FusionOptions::tileQubits is -1: TRIQ_SIM_TILE
- * when set (0 disables), else 12 (a 64 KiB tile — half a typical L2 —
- * leaving room for the matrix data and the next tile's prefetch).
- */
-int defaultTileQubits();
 
 /** What the fusion pass did to one circuit. */
 struct FusionStats
@@ -99,8 +75,9 @@ struct FusionStats
     int wideDiagonal = 0; //!< Of those, runs over > 3 qubits (no splits).
     int passthrough = 0; //!< Ops that replay original gates unchanged.
     int fusedGates = 0;  //!< Gates absorbed into fused operators.
-    int tileRuns = 0;    //!< Cache-blocked runs of consecutive ops.
-    int tiledOps = 0;    //!< Fused ops covered by those runs.
+
+    /** Always 0; kept only because the triqbench `wide` workload reads it. */
+    int tileRuns = 0;
 
     /** Modeled cost ratio fused/unfused (passes over the state). */
     double modeledCostRatio = 1.0;
@@ -192,22 +169,8 @@ class FusedProgram
         int mat = -1; //!< Offset into matPool_ (Mat1/Mat2 only).
     };
 
-    /**
-     * A maximal run of >= 2 consecutive ops (indices [opLo, opHi) into
-     * ops_) whose operands all sit below tileBits_; applyTileRun
-     * replays the whole run per 2^tileBits_-amplitude tile.
-     */
-    struct TileRun
-    {
-        int opLo = 0;
-        int opHi = 0;
-    };
-
     void applyOp(StateVector &sv, const Op &op) const;
     void applyTable(StateVector &sv, const Op &op, const Cplx *m) const;
-    void applyOpRange(StateVector &sv, const Op &op, uint64_t lo,
-                      uint64_t hi) const;
-    void applyTileRun(StateVector &sv, const TileRun &run) const;
     void applyPlainRange(StateVector &sv, int lo, int hi) const;
 
     Circuit circuit_;
@@ -215,9 +178,6 @@ class FusedProgram
     std::vector<int> opOfGate_; //!< gate index -> index into ops_.
     std::vector<PlainRec> plain_; //!< One record per original gate.
     std::vector<Cplx> matPool_;   //!< Cached fallback matrices, row-major.
-    std::vector<TileRun> tileRuns_;
-    std::vector<int> runOfOp_; //!< op index -> tileRuns_ index or -1.
-    int tileBits_ = 0;         //!< log2 tile amplitudes; 0 = no tiling.
     FusionStats stats_;
 };
 

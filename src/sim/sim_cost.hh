@@ -5,12 +5,8 @@
  * executeNoisy reserves exactly these predictions against the process
  * ResourceGovernor before allocating, and triqd admission (via
  * service/cost_model.hh) checks the same formulas — one model, so the
- * layers cannot disagree about what fits.
- *
- * Intra-state kernel threading (TRIQ_KERNEL_THREADS) is deliberately
- * absent from every formula: kernel workers shard disjoint slices of
- * one existing state, adding no state copies, so only the *trajectory*
- * fan-out multiplies memory.
+ * layers cannot disagree about what fits. Only the *trajectory*
+ * fan-out multiplies memory: each concurrent chunk owns one state.
  */
 
 #ifndef TRIQ_SIM_SIM_COST_HH
@@ -47,9 +43,7 @@ uint64_t predictSimulationBytes(int active_qubits, int workers);
  * trajectories, no checkpoints — the ideal state plus a single
  * trajectory state (~2 x stateVectorBytes). executeNoisy falls
  * back to this plan automatically when the full plan does not fit the
- * budget. Kernel threading stays available in this plan at the same
- * 2-state footprint (kernel workers add no state copies), so degraded
- * runs on big registers keep their intra-state parallelism.
+ * budget.
  */
 uint64_t predictLowMemSimulationBytes(int active_qubits);
 

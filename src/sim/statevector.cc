@@ -5,20 +5,9 @@
 
 #include "common/logging.hh"
 #include "core/unitary.hh"
-#include "sim/kernel_dispatch.hh"
 
 namespace triq
 {
-
-// Kernel loops below run through kernels::shard: serial by default
-// (kernelThreads_ == 1 touches no pool and plans nothing), sharded
-// into disjoint amplitude ranges on the process pool when the owner
-// enabled kernel threading. Each body performs identical per-amplitude
-// arithmetic wherever its range boundaries fall, so results are
-// bit-identical for every thread count. Cumulative scans
-// (sampleMeasurement, dominantBasisState, normSquared, fidelityWith)
-// stay serial: their accumulation order is part of the sampling
-// contract.
 
 StateVector::StateVector(int num_qubits) : numQubits_(num_qubits)
 {
@@ -66,17 +55,14 @@ StateVector::applyMatrix1(const Matrix &m, int q)
         panic("applyMatrix1: matrix is not 2x2");
     const uint64_t bit = uint64_t{1} << q;
     const Cplx m00 = m(0, 0), m01 = m(0, 1), m10 = m(1, 0), m11 = m(1, 1);
-    kernels::shard(kernelThreads_, dim(), 8, static_cast<double>(dim()),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i) {
-                           if (i & bit)
-                               continue;
-                           Cplx a0 = amps_[i];
-                           Cplx a1 = amps_[i | bit];
-                           amps_[i] = m00 * a0 + m01 * a1;
-                           amps_[i | bit] = m10 * a0 + m11 * a1;
-                       }
-                   });
+    for (uint64_t i = 0; i < dim(); ++i) {
+        if (i & bit)
+            continue;
+        Cplx a0 = amps_[i];
+        Cplx a1 = amps_[i | bit];
+        amps_[i] = m00 * a0 + m01 * a1;
+        amps_[i | bit] = m10 * a0 + m11 * a1;
+    }
 }
 
 void
@@ -94,25 +80,20 @@ StateVector::applyMatrix2(const Matrix &m, int q0, int q1)
     for (int r = 0; r < 4; ++r)
         for (int c = 0; c < 4; ++c)
             mm[r][c] = m(r, c);
-    kernels::shard(
-        kernelThreads_, dim(), 8, 2.0 * dim(),
-        [&](uint64_t lo, uint64_t hi) {
-            for (uint64_t i = lo; i < hi; ++i) {
-                if (i & (b0 | b1))
-                    continue;
-                const uint64_t idx[4] = {i, i | b0, i | b1,
-                                         i | b0 | b1};
-                Cplx a[4];
-                for (int k = 0; k < 4; ++k)
-                    a[k] = amps_[idx[k]];
-                for (int r = 0; r < 4; ++r) {
-                    Cplx v(0, 0);
-                    for (int c = 0; c < 4; ++c)
-                        v += mm[r][c] * a[c];
-                    amps_[idx[r]] = v;
-                }
-            }
-        });
+    for (uint64_t i = 0; i < dim(); ++i) {
+        if (i & (b0 | b1))
+            continue;
+        const uint64_t idx[4] = {i, i | b0, i | b1, i | b0 | b1};
+        Cplx a[4];
+        for (int k = 0; k < 4; ++k)
+            a[k] = amps_[idx[k]];
+        for (int r = 0; r < 4; ++r) {
+            Cplx v(0, 0);
+            for (int c = 0; c < 4; ++c)
+                v += mm[r][c] * a[c];
+            amps_[idx[r]] = v;
+        }
+    }
 }
 
 namespace
@@ -126,17 +107,12 @@ namespace
  */
 template <typename Fn>
 void
-forEachPair(int kernel_threads, uint64_t dim, uint64_t bit, double amp_ops,
-            const Fn &fn)
+forEachPair(uint64_t dim, uint64_t bit, const Fn &fn)
 {
-    kernels::shard(kernel_threads, dim / 2, 8, amp_ops,
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t t = lo; t < hi; ++t) {
-                           const uint64_t i =
-                               ((t & ~(bit - 1)) << 1) | (t & (bit - 1));
-                           fn(i, i | bit);
-                       }
-                   });
+    for (uint64_t t = 0; t < dim / 2; ++t) {
+        const uint64_t i = ((t & ~(bit - 1)) << 1) | (t & (bit - 1));
+        fn(i, i | bit);
+    }
 }
 
 } // namespace
@@ -145,10 +121,9 @@ void
 StateVector::applyX(int q)
 {
     checkQubit(q);
-    forEachPair(kernelThreads_, dim(), uint64_t{1} << q, 0.75 * dim(),
-                [&](uint64_t i, uint64_t j) {
-                    std::swap(amps_[i], amps_[j]);
-                });
+    forEachPair(dim(), uint64_t{1} << q, [&](uint64_t i, uint64_t j) {
+        std::swap(amps_[i], amps_[j]);
+    });
 }
 
 void
@@ -158,20 +133,19 @@ StateVector::applyY(int q)
     // Y = [[0, -i], [i, 0]] only swaps and negates components, so this
     // equals the matrix path up to the sign of an exact zero and every
     // probability is bit-identical.
-    forEachPair(kernelThreads_, dim(), uint64_t{1} << q,
-                static_cast<double>(dim()), [&](uint64_t i, uint64_t j) {
-                    const Cplx a0 = amps_[i];
-                    const Cplx a1 = amps_[j];
-                    amps_[i] = Cplx(a1.imag(), -a1.real());
-                    amps_[j] = Cplx(-a0.imag(), a0.real());
-                });
+    forEachPair(dim(), uint64_t{1} << q, [&](uint64_t i, uint64_t j) {
+        const Cplx a0 = amps_[i];
+        const Cplx a1 = amps_[j];
+        amps_[i] = Cplx(a1.imag(), -a1.real());
+        amps_[j] = Cplx(-a0.imag(), a0.real());
+    });
 }
 
 void
 StateVector::applyZ(int q)
 {
     checkQubit(q);
-    forEachPair(kernelThreads_, dim(), uint64_t{1} << q, 0.75 * dim(),
+    forEachPair(dim(), uint64_t{1} << q,
                 [&](uint64_t, uint64_t j) { amps_[j] = -amps_[j]; });
 }
 
@@ -180,12 +154,9 @@ StateVector::applyPhase1(int q, Cplx phase)
 {
     checkQubit(q);
     const uint64_t bit = uint64_t{1} << q;
-    kernels::shard(kernelThreads_, dim(), 8, 0.75 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i)
-                           if (i & bit)
-                               amps_[i] *= phase;
-                   });
+    for (uint64_t i = 0; i < dim(); ++i)
+        if (i & bit)
+            amps_[i] *= phase;
 }
 
 void
@@ -195,11 +166,8 @@ StateVector::applyRz(int q, double theta)
     const uint64_t bit = uint64_t{1} << q;
     const Cplx plo = std::exp(Cplx(0, -theta / 2));
     const Cplx phi = std::exp(Cplx(0, theta / 2));
-    kernels::shard(kernelThreads_, dim(), 8, static_cast<double>(dim()),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i)
-                           amps_[i] *= (i & bit) ? phi : plo;
-                   });
+    for (uint64_t i = 0; i < dim(); ++i)
+        amps_[i] *= (i & bit) ? phi : plo;
 }
 
 void
@@ -211,12 +179,9 @@ StateVector::applyCnot(int control, int target)
         panic("applyCnot: identical qubits");
     const uint64_t cb = uint64_t{1} << control;
     const uint64_t tb = uint64_t{1} << target;
-    kernels::shard(kernelThreads_, dim(), 8, 0.75 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i)
-                           if ((i & cb) && !(i & tb))
-                               std::swap(amps_[i], amps_[i | tb]);
-                   });
+    for (uint64_t i = 0; i < dim(); ++i)
+        if ((i & cb) && !(i & tb))
+            std::swap(amps_[i], amps_[i | tb]);
 }
 
 void
@@ -227,12 +192,9 @@ StateVector::applyCz(int a, int b)
     if (a == b)
         panic("applyCz: identical qubits");
     const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
-    kernels::shard(kernelThreads_, dim(), 8, 0.75 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i)
-                           if ((i & mask) == mask)
-                               amps_[i] = -amps_[i];
-                   });
+    for (uint64_t i = 0; i < dim(); ++i)
+        if ((i & mask) == mask)
+            amps_[i] = -amps_[i];
 }
 
 void
@@ -244,12 +206,9 @@ StateVector::applyCphase(int a, int b, double lambda)
         panic("applyCphase: identical qubits");
     const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
     const Cplx phase = std::exp(Cplx(0, lambda));
-    kernels::shard(kernelThreads_, dim(), 8, 0.75 * dim(),
-                   [&](uint64_t lo, uint64_t hi) {
-                       for (uint64_t i = lo; i < hi; ++i)
-                           if ((i & mask) == mask)
-                               amps_[i] *= phase;
-                   });
+    for (uint64_t i = 0; i < dim(); ++i)
+        if ((i & mask) == mask)
+            amps_[i] *= phase;
 }
 
 void
@@ -261,19 +220,15 @@ StateVector::applySwap(int a, int b)
         panic("applySwap: identical qubits");
     const uint64_t ba = uint64_t{1} << a;
     const uint64_t bb = uint64_t{1} << b;
-    kernels::shard(
-        kernelThreads_, dim(), 8, 0.75 * dim(),
-        [&](uint64_t lo, uint64_t hi) {
-            for (uint64_t i = lo; i < hi; ++i)
-                if ((i & ba) && !(i & bb))
-                    std::swap(amps_[i], amps_[(i & ~ba) | bb]);
-        });
+    for (uint64_t i = 0; i < dim(); ++i)
+        if ((i & ba) && !(i & bb))
+            std::swap(amps_[i], amps_[(i & ~ba) | bb]);
 }
 
-// applyFused1/2/3 and applyDiagonal — the cache-blocked kernels used by
-// the gate-fusion pre-pass — live in fused_kernels.cc so the build can
-// give them tuned optimization flags without affecting the per-gate
-// baseline paths above.
+// applyFused1/2/3 and applyDiagonal — the kernels used by the
+// gate-fusion pre-pass — live in fused_kernels.cc so the build can give
+// them tuned optimization flags without affecting the per-gate baseline
+// paths above.
 
 void
 StateVector::applyGate(const Gate &g)
@@ -342,30 +297,26 @@ StateVector::applyGate(const Gate &g)
                                uint64_t{1} << g.qubit(1),
                                uint64_t{1} << g.qubit(2)};
         const uint64_t mask = b[0] | b[1] | b[2];
-        kernels::shard(
-            kernelThreads_, dim(), 8, 4.0 * dim(),
-            [&](uint64_t lo, uint64_t hi) {
-                for (uint64_t i = lo; i < hi; ++i) {
-                    if (i & mask)
-                        continue;
-                    uint64_t idx[8];
-                    Cplx a[8];
-                    for (int k = 0; k < 8; ++k) {
-                        uint64_t j = i;
-                        for (int t = 0; t < 3; ++t)
-                            if (k & (1 << t))
-                                j |= b[t];
-                        idx[k] = j;
-                        a[k] = amps_[j];
-                    }
-                    for (int r = 0; r < 8; ++r) {
-                        Cplx v(0, 0);
-                        for (int c = 0; c < 8; ++c)
-                            v += m(r, c) * a[c];
-                        amps_[idx[r]] = v;
-                    }
-                }
-            });
+        for (uint64_t i = 0; i < dim(); ++i) {
+            if (i & mask)
+                continue;
+            uint64_t idx[8];
+            Cplx a[8];
+            for (int k = 0; k < 8; ++k) {
+                uint64_t j = i;
+                for (int t = 0; t < 3; ++t)
+                    if (k & (1 << t))
+                        j |= b[t];
+                idx[k] = j;
+                a[k] = amps_[j];
+            }
+            for (int r = 0; r < 8; ++r) {
+                Cplx v(0, 0);
+                for (int c = 0; c < 8; ++c)
+                    v += m(r, c) * a[c];
+                amps_[idx[r]] = v;
+            }
+        }
         return;
       }
       default:

@@ -47,24 +47,6 @@ class StateVector
 
     int numQubits() const { return numQubits_; }
 
-    /**
-     * Intra-state kernel threading: how gate kernels shard their
-     * amplitude loops. 1 (the default) is the true serial path — no
-     * pool, no scheduler; 0 lets the common/sched.hh cost model decide
-     * per kernel pass (small registers stay serial); N > 1 forces N
-     * workers. Results are bit-identical for every value: shards are
-     * disjoint amplitude groups with identical per-group arithmetic
-     * and no cross-shard reductions.
-     *
-     * Only enable threading (0 or N > 1) on a state driven from the
-     * control thread: kernels fan out on the shared process pool,
-     * whose jobs must not submit to it (see common/thread_pool.hh).
-     * The executor enables it exactly when its own trajectory fan-out
-     * is serial.
-     */
-    void setKernelThreads(int setting) { kernelThreads_ = setting < 0 ? 0 : setting; }
-    int kernelThreadSetting() const { return kernelThreads_; }
-
     /** Reset to |0...0>. */
     void reset();
 
@@ -110,12 +92,12 @@ class StateVector
     void applySwap(int a, int b);
 
     /**
-     * Cache-blocked dense kernels used by the gate-fusion pass
-     * (sim/fusion.hh). Unlike applyMatrix1/2 they enumerate only the
-     * amplitudes they touch (no skip branch), and the 3-qubit variant
-     * completes the ladder for fused regions. Matrices are row-major
-     * with local qubit i = bit i; per-amplitude arithmetic matches the
-     * matrix path term for term.
+     * Dense kernels used by the gate-fusion pass (sim/fusion.hh).
+     * Unlike applyMatrix1/2 they enumerate only the amplitudes they
+     * touch (no skip branch), and the 3-qubit variant completes the
+     * ladder for fused regions. Matrices are row-major with local
+     * qubit i = bit i; amplitudes agree with the matrix path to
+     * rounding (see fused_kernels.cc).
      */
     void applyFused1(const Cplx *m, int q);             //!< m: 2x2.
     void applyFused2(const Cplx *m, int q0, int q1);    //!< m: 4x4.
@@ -129,31 +111,6 @@ class StateVector
      */
     void applyDiagonal(const Cplx *diag, const int *qubits,
                        int num_qubits);
-
-    /**
-     * Tile-ranged variants of the fused kernels, used by the fusion
-     * pass's cache-blocked tile groups (sim/fusion.hh): apply the
-     * operator to the amplitude range [lo, hi) only. Expert interface
-     * with alignment preconditions instead of runtime dispatch:
-     *
-     * @pre lo and hi are multiples of 2^(q_max + 1) (every operand
-     *      stride divides the range, so it is closed under the
-     *      operator) AND of 8 * 2^nq (shard/vector alignment of the
-     *      flattened group space); hi <= dim(). The fusion pass
-     *      guarantees both by requiring tile size >= 2^(nq + 3) and
-     *      all operands below the tile boundary.
-     *
-     * The range is applied serially (tile loops parallelize over
-     * tiles, not within them) with per-group arithmetic identical to
-     * the full-state kernels, so tiling is bit-exact.
-     */
-    void applyFused1Range(const Cplx *m, int q, uint64_t lo, uint64_t hi);
-    void applyFused2Range(const Cplx *m, int q0, int q1, uint64_t lo,
-                          uint64_t hi);
-    void applyFused3Range(const Cplx *m, int q0, int q1, int q2,
-                          uint64_t lo, uint64_t hi);
-    void applyDiagonalRange(const Cplx *diag, const int *qubits,
-                            int num_qubits, uint64_t lo, uint64_t hi);
 
     /**
      * Sample a full measurement outcome (all qubits) without collapsing.
@@ -184,18 +141,8 @@ class StateVector
   private:
     int numQubits_;
     std::vector<Cplx> amps_;
-    int kernelThreads_ = 1; //!< See setKernelThreads().
 
     void checkQubit(int q) const;
-
-    /** Group-space bodies shared by the full and ranged fused kernels. */
-    void fused1Groups(const Cplx *m, int q, uint64_t t_lo, uint64_t t_hi);
-    void fused2Groups(const Cplx *m, int q0, int q1, uint64_t t_lo,
-                      uint64_t t_hi);
-    void fused3Groups(const Cplx *m, int q0, int q1, int q2,
-                      uint64_t t_lo, uint64_t t_hi);
-    void diagonalRange(const Cplx *diag, const int *qubits,
-                       int num_qubits, uint64_t lo, uint64_t hi);
 };
 
 /**

@@ -7,7 +7,6 @@
  */
 
 #include <cmath>
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -171,53 +170,6 @@ TEST(Density, EspOrderingPredictsExactSuccessOrdering)
     ASSERT_GT(total, 40);
     EXPECT_GT(static_cast<double>(concordant) / total, 0.85)
         << concordant << "/" << total;
-}
-
-TEST(Density, KernelThreadingBitIdentical)
-{
-    // Channel mixing is plain amplitude arithmetic over gate-kernel
-    // outputs, and the kernels are bit-identical for any thread
-    // setting, so every probability must match EXACTLY (EXPECT_EQ on
-    // doubles) between serial and forced-threaded kernels.
-    Circuit c(4);
-    c.add(Gate::h(0));
-    c.add(Gate::cnot(0, 1));
-    c.add(Gate::u3(2, 0.7, 0.3, -0.4));
-    c.add(Gate::xx(1, 2, kPi / 4));
-    c.add(Gate::cnot(2, 3));
-    auto run = [&](int setting) {
-        DensityMatrix rho(4);
-        rho.setKernelThreads(setting);
-        rho.applyCircuit(c);
-        rho.applyPauliChannel1(0, 0.25);
-        rho.applyPauliChannel2(1, 2, 0.1);
-        rho.applyDephasing(3, 0.4);
-        return rho.measurementDistribution({0, 1, 2, 3});
-    };
-    const std::vector<double> serial = run(1);
-    for (int setting : {2, 7, 0})
-        EXPECT_EQ(run(setting), serial) << "setting " << setting;
-}
-
-TEST(Density, ExactSuccessKernelThreadingBitIdentical)
-{
-    // exactSuccessProbability honors TRIQ_KERNEL_THREADS; the exact
-    // value must not depend on it, down to the last bit.
-    Device dev = makeIbmQ5();
-    Calibration calib = dev.calibrate(3);
-    CompileOptions opts;
-    opts.emitAssembly = false;
-    CompileResult res =
-        compileForDevice(makeBenchmark("Peres"), dev, calib, opts);
-    unsetenv("TRIQ_KERNEL_THREADS");
-    const double serial = exactSuccessProbability(res.hwCircuit, dev, calib);
-    for (const char *setting : {"2", "7", "0"}) {
-        setenv("TRIQ_KERNEL_THREADS", setting, 1);
-        EXPECT_EQ(exactSuccessProbability(res.hwCircuit, dev, calib),
-                  serial)
-            << "TRIQ_KERNEL_THREADS=" << setting;
-    }
-    unsetenv("TRIQ_KERNEL_THREADS");
 }
 
 TEST(Density, CapInheritsRaisedStateVectorCeiling)

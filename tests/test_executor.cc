@@ -18,6 +18,7 @@
 #include "core/compiler.hh"
 #include "core/fingerprint.hh"
 #include "device/machines.hh"
+#include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/noise.hh"
 #include "workloads/benchmarks.hh"
@@ -464,6 +465,43 @@ TEST(GoldenHistogram, Fig07StudyIsBitIdentical)
         }
     }
     EXPECT_EQ(i, std::size(kGoldenStudy));
+}
+
+// Golden histograms above 12 qubits: two circuits whose compact
+// registers exceed 12 qubits on Google72 (greedy mapper, calibration
+// day 3, default execution options, 64 trials, seed 2019). The study
+// matrix never simulates more than 10 qubits, so these cells pin the
+// fused kernels on the wider states that trajectory replays walk in
+// the `wide` bench workload.
+const GoldenCell kGoldenWide[] = {
+    {"GHZ14", "Google72", 0xa19f78c479109d29ull, 0x1.4p-4},
+    {"HS16", "Google72", 0xb6ef5906903df375ull, 0x1p-2},
+};
+
+TEST(GoldenHistogram, WideRegistersAreBitIdentical)
+{
+    const Device dev = makeGoogle72();
+    const Calibration calib = dev.calibrate(3);
+    CompileOptions opts;
+    opts.mapping.kind = MapperKind::Greedy;
+    const Circuit programs[] = {makeGhzRoundTrip(14),
+                                makeHiddenShift(16, 0x5A5A5)};
+    for (size_t i = 0; i < std::size(kGoldenWide); ++i) {
+        const GoldenCell &want = kGoldenWide[i];
+        ASSERT_EQ(dev.name(), want.device);
+        CompileResult res =
+            compileForDevice(programs[i], dev, calib, opts);
+        ASSERT_GT(compactCircuit(res.hwCircuit).circuit.numQubits(), 12)
+            << want.bench;
+        ExecutionResult r = executeNoisy(res.hwCircuit, dev, calib, 64, 2019);
+        const uint64_t hash = histogramHash(r);
+        char got[64];
+        std::snprintf(got, sizeof got, "0x%016llxull, %a",
+                      static_cast<unsigned long long>(hash), r.successRate);
+        SCOPED_TRACE(std::string(want.bench) + ": got " + got);
+        EXPECT_EQ(hash, want.histogramHash);
+        EXPECT_EQ(r.successRate, want.successRate);
+    }
 }
 
 } // namespace

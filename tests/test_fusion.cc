@@ -7,7 +7,9 @@
  */
 
 #include <cmath>
+#include <complex>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,6 +118,48 @@ maxAmpDelta(const StateVector &a, const StateVector &b)
     return worst;
 }
 
+/**
+ * Apply `gates`, written over local qubits 0..2, to `sv` with local
+ * qubit i on qubit qs[i], through the reference kernels the fused ones
+ * must agree with: applyMatrix1, applyMatrix2 and applyGate's generic
+ * 3-qubit loop.
+ */
+void
+applyReference(StateVector &sv, const std::vector<Gate> &gates,
+               const std::vector<int> &qs)
+{
+    for (Gate g : gates) {
+        for (int i = 0; i < g.arity(); ++i)
+            g.qubits[i] = qs[g.qubits[i]];
+        if (g.arity() == 1)
+            sv.applyMatrix1(gateMatrix(g), g.qubit(0));
+        else if (g.arity() == 2)
+            sv.applyMatrix2(gateMatrix(g), g.qubit(0), g.qubit(1));
+        else
+            sv.applyGate(g);
+    }
+}
+
+/**
+ * Row-major matrix of `gates` over local qubits 0..k-1 (bit i = qubit
+ * i), read column by column off the reference kernels.
+ */
+std::vector<Cplx>
+referenceMatrix(int k, const std::vector<Gate> &gates)
+{
+    const uint64_t dim = uint64_t{1} << k;
+    std::vector<Cplx> m(dim * dim);
+    for (uint64_t c = 0; c < dim; ++c) {
+        StateVector col(k);
+        col.amps()[0] = Cplx(0, 0);
+        col.amps()[c] = Cplx(1, 0);
+        applyReference(col, gates, {0, 1, 2});
+        for (uint64_t r = 0; r < dim; ++r)
+            m[r * dim + c] = col.amplitude(r);
+    }
+    return m;
+}
+
 TEST(Fusion, FusedMatchesUnfusedOnRandomCircuits)
 {
     for (uint64_t seed = 1; seed <= 10; ++seed) {
@@ -214,10 +258,11 @@ TEST(Fusion, SameQubitRunsMergeToOneKernel)
 
 TEST(Fusion, FusedKernelsMatchMatrixPath)
 {
-    // The blocked kernels themselves are exact: applying a gate's
+    // The fused kernels themselves are exact: applying a gate's
     // matrix through applyFused{1,2,3}/applyDiagonal must equal the
     // established applyMatrix path bit for bit is too strict across
-    // compilers, so we require <= 1e-15 per amplitude.
+    // compilers, so we require <= 1e-15 per amplitude for one gate and
+    // <= 1e-12 after a sequence of them.
     Rng rng(7);
     StateVector a(3), b(3);
     for (int q = 0; q < 3; ++q) {
@@ -247,6 +292,80 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
     a.applyGate(Gate::z(2));
     b.applyDiagonal(full, qs, 2);
     EXPECT_LE(maxAmpDelta(a, b), 1e-12);
+
+    // Dense operators whose every entry is nonzero, on operand lists
+    // that reach each kernel path: qubit 0 first or later (the
+    // stride-1 AVX2 layouts), operands above it only (the general
+    // path) and the top qubit.
+    const std::vector<Gate> dense1 = {Gate::u3(0, 0.4, 0.2, -0.9)};
+    const std::vector<Gate> dense2 = {Gate::xx(0, 1, 0.8),
+                                      Gate::u3(0, 0.3, -0.5, 1.2),
+                                      Gate::u3(1, 1.1, 0.6, -0.2)};
+    const std::vector<Gate> dense3 = {
+        Gate::ccx(0, 1, 2), Gate::u3(0, 0.7, -0.3, 1.1),
+        Gate::u3(1, 1.3, 0.5, 0.4), Gate::u3(2, 0.2, -1.0, 0.9)};
+    const std::vector<Cplx> f1m = referenceMatrix(1, dense1);
+    const std::vector<Cplx> f2m = referenceMatrix(2, dense2);
+    const std::vector<Cplx> f3m = referenceMatrix(3, dense3);
+    Cplx table[8];
+    for (int i = 0; i < 8; ++i)
+        table[i] = std::polar(1.0, 0.37 * i * i - 0.5);
+    for (int n : {4, 11}) {
+        const int top = n - 1;
+        StateVector fused(n), ref(n);
+        for (uint64_t i = 0; i < fused.dim(); ++i) {
+            fused.amps()[i] = Cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+            ref.amps()[i] = fused.amps()[i];
+        }
+        auto check = [&](const char *kernel, const std::vector<int> &qs) {
+            std::string on;
+            for (int q : qs)
+                on += " q" + std::to_string(q);
+            EXPECT_LE(maxAmpDelta(fused, ref), 1e-12)
+                << kernel << on << " of " << n << " qubits";
+        };
+        for (int q : {0, n / 2, top}) {
+            fused.applyFused1(f1m.data(), q);
+            applyReference(ref, dense1, {q});
+            check("applyFused1", {q});
+        }
+        for (std::vector<int> qs :
+             {std::vector<int>{0, top}, {top, 0}, {1, 2}, {2, 1}}) {
+            fused.applyFused2(f2m.data(), qs[0], qs[1]);
+            applyReference(ref, dense2, qs);
+            check("applyFused2", qs);
+        }
+        for (std::vector<int> qs : {std::vector<int>{0, 1, top},
+                                    {top, 0, 1}, {1, 2, 3}, {3, 1, 2}}) {
+            fused.applyFused3(f3m.data(), qs[0], qs[1], qs[2]);
+            applyReference(ref, dense3, qs);
+            check("applyFused3", qs);
+        }
+
+        // Diagonals: the phase kernels against applyMatrix1, and a
+        // 3-qubit table against a plain per-amplitude multiply.
+        const Cplx phase(0.6, 0.8);
+        Matrix pm(2, 2);
+        pm(0, 0) = Cplx(1, 0);
+        pm(1, 1) = phase;
+        fused.applyPhase1(0, phase);
+        ref.applyMatrix1(pm, 0);
+        check("applyPhase1", {0});
+        fused.applyRz(top, 0.9);
+        ref.applyMatrix1(gateMatrix(Gate::rz(top, 0.9)), top);
+        check("applyRz", {top});
+        for (std::vector<int> qs :
+             {std::vector<int>{0, 1, top}, {top, 0, n / 2}}) {
+            fused.applyDiagonal(table, qs.data(), 3);
+            for (uint64_t i = 0; i < ref.dim(); ++i) {
+                uint64_t local = 0;
+                for (int k = 0; k < 3; ++k)
+                    local |= ((i >> qs[k]) & 1) << k;
+                ref.amps()[i] *= table[local];
+            }
+            check("applyDiagonal", qs);
+        }
+    }
 }
 
 TEST(Fusion, EnvDefaultToggles)
