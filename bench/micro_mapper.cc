@@ -1,50 +1,35 @@
 /**
  * @file
  * Mapper-search microbenchmark: runs the fig13 supremacy grid rows
- * through four mapping engines against the same reliability matrix and
- * emits BENCH_mapper.json so CI can hold the planner-grade search to
- * its contract — the new bound must shrink the proof tree on every
- * row, and warm starts must shrink it further.
+ * through three mapping engines against the same reliability matrix and
+ * emits BENCH_mapper.json so CI can hold the B&B search to its
+ * contract: warm starts must shrink the proof tree.
  *
  * Engines per row (all max-min objective, readout included):
  *   - greedy:  constructive placement + local search (the anytime
  *     floor; zero search nodes);
- *   - legacy:  branch-and-bound with every planner feature off
- *     (useStrongBound/useSymmetry/useDominance = false) — the
- *     pre-planner search, static suffix potential only;
- *   - new:     the same search with the row-relaxation admissible
+ *   - cold:    branch-and-bound with the row-relaxation admissible
  *     bound, equivalence-class symmetry pruning and sibling-dominance
- *     cuts (the shipping defaults);
- *   - warm:    the new engine warm-started from the previous
+ *     cuts, seeded from the greedy placement;
+ *   - warm:    the same search warm-started from the previous
  *     calibration day's optimum — the incremental-remapping path a
  *     drift invalidation takes in the sweep engine.
  *
  * Node counts are exact and deterministic: the searches run under a
- * node budget only (no wall-clock deadline), so the gates cannot flake
+ * node budget only (no wall-clock deadline), so the gate cannot flake
  * on machine load; --reps repetitions exist purely to take a
  * min-over-reps wall time per engine.
  *
- * The gates (exit 6 on failure):
- *   1. on rows the legacy engine can prove within the budget, the new
- *      engine must prove them with strictly fewer nodes (rows whose
- *      legacy proof is already below --node-floor nodes only need <=:
- *      there is nothing left to prune); on rows where *both* engines
- *      exhaust the budget the node counts saturate at budget+1 by
- *      construction, so the anytime value is compared instead
- *      (new >= legacy);
- *   2. warm_nodes <= new_nodes on every row, strictly fewer in total;
- *   3. at least one row that exhausts the legacy budget (falling back
- *      to the greedy incumbent, unproved) is proved optimal by the new
- *      engine within the same budget.
- * Exit 4 is a determinism/soundness breach: node counts or values
- * changed across reps, an exact engine returned a worse value than its
- * greedy seed, a warm-started search returned a worse value than the
- * cold search (the warm incumbent is never below the cold one, so
- * anytime dominance is a theorem), or two engines both proved
+ * The gate (exit 6 on failure): warm_nodes <= cold_nodes on every row,
+ * strictly fewer in total. Exit 4 is a determinism/soundness breach:
+ * node counts or values changed across reps, the cold search returned a
+ * worse value than its greedy seed, a warm-started search returned a
+ * worse value than the cold search (the warm incumbent is never below
+ * the cold one, so anytime dominance is a theorem), or both proved
  * optimality at different values. Exit 0 otherwise.
  *
  * Usage:
- *   micro_mapper [--budget N] [--reps N] [--node-floor N] [--json FILE]
+ *   micro_mapper [--budget N] [--reps N] [--json FILE]
  */
 
 #include <algorithm>
@@ -119,21 +104,13 @@ runEngine(const ProgramInfo &info, const ReliabilityMatrix &rel,
     return s;
 }
 
-/** One fig13 grid row: all four engines on the same matrix. */
+/** One fig13 grid row: all three engines on the same matrix. */
 struct Row
 {
     std::string name;
     int qubits = 0;
     int depth = 0;
-    EngineStat greedy, legacy, fresh, warm;
-
-    double
-    nodeRatio() const
-    {
-        return fresh.nodes > 0
-                   ? static_cast<double>(legacy.nodes) / fresh.nodes
-                   : 0.0;
-    }
+    EngineStat greedy, cold, warm;
 };
 
 void
@@ -158,11 +135,9 @@ emitRow(std::ostringstream &json, const Row &r, bool last)
          << "\", \"qubits\": " << r.qubits << ", \"depth\": " << r.depth
          << ", \"greedy_value\": " << r.greedy.value
          << ", \"greedy_ms\": " << r.greedy.ms;
-    emitEngine(json, "legacy", r.legacy, false);
-    emitEngine(json, "new", r.fresh, true);
+    emitEngine(json, "cold", r.cold, true);
     emitEngine(json, "warm", r.warm, false);
-    json << ", \"node_ratio\": " << r.nodeRatio() << "}"
-         << (last ? "\n" : ",\n");
+    json << "}" << (last ? "\n" : ",\n");
 }
 
 } // namespace
@@ -172,7 +147,6 @@ main(int argc, char **argv)
 try {
     long budget = 200000; // fig13's per-compile node budget
     int reps = 3;
-    long node_floor = 64;
     std::string json_file;
     for (int i = 1; i < argc; ++i) {
         auto need_value = [&](const char *flag) -> const char * {
@@ -184,8 +158,6 @@ try {
             budget = std::atol(need_value("--budget"));
         else if (!std::strcmp(argv[i], "--reps"))
             reps = std::atoi(need_value("--reps"));
-        else if (!std::strcmp(argv[i], "--node-floor"))
-            node_floor = std::atol(need_value("--node-floor"));
         else if (!std::strcmp(argv[i], "--json"))
             json_file = need_value("--json");
         else
@@ -206,15 +178,9 @@ try {
                               {6, 12, 128}};
     const NoiseSpec noise = bench::deviceByName("IBMQ14").noiseSpec();
 
-    MappingOptions legacy_opts;
-    legacy_opts.kind = MapperKind::BranchAndBound;
-    legacy_opts.nodeBudget = budget;
-    legacy_opts.useStrongBound = false;
-    legacy_opts.useSymmetry = false;
-    legacy_opts.useDominance = false;
-    MappingOptions new_opts;
-    new_opts.kind = MapperKind::BranchAndBound;
-    new_opts.nodeBudget = budget;
+    MappingOptions cold_opts;
+    cold_opts.kind = MapperKind::BranchAndBound;
+    cold_opts.nodeBudget = budget;
     MappingOptions greedy_opts;
     greedy_opts.kind = MapperKind::Greedy;
 
@@ -241,8 +207,7 @@ try {
         row.qubits = n;
         row.depth = cfg.depth;
         row.greedy = runEngine(info, rel, greedy_opts, reps);
-        row.legacy = runEngine(info, rel, legacy_opts, reps);
-        row.fresh = runEngine(info, rel, new_opts, reps);
+        row.cold = runEngine(info, rel, cold_opts, reps);
 
         // The drift-remap scenario: "yesterday" is a small
         // deterministic perturbation of today's error rates — the
@@ -258,8 +223,8 @@ try {
             e *= drift.uniform(0.97, 1.03);
         ReliabilityMatrix rel_prev(dev.topology(), prev_calib,
                                    dev.vendor());
-        Mapping prev = mapQubits(info, rel_prev, new_opts);
-        MappingOptions warm_opts = new_opts;
+        Mapping prev = mapQubits(info, rel_prev, cold_opts);
+        MappingOptions warm_opts = cold_opts;
         warm_opts.warmStart = prev.progToHw;
         warm_opts.warmStartOrigin = "drift(day 2)";
         row.warm = runEngine(info, rel, warm_opts, reps);
@@ -276,102 +241,55 @@ try {
                   << "\n";
     };
     for (const Row &r : rows) {
-        for (const EngineStat *s :
-             {&r.greedy, &r.legacy, &r.fresh, &r.warm})
+        for (const EngineStat *s : {&r.greedy, &r.cold, &r.warm})
             if (!s->deterministic)
                 breach(r, "node count or value changed across reps");
-        // Cold exact engines seed from the greedy incumbent and accept
-        // only strict improvements, so they can never come back worse.
-        if (r.legacy.value + eps < r.greedy.value)
-            breach(r, "legacy value below the greedy seed");
-        if (r.fresh.value + eps < r.greedy.value)
-            breach(r, "new-engine value below the greedy seed");
-        // Sound pruning with identical child ordering: at any node
-        // budget the new engine has seen every improving leaf the
-        // legacy search has, so its anytime value cannot be worse.
-        if (r.fresh.value + eps < r.legacy.value)
-            breach(r, "new-engine value below the legacy value");
-        // Same argument, warm vs. cold: the warm incumbent starts at
-        // least as high (the engine keeps the better of the warm and
-        // greedy seeds), so the warm anytime value cannot be worse.
-        if (r.warm.value + eps < r.fresh.value)
+        // The cold search seeds from the greedy incumbent and accepts
+        // only strict improvements, so it can never come back worse.
+        if (r.cold.value + eps < r.greedy.value)
+            breach(r, "cold value below the greedy seed");
+        // The warm incumbent starts at least as high (the engine keeps
+        // the better of the warm and greedy seeds) and pruning is
+        // sound, so the warm anytime value cannot be worse.
+        if (r.warm.value + eps < r.cold.value)
             breach(r, "warm-start value below the cold value");
         // Two proofs of optimality must agree on the optimum.
-        if (r.legacy.optimal && r.fresh.optimal &&
-            std::abs(r.legacy.value - r.fresh.value) > eps)
-            breach(r, "legacy and new both optimal at different values");
-        if (r.warm.optimal && r.fresh.optimal &&
-            std::abs(r.warm.value - r.fresh.value) > eps)
+        if (r.warm.optimal && r.cold.optimal &&
+            std::abs(r.warm.value - r.cold.value) > eps)
             breach(r, "warm and cold both optimal at different values");
     }
 
-    // --- the perf gates (exit 6).
+    // --- the perf gate (exit 6): a warm incumbent can only tighten
+    // pruning, so it must never grow the proof tree.
     bool gate_ok = true;
-    auto gate = [&](const Row &r, const std::string &what) {
-        gate_ok = false;
-        std::cerr << "micro_mapper: GATE " << r.name << ": " << what
-                  << "\n";
-    };
-    long legacy_total = 0, new_total = 0, warm_total = 0;
-    int undegraded = 0;
+    long cold_total = 0, warm_total = 0;
     for (const Row &r : rows) {
-        legacy_total += r.legacy.nodes;
-        new_total += r.fresh.nodes;
+        cold_total += r.cold.nodes;
         warm_total += r.warm.nodes;
-        // 1. The stronger bound must shrink the proof tree on every
-        //    row; tiny proofs (below the floor) only need to not grow.
-        //    When both engines exhaust the budget the node counts
-        //    saturate (budget+1 each) and carry no signal — the
-        //    anytime-value comparison in the soundness block is the
-        //    contract there.
-        bool saturated = !r.legacy.optimal && !r.fresh.optimal;
-        bool shrank = r.fresh.nodes < r.legacy.nodes ||
-                      (r.legacy.nodes <= node_floor &&
-                       r.fresh.nodes <= r.legacy.nodes);
-        if (!saturated && !shrank)
-            gate(r, "new engine explored " +
-                        std::to_string(r.fresh.nodes) +
-                        " nodes, legacy " +
-                        std::to_string(r.legacy.nodes));
-        // 2. A warm incumbent can only tighten pruning further.
-        if (r.warm.nodes > r.fresh.nodes)
-            gate(r, "warm start explored " +
-                        std::to_string(r.warm.nodes) +
-                        " nodes, cold " + std::to_string(r.fresh.nodes));
-        if (!r.legacy.optimal && r.fresh.optimal)
-            ++undegraded;
+        if (r.warm.nodes > r.cold.nodes) {
+            gate_ok = false;
+            std::cerr << "micro_mapper: GATE " << r.name
+                      << ": warm start explored " << r.warm.nodes
+                      << " nodes, cold " << r.cold.nodes << "\n";
+        }
     }
-    if (warm_total >= new_total && new_total > 0) {
+    if (warm_total >= cold_total && cold_total > 0) {
         gate_ok = false;
         std::cerr << "micro_mapper: GATE warm starts explored "
-                  << warm_total << " total nodes, cold " << new_total
+                  << warm_total << " total nodes, cold " << cold_total
                   << "\n";
-    }
-    // 3. The headline claim: a budget the legacy search exhausts
-    //    (returning the unproved greedy incumbent) now suffices for a
-    //    proof on at least one supremacy row. Only meaningful at the
-    //    default fig13 budget and up — the 16-qubit proof takes ~187k
-    //    nodes, so a deliberately shrunk --budget cannot satisfy it
-    //    and should not read as a regression.
-    if (undegraded == 0 && budget >= 200000) {
-        gate_ok = false;
-        std::cerr << "micro_mapper: GATE no row went from "
-                     "legacy-budget-exhausted to proved-optimal\n";
     }
 
     std::ostringstream json;
     json << "{\n"
          << "  \"budget\": " << budget << ",\n"
          << "  \"reps\": " << reps << ",\n"
-         << "  \"node_floor\": " << node_floor << ",\n"
          << "  \"rows\": [\n";
     for (size_t i = 0; i < rows.size(); ++i)
         emitRow(json, rows[i], i + 1 == rows.size());
     json << "  ],\n"
-         << "  \"legacy_total_nodes\": " << legacy_total << ",\n"
-         << "  \"new_total_nodes\": " << new_total << ",\n"
+         << "  \"cold_total_nodes\": " << cold_total << ",\n"
          << "  \"warm_total_nodes\": " << warm_total << ",\n"
-         << "  \"rows_undegraded\": " << undegraded << ",\n"
          << "  \"sound\": " << (sound ? "true" : "false") << ",\n"
          << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
          << "}\n";

@@ -3,11 +3,58 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <type_traits>
 
 #include "common/logging.hh"
 
 namespace triq
 {
+
+bool
+parseNumber(const char *text, long &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
+parseNumber(const char *text, double &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v))
+        return false;
+    out = v;
+    return true;
+}
+
+template <typename T>
+T
+flagValue(const char *flag, const char *text, T min_value, T max_value)
+{
+    constexpr bool integral = std::is_integral_v<T>;
+    std::conditional_t<integral, long, double> v = 0;
+    if (parseNumber(text, v) && v >= min_value && v <= max_value)
+        return static_cast<T>(v);
+    const char *kind = integral ? "an integer" : "a finite number";
+    if (max_value < std::numeric_limits<T>::max())
+        fatal(flag, ": '", text, "' is not ", kind, " in [", min_value,
+              ", ", max_value, "]");
+    if (min_value > std::numeric_limits<T>::lowest())
+        fatal(flag, ": '", text, "' is not ", kind, " >= ", min_value);
+    fatal(flag, ": '", text, "' is not ", kind);
+}
+
+template int flagValue<int>(const char *, const char *, int, int);
+template long flagValue<long>(const char *, const char *, long, long);
+template double flagValue<double>(const char *, const char *, double,
+                                  double);
 
 int
 envInt(const char *name, int fallback, int min_value)
@@ -15,11 +62,8 @@ envInt(const char *name, int fallback, int min_value)
     const char *env = std::getenv(name);
     if (!env)
         return fallback;
-    errno = 0;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    bool parsed = end != env && *end == '\0' && errno == 0;
-    if (!parsed || v < min_value || v > 1000000000L) {
+    long v = 0;
+    if (!parseNumber(env, v) || v < min_value || v > 1000000000L) {
         warn(name, "='", env, "' is not an integer >= ", min_value,
              "; using ", fallback);
         return fallback;
@@ -33,11 +77,8 @@ envDouble(const char *name, double fallback, double min_value)
     const char *env = std::getenv(name);
     if (!env)
         return fallback;
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(env, &end);
-    bool parsed = end != env && *end == '\0' && errno == 0;
-    if (!parsed || !std::isfinite(v) || v < min_value) {
+    double v = 0.0;
+    if (!parseNumber(env, v) || v < min_value) {
         warn(name, "='", env, "' is not a finite number >= ", min_value,
              "; using ", fallback);
         return fallback;

@@ -1,17 +1,40 @@
 /**
  * @file
- * Environment-variable helpers shared by the executor and the bench
- * harnesses. All TRIQ_* integer knobs (TRIQ_TRIALS, TRIQ_DAY,
- * TRIQ_SIM_THREADS) funnel through envInt so malformed values produce
- * one consistent warn-and-fallback behavior instead of silent atoi
- * garbage.
+ * Number parsing for environment variables and command-line flags. All
+ * TRIQ_* integer knobs (TRIQ_TRIALS, TRIQ_DAY, TRIQ_SIM_THREADS) funnel
+ * through envInt so malformed values produce one consistent
+ * warn-and-fallback behavior instead of silent atoi garbage; the CLI
+ * tools read their numeric flags through flagValue, which rejects the
+ * same malformed values with fatal().
  */
 
 #ifndef TRIQ_COMMON_ENV_HH
 #define TRIQ_COMMON_ENV_HH
 
+#include <limits>
+
 namespace triq
 {
+
+/**
+ * Parse all of `text` as a base-10 integer (strtol) or as a finite
+ * number (strtod). Returns false and leaves `out` untouched on empty
+ * text, trailing characters ("3x", or "1e6" for an integer), overflow
+ * or a non-finite value.
+ */
+bool parseNumber(const char *text, long &out);
+bool parseNumber(const char *text, double &out);
+
+/**
+ * The value of command-line flag `flag`: all of `text` parsed by
+ * parseNumber and within [min_value, max_value]. Anything else ends in
+ * fatal() naming the flag and the rejected text. Instantiated for int,
+ * long and double.
+ */
+template <typename T>
+T flagValue(const char *flag, const char *text,
+            T min_value = std::numeric_limits<T>::lowest(),
+            T max_value = std::numeric_limits<T>::max());
 
 /**
  * Read an integer environment variable.

@@ -21,11 +21,10 @@ CompileReport::str() const
         os << " -> " << mapperEngine << " (degraded)";
     os << (mapperOptimal ? " [optimal]" : "") << ", " << mapperNodes
        << " nodes";
-    if (!mapperBoundType.empty()) {
-        os << " (" << mapperBoundType << " bound; pruned "
-           << mapperBoundPruned << " bound / " << mapperSymmetryPruned
-           << " symmetry / " << mapperDominancePruned << " dominance)";
-    }
+    if (mapperEngine == "bnb")
+        os << " (pruned " << mapperBoundPruned << " bound / "
+           << mapperSymmetryPruned << " symmetry / "
+           << mapperDominancePruned << " dominance)";
     if (mapperWarmStarted) {
         os << " [warm start";
         if (!mapperWarmStartOrigin.empty())
@@ -57,8 +56,7 @@ CompileReport::json() const
        << "\",\"mapperEngine\":\"" << jsonEscape(mapperEngine)
        << "\",\"mapperNodes\":" << mapperNodes
        << ",\"mapperOptimal\":" << (mapperOptimal ? "true" : "false")
-       << ",\"mapperBoundType\":\"" << jsonEscape(mapperBoundType)
-       << "\",\"mapperBoundPruned\":" << mapperBoundPruned
+       << ",\"mapperBoundPruned\":" << mapperBoundPruned
        << ",\"mapperSymmetryPruned\":" << mapperSymmetryPruned
        << ",\"mapperDominancePruned\":" << mapperDominancePruned
        << ",\"mapperWarmStarted\":"
@@ -186,7 +184,6 @@ compileForDevice(const Circuit &program, const Device &dev,
     report.mapperEngine = mapping.engine;
     report.mapperNodes = mapping.nodesExplored;
     report.mapperOptimal = mapping.optimal;
-    report.mapperBoundType = mapping.boundType;
     report.mapperBoundPruned = mapping.boundPruned;
     report.mapperSymmetryPruned = mapping.symmetryPruned;
     report.mapperDominancePruned = mapping.dominancePruned;

@@ -105,9 +105,6 @@ struct CompileReport
     /** True when the mapper proved its objective optimal. */
     bool mapperOptimal = false;
 
-    /** B&B bound used: "row-relax", "legacy", or "" (non-B&B engine). */
-    std::string mapperBoundType;
-
     /** Candidate placements cut by the admissible/incumbent bound. */
     long mapperBoundPruned = 0;
 

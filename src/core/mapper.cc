@@ -10,7 +10,6 @@
 #include <numeric>
 #include <span>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace triq
@@ -543,7 +542,9 @@ struct SearchCore
 };
 
 /**
- * Precomputed pruning machinery shared by both B&B engines.
+ * Precomputed pruning machinery shared by both B&B engines. Every rule
+ * below is sound: it never changes the optimal objective value, only
+ * the number of nodes needed to prove it.
  *
  * Bound (degree-aware row relaxation). rowMax[h] is the best symmetric
  * pair reliability reachable through hardware qubit h, so any single
@@ -567,9 +568,7 @@ struct SearchCore
  *  - Product: each still-unscored pair is attributed to its earlier
  *    placement-order endpoint and charged weight * logRowMax of that
  *    endpoint's row — the actual row once the endpoint is placed
- *    (dyn_pot), the max_h fold otherwise (capE/suffixCapE). Every
- *    charge is <= the legacy global-max suffix potential's charge for
- *    the same op, so this bound is pointwise at least as tight.
+ *    (dyn_pot), the max_h fold otherwise (capE/suffixCapE).
  *
  * Symmetry. hwClass comes from ReliabilityMatrix::equivalenceClasses();
  * expanding more than one free member of a class at a node only
@@ -601,10 +600,6 @@ struct SearchCore
  */
 struct PruneTables
 {
-    bool useBound = false;
-    bool useSymmetry = false;
-    bool useDominance = false;
-
     std::vector<double> rowMax, logRowMax;
     // Per hardware qubit: every other qubit with its symmetric pair
     // score, sorted best-first (ties by index, for determinism).
@@ -689,13 +684,9 @@ struct PruneTables
 };
 
 PruneTables
-buildPruneTables(const SearchContext &ctx, bool use_bound,
-                 bool use_symmetry, bool use_dominance)
+buildPruneTables(const SearchContext &ctx)
 {
     PruneTables t;
-    t.useBound = use_bound;
-    t.useSymmetry = use_symmetry;
-    t.useDominance = use_dominance;
     const int mhw = ctx.numHw;
     const size_t n = ctx.order.size();
 
@@ -747,74 +738,68 @@ buildPruneTables(const SearchContext &ctx, bool use_bound,
                   });
     }
 
-    if (use_bound) {
-        t.suffixCap.assign(n + 1, 1.0);
-        t.suffixCapE.assign(n + 1, 0.0);
-        for (size_t k = n; k-- > 0;) {
-            ProgQubit q = ctx.order[k];
-            bool has_pair = t.lastPartnerPos[k] != -1;
-            bool measured = ctx.scoresReadout(q);
-            double cap_q = has_pair || measured ? 0.0 : 1.0;
-            double cap_e = measured || t.attrW[k] > 0.0
-                               ? -std::numeric_limits<double>::infinity()
-                               : 0.0;
-            for (HwQubit h = 0; h < mhw; ++h) {
-                if (has_pair || measured) {
-                    double c = 1.0;
-                    if (t.fwdDeg[k] > 0)
-                        c = std::min(c, t.kthBestAll(h, t.fwdDeg[k]));
-                    else if (has_pair)
-                        c = std::min(c, t.rowMax[static_cast<size_t>(h)]);
-                    if (measured)
-                        c = std::min(c, ctx.ro[static_cast<size_t>(h)]);
-                    cap_q = std::max(cap_q, c);
-                }
-                if (measured || t.attrW[k] > 0.0) {
-                    double e =
-                        t.attrW[k] * t.logRowMax[static_cast<size_t>(h)];
-                    if (measured)
-                        e += ctx.logRo[static_cast<size_t>(h)];
-                    cap_e = std::max(cap_e, e);
-                }
-            }
-            t.suffixCap[k] = std::min(t.suffixCap[k + 1], cap_q);
-            t.suffixCapE[k] = t.suffixCapE[k + 1] + cap_e;
-        }
-    }
-
-    if (use_symmetry) {
-        t.hwClass = ctx.rel.equivalenceClasses();
-        t.lowerPeers.resize(static_cast<size_t>(mhw));
+    t.suffixCap.assign(n + 1, 1.0);
+    t.suffixCapE.assign(n + 1, 0.0);
+    for (size_t k = n; k-- > 0;) {
+        ProgQubit q = ctx.order[k];
+        bool has_pair = t.lastPartnerPos[k] != -1;
+        bool measured = ctx.scoresReadout(q);
+        double cap_q = has_pair || measured ? 0.0 : 1.0;
+        double cap_e = measured || t.attrW[k] > 0.0
+                           ? -std::numeric_limits<double>::infinity()
+                           : 0.0;
         for (HwQubit h = 0; h < mhw; ++h) {
-            const int c = t.hwClass[static_cast<size_t>(h)];
-            t.numClasses = std::max(t.numClasses, c + 1);
-            for (HwQubit x = 0; x < h; ++x)
-                if (t.hwClass[static_cast<size_t>(x)] == c)
-                    t.lowerPeers[static_cast<size_t>(h)].push_back(x);
+            if (has_pair || measured) {
+                double c = 1.0;
+                if (t.fwdDeg[k] > 0)
+                    c = std::min(c, t.kthBestAll(h, t.fwdDeg[k]));
+                else if (has_pair)
+                    c = std::min(c, t.rowMax[static_cast<size_t>(h)]);
+                if (measured)
+                    c = std::min(c, ctx.ro[static_cast<size_t>(h)]);
+                cap_q = std::max(cap_q, c);
+            }
+            if (measured || t.attrW[k] > 0.0) {
+                double e =
+                    t.attrW[k] * t.logRowMax[static_cast<size_t>(h)];
+                if (measured)
+                    e += ctx.logRo[static_cast<size_t>(h)];
+                cap_e = std::max(cap_e, e);
+            }
         }
+        t.suffixCap[k] = std::min(t.suffixCap[k + 1], cap_q);
+        t.suffixCapE[k] = t.suffixCapE[k + 1] + cap_e;
     }
 
-    if (use_dominance) {
-        t.domGE.assign(static_cast<size_t>(mhw),
-                       std::vector<uint8_t>(static_cast<size_t>(mhw), 0));
-        for (HwQubit h2 = 0; h2 < mhw; ++h2)
-            for (HwQubit h1 = 0; h1 < mhw; ++h1) {
-                if (h1 == h2)
-                    continue;
-                if (ctx.includeReadout &&
-                    ctx.ro[static_cast<size_t>(h2)] <
-                        ctx.ro[static_cast<size_t>(h1)])
-                    continue;
-                bool ge = true;
-                for (HwQubit x = 0; x < mhw && ge; ++x) {
-                    if (x == h1 || x == h2)
-                        continue;
-                    ge = ctx.sym(h2, x) >= ctx.sym(h1, x);
-                }
-                t.domGE[static_cast<size_t>(h2)][static_cast<size_t>(h1)] =
-                    ge ? 1 : 0;
-            }
+    t.hwClass = ctx.rel.equivalenceClasses();
+    t.lowerPeers.resize(static_cast<size_t>(mhw));
+    for (HwQubit h = 0; h < mhw; ++h) {
+        const int c = t.hwClass[static_cast<size_t>(h)];
+        t.numClasses = std::max(t.numClasses, c + 1);
+        for (HwQubit x = 0; x < h; ++x)
+            if (t.hwClass[static_cast<size_t>(x)] == c)
+                t.lowerPeers[static_cast<size_t>(h)].push_back(x);
     }
+
+    t.domGE.assign(static_cast<size_t>(mhw),
+                   std::vector<uint8_t>(static_cast<size_t>(mhw), 0));
+    for (HwQubit h2 = 0; h2 < mhw; ++h2)
+        for (HwQubit h1 = 0; h1 < mhw; ++h1) {
+            if (h1 == h2)
+                continue;
+            if (ctx.includeReadout &&
+                ctx.ro[static_cast<size_t>(h2)] <
+                    ctx.ro[static_cast<size_t>(h1)])
+                continue;
+            bool ge = true;
+            for (HwQubit x = 0; x < mhw && ge; ++x) {
+                if (x == h1 || x == h2)
+                    continue;
+                ge = ctx.sym(h2, x) >= ctx.sym(h1, x);
+            }
+            t.domGE[static_cast<size_t>(h2)][static_cast<size_t>(h1)] =
+                ge ? 1 : 0;
+        }
     return t;
 }
 
@@ -900,8 +885,7 @@ struct BnbSearch
     {
         map[static_cast<size_t>(q)] = h;
         used[static_cast<size_t>(h)] = true;
-        if (tab.useSymmetry &&
-            --classFree[static_cast<size_t>(
+        if (--classFree[static_cast<size_t>(
                 tab.hwClass[static_cast<size_t>(h)])] == 0)
             --freeClasses;
     }
@@ -911,8 +895,7 @@ struct BnbSearch
     {
         map[static_cast<size_t>(q)] = -1;
         used[static_cast<size_t>(h)] = false;
-        if (tab.useSymmetry &&
-            classFree[static_cast<size_t>(
+        if (classFree[static_cast<size_t>(
                 tab.hwClass[static_cast<size_t>(h)])]++ == 0)
             ++freeClasses;
     }
@@ -968,16 +951,14 @@ struct BnbSearch
         }
         if (!core.tick())
             return;
-        if (tab.useBound && k == tab.firstIsolated) {
+        if (k == tab.firstIsolated) {
             closeIsolatedSuffix(k, cur_min);
             return;
         }
         ProgQubit q = ctx.order[k];
         // Node-constant bound: the unplaced-suffix cap and the prefix's
         // inherited degree caps.
-        const double static_cap =
-            tab.useBound ? std::min(tab.suffixCap[k + 1], inherited)
-                         : 1.0;
+        const double static_cap = std::min(tab.suffixCap[k + 1], inherited);
         const double cutoff = bestMin + 1e-15;
         const int fdeg = tab.fwdDeg[k];
         const bool fwd = tab.hasForward(k);
@@ -988,8 +969,7 @@ struct BnbSearch
         // beats the incumbent. The free-site degree cap walks h's row,
         // so it is taken only when the cheaper terms leave h alive.
         auto consider = [&](HwQubit h) {
-            if (used[static_cast<size_t>(h)] ||
-                (tab.useSymmetry && !tab.representative(h, used)))
+            if (used[static_cast<size_t>(h)] || !tab.representative(h, used))
                 return;
             double s = ctx.placementScore(k, h, map);
             double nm = std::min(cur_min, s);
@@ -997,7 +977,7 @@ struct BnbSearch
             if (ub <= cutoff)
                 return;
             double cap = 1.0;
-            if (tab.useBound && fdeg > 0) {
+            if (fdeg > 0) {
                 // q's fdeg forward partners need fdeg distinct free
                 // sites, so the worst of those pairs cannot beat the
                 // fdeg-th best free partner of h.
@@ -1032,9 +1012,8 @@ struct BnbSearch
         // Each free site is a class representative or a pruned class
         // member, and each representative is listed or bound-pruned.
         const long free_sites = ctx.numHw - static_cast<long>(k);
-        const long reps = tab.useSymmetry ? freeClasses : free_sites;
-        core.symmetryPruned += free_sites - reps;
-        core.boundPruned += reps - static_cast<long>(cands.size());
+        core.symmetryPruned += free_sites - freeClasses;
+        core.boundPruned += freeClasses - static_cast<long>(cands.size());
         // Order candidates by score so good branches are explored first.
         std::sort(cands.begin(), cands.end(),
                   [](const Cand &a, const Cand &b) {
@@ -1048,7 +1027,7 @@ struct BnbSearch
                 ++core.boundPruned;
                 continue;
             }
-            if (tab.useDominance && !fwd) {
+            if (!fwd) {
                 bool dominated = false;
                 for (HwQubit h1 : expanded)
                     if (tab.domGE[static_cast<size_t>(c.h)]
@@ -1066,7 +1045,7 @@ struct BnbSearch
             unplace(q, c.h);
             if (core.exhausted)
                 return;
-            if (tab.useDominance && !fwd)
+            if (!fwd)
                 expanded.push_back(c.h);
         }
     }
@@ -1074,10 +1053,7 @@ struct BnbSearch
 
 /**
  * Exact product-objective search: the [46]-style whole-graph objective
- * the paper contrasts with max-min. With the row relaxation off it
- * falls back to the legacy static suffix potential (every remaining
- * operation at the device-wide best reliability), which is what the
- * micro_mapper ablation rows measure against.
+ * the paper contrasts with max-min.
  */
 struct BnbProductSearch
 {
@@ -1098,9 +1074,6 @@ struct BnbProductSearch
     std::vector<bool> used;
     std::vector<DepthFrame<Cand>> frames;
     std::vector<HwQubit> freeHw;
-    // Legacy bound: suffixPotential[k] caps the contribution of
-    // placements k..end at the device-wide best reliabilities.
-    std::vector<double> suffixPotential;
 
     BnbProductSearch(const SearchContext &c, const PruneTables &t,
                      long node_budget, const CompileBudget &clk,
@@ -1111,23 +1084,6 @@ struct BnbProductSearch
           used(static_cast<size_t>(c.numHw), false),
           frames(c.order.size())
     {
-        if (!tab.useBound) {
-            double max_pair_log =
-                std::log(std::max(ctx.rel.maxPairReliability(), 1e-300));
-            double best_ro = 0.0;
-            for (double r : ctx.ro)
-                best_ro = std::max(best_ro, r);
-            double max_ro_log = std::log(std::max(best_ro, 1e-300));
-            suffixPotential.assign(ctx.order.size() + 1, 0.0);
-            for (size_t k = ctx.order.size(); k-- > 0;) {
-                double pot = suffixPotential[k + 1];
-                for (const auto &p : ctx.backPairs[k])
-                    pot += p.weight * max_pair_log;
-                if (ctx.scoresReadout(ctx.order[k]))
-                    pot += max_ro_log;
-                suffixPotential[k] = pot;
-            }
-        }
     }
 
     /** Objective contribution of placing order[k] at h. */
@@ -1210,11 +1166,11 @@ struct BnbProductSearch
         }
         if (!core.tick())
             return;
-        if (tab.useBound && k == tab.firstIsolated) {
+        if (k == tab.firstIsolated) {
             closeIsolatedSuffix(k, cur_sum);
             return;
         }
-        const double back_adj = tab.useBound ? backAdjust(k) : 0.0;
+        const double back_adj = backAdjust(k);
         const bool fwd = tab.hasForward(k);
         DepthFrame<Cand> &frame = frames[k];
         std::vector<Cand> &cands = frame.cands;
@@ -1222,21 +1178,15 @@ struct BnbProductSearch
         for (HwQubit h = 0; h < ctx.numHw; ++h) {
             if (used[static_cast<size_t>(h)])
                 continue;
-            if (tab.useSymmetry && !tab.representative(h, used)) {
+            if (!tab.representative(h, used)) {
                 ++core.symmetryPruned;
                 continue;
             }
             double ns = cur_sum + contribution(k, h);
-            double ub;
-            double child_pot = 0.0;
-            if (tab.useBound) {
-                child_pot = dyn_pot - back_adj +
-                            tab.attrW[k] *
-                                tab.logRowMax[static_cast<size_t>(h)];
-                ub = ns + child_pot + tab.suffixCapE[k + 1];
-            } else {
-                ub = ns + suffixPotential[k + 1];
-            }
+            double child_pot =
+                dyn_pot - back_adj +
+                tab.attrW[k] * tab.logRowMax[static_cast<size_t>(h)];
+            double ub = ns + child_pot + tab.suffixCapE[k + 1];
             if (ub > bestSum + 1e-12)
                 cands.push_back({ns, ub, child_pot, h});
             else
@@ -1254,7 +1204,7 @@ struct BnbProductSearch
                 ++core.boundPruned;
                 continue;
             }
-            if (tab.useDominance && !fwd) {
+            if (!fwd) {
                 bool dominated = false;
                 for (HwQubit h1 : expanded)
                     if (tab.domGE[static_cast<size_t>(c.h)]
@@ -1274,7 +1224,7 @@ struct BnbProductSearch
             map[static_cast<size_t>(ctx.order[k])] = -1;
             if (core.exhausted)
                 return;
-            if (tab.useDominance && !fwd)
+            if (!fwd)
                 expanded.push_back(c.h);
         }
     }
@@ -1353,8 +1303,7 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
     bool warm_requested = !opts.warmStart.empty();
     bool warm = warm_requested &&
                 validPlacement(opts.warmStart, info.numProgQubits,
-                               rel.numQubits()) &&
-                envInt("TRIQ_MAPPER_WARM", 1, 0) != 0;
+                               rel.numQubits());
     auto mark_warm = [&](Mapping &m) {
         m.warmStarted = warm;
         if (warm)
@@ -1407,14 +1356,7 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
                 "degraded to the seed incumbent");
             return m;
         }
-        bool use_bound = opts.useStrongBound &&
-                         envInt("TRIQ_MAPPER_BOUND", 1, 0) != 0;
-        bool use_sym = opts.useSymmetry &&
-                       envInt("TRIQ_MAPPER_SYMMETRY", 1, 0) != 0;
-        bool use_dom = opts.useDominance &&
-                       envInt("TRIQ_MAPPER_DOMINANCE", 1, 0) != 0;
-        PruneTables tab =
-            buildPruneTables(ctx, use_bound, use_sym, use_dom);
+        PruneTables tab = buildPruneTables(ctx);
         auto finish = [&](const SearchCore &core,
                           std::vector<HwQubit> best_map) {
             Mapping m = finishMapping(info, rel, std::move(best_map),
@@ -1425,7 +1367,6 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
             m.boundPruned = core.boundPruned;
             m.symmetryPruned = core.symmetryPruned;
             m.dominancePruned = core.dominancePruned;
-            m.boundType = use_bound ? "row-relax" : "legacy";
             mark_warm(m);
             if (core.timedOut)
                 m.notes.push_back(

@@ -11,8 +11,10 @@
  * Four interchangeable engines:
  *  - Trivial: identity placement (the paper's "default qubit mapping");
  *  - Greedy: reliability-ordered constructive placement + local search;
- *  - BranchAndBound: exact max-min search with incumbent pruning and a
- *    node budget (falls back to the greedy incumbent when exhausted);
+ *  - BranchAndBound: exact search with an admissible row-relaxation
+ *    bound, equivalence-class symmetry pruning and sibling-dominance
+ *    cuts under a node budget (falls back to the greedy incumbent when
+ *    exhausted);
  *  - Smt: the paper-faithful Z3 optimization encoding (available when
  *    the library is built with Z3; otherwise falls back to B&B).
  */
@@ -98,19 +100,6 @@ struct MappingOptions
     unsigned smtTimeoutMs = 60000;
 
     /**
-     * Planner-grade pruning toggles for the B&B engines (all on by
-     * default; each can also be vetoed at runtime with
-     * TRIQ_MAPPER_BOUND / TRIQ_MAPPER_SYMMETRY / TRIQ_MAPPER_DOMINANCE
-     * = 0). All three are *sound*: they never change the optimal
-     * objective value, only the number of nodes needed to prove it.
-     * Turning them off reproduces the legacy search, which is what the
-     * micro_mapper ablation rows measure against.
-     */
-    bool useStrongBound = true;  //!< Row-relaxation admissible bound.
-    bool useSymmetry = true;     //!< Equivalence-class representatives.
-    bool useDominance = true;    //!< Sibling-dominance substitution.
-
-    /**
      * Optional warm-start placement (program -> hardware, injective,
      * sized numProgQubits). When valid it is polished by local search
      * and the *better* of it and the constructive greedy seed becomes
@@ -121,8 +110,7 @@ struct MappingOptions
      * incumbent is never below the cold one and pruning is sound, the
      * returned objective value is never worse than a cold search's at
      * any node budget. Empty or invalid vectors are ignored (falling
-     * back to the greedy seed), and TRIQ_MAPPER_WARM=0 disables warm
-     * starting globally.
+     * back to the greedy seed).
      */
     std::vector<HwQubit> warmStart;
 
@@ -162,13 +150,6 @@ struct Mapping
 
     /** Candidates cut by sibling-dominance substitution. */
     long dominancePruned = 0;
-
-    /**
-     * Which upper bound the B&B engine ran with: "row-relax" (the
-     * per-qubit best-edge relaxation), "legacy" (static suffix
-     * potential / bare incumbent cut), or "" for non-B&B engines.
-     */
-    std::string boundType;
 
     /** True when the search was seeded from MappingOptions::warmStart. */
     bool warmStarted = false;

@@ -254,17 +254,4 @@ ReliabilityMatrix::equivalenceClasses() const
     return cls;
 }
 
-double
-ReliabilityMatrix::maxPairReliability() const
-{
-    double best = 0.0;
-    for (int i = 0; i < numQubits_; ++i)
-        for (int j = 0; j < numQubits_; ++j)
-            if (i != j)
-                best = std::max(
-                    best,
-                    pairRel_[static_cast<size_t>(i)][static_cast<size_t>(j)]);
-    return best;
-}
-
 } // namespace triq

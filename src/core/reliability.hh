@@ -77,9 +77,6 @@ class ReliabilityMatrix
     /** Readout reliability (1 - readout error) of qubit q. */
     double readoutReliability(HwQubit q) const;
 
-    /** The largest pair reliability anywhere in the matrix. */
-    double maxPairReliability() const;
-
     /**
      * Hardware-qubit equivalence classes with respect to the mapper's
      * scoring function: h1 and h2 share a class iff they have equal

@@ -362,6 +362,56 @@ TEST(Env, EnvDoubleWarnsOnMalformedValue)
     unsetenv("TRIQ_TEST_ENVDBL");
 }
 
+TEST(Env, ParseNumberRequiresTheWholeString)
+{
+    long i = 7;
+    EXPECT_TRUE(parseNumber("42", i));
+    EXPECT_EQ(i, 42);
+    EXPECT_TRUE(parseNumber("-5", i));
+    EXPECT_EQ(i, -5);
+    for (const char *bad :
+         {"", "abc", "3x", "1e6", " 4 ", "99999999999999999999999"}) {
+        i = 7;
+        EXPECT_FALSE(parseNumber(bad, i)) << "value: " << bad;
+        EXPECT_EQ(i, 7) << "value: " << bad;
+    }
+    double d = 0.5;
+    EXPECT_TRUE(parseNumber("1e6", d));
+    EXPECT_EQ(d, 1e6);
+    EXPECT_TRUE(parseNumber("-0.25", d));
+    EXPECT_EQ(d, -0.25);
+    for (const char *bad : {"", "abc", "0.05x", "nan", "inf", "1e999"}) {
+        d = 0.5;
+        EXPECT_FALSE(parseNumber(bad, d)) << "value: " << bad;
+        EXPECT_EQ(d, 0.5) << "value: " << bad;
+    }
+}
+
+TEST(Env, FlagValueRejectsMalformedAndOutOfRangeValues)
+{
+    EXPECT_EQ(flagValue("--day", "3", 0), 3);
+    EXPECT_EQ(flagValue("--node-budget", "1000000", 1L), 1000000L);
+    EXPECT_EQ(flagValue("--sim-fusion", "-1", -1, 1), -1);
+    EXPECT_DOUBLE_EQ(flagValue("--budget-ms", "2.5", 0.0), 2.5);
+    EXPECT_DOUBLE_EQ(flagValue<double>("--drift", "-1"), -1.0);
+    for (const char *bad : {"1e6", "abc", "-5", ""})
+        EXPECT_THROW(flagValue("--node-budget", bad, 1L), FatalError)
+            << "value: " << bad;
+    EXPECT_THROW(flagValue("--sim-fusion", "2", -1, 1), FatalError);
+    EXPECT_THROW(flagValue("--budget-ms", "abc", 0.0), FatalError);
+    // Past INT_MAX an int flag is rejected, never truncated.
+    EXPECT_THROW(flagValue("--day", "4294967296", 0), FatalError);
+    // The error names the flag and the rejected text.
+    try {
+        flagValue("--day", "3x", 0);
+        ADD_FAILURE() << "--day 3x was accepted";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("--day"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("'3x'"), std::string::npos) << msg;
+    }
+}
+
 TEST(ThreadPool, RunsEveryJobAcrossWorkers)
 {
     ThreadPool pool(4);

@@ -10,10 +10,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <string>
-#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -284,6 +282,8 @@ TEST_P(ProductOptimality, BnbMatchesExhaustiveSearch)
 
 INSTANTIATE_TEST_SUITE_P(RandomCalibrations, ProductOptimality,
                          ::testing::Range(uint64_t{40}, uint64_t{52}));
+INSTANTIATE_TEST_SUITE_P(MoreCalibrations, ProductOptimality,
+                         ::testing::Range(uint64_t{1010}, uint64_t{1014}));
 
 TEST(MapperTest, MaxMinPrunesBetterThanProduct)
 {
@@ -330,21 +330,8 @@ TEST(MapperTest, GreedyNeverBeatenBadlyByTrivial)
 }
 
 // ---------------------------------------------------------------------
-// Planner-grade search: every pruning feature must be sound (same
-// optimum as exhaustive search) in isolation and in combination, the
-// warm-start path must honor its never-worse contract, and the runtime
-// vetoes must actually veto.
-
-MappingOptions
-plannerOpts(bool bound, bool symmetry, bool dominance)
-{
-    MappingOptions opts;
-    opts.kind = MapperKind::BranchAndBound;
-    opts.useStrongBound = bound;
-    opts.useSymmetry = symmetry;
-    opts.useDominance = dominance;
-    return opts;
-}
+// Planner-grade search: symmetry pruning must keep the optimum, and the
+// warm-start path must honor its never-worse contract.
 
 /** The symmetric pair score the search uses (mapper-internal). */
 double
@@ -353,48 +340,6 @@ symScore(const ReliabilityMatrix &rel, HwQubit a, HwQubit b)
     return std::max(rel.pairReliability(a, b),
                     rel.pairReliability(b, a));
 }
-
-class ToggleOptimality
-    : public ::testing::TestWithParam<std::tuple<uint64_t, int>>
-{
-};
-
-TEST_P(ToggleOptimality, MaxMinMatchesExhaustiveSearch)
-{
-    auto [seed, combo] = GetParam();
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, seed);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    MappingOptions opts =
-        plannerOpts(combo & 1, combo & 2, combo & 4);
-    Mapping m = mapQubits(info, rel, opts);
-    EXPECT_TRUE(m.optimal);
-    EXPECT_EQ(m.boundType, (combo & 1) ? "row-relax" : "legacy");
-    double best = bruteForceBest(info, rel, opts.includeReadout);
-    EXPECT_NEAR(m.minReliability, best, 1e-9);
-}
-
-TEST_P(ToggleOptimality, ProductMatchesExhaustiveSearch)
-{
-    auto [seed, combo] = GetParam();
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, seed + 1000);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    MappingOptions opts =
-        plannerOpts(combo & 1, combo & 2, combo & 4);
-    opts.objective = MappingObjective::Product;
-    Mapping m = mapQubits(info, rel, opts);
-    EXPECT_TRUE(m.optimal);
-    double best = bruteForceBestProduct(info, rel, opts.includeReadout);
-    EXPECT_NEAR(m.logProduct, best, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllToggleCombos, ToggleOptimality,
-    ::testing::Combine(::testing::Range(uint64_t{10}, uint64_t{14}),
-                       ::testing::Range(0, 8)));
 
 TEST(PlannerSearch, UniformCalibrationKeepsOptimalityWithSymmetry)
 {
@@ -429,48 +374,13 @@ TEST(PlannerSearch, UniformCalibrationKeepsOptimalityWithSymmetry)
     }
     Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
     ProgramInfo info = ProgramInfo::fromCircuit(c);
-    Mapping m = mapQubits(info, rel, plannerOpts(true, true, true));
+    Mapping m = mapQubits(info, rel, MappingOptions{});
     EXPECT_TRUE(m.optimal);
     EXPECT_NEAR(m.minReliability, bruteForceBest(info, rel, true),
                 1e-9);
     if (num_classes < rel.numQubits()) {
         EXPECT_GT(m.symmetryPruned, 0);
     }
-}
-
-TEST(PlannerSearch, StrongBoundNeverExpandsMoreNodes)
-{
-    // Anytime dominance: the stronger bound prunes a superset of the
-    // subtrees the bare incumbent cut prunes, so at any budget the new
-    // engine explores no more nodes and returns no worse a value.
-    Device dev = makeIbmQ14();
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    for (uint64_t seed : {21u, 22u, 23u}) {
-        ReliabilityMatrix rel = randomMatrix(dev, seed);
-        Mapping legacy =
-            mapQubits(info, rel, plannerOpts(false, false, false));
-        Mapping fresh =
-            mapQubits(info, rel, plannerOpts(true, true, true));
-        EXPECT_LE(fresh.nodesExplored, legacy.nodesExplored);
-        EXPECT_GE(fresh.minReliability, legacy.minReliability - 1e-12);
-        EXPECT_GT(fresh.boundPruned, 0);
-    }
-}
-
-TEST(PlannerSearch, EnvVetoFallsBackToLegacyBound)
-{
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, 31);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    setenv("TRIQ_MAPPER_BOUND", "0", 1);
-    Mapping m = mapQubits(info, rel, plannerOpts(true, true, true));
-    unsetenv("TRIQ_MAPPER_BOUND");
-    EXPECT_EQ(m.boundType, "legacy");
-    EXPECT_TRUE(m.optimal);
-    EXPECT_NEAR(m.minReliability, bruteForceBest(info, rel, true),
-                1e-9);
 }
 
 TEST(WarmStart, MatchesColdSearchValue)
@@ -587,22 +497,6 @@ TEST(WarmStart, AnytimeUnderExpiredDeadline)
     EXPECT_TRUE(m.warmStarted);
     EXPECT_FALSE(m.optimal);
     EXPECT_EQ(m.progToHw, opts.warmStart);
-}
-
-TEST(WarmStart, EnvVetoDisablesWarmStart)
-{
-    Device dev = makeIbmQ5();
-    ReliabilityMatrix rel = randomMatrix(dev, 97);
-    Circuit c = decomposeToCnotBasis(makeBenchmark("Adder"));
-    ProgramInfo info = ProgramInfo::fromCircuit(c);
-    MappingOptions opts;
-    opts.warmStart.resize(static_cast<size_t>(info.numProgQubits));
-    std::iota(opts.warmStart.begin(), opts.warmStart.end(), 0);
-    setenv("TRIQ_MAPPER_WARM", "0", 1);
-    Mapping m = mapQubits(info, rel, opts);
-    unsetenv("TRIQ_MAPPER_WARM");
-    EXPECT_FALSE(m.warmStarted);
-    EXPECT_TRUE(m.optimal);
 }
 
 // ---------------------------------------------------------------------
@@ -756,14 +650,40 @@ TEST(GoldenMapping, Fig13LadderIsBitIdentical)
     }
 }
 
+// The 16-qubit rung at fig13's own 200000-node budget: the max-min
+// search proves this optimum, which the 20000-node ladder above leaves
+// unproved. Pins the placement, both objective bits and the proof's
+// node and bound-prune counts.
+TEST(GoldenMapping, Fig13SixteenQubitProofIsBitIdentical)
+{
+    Device dev("Grid16", Topology::grid(4, 4), GateSet::ibm(),
+               makeIbmQ14().noiseSpec());
+    Circuit lowered = decomposeToCnotBasis(makeSupremacy(4, 4, 32, 1),
+                                           dev.gateSet().nativeCphase);
+    ProgramInfo info = ProgramInfo::fromCircuit(lowered);
+    ReliabilityMatrix rel(dev.topology(), dev.calibrate(1), dev.vendor());
+    MappingOptions opts;
+    opts.nodeBudget = 200000;
+    Mapping m = mapQubits(info, rel, opts);
+    const Golden want = {0xb0be7c66c3e23d25ull, 0x1.9fb4672b2ab22p-1,
+                         -0x1.4f4afb79af7e4p+3, 187006, 1194160};
+    SCOPED_TRACE("got " + goldenLiteral(m));
+    EXPECT_TRUE(m.optimal);
+    EXPECT_EQ(placementHash(m.progToHw), want.mapHash);
+    EXPECT_EQ(m.minReliability, want.minReliability);
+    EXPECT_EQ(m.logProduct, want.logProduct);
+    EXPECT_EQ(m.nodesExplored, want.nodes);
+    EXPECT_EQ(m.boundPruned, want.boundPruned);
+}
+
 // ---------------------------------------------------------------------
 // Golden digest of the study corpus: every fig07 program on every study
 // machine wide enough for it, on the day-0 calibration and on the
-// average one (the TriQ-1QOptC matrix), B&B under both objectives and
-// all eight bound/symmetry/dominance toggles. The fig13 ladder's
-// sampled calibrations make every symmetry class a singleton and never
-// fire dominance; the average calibrations have real classes, so this
-// digest pins the symmetry and dominance counters as well.
+// average one (the TriQ-1QOptC matrix), B&B under both objectives. The
+// fig13 ladder's sampled calibrations make every symmetry class a
+// singleton and never fire dominance; the average calibrations have
+// real classes, so this digest pins the symmetry and dominance counters
+// as well.
 
 TEST(GoldenMapping, StudyCorpusIsBitIdentical)
 {
@@ -782,37 +702,32 @@ TEST(GoldenMapping, StudyCorpusIsBitIdentical)
             ProgramInfo info = ProgramInfo::fromCircuit(lowered);
             for (const ReliabilityMatrix &rel : mats)
                 for (MappingObjective obj :
-                     {MappingObjective::MaxMin, MappingObjective::Product})
-                    for (int toggles = 0; toggles < 8; ++toggles) {
-                        MappingOptions opts;
-                        opts.kind = MapperKind::BranchAndBound;
-                        opts.objective = obj;
-                        opts.nodeBudget = 20000;
-                        opts.useStrongBound = (toggles & 1) != 0;
-                        opts.useSymmetry = (toggles & 2) != 0;
-                        opts.useDominance = (toggles & 4) != 0;
-                        Mapping m = mapQubits(info, rel, opts);
-                        for (HwQubit q : m.progToHw)
-                            digest.i64(q);
-                        digest.f64(m.minReliability)
-                            .f64(m.logProduct)
-                            .i64(m.nodesExplored)
-                            .i64(m.boundPruned)
-                            .i64(m.symmetryPruned)
-                            .i64(m.dominancePruned)
-                            .b(m.optimal);
-                        ++calls;
-                        symmetry_calls += m.symmetryPruned > 0;
-                        dominance_calls += m.dominancePruned > 0;
-                        exhausted_calls += m.nodesExplored > opts.nodeBudget;
-                    }
+                     {MappingObjective::MaxMin, MappingObjective::Product}) {
+                    MappingOptions opts;
+                    opts.objective = obj;
+                    opts.nodeBudget = 20000;
+                    Mapping m = mapQubits(info, rel, opts);
+                    for (HwQubit q : m.progToHw)
+                        digest.i64(q);
+                    digest.f64(m.minReliability)
+                        .f64(m.logProduct)
+                        .i64(m.nodesExplored)
+                        .i64(m.boundPruned)
+                        .i64(m.symmetryPruned)
+                        .i64(m.dominancePruned)
+                        .b(m.optimal);
+                    ++calls;
+                    symmetry_calls += m.symmetryPruned > 0;
+                    dominance_calls += m.dominancePruned > 0;
+                    exhausted_calls += m.nodesExplored > opts.nodeBudget;
+                }
         }
     }
-    EXPECT_EQ(calls, 2400);
-    EXPECT_EQ(symmetry_calls, 144);
-    EXPECT_EQ(dominance_calls, 40);
-    EXPECT_EQ(exhausted_calls, 64);
-    EXPECT_EQ(digest.value(), 0xb564ba2fcdb61839ull);
+    EXPECT_EQ(calls, 300);
+    EXPECT_EQ(symmetry_calls, 36);
+    EXPECT_EQ(dominance_calls, 6);
+    EXPECT_EQ(exhausted_calls, 8);
+    EXPECT_EQ(digest.value(), 0x08cd0457f1c2a72full);
 }
 
 // ---------------------------------------------------------------------

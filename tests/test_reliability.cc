@@ -179,12 +179,6 @@ TEST(Reliability, FullyConnectedNeedsNoSwaps)
             }
 }
 
-TEST(Reliability, MaxPairReliability)
-{
-    ReliabilityMatrix rel = fig6Matrix();
-    EXPECT_NEAR(rel.maxPairReliability(), 0.9, 1e-9);
-}
-
 TEST(Reliability, MismatchedCalibrationRejected)
 {
     Device dev = makeIbmQ5();

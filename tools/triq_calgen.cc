@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 
@@ -41,7 +42,7 @@ main(int argc, char **argv)
                 !std::strcmp(arg, "--device"))
                 device = need_value(arg);
             else if (!std::strcmp(arg, "--day"))
-                day = std::atoi(need_value(arg));
+                day = flagValue(arg, need_value(arg), 0);
             else if (!std::strcmp(arg, "--average"))
                 average = true;
             else if (!std::strcmp(arg, "-o"))

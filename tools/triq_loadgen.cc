@@ -45,6 +45,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "service/wire.hh"
 #include "workloads/benchmarks.hh"
@@ -328,19 +329,19 @@ run(int argc, char **argv)
         if (!std::strcmp(arg, "--socket"))
             opt.socketPath = next();
         else if (!std::strcmp(arg, "--clients"))
-            opt.clients = std::atoi(next());
+            opt.clients = flagValue(arg, next(), 1);
         else if (!std::strcmp(arg, "--reps"))
-            opt.reps = std::atoi(next());
+            opt.reps = flagValue(arg, next(), 1);
         else if (!std::strcmp(arg, "--op"))
             opt.op = next();
         else if (!std::strcmp(arg, "--trials"))
-            opt.trials = std::atoi(next());
+            opt.trials = flagValue(arg, next(), 1);
         else if (!std::strcmp(arg, "--device"))
             opt.device = next();
         else if (!std::strcmp(arg, "--fault"))
             opt.fault = true;
         else if (!std::strcmp(arg, "--timeout-ms"))
-            opt.timeoutMs = std::atof(next());
+            opt.timeoutMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "-o") || !std::strcmp(arg, "--json"))
             opt.outPath = next();
         else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
@@ -356,8 +357,6 @@ run(int argc, char **argv)
     }
     if (opt.op != "compile" && opt.op != "simulate")
         fatal("triq-loadgen: --op must be compile or simulate");
-    if (opt.clients < 1 || opt.reps < 1)
-        fatal("triq-loadgen: --clients and --reps must be >= 1");
 
     auto t0 = Clock::now();
     std::vector<ClientResult> results(opt.clients);

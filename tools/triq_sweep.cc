@@ -42,6 +42,7 @@
 #include <sstream>
 
 #include "common/diagnostics.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 #include "lang/lower.hh"
@@ -108,18 +109,21 @@ deviceByName(const std::string &name)
 void
 parseDays(std::istringstream &rest, std::vector<int> &out)
 {
+    auto day = [](const std::string &s) {
+        return flagValue("triq-sweep: days", s.c_str(), 0);
+    };
     std::string tok;
     while (rest >> tok) {
         auto dots = tok.find("..");
         if (dots != std::string::npos) {
-            int lo = std::stoi(tok.substr(0, dots));
-            int hi = std::stoi(tok.substr(dots + 2));
+            int lo = day(tok.substr(0, dots));
+            int hi = day(tok.substr(dots + 2));
             if (hi < lo)
                 fatal("triq-sweep: bad day range '", tok, "'");
             for (int d = lo; d <= hi; ++d)
                 out.push_back(d);
         } else {
-            out.push_back(std::stoi(tok));
+            out.push_back(day(tok));
         }
     }
 }
@@ -250,9 +254,9 @@ run(int argc, char **argv)
         else if (!std::strcmp(arg, "-o") || !std::strcmp(arg, "--json"))
             out_path = next();
         else if (!std::strcmp(arg, "--threads"))
-            threads = std::atoi(next());
+            threads = flagValue(arg, next(), 0);
         else if (!std::strcmp(arg, "--drift"))
-            drift = std::atof(next());
+            drift = flagValue<double>(arg, next());
         else if (!std::strcmp(arg, "--no-cache"))
             no_cache = true;
         else if (!std::strcmp(arg, "--journal"))

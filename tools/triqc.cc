@@ -37,6 +37,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/fault_injector.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
@@ -139,15 +140,15 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "-m") || !std::strcmp(arg, "--mapper"))
             a.mapper = need_value(i, arg);
         else if (!std::strcmp(arg, "--day"))
-            a.day = std::atoi(need_value(i, arg));
+            a.day = flagValue(arg, need_value(i, arg), 0);
         else if (!std::strcmp(arg, "--calibration"))
             a.calibrationFile = need_value(i, arg);
         else if (!std::strcmp(arg, "--bench"))
             a.benchName = need_value(i, arg);
         else if (!std::strcmp(arg, "--budget-ms"))
-            a.budgetMs = std::atof(need_value(i, arg));
+            a.budgetMs = flagValue(arg, need_value(i, arg), 0.0);
         else if (!std::strcmp(arg, "--node-budget"))
-            a.nodeBudget = std::atol(need_value(i, arg));
+            a.nodeBudget = flagValue(arg, need_value(i, arg), 1L);
         else if (!std::strcmp(arg, "--strict-calibration"))
             a.strictCalibration = true;
         else if (!std::strcmp(arg, "--diag-json"))
@@ -161,11 +162,11 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--verify"))
             a.verify = true;
         else if (!std::strcmp(arg, "--trials"))
-            a.trials = std::atoi(need_value(i, arg));
+            a.trials = flagValue(arg, need_value(i, arg), 1);
         else if (!std::strcmp(arg, "--sim-threads"))
-            a.simThreads = std::atoi(need_value(i, arg));
+            a.simThreads = flagValue(arg, need_value(i, arg), -1);
         else if (!std::strcmp(arg, "--sim-fusion"))
-            a.simFusion = std::atoi(need_value(i, arg));
+            a.simFusion = flagValue(arg, need_value(i, arg), -1, 1);
         else if (!std::strcmp(arg, "--crash-dir"))
             a.crashDir = need_value(i, arg);
         else if (!std::strcmp(arg, "--replay"))

@@ -49,6 +49,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "service/server.hh"
 
@@ -336,19 +337,19 @@ run(int argc, char **argv)
         else if (!std::strcmp(arg, "--stdio"))
             stdio = true;
         else if (!std::strcmp(arg, "--threads"))
-            cfg.workers = std::atoi(next());
+            cfg.workers = flagValue(arg, next(), 0);
         else if (!std::strcmp(arg, "--queue"))
-            cfg.queueCapacity = std::atoi(next());
+            cfg.queueCapacity = flagValue(arg, next(), 0);
         else if (!std::strcmp(arg, "--timeout-ms"))
-            cfg.timeoutMs = std::atof(next());
+            cfg.timeoutMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--drain-ms"))
-            cfg.drainMs = std::atof(next());
+            cfg.drainMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--drain-hard-ms"))
-            cfg.drainHardMs = std::atof(next());
+            cfg.drainHardMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--max-bytes"))
-            cfg.maxRequestBytes = std::atol(next());
+            cfg.maxRequestBytes = flagValue(arg, next(), 0L);
         else if (!std::strcmp(arg, "--budget-ms"))
-            cfg.budgetMs = std::atof(next());
+            cfg.budgetMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--crash-dir"))
             cfg.crashDir = next();
         else if (!std::strcmp(arg, "-h") || !std::strcmp(arg, "--help")) {
