@@ -1,5 +1,8 @@
 #include "bench_util.hh"
 
+#include <fstream>
+#include <iostream>
+
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -107,6 +110,27 @@ successCell(const ExecutionResult &ex)
     if (!ex.correctIsModal)
         s += "*";
     return s;
+}
+
+const char *
+flagArg(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        fatal(argv[i], " needs a value");
+    return argv[++i];
+}
+
+void
+writeReport(const char *tool, const JsonWriter &report,
+            const std::string &json_file)
+{
+    std::cout << report.str() << "\n";
+    if (json_file.empty())
+        return;
+    std::ofstream out(json_file);
+    if (!out)
+        fatal(tool, ": cannot write '", json_file, "'");
+    out << report.str() << "\n";
 }
 
 } // namespace bench

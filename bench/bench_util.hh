@@ -1,7 +1,9 @@
 /**
  * @file
  * Shared plumbing for the figure-reproduction harnesses: device lookup,
- * compile-and-execute helpers, and consistent run configuration.
+ * compile-and-execute helpers, and consistent run configuration; plus
+ * writeReport, the one place the micro benches print their JSON
+ * reports (built with JsonWriter) and write them to `--json FILE`.
  *
  * Environment knobs:
  *   TRIQ_TRIALS       trials per success-rate measurement (default
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/sweep.hh"
@@ -100,6 +103,17 @@ ExecutionResult runCompiled(const CompileResult &res, const Device &dev,
 
 /** Success-rate cell: "0.87" or "0.12*" when not modal (paper: failed). */
 std::string successCell(const ExecutionResult &ex);
+
+/** The value after flag argv[i], advancing i; fatal() when missing. */
+const char *flagArg(int argc, char **argv, int &i);
+
+/**
+ * Print a micro bench's JSON report on stdout and, when `json_file` is
+ * not empty, write it there too; fatal() names `tool` when the file
+ * cannot be written.
+ */
+void writeReport(const char *tool, const JsonWriter &report,
+                 const std::string &json_file);
 
 } // namespace bench
 } // namespace triq

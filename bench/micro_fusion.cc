@@ -24,13 +24,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "workloads/benchmarks.hh"
@@ -64,29 +62,21 @@ try {
     int threads = std::max(2, ThreadPool::hardwareThreads());
     int reps = 3;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_fusion: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--device"))
-            device_name = need_value("--device");
+            device_name = bench::flagArg(argc, argv, i);
         else if (!std::strcmp(argv[i], "--bench"))
-            bench_names.push_back(need_value("--bench"));
+            bench_names.push_back(bench::flagArg(argc, argv, i));
         else if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
+            trials = flagValue("--trials", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
+            threads = flagValue("--threads", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
+            reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_fusion: unknown argument '", argv[i], "'");
     }
-    if (trials < 1 || threads < 1 || reps < 1)
-        fatal("micro_fusion: --trials, --threads and --reps must be "
-              ">= 1");
     if (bench_names.empty())
         bench_names = benchmarkNames(); // the fig07 set
 
@@ -109,8 +99,13 @@ try {
     };
     constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 
+    JsonWriter w;
+    w.beginObject();
+    w.key("device").value(device_name).key("day").value(day);
+    w.key("trials").value(trials).key("threads").value(threads);
+    w.key("reps").value(reps);
+    w.key("benchmarks").beginArray();
     double total_ms[kNumConfigs] = {};
-    std::ostringstream rows;
     std::vector<std::string> skipped;
     bool all_identical = true;
 
@@ -145,56 +140,35 @@ try {
         }
         all_identical = all_identical && row_identical;
 
-        rows << (rows.tellp() > 0 ? ",\n" : "") << "    {\n"
-             << "      \"benchmark\": \"" << name << "\",\n"
-             << "      \"baseline_ms\": " << ms[0] << ",\n"
-             << "      \"fusion_only_ms\": " << ms[1] << ",\n"
-             << "      \"fusion_threaded_ms\": " << ms[2] << ",\n"
-             << "      \"speedup\": "
-             << (ms[1] > 0.0 ? ms[0] / ms[1] : 0.0) << ",\n"
-             << "      \"faulty_trials\": "
-             << res[0].simulatedTrajectories << ",\n"
-             << "      \"histograms_identical\": "
-             << (row_identical ? "true" : "false") << "\n"
-             << "    }";
+        w.beginObject();
+        w.key("benchmark").value(name);
+        w.key("baseline_ms").value(ms[0]);
+        w.key("fusion_only_ms").value(ms[1]);
+        w.key("fusion_threaded_ms").value(ms[2]);
+        w.key("speedup").value(ms[1] > 0.0 ? ms[0] / ms[1] : 0.0);
+        w.key("faulty_trials").value(res[0].simulatedTrajectories);
+        w.key("histograms_identical").value(row_identical);
+        w.endObject();
     }
-    if (rows.tellp() > 0)
-        rows << "\n";
+    w.endArray();
 
     auto speedup = [&](size_t ci) {
         return total_ms[ci] > 0.0 ? total_ms[0] / total_ms[ci] : 0.0;
     };
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"device\": \"" << device_name << "\",\n"
-         << "  \"day\": " << day << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"benchmarks\": [\n"
-         << rows.str() << "  ],\n";
     if (!skipped.empty()) {
-        json << "  \"skipped\": [";
-        for (size_t k = 0; k < skipped.size(); ++k)
-            json << (k > 0 ? ", " : "") << "\"" << skipped[k] << "\"";
-        json << "],\n";
+        w.key("skipped").beginArray();
+        for (const std::string &name : skipped)
+            w.value(name);
+        w.endArray();
     }
-    json << "  \"total_baseline_ms\": " << total_ms[0] << ",\n"
-         << "  \"total_fusion_only_ms\": " << total_ms[1] << ",\n"
-         << "  \"total_fusion_threaded_ms\": " << total_ms[2] << ",\n"
-         << "  \"fusion_only_speedup\": " << speedup(1) << ",\n"
-         << "  \"fusion_threaded_speedup\": " << speedup(2) << ",\n"
-         << "  \"identical_across_configs\": "
-         << (all_identical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_fusion: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    w.key("total_baseline_ms").value(total_ms[0]);
+    w.key("total_fusion_only_ms").value(total_ms[1]);
+    w.key("total_fusion_threaded_ms").value(total_ms[2]);
+    w.key("fusion_only_speedup").value(speedup(1));
+    w.key("fusion_threaded_speedup").value(speedup(2));
+    w.key("identical_across_configs").value(all_identical);
+    w.endObject();
+    bench::writeReport("micro_fusion", w, json_file);
     return all_identical ? 0 : 4;
 } catch (const FatalError &) {
     return 1;

@@ -28,13 +28,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
@@ -66,24 +65,17 @@ try {
     int reps = 3;
     std::string json_file;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_governor: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--iters"))
-            iters = std::atoi(need_value("--iters"));
+            iters = flagValue("--iters", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--days"))
-            days = std::atoi(need_value("--days"));
+            days = flagValue("--days", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
+            reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_governor: unknown argument '", argv[i], "'");
     }
-    if (iters < 1 || days < 1 || reps < 1)
-        fatal("micro_governor: --iters, --days and --reps must be >= 1");
 
     // --- admission latency: the per-request predicate, over the mix a
     // daemon actually sees (small fits, wide rejects, compile-only).
@@ -171,28 +163,25 @@ try {
                         static_cast<double>(cells)
                   : 0.0;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"admission\": {\"iters\": " << iters
-         << ", \"mean_us\": " << mean_us << ", \"p99_us\": " << p99_us
-         << ", \"target_us\": 50, \"meets_target\": "
-         << (mean_us < 50.0 ? "true" : "false") << "},\n"
-         << "  \"journal\": {\"days\": " << days << ", \"reps\": " << reps
-         << ", \"plain_ms\": " << plain_ms << ", \"journal_ms\": "
-         << journal_ms << ", \"records\": " << cells
-         << ", \"per_record_us\": " << per_record_us
-         << ", \"overhead\": " << overhead
-         << ", \"target_overhead\": 0.02, \"meets_target\": "
-         << (overhead < 0.02 ? "true" : "false") << "}\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_governor: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    JsonWriter w;
+    w.beginObject();
+    w.key("admission").beginObject();
+    w.key("iters").value(iters);
+    w.key("mean_us").value(mean_us).key("p99_us").value(p99_us);
+    w.key("target_us").value(50);
+    w.key("meets_target").value(mean_us < 50.0);
+    w.endObject();
+    w.key("journal").beginObject();
+    w.key("days").value(days).key("reps").value(reps);
+    w.key("plain_ms").value(plain_ms).key("journal_ms").value(journal_ms);
+    w.key("records").value(cells);
+    w.key("per_record_us").value(per_record_us);
+    w.key("overhead").value(overhead);
+    w.key("target_overhead").value(0.02);
+    w.key("meets_target").value(overhead < 0.02);
+    w.endObject();
+    w.endObject();
+    bench::writeReport("micro_governor", w, json_file);
     // Hard gate only at 10x the admission target: the check must stay
     // cheap enough to run on every request, but CI runners jitter.
     if (mean_us > 500.0)

@@ -36,13 +36,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/decompose.hh"
@@ -113,31 +112,33 @@ struct Row
     EngineStat greedy, cold, warm;
 };
 
+/** One engine's members of a row, each key prefixed "<prefix>_". */
 void
-emitEngine(std::ostringstream &json, const char *prefix,
-           const EngineStat &s, bool with_prunes)
+writeEngine(JsonWriter &w, const std::string &prefix, const EngineStat &s,
+            bool with_prunes)
 {
-    json << ", \"" << prefix << "_nodes\": " << s.nodes << ", \""
-         << prefix << "_optimal\": " << (s.optimal ? "true" : "false")
-         << ", \"" << prefix << "_value\": " << s.value << ", \""
-         << prefix << "_ms\": " << s.ms;
-    if (with_prunes)
-        json << ", \"" << prefix << "_bound_pruned\": " << s.boundPruned
-             << ", \"" << prefix
-             << "_symmetry_pruned\": " << s.symmetryPruned << ", \""
-             << prefix << "_dominance_pruned\": " << s.dominancePruned;
+    w.key(prefix + "_nodes").value(s.nodes);
+    w.key(prefix + "_optimal").value(s.optimal);
+    w.key(prefix + "_value").value(s.value);
+    w.key(prefix + "_ms").value(s.ms);
+    if (with_prunes) {
+        w.key(prefix + "_bound_pruned").value(s.boundPruned);
+        w.key(prefix + "_symmetry_pruned").value(s.symmetryPruned);
+        w.key(prefix + "_dominance_pruned").value(s.dominancePruned);
+    }
 }
 
 void
-emitRow(std::ostringstream &json, const Row &r, bool last)
+writeRow(JsonWriter &w, const Row &r)
 {
-    json << "    {\"name\": \"" << r.name
-         << "\", \"qubits\": " << r.qubits << ", \"depth\": " << r.depth
-         << ", \"greedy_value\": " << r.greedy.value
-         << ", \"greedy_ms\": " << r.greedy.ms;
-    emitEngine(json, "cold", r.cold, true);
-    emitEngine(json, "warm", r.warm, false);
-    json << "}" << (last ? "\n" : ",\n");
+    w.beginObject();
+    w.key("name").value(r.name);
+    w.key("qubits").value(r.qubits).key("depth").value(r.depth);
+    w.key("greedy_value").value(r.greedy.value);
+    w.key("greedy_ms").value(r.greedy.ms);
+    writeEngine(w, "cold", r.cold, true);
+    writeEngine(w, "warm", r.warm, false);
+    w.endObject();
 }
 
 } // namespace
@@ -149,22 +150,15 @@ try {
     int reps = 3;
     std::string json_file;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_mapper: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--budget"))
-            budget = std::atol(need_value("--budget"));
+            budget = flagValue("--budget", bench::flagArg(argc, argv, i), 1L);
         else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
+            reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_mapper: unknown argument '", argv[i], "'");
     }
-    if (budget < 1 || reps < 1)
-        fatal("micro_mapper: --budget and --reps must be >= 1");
 
     // The fig13 scalability ladder: square-ish grids with the IBMQ14
     // noise model, exactly the devices whose compile times the paper's
@@ -280,27 +274,18 @@ try {
                   << "\n";
     }
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"budget\": " << budget << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i)
-        emitRow(json, rows[i], i + 1 == rows.size());
-    json << "  ],\n"
-         << "  \"cold_total_nodes\": " << cold_total << ",\n"
-         << "  \"warm_total_nodes\": " << warm_total << ",\n"
-         << "  \"sound\": " << (sound ? "true" : "false") << ",\n"
-         << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_mapper: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    JsonWriter w;
+    w.beginObject();
+    w.key("budget").value(budget).key("reps").value(reps);
+    w.key("rows").beginArray();
+    for (const Row &r : rows)
+        writeRow(w, r);
+    w.endArray();
+    w.key("cold_total_nodes").value(cold_total);
+    w.key("warm_total_nodes").value(warm_total);
+    w.key("sound").value(sound).key("gate_pass").value(gate_ok);
+    w.endObject();
+    bench::writeReport("micro_mapper", w, json_file);
     if (!sound)
         return 4;
     if (!gate_ok)

@@ -42,13 +42,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
 #include "common/thread_pool.hh"
@@ -102,23 +101,23 @@ struct Row
 };
 
 void
-emitRow(std::ostringstream &json, const Row &r, bool last)
+writeRow(JsonWriter &w, const Row &r)
 {
-    json << "    {\"name\": \"" << r.name << "\", \"kind\": \"" << r.kind
-         << "\", \"items\": " << r.items
-         << ", \"serial_ms\": " << r.serialMs
-         << ", \"threaded_ms\": " << r.threadedMs
-         << ", \"adaptive_ms\": " << r.adaptiveMs
-         << ", \"adaptive_speedup\": " << r.adaptiveSpeedup()
-         << ", \"thread_speedup\": " << r.threadSpeedup()
-         << ", \"adaptive_mode\": \"" << r.mode << "\""
-         << ", \"threads\": " << r.threads
-         << ", \"items_per_task\": " << r.itemsPerTask
-         << ", \"tasks\": " << r.tasks
-         << ", \"predicted_ms\": " << r.predictedMs
-         << ", \"actual_ms\": " << r.actualMs
-         << ", \"identical\": " << (r.identical ? "true" : "false")
-         << "}" << (last ? "\n" : ",\n");
+    w.beginObject();
+    w.key("name").value(r.name).key("kind").value(r.kind);
+    w.key("items").value(r.items);
+    w.key("serial_ms").value(r.serialMs);
+    w.key("threaded_ms").value(r.threadedMs);
+    w.key("adaptive_ms").value(r.adaptiveMs);
+    w.key("adaptive_speedup").value(r.adaptiveSpeedup());
+    w.key("thread_speedup").value(r.threadSpeedup());
+    w.key("adaptive_mode").value(r.mode);
+    w.key("threads").value(r.threads);
+    w.key("items_per_task").value(r.itemsPerTask).key("tasks").value(r.tasks);
+    w.key("predicted_ms").value(r.predictedMs);
+    w.key("actual_ms").value(r.actualMs);
+    w.key("identical").value(r.identical);
+    w.endObject();
 }
 
 /** Time executeNoisy in the three modes, interleaved, min over reps. */
@@ -245,26 +244,21 @@ try {
     double noise_floor_ms = 1.0;
     std::string json_file;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_sched: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
+            trials = flagValue("--trials", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
+            reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--tolerance"))
-            tolerance = std::atof(need_value("--tolerance"));
+            tolerance =
+                flagValue("--tolerance", bench::flagArg(argc, argv, i), 0.0);
         else if (!std::strcmp(argv[i], "--noise-floor-ms"))
-            noise_floor_ms = std::atof(need_value("--noise-floor-ms"));
+            noise_floor_ms = flagValue("--noise-floor-ms",
+                                       bench::flagArg(argc, argv, i), 0.0);
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_sched: unknown argument '", argv[i], "'");
     }
-    if (trials < 1 || reps < 1)
-        fatal("micro_sched: --trials and --reps must be >= 1");
 
     const SchedCalib &calib_model = schedCalib(); // measure up front
     const int threads = std::max(2, ThreadPool::hardwareThreads());
@@ -345,32 +339,22 @@ try {
         }
     }
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"calib\": \"" << schedCalibString(calib_model) << "\",\n"
-         << "  \"hardware_threads\": "
-         << ThreadPool::hardwareThreads() << ",\n"
-         << "  \"forced_threads\": " << threads << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"tolerance\": " << tolerance << ",\n"
-         << "  \"noise_floor_ms\": " << noise_floor_ms << ",\n"
-         << "  \"rows\": [\n";
-    for (size_t i = 0; i < rows.size(); ++i)
-        emitRow(json, rows[i], i + 1 == rows.size());
-    json << "  ],\n"
-         << "  \"identical_across_modes\": "
-         << (identical ? "true" : "false") << ",\n"
-         << "  \"gate_pass\": " << (gate_ok ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_sched: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    JsonWriter w;
+    w.beginObject();
+    w.key("calib").value(schedCalibString(calib_model));
+    w.key("hardware_threads").value(ThreadPool::hardwareThreads());
+    w.key("forced_threads").value(threads);
+    w.key("trials").value(trials).key("reps").value(reps);
+    w.key("tolerance").value(tolerance);
+    w.key("noise_floor_ms").value(noise_floor_ms);
+    w.key("rows").beginArray();
+    for (const Row &r : rows)
+        writeRow(w, r);
+    w.endArray();
+    w.key("identical_across_modes").value(identical);
+    w.key("gate_pass").value(gate_ok);
+    w.endObject();
+    bench::writeReport("micro_sched", w, json_file);
     if (!identical)
         return 4;
     if (!gate_ok)

@@ -31,13 +31,12 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/fingerprint.hh"
@@ -66,26 +65,20 @@ try {
     double drift = 0.05;
     std::string json_file;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_sweep: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--days"))
-            days = std::atoi(need_value("--days"));
+            days = flagValue("--days", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
+            threads = flagValue("--threads", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--drift"))
-            drift = std::atof(need_value("--drift"));
+            drift = flagValue<double>("--drift",
+                                      bench::flagArg(argc, argv, i));
         else if (!std::strcmp(argv[i], "--reps"))
-            reps = std::atoi(need_value("--reps"));
+            reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_sweep: unknown argument '", argv[i], "'");
     }
-    if (days < 1 || threads < 1 || reps < 1)
-        fatal("micro_sweep: --days, --threads and --reps must be >= 1");
 
     // The fig12 grid: every study benchmark on every study machine at
     // the communication-optimized and noise-adaptive levels.
@@ -170,46 +163,39 @@ try {
             ? double(warm.stats.cacheHits) / warm.stats.cells
             : 0.0;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"grid\": {\"programs\": " << cfg.programs.size()
-         << ", \"devices\": " << cfg.devices.size()
-         << ", \"days\": " << days << ", \"levels\": 2, \"cells\": "
-         << cold.stats.cells << ", \"skipped\": " << cold.stats.skipped
-         << "},\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"cold_serial_ms\": " << cold_serial_ms << ",\n"
-         << "  \"engine_cold_ms\": " << engine_cold_ms << ",\n"
-         << "  \"warm_ms\": " << warm_ms << ",\n"
-         << "  \"drift_replay_ms\": " << drift_ms << ",\n"
-         << "  \"engine_cold_compiles\": " << engine_cold.stats.compiles
-         << ",\n"
-         << "  \"engine_cold_cache_hits\": "
-         << engine_cold.stats.cacheHits << ",\n"
-         << "  \"warm_compiles\": " << warm_compiles << ",\n"
-         << "  \"warm_hit_rate\": " << hit_rate << ",\n"
-         << "  \"speedup_warm_vs_cold_serial\": " << speedup << ",\n"
-         << "  \"speedup_engine_cold_vs_cold_serial\": "
-         << (engine_cold_ms > 0.0 ? cold_serial_ms / engine_cold_ms
-                                  : 0.0)
-         << ",\n"
-         << "  \"drift\": {\"threshold\": " << drift
-         << ", \"compiles\": " << replay.stats.compiles
-         << ", \"reuses\": " << replay.stats.driftReuses
-         << ", \"recompiles\": " << replay.stats.driftRecompiles
-         << ", \"checks\": " << ds.driftChecks
-         << ", \"invalidations\": " << ds.driftInvalidations << "},\n"
-         << "  \"identical\": " << (mismatches == 0 ? "true" : "false")
-         << "\n}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_sweep: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    JsonWriter w;
+    w.beginObject();
+    w.key("grid").beginObject();
+    w.key("programs").value(cfg.programs.size());
+    w.key("devices").value(cfg.devices.size());
+    w.key("days").value(days).key("levels").value(2);
+    w.key("cells").value(cold.stats.cells);
+    w.key("skipped").value(cold.stats.skipped);
+    w.endObject();
+    w.key("threads").value(threads).key("reps").value(reps);
+    w.key("cold_serial_ms").value(cold_serial_ms);
+    w.key("engine_cold_ms").value(engine_cold_ms);
+    w.key("warm_ms").value(warm_ms);
+    w.key("drift_replay_ms").value(drift_ms);
+    w.key("engine_cold_compiles").value(engine_cold.stats.compiles);
+    w.key("engine_cold_cache_hits").value(engine_cold.stats.cacheHits);
+    w.key("warm_compiles").value(warm_compiles);
+    w.key("warm_hit_rate").value(hit_rate);
+    w.key("speedup_warm_vs_cold_serial").value(speedup);
+    w.key("speedup_engine_cold_vs_cold_serial")
+        .value(engine_cold_ms > 0.0 ? cold_serial_ms / engine_cold_ms
+                                    : 0.0);
+    w.key("drift").beginObject();
+    w.key("threshold").value(drift);
+    w.key("compiles").value(replay.stats.compiles);
+    w.key("reuses").value(replay.stats.driftReuses);
+    w.key("recompiles").value(replay.stats.driftRecompiles);
+    w.key("checks").value(ds.driftChecks);
+    w.key("invalidations").value(ds.driftInvalidations);
+    w.endObject();
+    w.key("identical").value(mismatches == 0);
+    w.endObject();
+    bench::writeReport("micro_sweep", w, json_file);
     if (mismatches > 0)
         return 4;
     if (warm_compiles > 0)

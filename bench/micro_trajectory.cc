@@ -25,13 +25,11 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "workloads/benchmarks.hh"
@@ -71,30 +69,23 @@ try {
     int threads = std::max(2, ThreadPool::hardwareThreads());
     bool wide = false;
     for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                fatal("micro_trajectory: ", flag, " needs a value");
-            return argv[++i];
-        };
         if (!std::strcmp(argv[i], "--bench"))
-            bench_names.push_back(need_value("--bench"));
+            bench_names.push_back(bench::flagArg(argc, argv, i));
         else if (!std::strcmp(argv[i], "--device"))
-            device_name = need_value("--device");
+            device_name = bench::flagArg(argc, argv, i);
         else if (!std::strcmp(argv[i], "--trials"))
-            trials = std::atoi(need_value("--trials"));
+            trials = flagValue("--trials", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--threads"))
-            threads = std::atoi(need_value("--threads"));
+            threads = flagValue("--threads", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--wide"))
             wide = true;
         else if (!std::strcmp(argv[i], "--json"))
-            json_file = need_value("--json");
+            json_file = bench::flagArg(argc, argv, i);
         else
             fatal("micro_trajectory: unknown argument '", argv[i], "'");
     }
     if (bench_names.empty())
         bench_names = {"BV8", "QFT", "Adder"};
-    if (trials < 1 || threads < 1)
-        fatal("micro_trajectory: --trials and --threads must be >= 1");
 
     Device dev = bench::deviceByName(device_name);
     int day = bench::defaultDay();
@@ -149,11 +140,13 @@ try {
         }
     }
 
+    JsonWriter w;
+    w.beginObject();
+    w.key("device").value(device_name).key("day").value(day);
+    w.key("trials").value(trials).key("threads").value(threads);
+    w.key("rows").beginArray();
     bool all_identical = true;
-    std::ostringstream rows;
-    for (size_t bi = 0; bi < specs.size(); ++bi) {
-        const RowSpec &spec = specs[bi];
-        const std::string &bench_name = spec.name;
+    for (const RowSpec &spec : specs) {
         const Device &row_dev = spec.dev;
         const Calibration &row_calib = spec.calib;
         const int row_trials = spec.trials;
@@ -194,53 +187,33 @@ try {
             r_serial.histogram == r_base.histogram;
         all_identical = all_identical && identical;
 
-        rows << "    {\n"
-             << "      \"benchmark\": \"" << bench_name << "\",\n"
-             << "      \"device\": \"" << row_dev.name() << "\",\n"
-             << "      \"trials\": " << row_trials << ",\n"
-             << "      \"simulated_trajectories\": "
-             << r_serial.simulatedTrajectories << ",\n"
-             << "      \"success_rate\": " << r_serial.successRate
-             << ",\n"
-             << "      \"serial_no_checkpoint_ms\": " << base_ms << ",\n"
-             << "      \"serial_no_checkpoint_trials_per_sec\": "
-             << trialsPerSec(row_trials, base_ms) << ",\n"
-             << "      \"serial_ms\": " << serial_ms << ",\n"
-             << "      \"serial_trials_per_sec\": "
-             << trialsPerSec(row_trials, serial_ms) << ",\n"
-             << "      \"checkpoint_speedup\": "
-             << (serial_ms > 0.0 ? base_ms / serial_ms : 0.0) << ",\n"
-             << "      \"threaded_ms\": " << threaded_ms << ",\n"
-             << "      \"threaded_trials_per_sec\": "
-             << trialsPerSec(row_trials, threaded_ms) << ",\n"
-             << "      \"thread_speedup\": "
-             << (threaded_ms > 0.0 ? serial_ms / threaded_ms : 0.0)
-             << ",\n"
-             << "      \"identical_across_configs\": "
-             << (identical ? "true" : "false") << "\n"
-             << "    }"
-             << (bi + 1 == specs.size() ? "\n" : ",\n");
+        w.beginObject();
+        w.key("benchmark").value(spec.name);
+        w.key("device").value(row_dev.name());
+        w.key("trials").value(row_trials);
+        w.key("simulated_trajectories")
+            .value(r_serial.simulatedTrajectories);
+        w.key("success_rate").value(r_serial.successRate);
+        w.key("serial_no_checkpoint_ms").value(base_ms);
+        w.key("serial_no_checkpoint_trials_per_sec")
+            .value(trialsPerSec(row_trials, base_ms));
+        w.key("serial_ms").value(serial_ms);
+        w.key("serial_trials_per_sec")
+            .value(trialsPerSec(row_trials, serial_ms));
+        w.key("checkpoint_speedup")
+            .value(serial_ms > 0.0 ? base_ms / serial_ms : 0.0);
+        w.key("threaded_ms").value(threaded_ms);
+        w.key("threaded_trials_per_sec")
+            .value(trialsPerSec(row_trials, threaded_ms));
+        w.key("thread_speedup")
+            .value(threaded_ms > 0.0 ? serial_ms / threaded_ms : 0.0);
+        w.key("identical_across_configs").value(identical);
+        w.endObject();
     }
-
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"device\": \"" << device_name << "\",\n"
-         << "  \"day\": " << day << ",\n"
-         << "  \"trials\": " << trials << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"rows\": [\n"
-         << rows.str() << "  ],\n"
-         << "  \"identical_across_configs\": "
-         << (all_identical ? "true" : "false") << "\n"
-         << "}\n";
-
-    std::cout << json.str();
-    if (!json_file.empty()) {
-        std::ofstream out(json_file);
-        if (!out)
-            fatal("micro_trajectory: cannot write '", json_file, "'");
-        out << json.str();
-    }
+    w.endArray();
+    w.key("identical_across_configs").value(all_identical);
+    w.endObject();
+    bench::writeReport("micro_trajectory", w, json_file);
     return all_identical ? 0 : 4;
 } catch (const FatalError &) {
     return 1;

@@ -110,62 +110,23 @@ Diagnostics::text() const
     return os.str();
 }
 
-std::string
-jsonEscape(const std::string &s)
+void
+Diagnostics::writeJson(JsonWriter &w) const
 {
-    std::ostringstream os;
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (c < 0x20 || c >= 0x7f) {
-                // Escape control bytes and non-ASCII so garbage input
-                // (bad UTF-8 from a fuzzed file) still yields valid JSON.
-                static const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << static_cast<char>(c);
-            }
-        }
-    }
-    return os.str();
-}
-
-std::string
-Diagnostics::json() const
-{
-    std::ostringstream os;
-    os << "{\"errors\":" << errorCount_
-       << ",\"warnings\":" << warningCount_
-       << ",\"truncated\":" << (truncated_ ? "true" : "false")
-       << ",\"diagnostics\":[";
-    bool first = true;
+    w.beginObject();
+    w.key("errors").value(errorCount_);
+    w.key("warnings").value(warningCount_);
+    w.key("truncated").value(truncated_);
+    w.key("diagnostics").beginArray();
     for (const auto &d : diags_) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"severity\":\"" << diagSeverityName(d.severity)
-           << "\",\"code\":\"" << jsonEscape(d.code)
-           << "\",\"message\":\"" << jsonEscape(d.message)
-           << "\",\"line\":" << d.span.line << ",\"col\":" << d.span.col
-           << ",\"origin\":\"" << jsonEscape(d.origin) << "\"}";
+        w.beginObject();
+        w.key("severity").value(diagSeverityName(d.severity));
+        w.key("code").value(d.code).key("message").value(d.message);
+        w.key("line").value(d.span.line).key("col").value(d.span.col);
+        w.key("origin").value(d.origin);
+        w.endObject();
     }
-    os << "]}";
-    return os.str();
+    w.endArray().endObject();
 }
 
 void

@@ -7,9 +7,10 @@
  * (severity, stable code, message, source span), so one run over a
  * malformed program or calibration feed reports *every* problem it can
  * find. Consumers render the collection as human-readable text
- * (`text()`) or machine-readable JSON (`json()`, the `triqc
- * --diag-json` format), or convert it into the legacy throwing contract
- * with `throwIfErrors()`.
+ * (`text()`) or machine-readable JSON (`writeJson()`, the
+ * "diagnostics" member of `triqc --diag-json` and of triqd's
+ * input.parse replies), or convert it into the legacy throwing
+ * contract with `throwIfErrors()`.
  *
  * Error-handling contract (see DESIGN.md, "Error-handling contract"):
  *  - Diagnostics: expected-bad *input* (parse errors, corrupt
@@ -24,6 +25,8 @@
 
 #include <string>
 #include <vector>
+
+#include "common/json.hh"
 
 namespace triq
 {
@@ -120,10 +123,19 @@ class Diagnostics
     std::string text() const;
 
     /**
-     * Machine-readable rendering: a JSON object
-     * {"errors":N,"warnings":N,"truncated":bool,"diagnostics":[...]}.
+     * Machine-readable rendering: one JSON object
+     * {"errors": N, "warnings": N, "truncated": bool, "diagnostics":
+     * [{"severity", "code", "message", "line", "col", "origin"}, ...]}.
      */
-    std::string json() const;
+    void writeJson(JsonWriter &w) const;
+
+    /** writeJson() as a standalone document. */
+    std::string json() const
+    {
+        JsonWriter w;
+        writeJson(w);
+        return w.str();
+    }
 
     /**
      * Bridge to the throwing contract: when errors were recorded, throw
@@ -141,9 +153,6 @@ class Diagnostics
     int warningCount_ = 0;
     bool truncated_ = false;
 };
-
-/** Escape a string for embedding in a JSON string literal. */
-std::string jsonEscape(const std::string &s);
 
 } // namespace triq
 

@@ -1,15 +1,82 @@
-#include "service/wire.hh"
+#include "common/json.hh"
 
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/diagnostics.hh"
 #include "common/logging.hh"
 
 namespace triq
 {
+
+namespace
+{
+
+/** Append code point `cp` (at most U+10FFFF) as UTF-8. */
+void
+appendUtf8(std::string &out, unsigned cp)
+{
+    static const unsigned lead[] = {0x00, 0xc0, 0xe0, 0xf0};
+    int extra = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    out += static_cast<char>(lead[extra] | (cp >> (6 * extra)));
+    for (int k = extra - 1; k >= 0; --k)
+        out += static_cast<char>(0x80 | ((cp >> (6 * k)) & 0x3f));
+}
+
+/**
+ * Length of the well-formed UTF-8 sequence that starts at s[i], or 0
+ * when there is none: an ASCII or stray continuation byte, an overlong
+ * form, a surrogate, a code point above U+10FFFF or a truncated tail.
+ */
+size_t
+utf8Length(const std::string &s, size_t i)
+{
+    auto at = [&](size_t k) -> unsigned {
+        return i + k < s.size() ? static_cast<unsigned char>(s[i + k]) : 0;
+    };
+    unsigned c = at(0);
+    size_t n = c < 0xc2 ? 0 : c < 0xe0 ? 2 : c < 0xf0 ? 3 : c < 0xf5 ? 4 : 0;
+    // The second byte's range carries every lead-specific rule.
+    unsigned lo = c == 0xe0 ? 0xa0 : c == 0xf0 ? 0x90 : 0x80;
+    unsigned hi = c == 0xed ? 0x9f : c == 0xf4 ? 0x8f : 0xbf;
+    if (n == 0 || at(1) < lo || at(1) > hi)
+        return 0;
+    for (size_t k = 2; k < n; ++k)
+        if ((at(k) & 0xc0) != 0x80)
+            return 0;
+    return n;
+}
+
+/** Append `s` as the body of a JSON string literal. */
+void
+appendEscaped(std::string &out, const std::string &s)
+{
+    static const char hex[] = "0123456789abcdef";
+    for (size_t i = 0; i < s.size(); ++i) {
+        unsigned char c = s[i];
+        if (size_t n = utf8Length(s, i)) {
+            out.append(s, i, n);
+            i += n - 1;
+        } else if (c == '"' || c == '\\') {
+            out += '\\';
+            out += static_cast<char>(c);
+        } else if (c == '\n' || c == '\r' || c == '\t') {
+            out += '\\';
+            out += c == '\n' ? 'n' : c == '\r' ? 'r' : 't';
+        } else if (c < 0x20 || c >= 0x7f) {
+            // Control bytes, and bytes outside any well-formed UTF-8
+            // sequence, so garbage input still yields valid JSON.
+            out += "\\u00";
+            out += hex[c >> 4];
+            out += hex[c & 0xf];
+        } else {
+            out += static_cast<char>(c);
+        }
+    }
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------
 // JsonValue accessors.
@@ -115,6 +182,19 @@ class Parser
         if (text_.compare(pos_, n, word) != 0)
             return fail(std::string("expected '") + word + "'");
         pos_ += n;
+        return true;
+    }
+
+    /** The four hex digits at `at` as `code`; false when not hex. */
+    bool
+    hex4(size_t at, unsigned &code) const
+    {
+        if (at + 4 > text_.size())
+            return false;
+        for (size_t i = at; i < at + 4; ++i)
+            if (!std::isxdigit(static_cast<unsigned char>(text_[i])))
+                return false;
+        code = std::stoul(text_.substr(at, 4), nullptr, 16);
         return true;
     }
 
@@ -270,33 +350,24 @@ class Parser
                     if (pos_ + 4 > text_.size())
                         return fail("truncated \\u escape");
                     unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = text_[pos_ + i];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= h - '0';
-                        else if (h >= 'a' && h <= 'f')
-                            code |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            code |= h - 'A' + 10;
-                        else
-                            return fail("bad \\u escape digit");
-                    }
+                    if (!hex4(pos_, code))
+                        return fail("bad \\u escape digit");
                     pos_ += 4;
-                    // UTF-8 encode the BMP code point (surrogate pairs
-                    // are passed through as two separate encodings —
-                    // the protocol never needs astral characters).
-                    if (code < 0x80) {
-                        out += static_cast<char>(code);
-                    } else if (code < 0x800) {
-                        out += static_cast<char>(0xc0 | (code >> 6));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
-                    } else {
-                        out += static_cast<char>(0xe0 | (code >> 12));
-                        out += static_cast<char>(0x80 |
-                                                 ((code >> 6) & 0x3f));
-                        out += static_cast<char>(0x80 | (code & 0x3f));
+                    // A high surrogate joins the low one escaped right
+                    // after it; any other surrogate stands alone and
+                    // becomes U+FFFD.
+                    unsigned low = 0;
+                    if (code >= 0xd800 && code <= 0xdbff &&
+                        text_.compare(pos_, 2, "\\u") == 0 &&
+                        hex4(pos_ + 2, low) && low >= 0xdc00 &&
+                        low <= 0xdfff) {
+                        code = 0x10000 + ((code - 0xd800) << 10) +
+                               (low - 0xdc00);
+                        pos_ += 6;
+                    } else if (code >= 0xd800 && code <= 0xdfff) {
+                        code = 0xfffd;
                     }
+                    appendUtf8(out, code);
                     break;
                   }
                   default:
@@ -413,7 +484,7 @@ JsonWriter::key(const std::string &k)
 {
     separate();
     out_ += '"';
-    out_ += jsonEscape(k);
+    appendEscaped(out_, k);
     out_ += "\": ";
     pendingKey_ = true;
     return *this;
@@ -424,7 +495,7 @@ JsonWriter::value(const std::string &v)
 {
     separate();
     out_ += '"';
-    out_ += jsonEscape(v);
+    appendEscaped(out_, v);
     out_ += '"';
     return *this;
 }
@@ -458,6 +529,14 @@ JsonWriter::value(long v)
 }
 
 JsonWriter &
+JsonWriter::value(uint64_t v)
+{
+    separate();
+    out_ += std::to_string(v);
+    return *this;
+}
+
+JsonWriter &
 JsonWriter::value(bool v)
 {
     separate();
@@ -474,11 +553,29 @@ JsonWriter::null()
 }
 
 JsonWriter &
-JsonWriter::raw(const std::string &json)
+JsonWriter::value(const JsonValue &v)
 {
-    separate();
-    out_ += json;
-    return *this;
+    switch (v.kind) {
+      case JsonValue::Kind::Null:
+        return null();
+      case JsonValue::Kind::Bool:
+        return value(v.boolean);
+      case JsonValue::Kind::Number:
+        return value(v.number);
+      case JsonValue::Kind::String:
+        return value(v.string);
+      case JsonValue::Kind::Array:
+        beginArray();
+        for (const JsonValue &x : v.array)
+            value(x);
+        return endArray();
+      case JsonValue::Kind::Object:
+        beginObject();
+        for (const auto &[k, x] : v.members)
+            key(k).value(x);
+        return endObject();
+    }
+    panic("JsonWriter: unknown JsonValue kind");
 }
 
 } // namespace triq

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/backend.hh"
 #include "core/decompose.hh"
@@ -48,35 +49,35 @@ CompileReport::str() const
     return os.str();
 }
 
-std::string
-CompileReport::json() const
+void
+CompileReport::writeJson(JsonWriter &w) const
 {
-    std::ostringstream os;
-    os << "{\"requestedMapper\":\"" << jsonEscape(requestedMapper)
-       << "\",\"mapperEngine\":\"" << jsonEscape(mapperEngine)
-       << "\",\"mapperNodes\":" << mapperNodes
-       << ",\"mapperOptimal\":" << (mapperOptimal ? "true" : "false")
-       << ",\"mapperBoundPruned\":" << mapperBoundPruned
-       << ",\"mapperSymmetryPruned\":" << mapperSymmetryPruned
-       << ",\"mapperDominancePruned\":" << mapperDominancePruned
-       << ",\"mapperWarmStarted\":"
-       << (mapperWarmStarted ? "true" : "false")
-       << ",\"mapperWarmStartOrigin\":\""
-       << jsonEscape(mapperWarmStartOrigin)
-       << "\",\"degraded\":" << (degraded ? "true" : "false")
-       << ",\"deadlineHit\":" << (deadlineHit ? "true" : "false")
-       << ",\"calibrationRepairs\":" << calibrationRepairs
-       << ",\"degradations\":[";
-    for (size_t i = 0; i < degradations.size(); ++i)
-        os << (i ? "," : "") << "\"" << jsonEscape(degradations[i])
-           << "\"";
-    os << "],\"passes\":[";
-    for (size_t i = 0; i < passes.size(); ++i)
-        os << (i ? "," : "") << "{\"pass\":\"" << jsonEscape(passes[i].pass)
-           << "\",\"ms\":" << passes[i].ms << "}";
-    os << "],\"calibrationDiagnostics\":" << calibrationDiags.json()
-       << "}";
-    return os.str();
+    w.beginObject();
+    w.key("requestedMapper").value(requestedMapper);
+    w.key("mapperEngine").value(mapperEngine);
+    w.key("mapperNodes").value(mapperNodes);
+    w.key("mapperOptimal").value(mapperOptimal);
+    w.key("mapperBoundPruned").value(mapperBoundPruned);
+    w.key("mapperSymmetryPruned").value(mapperSymmetryPruned);
+    w.key("mapperDominancePruned").value(mapperDominancePruned);
+    w.key("mapperWarmStarted").value(mapperWarmStarted);
+    w.key("mapperWarmStartOrigin").value(mapperWarmStartOrigin);
+    w.key("degraded").value(degraded).key("deadlineHit").value(deadlineHit);
+    w.key("calibrationRepairs").value(calibrationRepairs);
+    w.key("degradations").beginArray();
+    for (const std::string &d : degradations)
+        w.value(d);
+    w.endArray();
+    w.key("passes").beginArray();
+    for (const PassTiming &p : passes) {
+        w.beginObject();
+        w.key("pass").value(p.pass).key("ms").value(p.ms);
+        w.endObject();
+    }
+    w.endArray();
+    w.key("calibrationDiagnostics");
+    calibrationDiags.writeJson(w);
+    w.endObject();
 }
 
 std::string

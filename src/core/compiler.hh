@@ -138,8 +138,11 @@ struct CompileReport
     /** Multi-line human-readable rendering. */
     std::string str() const;
 
-    /** JSON object rendering (the `triqc --diag-json` report field). */
-    std::string json() const;
+    /**
+     * JSON object rendering: the "report" member of `triqc
+     * --diag-json`, keyed by the field names above.
+     */
+    void writeJson(JsonWriter &w) const;
 };
 
 /** Everything the toolflow produces for one (program, device) pair. */

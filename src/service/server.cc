@@ -53,28 +53,53 @@ parseLevel(const std::string &s, OptLevel &out)
     return true;
 }
 
-/** Render a request's `id` member as a reply fragment ("" = absent). */
-std::string
-renderId(const JsonValue &rq)
+/**
+ * The request's `id` member when a reply can echo it: a string, number
+ * or bool. nullptr when absent or of any other kind.
+ */
+const JsonValue *
+echoId(const JsonValue &rq)
 {
     const JsonValue *id = rq.find("id");
-    if (!id)
-        return "";
+    if (id && (id->isString() || id->isNumber() || id->isBool()))
+        return id;
+    return nullptr;
+}
+
+/** Writes the members an error carries beside its code and message. */
+using ErrorExtra = std::function<void(JsonWriter &)>;
+
+/**
+ * {"id": ..., "ok": false, "error": {"code": ..., "message": ...,
+ * extra members}}; the id is null when `rq` has none to echo.
+ */
+std::string
+errorReply(const JsonValue &rq, const std::string &code,
+           const std::string &message, const ErrorExtra &extra = nullptr)
+{
     JsonWriter w;
-    switch (id->kind) {
-      case JsonValue::Kind::String:
-        w.value(id->string);
-        break;
-      case JsonValue::Kind::Number:
-        w.value(id->number);
-        break;
-      case JsonValue::Kind::Bool:
-        w.value(id->boolean);
-        break;
-      default:
-        return ""; // arrays/objects/null: treat as absent
-    }
+    w.beginObject().key("id");
+    if (const JsonValue *id = echoId(rq))
+        w.value(*id);
+    else
+        w.null();
+    w.key("ok").value(false);
+    w.key("error").beginObject();
+    w.key("code").value(code).key("message").value(message);
+    if (extra)
+        extra(w);
+    w.endObject().endObject();
     return w.str();
+}
+
+/** Open a success reply: {"id": ... (when echoable), "ok": true, "op"}. */
+void
+beginOkReply(JsonWriter &w, const JsonValue &rq, const std::string &op)
+{
+    w.beginObject();
+    if (const JsonValue *id = echoId(rq))
+        w.key("id").value(*id);
+    w.key("ok").value(true).key("op").value(op);
 }
 
 /** The id as plain text for crash-bundle tagging. */
@@ -82,16 +107,12 @@ std::string
 idText(const JsonValue &rq)
 {
     const JsonValue *id = rq.find("id");
-    if (!id)
-        return "";
-    if (id->isString())
+    if (id && id->isString())
         return id->string;
-    if (id->isNumber()) {
-        JsonWriter w;
+    JsonWriter w;
+    if (id && id->isNumber())
         w.value(id->number);
-        return w.str();
-    }
-    return "";
+    return w.str();
 }
 
 /**
@@ -264,7 +285,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
             ++counters_.failed;
         }
         respond(errorReply(
-            "", "proto.oversized",
+            JsonValue{}, "proto.oversized",
             "frame of " + std::to_string(line.size()) +
                 " bytes exceeds the " +
                 std::to_string(cfg_.maxRequestBytes) + "-byte limit"));
@@ -278,7 +299,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
         // Released before respond below.
     }
     if (!parsed.ok) {
-        respond(errorReply("", "proto.parse",
+        respond(errorReply(JsonValue{}, "proto.parse",
                            parsed.error + " at byte " +
                                std::to_string(parsed.errorAt)));
         return;
@@ -288,22 +309,19 @@ Server::submit(const std::string &client, std::string line, Respond respond)
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++counters_.failed;
         }
-        respond(errorReply("", "proto.bad-request",
+        respond(errorReply(parsed.value, "proto.bad-request",
                            "request frame must be a JSON object"));
         return;
     }
 
-    std::string id_json = renderId(parsed.value);
-    std::string op = parsed.value.getString("op");
+    const JsonValue &rq = parsed.value;
+    std::string op = rq.getString("op");
 
     // Health and metrics answer inline, bypassing the queue: they must
     // stay responsive precisely when the queue is full or draining.
     if (op == "ping") {
         JsonWriter w;
-        w.beginObject();
-        if (!id_json.empty())
-            w.key("id").raw(id_json);
-        w.key("ok").value(true).key("op").value("ping");
+        beginOkReply(w, rq, op);
         w.endObject();
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
@@ -314,11 +332,9 @@ Server::submit(const std::string &client, std::string line, Respond respond)
     }
     if (op == "stats") {
         JsonWriter w;
-        w.beginObject();
-        if (!id_json.empty())
-            w.key("id").raw(id_json);
-        w.key("ok").value(true).key("op").value("stats");
-        w.key("stats").raw(statsJson());
+        beginOkReply(w, rq, op);
+        w.key("stats");
+        stats().writeJson(w);
         w.endObject();
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
@@ -332,7 +348,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++counters_.failed;
         }
-        respond(errorReply(id_json, "proto.bad-request",
+        respond(errorReply(rq, "proto.bad-request",
                            op.empty()
                                ? "request has no \"op\" member"
                                : "unknown op '" + op + "'"));
@@ -355,9 +371,9 @@ Server::submit(const std::string &client, std::string line, Respond respond)
     // structured sim.oom reply).
     if (op == "simulate") {
         const std::string dev_name =
-            parsed.value.getString("device", "IBMQ5");
+            rq.getString("device", "IBMQ5");
         const Device *dev = findServerDevice(dev_name);
-        BenchCost bc = benchCost(parsed.value.getString("bench"));
+        BenchCost bc = benchCost(rq.getString("bench"));
         if (dev && bc.known) {
             // Workers = 1: triqd executes each request serially (see
             // executeCompileOrSimulate).
@@ -369,16 +385,13 @@ Server::submit(const std::string &client, std::string line, Respond respond)
                     std::lock_guard<std::mutex> lock(statsMutex_);
                     ++counters_.budgetRejected;
                 }
-                std::string extra =
-                    "\"predicted_bytes\": " +
-                    std::to_string(v.predictedBytes) +
-                    ", \"budget_bytes\": " +
-                    std::to_string(v.budgetBytes);
-                if (bc.known)
-                    extra += ", \"predicted_compile_ms\": " +
-                             std::to_string(v.predictedCompileMs);
-                respond(errorReply(id_json, "server.budget", v.reason,
-                                   extra));
+                respond(errorReply(
+                    rq, "server.budget", v.reason, [&](JsonWriter &w) {
+                        w.key("predicted_bytes").value(v.predictedBytes);
+                        w.key("budget_bytes").value(v.budgetBytes);
+                        w.key("predicted_compile_ms").value(
+                            v.predictedCompileMs);
+                    }));
                 return;
             }
         }
@@ -388,7 +401,6 @@ Server::submit(const std::string &client, std::string line, Respond respond)
 
     Pending p;
     p.request = std::move(parsed.value);
-    p.idJson = id_json;
     p.client = client;
     p.respond = std::move(respond);
     p.enqueued = Clock::now();
@@ -404,7 +416,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
                 std::lock_guard<std::mutex> slock(statsMutex_);
                 ++counters_.cancelled;
             }
-            p.respond(errorReply(id_json, "server.draining",
+            p.respond(errorReply(p.request, "server.draining",
                                  "server is shutting down"));
             return;
         }
@@ -415,7 +427,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
                 ++counters_.rejected;
             }
             p.respond(errorReply(
-                id_json, "server.overloaded",
+                p.request, "server.overloaded",
                 "admission queue is full (" +
                     std::to_string(cfg_.queueCapacity) +
                     " requests); retry with backoff"));
@@ -556,7 +568,7 @@ Server::drain()
             ++counters_.cancelled;
         }
         try {
-            p.respond(errorReply(p.idJson, "server.draining",
+            p.respond(errorReply(p.request, "server.draining",
                                  "cancelled by shutdown drain"));
         } catch (...) {
         }
@@ -610,7 +622,7 @@ Server::execute(const Pending &p)
     if (waited_ms > p.timeoutMs) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++counters_.timeouts;
-        return errorReply(p.idJson, "server.timeout",
+        return errorReply(p.request, "server.timeout",
                           "request waited " + std::to_string(waited_ms) +
                               " ms in queue (timeout " +
                               std::to_string(p.timeoutMs) + " ms)");
@@ -638,32 +650,32 @@ Server::execute(const Pending &p)
     } catch (const FatalError &e) {
         std::lock_guard<std::mutex> lock(statsMutex_);
         ++counters_.failed;
-        return errorReply(p.idJson, "input.invalid", e.what());
+        return errorReply(p.request, "input.invalid", e.what());
     } catch (const std::exception &e) {
         // PanicError or any other escape: a TriQ bug. Dump a bundle
         // tagged with the request id, answer structurally, keep
         // serving.
         crash.error = e.what();
         crash.envKnobs = captureTriqEnv();
-        std::string extra;
+        ErrorExtra extra;
         try {
             std::string dir = resolveCrashDir(
                 cfg_.crashDir.empty() ? defaultCrashDir()
                                       : cfg_.crashDir);
             crash.write(dir);
-            extra = "\"crash_dir\": \"" + jsonEscape(dir) + "\"";
+            extra = [dir](JsonWriter &w) { w.key("crash_dir").value(dir); };
             warn("triqd: request ",
                  crash.requestId.empty() ? std::string("<no id>")
                                          : crash.requestId,
                  " panicked; crash report written to '", dir, "/'");
         } catch (...) {
-            extra.clear(); // never let bundle I/O take the worker down
+            extra = nullptr; // never let bundle I/O take the worker down
         }
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++counters_.crashes;
         }
-        return errorReply(p.idJson, "internal.panic", e.what(), extra);
+        return errorReply(p.request, "internal.panic", e.what(), extra);
     }
 }
 
@@ -673,8 +685,8 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     const JsonValue &rq = p.request;
     const std::string op = rq.getString("op");
     auto refuse = [&](const std::string &code, const std::string &msg,
-                      const std::string &extra = "") -> ServerReplyError {
-        return ServerReplyError{errorReply(p.idJson, code, msg, extra)};
+                      const ErrorExtra &extra = nullptr) {
+        return ServerReplyError{errorReply(rq, code, msg, extra)};
     };
 
     // Fault injector: a request can arm its own (the loadgen fault
@@ -733,7 +745,10 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                          "program has " +
                              std::to_string(diags.errorCount()) +
                              " error(s)",
-                         "\"diagnostics\": " + diags.json());
+                         [&](JsonWriter &w) {
+                             w.key("diagnostics");
+                             diags.writeJson(w);
+                         });
     } else {
         throw refuse("proto.bad-request",
                      op + " needs a \"bench\" name or \"program\" source");
@@ -805,10 +820,7 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                             day, calib, opts, drift);
 
     JsonWriter w;
-    w.beginObject();
-    if (!p.idJson.empty())
-        w.key("id").raw(p.idJson);
-    w.key("ok").value(true).key("op").value(op);
+    beginOkReply(w, rq, op);
     w.key("bench").value(display);
     w.key("device").value(dev->name()).key("day").value(day);
     w.key("level").value(level);
@@ -827,20 +839,14 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // production traffic, not just in benches. Cache/drift-reused
     // artifacts carry the search stats of the compile that produced
     // them.
-    w.key("mapper_engine").value(cc.result->report.mapperEngine);
-    w.key("mapper_nodes")
-        .value(static_cast<double>(cc.result->report.mapperNodes));
-    w.key("mapper_optimal").value(cc.result->report.mapperOptimal);
-    w.key("mapper_bound_pruned")
-        .value(static_cast<double>(cc.result->report.mapperBoundPruned));
-    w.key("mapper_symmetry_pruned")
-        .value(static_cast<double>(
-            cc.result->report.mapperSymmetryPruned));
-    w.key("mapper_dominance_pruned")
-        .value(static_cast<double>(
-            cc.result->report.mapperDominancePruned));
-    w.key("mapper_warm_start")
-        .value(cc.result->report.mapperWarmStarted);
+    const CompileReport &rep = cc.result->report;
+    w.key("mapper_engine").value(rep.mapperEngine);
+    w.key("mapper_nodes").value(rep.mapperNodes);
+    w.key("mapper_optimal").value(rep.mapperOptimal);
+    w.key("mapper_bound_pruned").value(rep.mapperBoundPruned);
+    w.key("mapper_symmetry_pruned").value(rep.mapperSymmetryPruned);
+    w.key("mapper_dominance_pruned").value(rep.mapperDominancePruned);
+    w.key("mapper_warm_start").value(rep.mapperWarmStarted);
     if (rq.getBool("assembly", false))
         w.key("assembly").value(cc.result->assembly);
 
@@ -865,11 +871,10 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
             // Predicted-overrun refusal or a translated bad_alloc from
             // inside the simulator: a resource outcome, not a TriQ bug
             // — answer structurally, no crash bundle, keep serving.
-            throw refuse("sim.oom", e.what(),
-                         "\"attempted_bytes\": " +
-                             std::to_string(e.attemptedBytes) +
-                             ", \"budget_bytes\": " +
-                             std::to_string(e.budgetBytes));
+            throw refuse("sim.oom", e.what(), [&](JsonWriter &w) {
+                w.key("attempted_bytes").value(e.attemptedBytes);
+                w.key("budget_bytes").value(e.budgetBytes);
+            });
         }
         crash.schedMode = run.sched.mode();
         crash.schedThreads = run.sched.threads;
@@ -882,26 +887,6 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
         w.key("trajectories").value(run.simulatedTrajectories);
     }
     w.endObject();
-    return w.str();
-}
-
-std::string
-Server::errorReply(const std::string &id_json, const std::string &code,
-                   const std::string &message,
-                   const std::string &extra_json) const
-{
-    JsonWriter w;
-    w.beginObject();
-    if (!id_json.empty())
-        w.key("id").raw(id_json);
-    else
-        w.key("id").null();
-    w.key("ok").value(false);
-    w.key("error").beginObject();
-    w.key("code").value(code).key("message").value(message);
-    if (!extra_json.empty())
-        w.raw(extra_json);
-    w.endObject().endObject();
     return w.str();
 }
 
@@ -946,49 +931,33 @@ Server::stats() const
     return out;
 }
 
-std::string
-Server::statsJson() const
+void
+ServerStats::writeJson(JsonWriter &w) const
 {
-    ServerStats s = stats();
-    JsonWriter w;
     w.beginObject();
-    w.key("uptime_ms").value(s.uptimeMs);
-    w.key("received").value(s.received);
-    w.key("completed").value(s.completed);
-    w.key("failed").value(s.failed);
-    w.key("rejected").value(s.rejected);
-    w.key("budget_rejected").value(s.budgetRejected);
-    w.key("timeouts").value(s.timeouts);
-    w.key("cancelled").value(s.cancelled);
-    w.key("crashes").value(s.crashes);
-    w.key("queue_depth").value(s.queueDepth);
-    w.key("active").value(s.active);
-    w.key("latency_ms")
-        .beginObject()
-        .key("count")
-        .value(s.latencyCount)
-        .key("p50")
-        .value(s.p50Ms)
-        .key("p99")
-        .value(s.p99Ms)
-        .key("max")
-        .value(s.maxMs)
-        .endObject();
-    w.key("cache")
-        .beginObject()
-        .key("lookups")
-        .value(s.cache.lookups)
-        .key("hits")
-        .value(s.cache.hits)
-        .key("misses")
-        .value(s.cache.misses)
-        .key("inserts")
-        .value(s.cache.inserts)
-        .key("evictions")
-        .value(s.cache.evictions)
-        .endObject();
+    w.key("uptime_ms").value(uptimeMs);
+    w.key("received").value(received);
+    w.key("completed").value(completed);
+    w.key("failed").value(failed);
+    w.key("rejected").value(rejected);
+    w.key("budget_rejected").value(budgetRejected);
+    w.key("timeouts").value(timeouts);
+    w.key("cancelled").value(cancelled);
+    w.key("crashes").value(crashes);
+    w.key("queue_depth").value(queueDepth);
+    w.key("active").value(active);
+    w.key("latency_ms").beginObject();
+    w.key("count").value(latencyCount);
+    w.key("p50").value(p50Ms).key("p99").value(p99Ms);
+    w.key("max").value(maxMs);
     w.endObject();
-    return w.str();
+    w.key("cache").beginObject();
+    w.key("lookups").value(cache.lookups).key("hits").value(cache.hits);
+    w.key("misses").value(cache.misses);
+    w.key("inserts").value(cache.inserts);
+    w.key("evictions").value(cache.evictions);
+    w.endObject();
+    w.endObject();
 }
 
 } // namespace triq

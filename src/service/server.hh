@@ -47,8 +47,12 @@
  *   {"id":"r3","op":"stats"}
  *   {"id":"r4","op":"ping"}
  *
- * Reply: {"id":"r1","ok":true,...} or
- *        {"id":"r1","ok":false,"error":{"code":"...","message":"..."}}.
+ * Reply: {"id": "r1", "ok": true, ...} or
+ *        {"id": "r1", "ok": false, "error": {"code": "...",
+ *         "message": "..."}}.
+ * Every reply is built whole through JsonWriter (common/json.hh), so
+ * it is well-formed JSON by construction; the `id` is re-emitted from
+ * the parsed request, so a UTF-8 id comes back as the id sent.
  *
  * Error taxonomy (stable codes, see DESIGN.md for the full table):
  *   proto.parse proto.oversized proto.bad-request   — bad frames
@@ -80,8 +84,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.hh"
 #include "service/compile_cache.hh"
-#include "service/wire.hh"
 
 namespace triq
 {
@@ -165,6 +169,9 @@ struct ServerStats
     double maxMs = 0.0;
 
     CompileCache::Stats cache;
+
+    /** The `stats` reply body: one JSON object. */
+    void writeJson(JsonWriter &w) const;
 };
 
 /** The transport-free triqd engine. */
@@ -211,9 +218,6 @@ class Server
 
     ServerStats stats() const;
 
-    /** The stats reply body as a JSON object fragment. */
-    std::string statsJson() const;
-
     const ServerConfig &config() const { return cfg_; }
 
     /** The hot process-wide artifact memo this server owns. */
@@ -223,7 +227,6 @@ class Server
     struct Pending
     {
         JsonValue request;
-        std::string idJson; //!< Pre-rendered id fragment ("" = absent).
         std::string client;
         Respond respond;
         std::chrono::steady_clock::time_point enqueued;
@@ -247,11 +250,6 @@ class Server
      */
     std::string executeCompileOrSimulate(const Pending &p,
                                          CrashBundle &crash);
-
-    std::string errorReply(const std::string &id_json,
-                           const std::string &code,
-                           const std::string &message,
-                           const std::string &extra_json = "") const;
 
     void recordLatency(double ms);
 

@@ -10,8 +10,8 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "service/wire.hh"
 
 namespace triq
 {
@@ -243,14 +243,9 @@ SweepJournal::SweepJournal(const std::string &path,
               "': ", std::strerror(errno));
     if (!resume) {
         JsonWriter w;
-        w.beginObject()
-            .key("type")
-            .value("header")
-            .key("version")
-            .value(1)
-            .key("grid")
-            .value(hexU64(grid_fingerprint))
-            .endObject();
+        w.beginObject().key("type").value("header");
+        w.key("version").value(1);
+        w.key("grid").value(hexU64(grid_fingerprint)).endObject();
         writeLine(w.str());
     }
 }

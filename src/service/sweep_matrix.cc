@@ -1,6 +1,6 @@
 #include "service/sweep_matrix.hh"
 
-#include "common/diagnostics.hh"
+#include "common/json.hh"
 
 namespace triq
 {
@@ -27,87 +27,76 @@ writeSweepMatrix(std::ostream &os, const SweepConfig &config,
                  const CompileCache::Stats *cache_stats,
                  bool deterministic)
 {
-    os << "{\n  \"cells\": [\n";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject().key("cells").beginArray();
     for (const SweepCell &c : result.cells) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << "    {\"program\": \""
-           << jsonEscape(config.programs[c.programIndex].name)
-           << "\", \"device\": \""
-           << jsonEscape(config.devices[c.deviceIndex].name())
-           << "\", \"day\": " << c.day << ", \"level\": \""
-           << optLevelToken(c.level) << "\", \"source\": \""
-           << cellSourceName(c.source) << "\"";
+        w.beginObject();
+        w.key("program").value(config.programs[c.programIndex].name);
+        w.key("device").value(config.devices[c.deviceIndex].name());
+        w.key("day").value(c.day).key("level").value(optLevelToken(c.level));
+        w.key("source").value(cellSourceName(c.source));
         if (c.source == CellSource::Error) {
-            os << ", \"error\": \"" << jsonEscape(c.error) << "\"";
+            w.key("error").value(c.error);
         } else if (c.source != CellSource::Skipped) {
-            os << ", \"fingerprint\": \"" << c.fingerprint.str()
-               << "\", \"esp\": " << c.esp
-               << ", \"esp_at_compile\": " << c.espAtCompile
-               << ", \"cnots\": " << c.result->stats.twoQ
-               << ", \"swaps\": " << c.result->swapCount
-               << ", \"degraded\": "
-               << (c.result->report.degraded ? "true" : "false");
+            w.key("fingerprint").value(c.fingerprint.str());
+            w.key("esp").value(c.esp);
+            w.key("esp_at_compile").value(c.espAtCompile);
+            w.key("cnots").value(c.result->stats.twoQ);
+            w.key("swaps").value(c.result->swapCount);
+            w.key("degraded").value(c.result->report.degraded);
             if (!deterministic) {
                 // Mapper detail is only meaningful for cells this run
                 // compiled (restored/reused cells carry no fresh
                 // search), and lives outside the deterministic matrix:
                 // the resume journal round-trips only `degraded`.
                 const CompileReport &rep = c.result->report;
-                os << ", \"ms\": " << c.ms << ", \"mapper_engine\": \""
-                   << jsonEscape(rep.mapperEngine)
-                   << "\", \"mapper_nodes\": " << rep.mapperNodes
-                   << ", \"mapper_bound_pruned\": "
-                   << rep.mapperBoundPruned
-                   << ", \"mapper_warm_start\": "
-                   << (rep.mapperWarmStarted ? "true" : "false");
+                w.key("ms").value(c.ms);
+                w.key("mapper_engine").value(rep.mapperEngine);
+                w.key("mapper_nodes").value(rep.mapperNodes);
+                w.key("mapper_bound_pruned").value(rep.mapperBoundPruned);
+                w.key("mapper_warm_start").value(rep.mapperWarmStarted);
             }
         }
-        os << "}";
+        w.endObject();
     }
-    os << "\n  ],\n";
-    os << "  \"stats\": {\"cells\": " << result.stats.cells
-       << ", \"errors\": " << result.stats.errors
-       << ", \"skipped\": " << result.stats.skipped
-       << ", \"compiles\": " << result.stats.compiles
-       << ", \"cache_hits\": " << result.stats.cacheHits
-       << ", \"drift_reuses\": " << result.stats.driftReuses;
+    w.endArray();
+
+    const SweepStats &st = result.stats;
+    w.key("stats").beginObject();
+    w.key("cells").value(st.cells).key("errors").value(st.errors);
+    w.key("skipped").value(st.skipped).key("compiles").value(st.compiles);
+    w.key("cache_hits").value(st.cacheHits);
+    w.key("drift_reuses").value(st.driftReuses);
     if (!deterministic) {
-        os << ", \"drift_recompiles\": " << result.stats.driftRecompiles
-           << ", \"restored_cells\": " << result.stats.restoredCells
-           << ", \"threads\": " << result.stats.threads
-           << ", \"wall_ms\": " << result.stats.wallMs
-           << ", \"sched_mode\": \"" << result.stats.schedMode << "\""
-           << ", \"sched_items_per_task\": "
-           << result.stats.schedItemsPerTask
-           << ", \"sched_tasks\": " << result.stats.schedTasks
-           << ", \"sched_predicted_ms\": " << result.stats.schedPredictedMs
-           << ", \"sched_actual_ms\": " << result.stats.schedActualMs
-           << ", \"mapper_nodes\": " << result.stats.mapperNodes
-           << ", \"mapper_bound_pruned\": "
-           << result.stats.mapperBoundPruned
-           << ", \"mapper_symmetry_pruned\": "
-           << result.stats.mapperSymmetryPruned
-           << ", \"mapper_dominance_pruned\": "
-           << result.stats.mapperDominancePruned
-           << ", \"mapper_fallbacks\": " << result.stats.mapperFallbacks
-           << ", \"mapper_warm_starts\": "
-           << result.stats.mapperWarmStarts;
+        w.key("drift_recompiles").value(st.driftRecompiles);
+        w.key("restored_cells").value(st.restoredCells);
+        w.key("threads").value(st.threads).key("wall_ms").value(st.wallMs);
+        w.key("sched_mode").value(st.schedMode);
+        w.key("sched_items_per_task").value(st.schedItemsPerTask);
+        w.key("sched_tasks").value(st.schedTasks);
+        w.key("sched_predicted_ms").value(st.schedPredictedMs);
+        w.key("sched_actual_ms").value(st.schedActualMs);
+        w.key("mapper_nodes").value(st.mapperNodes);
+        w.key("mapper_bound_pruned").value(st.mapperBoundPruned);
+        w.key("mapper_symmetry_pruned").value(st.mapperSymmetryPruned);
+        w.key("mapper_dominance_pruned").value(st.mapperDominancePruned);
+        w.key("mapper_fallbacks").value(st.mapperFallbacks);
+        w.key("mapper_warm_starts").value(st.mapperWarmStarts);
     }
-    os << "}";
+    w.endObject();
+
     if (cache_stats && !deterministic) {
-        os << ",\n  \"cache\": {\"lookups\": " << cache_stats->lookups
-           << ", \"hits\": " << cache_stats->hits
-           << ", \"misses\": " << cache_stats->misses
-           << ", \"inserts\": " << cache_stats->inserts
-           << ", \"drift_checks\": " << cache_stats->driftChecks
-           << ", \"drift_reuses\": " << cache_stats->driftReuses
-           << ", \"drift_invalidations\": "
-           << cache_stats->driftInvalidations << "}";
+        const CompileCache::Stats &cs = *cache_stats;
+        w.key("cache").beginObject();
+        w.key("lookups").value(cs.lookups).key("hits").value(cs.hits);
+        w.key("misses").value(cs.misses).key("inserts").value(cs.inserts);
+        w.key("drift_checks").value(cs.driftChecks);
+        w.key("drift_reuses").value(cs.driftReuses);
+        w.key("drift_invalidations").value(cs.driftInvalidations);
+        w.endObject();
     }
-    os << "\n}\n";
+    w.endObject();
+    os << w.str() << "\n";
 }
 
 } // namespace triq

@@ -1,6 +1,8 @@
 /**
  * @file
- * Render a SweepResult as the triq-sweep JSON results matrix.
+ * Render a SweepResult as the triq-sweep JSON results matrix: one
+ * JsonWriter document on one line ({"cells": [...], "stats": {...},
+ * "cache": {...}}), numbers at full %.17g precision.
  *
  * Lives in the service layer (rather than the tool) so the
  * journal-resume byte-identity contract is testable in-process: the

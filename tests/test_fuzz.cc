@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/compiler.hh"
@@ -235,6 +236,8 @@ TEST_P(MalformedInput, CollectsDiagnosticsWithoutCrashing)
     // JSON must stay valid even when the input had raw control bytes.
     for (char ch : json)
         EXPECT_GE(static_cast<unsigned char>(ch), 0x20u) << bad.name;
+    JsonParseResult parsed = parseJson(json);
+    EXPECT_TRUE(parsed.ok) << bad.name << ": " << parsed.error;
 
     // The legacy first-throw API must convert to FatalError — never an
     // uncaught exception or a crash.

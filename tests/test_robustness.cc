@@ -18,6 +18,7 @@
 
 #include "common/budget.hh"
 #include "common/fault_injector.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
@@ -392,10 +393,14 @@ TEST(CompileReportTest, ReportCarriesEnginesTimingsAndRenders)
         EXPECT_GE(p.ms, 0.0);
     }
     EXPECT_NE(r.str().find("mapper:"), std::string::npos);
-    std::string json = r.json();
-    EXPECT_EQ(json.front(), '{');
-    EXPECT_EQ(json.back(), '}');
-    EXPECT_NE(json.find("\"mapperEngine\":\"bnb\""), std::string::npos);
+    JsonWriter w;
+    r.writeJson(w);
+    JsonParseResult json = parseJson(w.str());
+    ASSERT_TRUE(json.ok) << w.str() << " -- " << json.error;
+    EXPECT_EQ(json.value.getString("mapperEngine"), "bnb");
+    const JsonValue *passes = json.value.find("passes");
+    ASSERT_TRUE(passes && passes->isArray());
+    EXPECT_EQ(passes->array.size(), r.passes.size());
 }
 
 TEST(CompileReportTest, SmtRequestRecordsLadderInReport)

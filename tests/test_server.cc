@@ -134,6 +134,10 @@ TEST(WireTest, WriterRoundTripsThroughParser)
     w.key("t").value(true);
     w.key("nul").null();
     w.key("arr").beginArray().value(1).value("two").endArray();
+    // Well-formed UTF-8 (2-, 3- and 4-byte sequences) passes through.
+    w.key("cafe").value("caf\xc3\xa9");
+    w.key("euro").value("\xe2\x82\xac");
+    w.key("emoji").value("\xf0\x9f\x98\x80");
     w.endObject();
     JsonParseResult r = parseJson(w.str());
     ASSERT_TRUE(r.ok) << w.str() << " -- " << r.error;
@@ -141,6 +145,9 @@ TEST(WireTest, WriterRoundTripsThroughParser)
     EXPECT_DOUBLE_EQ(r.value.getNumber("n"), 0.1);
     EXPECT_DOUBLE_EQ(r.value.getNumber("i"), 42.0);
     EXPECT_TRUE(r.value.getBool("t"));
+    EXPECT_EQ(r.value.getString("cafe"), "caf\xc3\xa9");
+    EXPECT_EQ(r.value.getString("euro"), "\xe2\x82\xac");
+    EXPECT_EQ(r.value.getString("emoji"), "\xf0\x9f\x98\x80");
 }
 
 TEST(WireTest, UnicodeEscapesDecodeToUtf8)
@@ -148,6 +155,33 @@ TEST(WireTest, UnicodeEscapesDecodeToUtf8)
     JsonParseResult r = parseJson("{\"u\": \"\\u00e9\\u0041\"}");
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.value.getString("u"), "\xc3\xa9" "A");
+
+    // A surrogate pair is one 4-byte sequence; a lone surrogate is
+    // U+FFFD.
+    r = parseJson("{\"pair\": \"\\ud83d\\ude00\", "
+                  "\"lone\": \"a\\ud83db\\ude00\"}");
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value.getString("pair"), "\xf0\x9f\x98\x80");
+    EXPECT_EQ(r.value.getString("lone"),
+              "a\xef\xbf\xbd" "b\xef\xbf\xbd");
+}
+
+TEST(WireTest, WriterEscapesBytesOutsideWellFormedUtf8)
+{
+    // A stray continuation byte, an overlong form, an encoded
+    // surrogate, a code point above U+10FFFF and a truncated sequence:
+    // each of their bytes is escaped, so the output stays valid JSON.
+    JsonWriter w;
+    w.beginArray();
+    for (const char *bad : {"\x80", "\xc0\xaf", "\xed\xa0\x80",
+                            "\xf4\x90\x80\x80", "\xe2\x82"})
+        w.value(bad);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[\"\\u0080\", \"\\u00c0\\u00af\", "
+                       "\"\\u00ed\\u00a0\\u0080\", "
+                       "\"\\u00f4\\u0090\\u0080\\u0080\", "
+                       "\"\\u00e2\\u0082\"]");
+    EXPECT_TRUE(parseJson(w.str()).ok);
 }
 
 // --- protocol surface ----------------------------------------------------
@@ -166,6 +200,26 @@ TEST(ServerTest, PingAndStatsAnswerInline)
     const JsonValue *stats = st.find("stats");
     ASSERT_TRUE(stats && stats->isObject());
     EXPECT_GE(stats->getNumber("received"), 2.0);
+}
+
+TEST(ServerTest, Utf8IdsEchoAsSent)
+{
+    // The same id sent as raw UTF-8, as \u escapes (what Python's
+    // json.dumps sends) and, for an astral character, as a surrogate
+    // pair: every reply carries the id the request decoded to.
+    Server server(quietConfig());
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"id\":\"caf\xc3\xa9\",\"op\":\"ping\"}", "caf\xc3\xa9"},
+        {"{\"id\":\"caf\\u00e9\",\"op\":\"ping\"}", "caf\xc3\xa9"},
+        {"{\"id\":\"\\ud83d\\ude00\",\"op\":\"ping\"}",
+         "\xf0\x9f\x98\x80"},
+        {"{\"id\":\"\\u20ac\",\"op\":\"nope\"}", "\xe2\x82\xac"},
+    };
+    for (const auto &[frame, id] : cases) {
+        std::string reply = server.processLine("t", frame);
+        EXPECT_EQ(parsed(reply).getString("id"), id) << reply;
+        EXPECT_NE(reply.find(id), std::string::npos) << reply;
+    }
 }
 
 TEST(ServerTest, CompileThenCacheHit)

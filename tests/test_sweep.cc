@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/decompose.hh"
@@ -685,6 +686,52 @@ truncateJournal(const fs::path &p, int lines, int extra_bytes)
 }
 
 } // namespace
+
+TEST(SweepMatrix, ParsesBackAtFullPrecision)
+{
+    SweepConfig cfg = journalConfig("");
+    CompileCache cache;
+    SweepResult res = runSweep(cfg, &cache);
+
+    // The deterministic matrix is one line, and every evaluated cell's
+    // ESPs parse back bit-exact.
+    std::string matrix = matrixOf(cfg, res);
+    EXPECT_EQ(matrix.find('\n'), matrix.size() - 1);
+    JsonParseResult det = parseJson(matrix);
+    ASSERT_TRUE(det.ok) << det.error;
+    const JsonValue *cells = det.value.find("cells");
+    ASSERT_TRUE(cells && cells->isArray());
+    ASSERT_EQ(cells->array.size(), res.cells.size());
+    int evaluated = 0;
+    for (size_t i = 0; i < res.cells.size(); ++i) {
+        const SweepCell &c = res.cells[i];
+        const JsonValue &j = cells->array[i];
+        EXPECT_EQ(j.getString("source"), cellSourceName(c.source));
+        if (c.source == CellSource::Skipped ||
+            c.source == CellSource::Error)
+            continue;
+        EXPECT_EQ(j.getNumber("esp", -1.0), c.esp);
+        EXPECT_EQ(j.getNumber("esp_at_compile", -1.0), c.espAtCompile);
+        ++evaluated;
+    }
+    EXPECT_GT(evaluated, 0);
+
+    // The full matrix adds timings and the cache-counter block.
+    CompileCache::Stats cs = cache.stats();
+    std::ostringstream os;
+    writeSweepMatrix(os, cfg, res, &cs, /*deterministic=*/false);
+    JsonParseResult full = parseJson(os.str());
+    ASSERT_TRUE(full.ok) << full.error;
+    const JsonValue *stats = full.value.find("stats");
+    ASSERT_TRUE(stats && stats->isObject());
+    EXPECT_EQ(stats->getNumber("wall_ms", -1.0), res.stats.wallMs);
+    const JsonValue *counters = full.value.find("cache");
+    ASSERT_TRUE(counters && counters->isObject());
+    EXPECT_EQ(counters->getNumber("lookups", -1.0),
+              static_cast<double>(cs.lookups));
+    EXPECT_EQ(counters->getNumber("hits", -1.0),
+              static_cast<double>(cs.hits));
+}
 
 TEST(SweepJournal, RoundTripsCellsAndArtifacts)
 {

@@ -46,8 +46,8 @@
 #include <unistd.h>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
-#include "service/wire.hh"
 #include "workloads/benchmarks.hh"
 
 namespace triq
@@ -386,26 +386,19 @@ run(int argc, char **argv)
     // Final server-side snapshot over a fresh connection: cache heat
     // and the daemon's own view of the campaign (crashes must be 0
     // unless the campaign deliberately injected panics).
-    std::string stats_body = "null";
+    JsonValue server_stats; // null unless the daemon answers
     {
+        JsonWriter rq;
+        rq.beginObject().key("id").value("stats").key("op").value("stats");
+        rq.endObject();
         LineClient conn;
-        if (conn.connectTo(opt.socketPath) &&
-            conn.sendLine("{\"id\":\"stats\",\"op\":\"stats\"}")) {
-            std::string reply;
-            if (conn.readLine(reply, opt.timeoutMs)) {
-                JsonParseResult parsed = parseJson(reply);
-                if (parsed.ok && parsed.value.isObject() &&
-                    parsed.value.find("stats")) {
-                    // The stats object is the reply's last member, so
-                    // it spans from its opening brace to the reply's
-                    // penultimate brace; splice it verbatim.
-                    size_t at = reply.find("\"stats\":");
-                    size_t open = reply.find('{', at);
-                    size_t close = reply.rfind('}');
-                    if (open != std::string::npos && close > open)
-                        stats_body = reply.substr(open, close - open);
-                }
-            }
+        std::string reply;
+        if (conn.connectTo(opt.socketPath) && conn.sendLine(rq.str()) &&
+            conn.readLine(reply, opt.timeoutMs)) {
+            JsonParseResult parsed = parseJson(reply);
+            const JsonValue *stats = parsed.value.find("stats");
+            if (parsed.ok && stats)
+                server_stats = *stats;
         }
     }
 
@@ -427,21 +420,15 @@ run(int argc, char **argv)
     w.key("rejected").value(total.rejected);
     w.key("transport_errors").value(total.transportErrors);
     w.key("planned_disconnects").value(total.disconnects);
-    w.key("latency_ms")
-        .beginObject()
-        .key("count")
-        .value(static_cast<long>(total.latencies.size()))
-        .key("p50")
-        .value(percentile(total.latencies, 0.50))
-        .key("p99")
-        .value(percentile(total.latencies, 0.99))
-        .key("max")
-        .value(total.latencies.empty()
-                   ? 0.0
-                   : *std::max_element(total.latencies.begin(),
-                                       total.latencies.end()))
-        .endObject();
-    w.key("server_stats").raw(stats_body);
+    const std::vector<double> &lat = total.latencies;
+    w.key("latency_ms").beginObject();
+    w.key("count").value(lat.size());
+    w.key("p50").value(percentile(lat, 0.50));
+    w.key("p99").value(percentile(lat, 0.99));
+    w.key("max").value(
+        lat.empty() ? 0.0 : *std::max_element(lat.begin(), lat.end()));
+    w.endObject();
+    w.key("server_stats").value(server_stats);
     w.endObject();
 
     std::ofstream out(opt.outPath);

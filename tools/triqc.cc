@@ -39,6 +39,7 @@
 
 #include "common/env.hh"
 #include "common/fault_injector.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
 #include "core/compiler.hh"
@@ -233,6 +234,21 @@ levelFromString(const std::string &s)
     fatal("triqc: unknown level '", s, "' (expected n|1q|c|cn)");
 }
 
+/** The --diag-json line; `report` is null when no compile ran. */
+void
+printDiagJson(const Diagnostics &diags, const CompileReport *report)
+{
+    JsonWriter w;
+    w.beginObject().key("diagnostics");
+    diags.writeJson(w);
+    if (report) {
+        w.key("report");
+        report->writeJson(w);
+    }
+    w.endObject();
+    std::cout << w.str() << "\n";
+}
+
 /** The real driver; exceptions escape to main()'s exit-code mapping. */
 int
 run(int argc, char **argv)
@@ -337,7 +353,7 @@ run(int argc, char **argv)
         std::cerr << diags.text();
     if (diags.hasErrors()) {
         if (args.diagJson)
-            std::cout << "{\"diagnostics\":" << diags.json() << "}\n";
+            printDiagJson(diags, nullptr);
         std::cerr << "triqc: " << diags.errorCount()
                   << " error(s) in '" << args.inputFile << "'\n";
         return 1;
@@ -394,8 +410,7 @@ run(int argc, char **argv)
         std::cout << res.assembly;
     }
     if (args.diagJson)
-        std::cout << "{\"diagnostics\":" << diags.json()
-                  << ",\"report\":" << res.report.json() << "}\n";
+        printDiagJson(diags, &res.report);
 
     if (args.verify) {
         VerificationResult v = verifyCompilation(program, res);
@@ -455,10 +470,12 @@ main(int argc, char **argv)
         // failed allocation): a resource outcome, not a TriQ bug — one
         // structured diagnostic line and exit 1, never an abort or a
         // crash bundle.
-        std::cerr << "triqc: error: " << e.what()
-                  << "\n{\"code\": \"sim.oom\", \"attempted_bytes\": "
-                  << e.attemptedBytes
-                  << ", \"budget_bytes\": " << e.budgetBytes << "}\n";
+        JsonWriter w;
+        w.beginObject().key("code").value("sim.oom");
+        w.key("attempted_bytes").value(e.attemptedBytes);
+        w.key("budget_bytes").value(e.budgetBytes);
+        w.endObject();
+        std::cerr << "triqc: error: " << e.what() << "\n" << w.str() << "\n";
         return 1;
     } catch (const PanicError &e) {
         // Message already printed by panic(); dump the captured inputs

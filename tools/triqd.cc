@@ -294,7 +294,9 @@ serveSocket(Server &server, const std::string &path)
         conn->shut();
     close(listen_fd);
     unlink(path.c_str());
-    std::cerr << "triqd: final stats: " << server.statsJson() << "\n";
+    JsonWriter final_stats;
+    server.stats().writeJson(final_stats);
+    std::cerr << "triqd: final stats: " << final_stats.str() << "\n";
     return 0;
 }
 
