@@ -5,9 +5,9 @@
  *
  *   admission   checkAdmission() latency — the predicate triqd runs
  *               on every simulate request before queueing it. Target:
- *               < 50 us mean (it is a handful of arithmetic ops plus
- *               one SchedCalib estimate; anything slower would show up
- *               on every request the daemon serves).
+ *               < 50 us mean (it is a handful of arithmetic ops;
+ *               anything slower would show up on every request the
+ *               daemon serves).
  *
  *   journal     wall-clock overhead of `--journal` on a sweep — the
  *               same grid run with and without the fsync'd JSONL
@@ -78,30 +78,28 @@ try {
     }
 
     // --- admission latency: the per-request predicate, over the mix a
-    // daemon actually sees (small fits, wide rejects, compile-only).
+    // daemon actually sees (small fits, wide rejects).
     struct Probe
     {
-        int qubits, workers, gates2q, gates;
-        bool simulate;
+        int qubits, workers;
     };
     const Probe probes[] = {
-        {5, 1, 10, 60, true},    // small simulate — always fits
-        {14, 4, 40, 200, true},  // mid-size threaded simulate
-        {72, 1, 500, 2000, true}, // fig13-wide — rejects under a budget
-        {16, 1, 80, 400, false}, // compile-only — memory exempt
+        {5, 1},  // small simulate — always fits
+        {14, 4}, // mid-size threaded simulate
+        {72, 1}, // fig13-wide — rejects under a budget
+        {16, 1}, // mid-size serial simulate
     };
     volatile uint64_t sink = 0; // keep the verdicts from being elided
-    // Warm the SchedCalib path once so the measurement is steady-state.
-    sink = sink + checkAdmission(5, 1, 10, 60, 0.0, true).predictedBytes;
+    // Create the process governor once so the measurement is
+    // steady-state.
+    sink = sink + checkAdmission(5, 1).predictedBytes;
 
     std::vector<double> us;
     us.reserve(static_cast<size_t>(iters));
     for (int i = 0; i < iters; ++i) {
         const Probe &p = probes[static_cast<size_t>(i) % 4];
         auto t0 = std::chrono::steady_clock::now();
-        AdmissionVerdict v = checkAdmission(p.qubits, p.workers,
-                                            p.gates2q, p.gates, 0.0,
-                                            p.simulate);
+        AdmissionVerdict v = checkAdmission(p.qubits, p.workers);
         auto t1 = std::chrono::steady_clock::now();
         sink = sink + v.predictedBytes;
         us.push_back(

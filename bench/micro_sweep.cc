@@ -38,6 +38,7 @@
 #include "bench_util.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 #include "common/thread_pool.hh"
 #include "core/fingerprint.hh"
 #include "service/sweep.hh"
@@ -68,7 +69,8 @@ try {
         if (!std::strcmp(argv[i], "--days"))
             days = flagValue("--days", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--threads"))
-            threads = flagValue("--threads", bench::flagArg(argc, argv, i), 1);
+            threads = flagValue(
+                "--threads", bench::flagArg(argc, argv, i), 1, kMaxThreads);
         else if (!std::strcmp(argv[i], "--drift"))
             drift = flagValue<double>("--drift",
                                       bench::flagArg(argc, argv, i));

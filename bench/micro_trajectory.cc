@@ -31,6 +31,7 @@
 #include "bench_util.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 #include "common/thread_pool.hh"
 #include "workloads/benchmarks.hh"
 
@@ -76,7 +77,8 @@ try {
         else if (!std::strcmp(argv[i], "--trials"))
             trials = flagValue("--trials", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--threads"))
-            threads = flagValue("--threads", bench::flagArg(argc, argv, i), 1);
+            threads = flagValue(
+                "--threads", bench::flagArg(argc, argv, i), 1, kMaxThreads);
         else if (!std::strcmp(argv[i], "--wide"))
             wide = true;
         else if (!std::strcmp(argv[i], "--json"))

@@ -57,15 +57,15 @@ template double flagValue<double>(const char *, const char *, double,
                                   double);
 
 int
-envInt(const char *name, int fallback, int min_value)
+envInt(const char *name, int fallback, int min_value, int max_value)
 {
     const char *env = std::getenv(name);
     if (!env)
         return fallback;
     long v = 0;
-    if (!parseNumber(env, v) || v < min_value || v > 1000000000L) {
-        warn(name, "='", env, "' is not an integer >= ", min_value,
-             "; using ", fallback);
+    if (!parseNumber(env, v) || v < min_value || v > max_value) {
+        warn(name, "='", env, "' is not an integer in [", min_value, ", ",
+             max_value, "]; using ", fallback);
         return fallback;
     }
     return static_cast<int>(v);

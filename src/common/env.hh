@@ -4,8 +4,9 @@
  * TRIQ_* integer knobs (TRIQ_TRIALS, TRIQ_DAY, TRIQ_SIM_THREADS) funnel
  * through envInt so malformed values produce one consistent
  * warn-and-fallback behavior instead of silent atoi garbage; the CLI
- * tools read their numeric flags through flagValue, which rejects the
- * same malformed values with fatal().
+ * tools read their numeric flags (and triq-sweep its manifest numbers)
+ * through flagValue, which rejects the same malformed values with
+ * fatal().
  */
 
 #ifndef TRIQ_COMMON_ENV_HH
@@ -41,12 +42,15 @@ T flagValue(const char *flag, const char *text,
  *
  * @param name Variable name, e.g. "TRIQ_TRIALS".
  * @param fallback Value returned when the variable is unset or invalid.
- * @param min_value Smallest accepted value; anything below it (or any
- *        string that is not a plain decimal integer, e.g.
- *        TRIQ_TRIALS=10x) triggers one warn() line and returns
- *        `fallback` — malformed knobs are never silently ignored.
+ * @param min_value Smallest accepted value; anything outside
+ *        [min_value, max_value] (or any string that is not a plain
+ *        decimal integer, e.g. TRIQ_TRIALS=10x) triggers one warn()
+ *        line and returns `fallback` — malformed knobs are never
+ *        silently ignored.
+ * @param max_value Largest accepted value.
  */
-int envInt(const char *name, int fallback, int min_value = 1);
+int envInt(const char *name, int fallback, int min_value = 1,
+           int max_value = 1000000000);
 
 /**
  * Read a floating-point environment variable (e.g. TRIQ_SWEEP_DRIFT).

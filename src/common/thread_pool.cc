@@ -1,7 +1,5 @@
 #include "common/thread_pool.hh"
 
-#include <atomic>
-
 #include "common/logging.hh"
 
 namespace triq
@@ -28,16 +26,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::submit(std::function<void()> job)
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(job));
-    }
-    workReady_.notify_one();
-}
-
-void
 ThreadPool::submitBatch(std::vector<std::function<void()>> jobs)
 {
     if (jobs.empty())
@@ -55,18 +43,6 @@ ThreadPool::submitBatch(std::vector<std::function<void()>> jobs)
 }
 
 void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-    if (firstError_) {
-        std::exception_ptr e = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(e);
-    }
-}
-
-void
 ThreadPool::ensureWorkers(int num_threads)
 {
     while (size() < num_threads)
@@ -80,29 +56,15 @@ ThreadPool::hardwareThreads()
     return n == 0 ? 1 : static_cast<int>(n);
 }
 
-namespace
-{
-std::atomic<bool> process_pool_started{false};
-} // namespace
-
 ThreadPool &
 processPool(int min_workers)
 {
-    if (min_workers <= 0)
-        min_workers = ThreadPool::hardwareThreads();
-    // Flag-then-construct: the flag only matters to the scheduler's
-    // cost model (is the spawn cost sunk yet?), so flipping it a hair
-    // early is harmless even if construction throws.
-    process_pool_started.store(true, std::memory_order_relaxed);
     static ThreadPool pool(min_workers);
+    // Concurrent fan-outs may ask for different sizes at once.
+    static std::mutex grow;
+    std::lock_guard<std::mutex> lock(grow);
     pool.ensureWorkers(min_workers);
     return pool;
-}
-
-bool
-processPoolStarted()
-{
-    return process_pool_started.load(std::memory_order_relaxed);
 }
 
 void
@@ -119,55 +81,9 @@ ThreadPool::workerLoop()
                 return; // stopping_ with a drained queue
             job = std::move(queue_.front());
             queue_.pop_front();
-            ++active_;
         }
-        try {
-            job();
-        } catch (...) {
-            std::unique_lock<std::mutex> lock(mutex_);
-            if (!firstError_)
-                firstError_ = std::current_exception();
-        }
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            --active_;
-            if (queue_.empty() && active_ == 0)
-                allDone_.notify_all();
-        }
+        job();
     }
-}
-
-void
-parallelFor(ThreadPool &pool, int num_tasks,
-            const std::function<void(int)> &fn)
-{
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(static_cast<size_t>(num_tasks));
-    for (int i = 0; i < num_tasks; ++i)
-        jobs.push_back([&fn, i] { fn(i); });
-    pool.submitBatch(std::move(jobs));
-    pool.wait();
-}
-
-void
-parallelForRanges(ThreadPool &pool, int num_items, int items_per_task,
-                  const std::function<void(int, int)> &fn)
-{
-    if (num_items <= 0)
-        return;
-    if (items_per_task < 1)
-        items_per_task = 1;
-    const int num_tasks =
-        (num_items + items_per_task - 1) / items_per_task;
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(static_cast<size_t>(num_tasks));
-    for (int t = 0; t < num_tasks; ++t) {
-        int lo = t * items_per_task;
-        int hi = std::min(num_items, lo + items_per_task);
-        jobs.push_back([&fn, lo, hi] { fn(lo, hi); });
-    }
-    pool.submitBatch(std::move(jobs));
-    pool.wait();
 }
 
 } // namespace triq

@@ -83,10 +83,6 @@ CrashBundle::write(const std::string &dir) const
          << "sim_fusion=" << simFusion << "\n";
     if (!requestId.empty())
         opts << "request_id=" << requestId << "\n";
-    if (!schedMode.empty())
-        opts << "sched_mode=" << schedMode << "\n"
-             << "sched_threads=" << schedThreads << "\n"
-             << "sched_items_per_task=" << schedItemsPerTask << "\n";
     writeFile(fs::path(dir) / kOptionsFile, opts.str());
 
     if (!envKnobs.empty()) {
@@ -157,14 +153,9 @@ CrashBundle::load(const std::string &dir)
             b.simFusion = std::atoi(val.c_str());
         else if (key == "request_id")
             b.requestId = val;
-        else if (key == "sched_mode")
-            b.schedMode = val;
-        else if (key == "sched_threads")
-            b.schedThreads = std::atoi(val.c_str());
-        else if (key == "sched_items_per_task")
-            b.schedItemsPerTask = std::atoi(val.c_str());
         // Unknown keys are skipped so newer bundles load in older
-        // builds; the replay just ignores options it predates.
+        // builds, and older bundles' retired keys (sched_mode,
+        // sched_threads, sched_items_per_task) load in newer ones.
     }
 
     if (fs::exists(fs::path(dir) / kEnvironmentFile)) {

@@ -18,20 +18,17 @@
  *   options.txt       key=value lines: device, level, mapper, budget,
  *                     seed, trials — every triqc flag that shapes the
  *                     pipeline — plus the request id when the crash
- *                     happened inside triqd, and the adaptive
- *                     scheduler's decision for the execution phase
- *                     when one had been taken before the panic
+ *                     happened inside triqd
  *   environment.txt   every TRIQ_* environment knob that was set in
  *                     the crashing process, NAME=value per line
  *   error.txt         the panic message
  *
  * `triqc --replay <dir>` reconstructs the exact invocation from the
  * bundle — including re-applying the captured TRIQ_* knobs (except
- * TRIQ_FAULT*, since the bundle's inputs are already post-injection)
- * and pinning the recorded scheduler decision — so an internal error
- * reported from the field, or from a live triqd under load, reproduces
- * from one artifact with no access to the original machine,
- * environment variables or calibration feed.
+ * TRIQ_FAULT*, since the bundle's inputs are already post-injection) —
+ * so an internal error reported from the field, or from a live triqd
+ * under load, reproduces from one artifact with no access to the
+ * original machine, environment variables or calibration feed.
  */
 
 #ifndef TRIQ_CORE_CRASH_REPORT_HH
@@ -98,21 +95,9 @@ struct CrashBundle
      * NAME=value entries (captureTriqEnv()). Replays re-apply them —
      * minus TRIQ_FAULT/TRIQ_FAULT_SEED, whose effects are already
      * baked into the bundled inputs — so knob-dependent behavior
-     * (TRIQ_SCHED_CALIB, TRIQ_SIM_FUSION, ...) reproduces faithfully.
+     * (TRIQ_SIM_THREADS, TRIQ_SIM_FUSION, ...) reproduces faithfully.
      */
     std::vector<std::string> envKnobs;
-
-    /**
-     * The adaptive scheduler's decision for the execution phase, when
-     * one had been taken before the panic ("" = none recorded). A
-     * server-mode run under load may have fanned out differently than
-     * a quiet replay would; pinning the decision removes that
-     * difference. (Results are bit-identical either way — this is
-     * about reproducing the *timing shape* that exposed the bug.)
-     */
-    std::string schedMode;
-    int schedThreads = 0;
-    int schedItemsPerTask = 1;
 
     /** The panic message (written to error.txt, not read back). */
     std::string error;

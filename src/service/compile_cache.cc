@@ -20,13 +20,6 @@ CompileCache::find(const CompileFingerprint &key)
     return it->second;
 }
 
-bool
-CompileCache::contains(const CompileFingerprint &key) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return map_.find(key) != map_.end();
-}
-
 void
 CompileCache::insert(const CompileFingerprint &key,
                      std::shared_ptr<const CompileResult> result,

@@ -89,13 +89,6 @@ class CompileCache
     std::optional<Entry> find(const CompileFingerprint &key);
 
     /**
-     * Stat-free presence probe: true when an exact-key entry exists.
-     * Used by the sweep scheduler's cost model to predict hit vs.
-     * compile cost without perturbing the lookup/hit/miss counters.
-     */
-    bool contains(const CompileFingerprint &key) const;
-
-    /**
      * Memoize a compilation under its key. Last writer wins on a
      * duplicate key (both writers hold identical artifacts by the
      * determinism contract, so this is benign).

@@ -3,43 +3,16 @@
 #include <sstream>
 
 #include "common/resource.hh"
-#include "common/sched.hh"
-#include "core/circuit.hh"
 
 namespace triq
 {
 
-double
-predictCompileUs(const Circuit &circuit, int device_qubits)
-{
-    return estimateCompileUs(schedCalib(), device_qubits,
-                             circuit.count2q(), circuit.numGates());
-}
-
 AdmissionVerdict
-checkAdmission(int active_qubits, int workers, int gates_2q, int gates,
-               double timeout_ms, bool simulate)
+checkAdmission(int active_qubits, int workers)
 {
     AdmissionVerdict v;
-    const SchedCalib &scal = schedCalib();
-    v.predictedCompileMs =
-        estimateCompileUs(scal, active_qubits, gates_2q, gates) / 1000.0;
     ResourceGovernor &gov = processGovernor();
     v.budgetBytes = gov.budgetBytes();
-
-    if (timeout_ms > 0.0 && v.predictedCompileMs > timeout_ms) {
-        v.fits = false;
-        std::ostringstream msg;
-        msg << "predicted compile time " << v.predictedCompileMs
-            << " ms exceeds the request deadline " << timeout_ms
-            << " ms";
-        v.reason = msg.str();
-        return v;
-    }
-
-    if (!simulate)
-        return v;
-
     v.predictedBytes = predictSimulationBytes(active_qubits, workers);
     if (v.budgetBytes == 0 || gov.wouldFit(v.predictedBytes))
         return v;

@@ -1,18 +1,14 @@
 /**
  * @file
- * Predictive per-request cost model for admission control: estimate,
- * *before any work starts*, how much memory a simulation will commit
- * and how long a compile will take, so triqd can reject a request the
- * process cannot afford with a structured `server.budget` error
- * instead of queueing it until the allocator (or the kernel) kills the
- * daemon.
+ * Predictive per-request admission: estimate, *before any work
+ * starts*, how much memory a simulation will commit, so triqd can
+ * reject a request the process cannot afford with a structured
+ * `server.budget` error instead of queueing it until the allocator (or
+ * the kernel) kills the daemon.
  *
  * The memory formulas live in sim/sim_cost.hh — executeNoisy reserves
- * exactly what admission checks, so the layers cannot disagree.
- * Compile time reuses the SchedCalib machine constants via
- * estimateCompileUs — the same model the sweep scheduler already
- * trusts for serial-vs-threaded decisions. See DESIGN.md, "Resource
- * governor", for the formulas.
+ * exactly what admission checks, so the layers cannot disagree. See
+ * DESIGN.md, "Resource governor", for the formulas.
  */
 
 #ifndef TRIQ_SERVICE_COST_MODEL_HH
@@ -26,35 +22,22 @@
 namespace triq
 {
 
-class Circuit;
-
-/**
- * Predicted compile time in microseconds for `circuit` onto a
- * `device_qubits`-qubit device, via the process SchedCalib.
- */
-double predictCompileUs(const Circuit &circuit, int device_qubits);
-
 /** One admission verdict; `fits` false means reject with the fields. */
 struct AdmissionVerdict
 {
     bool fits = true;
     uint64_t predictedBytes = 0; //!< Predicted peak committed memory.
     uint64_t budgetBytes = 0;    //!< Budget in force (0 = unlimited).
-    double predictedCompileMs = 0.0;
     std::string reason; //!< Human-readable rejection reason ("" = fits).
 };
 
 /**
- * Check a compile/simulate request against the process memory budget:
- * `active_qubits` wide, fanned out over `workers` chunks, with the
- * compile of `gates` total gates (`gates_2q` two-qubit) predicted
- * against `timeout_ms` (<= 0 = no deadline). Considers the executor's
- * degraded low-memory plan before rejecting: a simulate request only
+ * Check a simulate request against the process memory budget:
+ * `active_qubits` wide, fanned out over `workers` chunks. Considers the
+ * executor's degraded low-memory plan before rejecting: a request only
  * fails admission when even the fallback cannot fit.
  */
-AdmissionVerdict checkAdmission(int active_qubits, int workers,
-                                int gates_2q, int gates,
-                                double timeout_ms, bool simulate);
+AdmissionVerdict checkAdmission(int active_qubits, int workers);
 
 } // namespace triq
 

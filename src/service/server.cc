@@ -161,46 +161,33 @@ findServerDevice(const std::string &name)
     return nullptr;
 }
 
-/** Benchmark shape admission feeds the cost predictors. */
-struct BenchCost
-{
-    bool known = false;
-    int qubits = 0;
-    int gates2q = 0;
-    int gates = 0;
-};
-
 /**
- * Memoized benchmark gate counts for the submit-time cost prediction.
- * Building a benchmark circuit is cheap but not free (a Sup6x12d128 is
- * thousands of gates), and admission runs on the transport thread —
- * each name is priced once per process. Unknown names report
- * known=false and admission leaves the rejection to the worker's
- * front end (input.invalid carries the better message).
+ * Memoized benchmark width for the submit-time memory prediction, 0
+ * for an unknown name. Building a benchmark circuit is cheap but not
+ * free (a Sup6x12d128 is thousands of gates), and admission runs on the
+ * transport thread — each name is sized once per process. Admission
+ * leaves unknown names to the worker's front end (input.invalid
+ * carries the better message).
  */
-BenchCost
-benchCost(const std::string &bench)
+int
+benchQubits(const std::string &bench)
 {
     static std::mutex m;
-    static std::map<std::string, BenchCost> memo;
+    static std::map<std::string, int> memo;
     if (bench.empty())
-        return {};
+        return 0;
     std::lock_guard<std::mutex> lock(m);
     auto it = memo.find(bench);
     if (it != memo.end())
         return it->second;
-    BenchCost out;
+    int qubits = 0;
     try {
-        Circuit c = makeBenchmark(bench);
-        out.known = true;
-        out.qubits = c.numQubits();
-        out.gates2q = c.count2q();
-        out.gates = c.numGates();
+        qubits = makeBenchmark(bench).numQubits();
     } catch (const FatalError &) {
-        // Leave known=false; the worker will refuse it properly.
+        // Leave it 0; the worker will refuse it properly.
     }
-    memo.emplace(bench, out);
-    return out;
+    memo.emplace(bench, qubits);
+    return qubits;
 }
 
 } // namespace
@@ -373,13 +360,12 @@ Server::submit(const std::string &client, std::string line, Respond respond)
         const std::string dev_name =
             rq.getString("device", "IBMQ5");
         const Device *dev = findServerDevice(dev_name);
-        BenchCost bc = benchCost(rq.getString("bench"));
-        if (dev && bc.known) {
+        const int qubits = benchQubits(rq.getString("bench"));
+        if (dev && qubits > 0) {
             // Workers = 1: triqd executes each request serially (see
             // executeCompileOrSimulate).
-            AdmissionVerdict v = checkAdmission(
-                std::min(bc.qubits, dev->numQubits()), 1, bc.gates2q,
-                bc.gates, 0.0, true);
+            AdmissionVerdict v =
+                checkAdmission(std::min(qubits, dev->numQubits()), 1);
             if (!v.fits) {
                 {
                     std::lock_guard<std::mutex> lock(statsMutex_);
@@ -389,8 +375,6 @@ Server::submit(const std::string &client, std::string line, Respond respond)
                     rq, "server.budget", v.reason, [&](JsonWriter &w) {
                         w.key("predicted_bytes").value(v.predictedBytes);
                         w.key("budget_bytes").value(v.budgetBytes);
-                        w.key("predicted_compile_ms").value(
-                            v.predictedCompileMs);
                     }));
                 return;
             }
@@ -876,9 +860,6 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                 w.key("budget_bytes").value(e.budgetBytes);
             });
         }
-        crash.schedMode = run.sched.mode();
-        crash.schedThreads = run.sched.threads;
-        crash.schedItemsPerTask = run.sched.itemsPerTask;
         w.key("trials").value(run.trials);
         w.key("success_rate").value(run.successRate);
         w.key("correct_is_modal").value(run.correctIsModal);

@@ -60,8 +60,8 @@
  *   server.overloaded server.timeout server.draining — load shedding
  *   server.budget — predictive admission: the request's simulation
  *     state provably cannot fit TRIQ_MEM_BUDGET even in the executor's
- *     degraded low-memory plan (+ predicted_bytes / budget_bytes /
- *     predicted_compile_ms); the daemon keeps serving everyone else
+ *     degraded low-memory plan (+ predicted_bytes / budget_bytes); the
+ *     daemon keeps serving everyone else
  *   sim.oom — the admitted simulation still could not get its memory
  *     (reservation refused mid-flight, or the allocator failed); a
  *     structured resource outcome (+ attempted_bytes / budget_bytes),

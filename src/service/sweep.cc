@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -13,7 +12,6 @@
 #include "common/fault_injector.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
-#include "common/thread_pool.hh"
 #include "core/decompose.hh"
 #include "core/esp.hh"
 #include "service/sweep_journal.hh"
@@ -31,44 +29,6 @@ msSince(Clock::time_point t0)
 {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0)
         .count();
-}
-
-/** Estimated cost of an exact-fingerprint cache hit (lookup + copy). */
-constexpr double kCacheHitUs = 20.0;
-
-/** Run the day's cells per the scheduler's plan (see executor.cc). */
-void
-runPerPlan(const SchedDecision &dec, int items,
-           const std::function<void(int)> &fn)
-{
-    if (!dec.threaded) {
-        for (int i = 0; i < items; ++i)
-            fn(i);
-        return;
-    }
-    ThreadPool &pool = processPool(dec.threads);
-    parallelForRanges(pool, items, dec.itemsPerTask,
-                      [&fn](int lo, int hi) {
-                          for (int i = lo; i < hi; ++i)
-                              fn(i);
-                      });
-}
-
-/** Fold one day's fan-out decision into the sweep-level stats. */
-void
-recordDecision(SweepStats &stats, const SchedDecision &dec, bool first)
-{
-    if (first)
-        stats.schedMode = dec.mode();
-    else if (stats.schedMode != dec.mode())
-        stats.schedMode = "mixed";
-    stats.threads = std::max(stats.threads, dec.threads);
-    if (dec.tasks > stats.schedTasks) {
-        stats.schedTasks = dec.tasks;
-        stats.schedItemsPerTask = dec.itemsPerTask;
-    }
-    stats.schedPredictedMs += dec.predictedMs;
-    stats.schedActualMs += dec.actualMs > 0.0 ? dec.actualMs : 0.0;
 }
 
 } // namespace
@@ -89,15 +49,6 @@ cellSourceName(CellSource s)
         return "error";
     }
     panic("cellSourceName: unknown source");
-}
-
-int
-defaultSweepThreads()
-{
-    // min 0: TRIQ_SWEEP_THREADS=0 is valid and means "adaptive", which
-    // is also the unset default — the cost model already knows when
-    // hardware threads are worth using.
-    return envInt("TRIQ_SWEEP_THREADS", 0, 0);
 }
 
 double
@@ -174,13 +125,6 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         fatal("runSweep: every grid dimension (programs, devices, days, "
               "levels) must be non-empty");
 
-    // > 0 forces a worker count (1 = true serial path); <= 0 resolves
-    // to adaptive, where the cost model below decides per day.
-    int threads_req = config.threads;
-    if (threads_req == 0)
-        threads_req = defaultSweepThreads();
-    if (threads_req < 0)
-        threads_req = 0;
     const bool use_cache =
         config.useCache && cache != nullptr && cacheEnabledFromEnv();
     const double drift = config.driftThreshold <= -2.0
@@ -446,9 +390,6 @@ runSweep(const SweepConfig &config, CompileCache *cache)
     // though workers run concurrently.
     std::mutex stats_mutex;
 
-    const SchedCalib &scal = schedCalib();
-    bool first_day = true;
-
     // Days ascend with a barrier between them: a later day's drift
     // check must see the earlier days' entries (the ROADMAP
     // calibration-feed loop).
@@ -480,36 +421,8 @@ runSweep(const SweepConfig &config, CompileCache *cache)
             }
         }
 
-        // Cost model: a rep whose exact fingerprint is already cached
-        // is a cheap lookup; anything else is priced as a cold compile
-        // from its lowered circuit. Warm sweeps therefore correctly
-        // estimate near-zero work and stay serial, while a cold day of
-        // many distinct fingerprints fans out with cells batched so
-        // each pool task amortizes its dispatch.
-        double total_us = 0.0;
-        for (int ci : reps) {
-            const SweepCell &cell = out.cells[ci];
-            const Device &dev = config.devices[cell.deviceIndex];
-            int variant = dev.gateSet().nativeCphase ? 1 : 0;
-            const Circuit &low = *lowered[cell.programIndex][variant];
-            bool hit = use_cache && cache->contains(cell.fingerprint);
-            total_us += hit ? kCacheHitUs
-                            : estimateCompileUs(scal, dev.numQubits(),
-                                                low.count2q(),
-                                                low.numGates());
-        }
         const int num_reps = static_cast<int>(reps.size());
-        double us_per_item =
-            num_reps > 0 ? total_us / num_reps : 0.0;
-        SchedDecision dec =
-            threads_req > 0
-                ? planForced(scal, num_reps, us_per_item, threads_req,
-                             processPoolStarted())
-                : planParallel(scal, num_reps, us_per_item, 0,
-                               processPoolStarted());
-        auto t_day = Clock::now();
-
-        runPerPlan(dec, num_reps, [&](int ri) {
+        SchedDecision dec = forEachIndex(config.threads, num_reps, [&](int ri) {
             int ci = reps[ri];
             SweepCell &cell = out.cells[ci];
             const SweepProgram &prog =
@@ -530,8 +443,9 @@ runSweep(const SweepConfig &config, CompileCache *cache)
             std::optional<CompileCache::Entry> drift_stale;
             // A throwing cell (strict calibration rejecting a corrupt
             // feed, or any pipeline failure) is recorded and contained
-            // *inside* the worker: letting it escape would poison
-            // pool.wait() and void every other cell of the sweep.
+            // *inside* the worker: letting it escape would make
+            // forEachIndex rethrow and void every other cell of the
+            // sweep.
             try {
             if (use_cache) {
                 if (auto hit = cache->find(cell.fingerprint)) {
@@ -608,9 +522,7 @@ runSweep(const SweepConfig &config, CompileCache *cache)
             resolve();
             journal_cell(ci);
         });
-        dec.actualMs = msSince(t_day);
-        recordDecision(out.stats, dec, first_day);
-        first_day = false;
+        out.stats.threads = std::max(out.stats.threads, dec.threads);
 
         // Members share their representative's artifact: within one
         // run that sharing *is* a cache hit (the entry the rep just
@@ -667,8 +579,6 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         warn("runSweep: ", out.stats.errors,
              " cell(s) failed and were recorded as errors; ",
              out.stats.cells, " cell(s) completed");
-    // stats.threads was folded in per day by recordDecision (max over
-    // the days' decisions; 1 when every day ran serial).
     out.stats.wallMs = msSince(t_start);
     return out;
 }

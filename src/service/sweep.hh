@@ -19,19 +19,11 @@
  * so a later day's drift check always sees the earlier days' entries —
  * exactly the "calibration feed arrives, decide what to recompile"
  * loop of the ROADMAP. Within a day, distinct fingerprints compile in
- * parallel on the src/common thread pool; everything the engine
- * produces is deterministic and independent of the thread count.
- *
- * Scheduling: each day's distinct-fingerprint compiles go through the
- * adaptive cost model (common/sched.hh) — it estimates per-cell
- * compile cost from the lowered circuit, decides serial vs. threaded
- * per day, and batches many small cells into one pool task so the
- * dispatch overhead is amortized. The decision (mode, batch size,
- * predicted vs. actual ms) is recorded in SweepStats.
+ * parallel through forEachIndex (common/sched.hh) at
+ * SweepConfig::threads workers; everything the engine produces is
+ * deterministic and independent of the thread count.
  *
  * Environment knobs (defaults; explicit SweepConfig fields override):
- *   TRIQ_SWEEP_THREADS  worker threads; 0 or unset = adaptive (the
- *                       cost model picks up to hardware threads)
  *   TRIQ_CACHE          0 disables the compile cache (default on)
  *   TRIQ_SWEEP_DRIFT    drift threshold in [0,1]; negative/unset
  *                       disables drift reuse (default off)
@@ -66,11 +58,10 @@ struct SweepConfig
     std::vector<OptLevel> levels;
 
     /**
-     * Worker threads for the per-day compile fan-out. > 0 forces that
-     * many workers (1 = true serial path, no pool); < 0 forces
-     * adaptive mode; 0 reads TRIQ_SWEEP_THREADS, where 0/unset again
-     * means adaptive (the common/sched.hh cost model decides per day).
-     * Results are identical for every value.
+     * Worker threads for the per-day compile fan-out. N >= 1 runs N
+     * workers (1 = serial path, no pool; at most kMaxThreads); <= 0
+     * runs one worker per hardware thread. Results are identical for
+     * every value.
      */
     int threads = 0;
 
@@ -207,18 +198,6 @@ struct SweepStats
     int mapperWarmStarts = 0;
     double wallMs = 0.0;     //!< End-to-end engine wall clock.
     int threads = 1;         //!< Workers actually used (max over days).
-
-    /**
-     * The scheduler's per-day fan-out decisions, aggregated:
-     * "serial"/"threaded" when every day agreed, "mixed" otherwise;
-     * batch size and task count from the largest day; predicted and
-     * actual milliseconds summed over the per-day fan-outs.
-     */
-    std::string schedMode = "serial";
-    int schedItemsPerTask = 1;  //!< Cells carried per pool task.
-    int schedTasks = 0;         //!< Pool tasks enqueued (0 = serial).
-    double schedPredictedMs = 0.0;
-    double schedActualMs = 0.0;
 };
 
 /** Everything runSweep produces. */
@@ -263,9 +242,6 @@ CachedCompile compileThroughCache(CompileCache *cache,
                                   const Calibration &calib,
                                   const CompileOptions &opts,
                                   double drift_threshold = -1.0);
-
-/** TRIQ_SWEEP_THREADS; 0 or unset = adaptive (returns 0). */
-int defaultSweepThreads();
 
 /** TRIQ_SWEEP_DRIFT, default = disabled (-1). */
 double defaultDriftThreshold();

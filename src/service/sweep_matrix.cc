@@ -71,11 +71,6 @@ writeSweepMatrix(std::ostream &os, const SweepConfig &config,
         w.key("drift_recompiles").value(st.driftRecompiles);
         w.key("restored_cells").value(st.restoredCells);
         w.key("threads").value(st.threads).key("wall_ms").value(st.wallMs);
-        w.key("sched_mode").value(st.schedMode);
-        w.key("sched_items_per_task").value(st.schedItemsPerTask);
-        w.key("sched_tasks").value(st.schedTasks);
-        w.key("sched_predicted_ms").value(st.schedPredictedMs);
-        w.key("sched_actual_ms").value(st.schedActualMs);
         w.key("mapper_nodes").value(st.mapperNodes);
         w.key("mapper_bound_pruned").value(st.mapperBoundPruned);
         w.key("mapper_symmetry_pruned").value(st.mapperSymmetryPruned);

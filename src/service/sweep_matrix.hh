@@ -10,7 +10,7 @@
  * the uninterrupted run would have rendered.
  *
  * `deterministic` drops every wall-clock-dependent field (per-cell
- * "ms", the stats' wall/sched/thread numbers, drift_recompiles,
+ * "ms", the stats' wall-clock and thread numbers, drift_recompiles,
  * restored_cells and the whole cache-counter block), leaving only
  * fields that are pure functions of the grid inputs. triq-sweep
  * switches to this mode whenever a journal is in play — timings can

@@ -1,7 +1,6 @@
 #include "sim/executor.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <climits>
 #include <sstream>
 
@@ -10,7 +9,6 @@
 #include "common/resource.hh"
 #include "common/rng.hh"
 #include "common/sched.hh"
-#include "common/thread_pool.hh"
 #include "core/esp.hh"
 #include "sim/compact.hh"
 #include "sim/fusion.hh"
@@ -26,15 +24,6 @@ namespace
 
 /** Trials per RNG chunk; part of the sampling contract (see header). */
 constexpr int kDefaultChunkSize = 64;
-
-/** Milliseconds since `t0`. */
-double
-msSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Histograms this narrow use a flat per-chunk count vector. */
 constexpr size_t kFlatHistogramBits = 12;
@@ -294,28 +283,31 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         ro_err[k] = safe.errRO[static_cast<size_t>(hq)];
     }
 
-    // Thread request: > 0 forces that many workers (1 = true serial
-    // path), < 0 is adaptive; 0 defers to TRIQ_SIM_THREADS where 0
-    // again means adaptive. After this block, 0 = adaptive.
-    int threads_req = opts.threads;
-    if (threads_req == 0)
-        threads_req = defaultSimThreads(1);
-    if (threads_req < 0)
-        threads_req = 0;
+    // 0 reads TRIQ_SIM_THREADS; forEachIndex applies the thread rule.
+    int threads = opts.threads != 0 ? opts.threads : defaultSimThreads(1);
+
+    // Shard trials into chunks; chunk ci owns the RNG stream
+    // (seed, ci), and chunks merge in index order below, so the result
+    // is a pure function of (seed, trials, chunk size) — never of the
+    // thread count.
+    const int chunk_size =
+        opts.chunkSize > 0 ? opts.chunkSize : kDefaultChunkSize;
+    const int num_chunks = (trials + chunk_size - 1) / chunk_size;
+    const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
     // Reserve the run's predicted peak memory against the process
-    // budget before the first state vector exists. When the full plan
-    // does not fit, degrade to the low-memory plan (serial, no
-    // checkpoints: ideal + one trajectory state) before
-    // giving up; only when even that cannot fit does the reservation
-    // throw a structured ResourceError.
+    // budget before the first state vector exists. Each chunk in
+    // flight holds its own trajectory state, so the plan counts the
+    // chunks forEachIndex runs at once. When the full plan does not
+    // fit, degrade to the low-memory plan (serial, no checkpoints:
+    // ideal + one trajectory state) before giving up; only when even
+    // that cannot fit does the reservation throw a structured
+    // ResourceError.
     ResourceGovernor &gov = processGovernor();
     const int active_qubits = cc.circuit.numQubits();
-    const int planned_workers =
-        threads_req > 0 ? threads_req
-                        : std::max(schedCalib().hardwareThreads, 1);
     bool low_mem = false;
-    planned_bytes = predictSimulationBytes(active_qubits, planned_workers);
+    planned_bytes = predictSimulationBytes(
+        active_qubits, fanOutWidth(threads, num_chunks));
     MemReservation reservation;
     try {
         reservation = MemReservation(gov, planned_bytes,
@@ -325,7 +317,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         reservation = MemReservation(
             gov, planned_bytes, "low-memory simulation of " + hw.name());
         low_mem = true;
-        threads_req = 1;
+        threads = 1;
         warn("executeNoisy: memory budget ",
              formatBytes(gov.budgetBytes()), " forces the low-memory ",
              "plan for ", hw.name(), " (serial trajectories, no ",
@@ -424,46 +416,14 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     ctx.correctOutcome = ideal_key;
     ctx.flatHistogram = measured.size() <= kFlatHistogramBits;
 
-    // Shard trials into chunks; chunk ci owns the RNG stream
-    // (seed, ci), and chunks merge in index order below, so the result
-    // is a pure function of (seed, trials, chunk size) — never of the
-    // thread count.
-    const int chunk_size =
-        opts.chunkSize > 0 ? opts.chunkSize : kDefaultChunkSize;
-    const int num_chunks = (trials + chunk_size - 1) / chunk_size;
-    const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
-
-    // Plan the chunk fan-out: a forced thread request batches onto the
-    // pool even where the model predicts a loss; otherwise the cost
-    // model picks serial or threaded. The RNG chunking is fixed above,
-    // so the plan can never change a result — only its wall-clock time.
-    const SchedCalib &scal = schedCalib();
-    const double chunk_us = estimateChunkUs(
-        scal, cc.circuit.numQubits(), num_gates, chunk_size,
-        std::clamp(1.0 - res.noErrorProb, 0.0, 1.0));
-    SchedDecision dec =
-        threads_req > 0
-            ? planForced(scal, num_chunks, chunk_us, threads_req,
-                         processPoolStarted())
-            : planParallel(scal, num_chunks, chunk_us, 0,
-                           processPoolStarted());
-
+    // The RNG chunking is fixed above, so the fan-out can never change
+    // a result — only its wall-clock time.
     std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
-    auto run_chunks = [&](int lo, int hi) {
-        for (int ci = lo; ci < hi; ++ci)
-            runChunk(ctx,
-                     Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
-                     std::min(chunk_size, trials - ci * chunk_size),
-                     stats[static_cast<size_t>(ci)]);
-    };
-    auto t_run = std::chrono::steady_clock::now();
-    if (dec.threaded)
-        parallelForRanges(processPool(dec.threads), num_chunks,
-                          dec.itemsPerTask, run_chunks);
-    else
-        run_chunks(0, num_chunks);
-    dec.actualMs = msSince(t_run);
-    res.sched = dec;
+    res.sched = forEachIndex(threads, num_chunks, [&](int ci) {
+        runChunk(ctx, Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
+                 std::min(chunk_size, trials - ci * chunk_size),
+                 stats[static_cast<size_t>(ci)]);
+    });
 
     // Chunk-ordered merge keeps even the histogram's unordered-map
     // construction sequence identical across thread counts.
@@ -565,8 +525,9 @@ defaultTrials(int fallback)
 int
 defaultSimThreads(int fallback)
 {
-    // min 0: TRIQ_SIM_THREADS=0 is valid and means "adaptive".
-    return envInt("TRIQ_SIM_THREADS", fallback, 0);
+    // TRIQ_SIM_THREADS=0 is valid: fanOutWidth reads it as one worker
+    // per hardware thread.
+    return envInt("TRIQ_SIM_THREADS", fallback, 0, kMaxThreads);
 }
 
 bool

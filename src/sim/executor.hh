@@ -12,10 +12,9 @@
  *    which no error site fires reuse the cached ideal state;
  *  - trials are sharded into fixed-size chunks, each owning the RNG
  *    stream Rng::stream(seed, chunk_index); chunks run on the shared
- *    process pool and merge in chunk order, so results are
- *    bit-identical for any thread count (TRIQ_SIM_THREADS; 0 = let the
- *    common/sched.hh cost model decide serial vs. threaded and batch
- *    several chunks per pool task);
+ *    process pool through forEachIndex (common/sched.hh) and merge in
+ *    chunk order, so results are bit-identical for any thread count
+ *    (ExecOptions::threads, TRIQ_SIM_THREADS);
  *  - faulty trajectories resume from the nearest ideal-prefix
  *    checkpoint through their first faulted gate (every Pauli lands
  *    after its gate, so that prefix is fault-free) instead of from
@@ -85,10 +84,9 @@ struct ExecutionResult
     std::unordered_map<uint64_t, int> histogram;
 
     /**
-     * The scheduler's plan for the dominant simulation phase (the
-     * trajectory fan-out): mode, thread count, items per task, and
-     * predicted vs. actual wall clock. Purely observational — results
-     * are bit-identical whatever the scheduler chose.
+     * What the trajectory fan-out did: threaded or serial, workers and
+     * wall clock. Purely observational — results are bit-identical for
+     * every thread count.
      */
     SchedDecision sched;
 
@@ -100,12 +98,10 @@ struct ExecutionResult
 struct ExecOptions
 {
     /**
-     * Worker threads for trajectory chunks. > 0 forces that many
-     * workers (1 = true serial path, no pool is constructed); < 0
-     * requests adaptive mode (the common/sched.hh cost model decides
-     * serial vs. threaded per phase and batches pool tasks to amortize
-     * dispatch); 0 reads TRIQ_SIM_THREADS, where 0 likewise means
-     * adaptive and unset defaults to 1 (serial). Results are
+     * Worker threads for trajectory chunks. N >= 1 runs N workers
+     * (1 = serial path, no pool is touched; at most kMaxThreads);
+     * < 0 runs one worker per hardware thread; 0 reads
+     * TRIQ_SIM_THREADS (see defaultSimThreads). Results are
      * bit-identical for every value — threads only change wall-clock
      * time.
      */
@@ -174,9 +170,9 @@ int defaultTrials(int fallback = 1000);
 
 /**
  * Default simulation thread count: reads the TRIQ_SIM_THREADS
- * environment variable, falling back to `fallback` (serial).
- * TRIQ_SIM_THREADS=0 returns 0, meaning "adaptive": the cost model in
- * common/sched.hh picks serial or threaded per job.
+ * environment variable, falling back to `fallback` (serial) when it is
+ * unset, malformed or above kMaxThreads. TRIQ_SIM_THREADS=0 returns 0,
+ * which the fan-out reads as one worker per hardware thread.
  */
 int defaultSimThreads(int fallback = 1);
 

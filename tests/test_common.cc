@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the common subsystem: angles, RNG, matrices, stats,
- * env helpers, the thread pool and table formatting.
+ * env helpers and table formatting (the thread pool is tested with
+ * the fan-out in test_sched).
  */
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -17,7 +17,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "common/types.hh"
 
 namespace triq
@@ -308,6 +307,11 @@ TEST(Env, EnvIntParsesAndFallsBack)
     EXPECT_EQ(envInt("TRIQ_TEST_ENVINT", 42), 42);
     setenv("TRIQ_TEST_ENVINT", "99999999999999999999999", 1);
     EXPECT_EQ(envInt("TRIQ_TEST_ENVINT", 42), 42);
+    // An explicit max_value is inclusive.
+    setenv("TRIQ_TEST_ENVINT", "256", 1);
+    EXPECT_EQ(envInt("TRIQ_TEST_ENVINT", 42, 0, 256), 256);
+    setenv("TRIQ_TEST_ENVINT", "257", 1);
+    EXPECT_EQ(envInt("TRIQ_TEST_ENVINT", 42, 0, 256), 42);
     unsetenv("TRIQ_TEST_ENVINT");
 }
 
@@ -410,33 +414,6 @@ TEST(Env, FlagValueRejectsMalformedAndOutOfRangeValues)
         EXPECT_NE(msg.find("--day"), std::string::npos) << msg;
         EXPECT_NE(msg.find("'3x'"), std::string::npos) << msg;
     }
-}
-
-TEST(ThreadPool, RunsEveryJobAcrossWorkers)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
-    std::atomic<long> sum{0};
-    parallelFor(pool, 1000, [&](int i) { sum += i; });
-    EXPECT_EQ(sum.load(), 999L * 1000 / 2);
-    // The pool is reusable after wait().
-    parallelFor(pool, 10, [&](int) { sum += 1; });
-    EXPECT_EQ(sum.load(), 999L * 1000 / 2 + 10);
-}
-
-TEST(ThreadPool, PropagatesJobExceptions)
-{
-    ThreadPool pool(2);
-    EXPECT_THROW(parallelFor(pool, 8,
-                             [&](int i) {
-                                 if (i == 5)
-                                     panic("boom from job ", i);
-                             }),
-                 PanicError);
-    // Still usable after an error.
-    std::atomic<int> ok{0};
-    parallelFor(pool, 4, [&](int) { ++ok; });
-    EXPECT_EQ(ok.load(), 4);
 }
 
 } // namespace

@@ -153,19 +153,16 @@ TEST(CrashReport, BenchOnlyBundleOmitsProgramFile)
     EXPECT_FALSE(r.hasCalibration);
 }
 
-TEST(CrashReport, RequestIdEnvAndSchedContextRoundTrip)
+TEST(CrashReport, RequestIdAndEnvRoundTrip)
 {
     // The server-mode fields: a daemon bundle is tagged with the
-    // request id, the TRIQ_* environment at crash time, and the
-    // scheduler decision in force — everything `triqc --replay` needs
-    // to reproduce a server-side run outside the server.
+    // request id and the TRIQ_* environment at crash time — everything
+    // `triqc --replay` needs to reproduce a server-side run outside the
+    // server.
     CrashBundle b;
     b.benchName = "BV4";
     b.requestId = "c3-r17";
-    b.envKnobs = {"TRIQ_CACHE=1", "TRIQ_SWEEP_THREADS=4"};
-    b.schedMode = "threaded";
-    b.schedThreads = 4;
-    b.schedItemsPerTask = 8;
+    b.envKnobs = {"TRIQ_CACHE=1", "TRIQ_SIM_THREADS=4"};
     b.error = "boom";
 
     TempDir tmp;
@@ -174,21 +171,38 @@ TEST(CrashReport, RequestIdEnvAndSchedContextRoundTrip)
 
     std::string env = slurp(fs::path(dir) / "environment.txt");
     EXPECT_NE(env.find("TRIQ_CACHE=1"), std::string::npos) << env;
-    EXPECT_NE(env.find("TRIQ_SWEEP_THREADS=4"), std::string::npos);
+    EXPECT_NE(env.find("TRIQ_SIM_THREADS=4"), std::string::npos);
 
     CrashBundle r = CrashBundle::load(dir);
     EXPECT_EQ(r.requestId, "c3-r17");
     EXPECT_EQ(r.envKnobs, b.envKnobs);
-    EXPECT_EQ(r.schedMode, "threaded");
-    EXPECT_EQ(r.schedThreads, 4);
-    EXPECT_EQ(r.schedItemsPerTask, 8);
+}
+
+TEST(CrashReport, RetiredSchedKeysStillLoad)
+{
+    // Bundles from builds with the adaptive scheduler carry three
+    // sched_* option keys; they must still load, minus those keys.
+    TempDir tmp;
+    fs::path dir = tmp.path / "bundle";
+    fs::create_directories(dir);
+    std::ofstream(dir / "options.txt")
+        << "bench=BV4\ndevice=IBMQ14\nsim_threads=0\n"
+           "request_id=c3-r17\nsched_mode=threaded\nsched_threads=4\n"
+           "sched_items_per_task=8\ntrials=64\n";
+
+    CrashBundle r = CrashBundle::load(dir.string());
+    EXPECT_EQ(r.benchName, "BV4");
+    EXPECT_EQ(r.device, "IBMQ14");
+    EXPECT_EQ(r.simThreads, 0);
+    EXPECT_EQ(r.requestId, "c3-r17");
+    EXPECT_EQ(r.trials, 64);
 }
 
 TEST(CrashReport, CliBundlesOmitServerOnlyFields)
 {
-    // A plain CLI bundle has no request id, env capture or sched
-    // decision; neither file section may appear, and loading one in a
-    // newer build leaves the fields at their defaults.
+    // A plain CLI bundle has no request id or env capture; neither
+    // file section may appear, and loading one in a newer build leaves
+    // the fields at their defaults.
     CrashBundle b;
     b.benchName = "BV4";
     b.error = "boom";
@@ -203,7 +217,6 @@ TEST(CrashReport, CliBundlesOmitServerOnlyFields)
     CrashBundle r = CrashBundle::load(dir);
     EXPECT_TRUE(r.requestId.empty());
     EXPECT_TRUE(r.envKnobs.empty());
-    EXPECT_TRUE(r.schedMode.empty());
 }
 
 TEST(CrashReport, CaptureTriqEnvSeesOnlyTriqKnobs)

@@ -317,6 +317,12 @@ TEST(Executor, DefaultSimThreadsEnv)
     EXPECT_EQ(defaultSimThreads(), 6);
     setenv("TRIQ_SIM_THREADS", "zero?", 1);
     EXPECT_EQ(defaultSimThreads(), 1);
+    // 0 passes through (the fan-out reads it as one worker per
+    // hardware thread); a count past kMaxThreads falls back.
+    setenv("TRIQ_SIM_THREADS", "0", 1);
+    EXPECT_EQ(defaultSimThreads(), 0);
+    setenv("TRIQ_SIM_THREADS", "100000", 1);
+    EXPECT_EQ(defaultSimThreads(), 1);
     unsetenv("TRIQ_SIM_THREADS");
 }
 

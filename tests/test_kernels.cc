@@ -44,7 +44,7 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     ResourceGovernor &gov = processGovernor();
     const uint64_t saved = gov.budgetBytes();
     gov.setBudgetBytes(uint64_t{1} << 30);
-    AdmissionVerdict v = checkAdmission(30, 1, 50, 200, 0.0, true);
+    AdmissionVerdict v = checkAdmission(30, 1);
     gov.setBudgetBytes(saved);
     EXPECT_FALSE(v.fits);
     EXPECT_GE(v.predictedBytes, uint64_t{32} << 30);
@@ -53,7 +53,7 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     // And with a roomy budget the same request is admitted — the
     // ceiling itself never rejects.
     gov.setBudgetBytes(uint64_t{128} << 30);
-    AdmissionVerdict roomy = checkAdmission(30, 1, 50, 200, 0.0, true);
+    AdmissionVerdict roomy = checkAdmission(30, 1);
     gov.setBudgetBytes(saved);
     EXPECT_TRUE(roomy.fits);
 }

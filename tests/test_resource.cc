@@ -238,19 +238,16 @@ TEST(CostModel, AdmitsUnderBudgetRejectsOver)
 {
     BudgetGuard guard(256ull << 20); // 256 MiB
     // 10 qubits: trivially fits.
-    AdmissionVerdict small = checkAdmission(10, 4, 20, 60, 0.0, true);
+    AdmissionVerdict small = checkAdmission(10, 4);
     EXPECT_TRUE(small.fits);
     EXPECT_GT(small.predictedBytes, 0ull);
     EXPECT_EQ(small.budgetBytes, 256ull << 20);
     // 72 qubits: cannot fit even degraded; the verdict carries the
     // predicted cost and budget for the server.budget reply.
-    AdmissionVerdict big = checkAdmission(72, 1, 1000, 3000, 0.0, true);
+    AdmissionVerdict big = checkAdmission(72, 1);
     EXPECT_FALSE(big.fits);
     EXPECT_EQ(big.predictedBytes, ~uint64_t{0});
     EXPECT_NE(big.reason.find("memory budget"), std::string::npos);
-    // Same request, compile-only: no state vector, fits.
-    AdmissionVerdict co = checkAdmission(72, 1, 1000, 3000, 0.0, false);
-    EXPECT_TRUE(co.fits);
 }
 
 TEST(CostModel, DegradedPlanAdmitsWhatFullPlanCannot)
@@ -263,17 +260,8 @@ TEST(CostModel, DegradedPlanAdmitsWhatFullPlanCannot)
     uint64_t full = predictSimulationBytes(q, 8);
     ASSERT_LT(low, full);
     BudgetGuard guard(low + (full - low) / 2);
-    AdmissionVerdict v = checkAdmission(q, 8, 100, 300, 0.0, true);
+    AdmissionVerdict v = checkAdmission(q, 8);
     EXPECT_TRUE(v.fits);
-}
-
-TEST(CostModel, RejectsOnPredictedDeadlineOverrun)
-{
-    BudgetGuard guard(0); // memory unlimited; deadline is the limiter
-    AdmissionVerdict v =
-        checkAdmission(72, 1, 100000, 300000, 0.001, false);
-    EXPECT_FALSE(v.fits);
-    EXPECT_NE(v.reason.find("deadline"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -25,25 +25,32 @@
  *   level c cn               # n | 1q | c | cn | all
  *   drift 0.05               # drift threshold (CN reuse), optional
  *   journal cells.jsonl      # crash-safe journal path, optional
- *   threads 4                # worker threads; 0 = adaptive, optional
+ *   threads 4                # worker threads (at most 256); 0 = one
+ *                            # per hardware thread (the default),
+ *                            # optional
  *   budget_ms 200            # per-compile wall-clock budget, optional
  *   cache 0                  # disable the compile cache, optional
  *   strict_calibration 1     # reject (don't sanitize) bad calibration;
  *                            # failing cells become "error" entries and
  *                            # the tool exits 1 with the partial matrix
  *
- * Env knobs (flags/manifest win): TRIQ_SWEEP_THREADS, TRIQ_CACHE,
- * TRIQ_SWEEP_DRIFT.
+ * drift, threads, budget_ms, cache and strict_calibration take exactly
+ * one number; a missing, malformed or out-of-range value, or a second
+ * token, is an error naming the file, line and directive (exit 1).
+ *
+ * Env knobs (flags/manifest win): TRIQ_CACHE, TRIQ_SWEEP_DRIFT.
  */
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "common/diagnostics.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 #include "device/machines.hh"
 #include "lang/lower.hh"
 #include "lang/qasm_parser.hh"
@@ -138,6 +145,7 @@ loadManifest(const std::string &path)
     double budget_ms = 0.0;
     std::string line;
     int lineno = 0;
+    constexpr double kAny = std::numeric_limits<double>::max();
     while (std::getline(in, line)) {
         ++lineno;
         auto hash = line.find('#');
@@ -147,6 +155,18 @@ loadManifest(const std::string &path)
         std::string key;
         if (!(ls >> key))
             continue;
+        // The directive's one numeric value: the whole of its single
+        // token, within [lo, hi].
+        auto number = [&](auto lo, auto hi) {
+            const std::string where = "triq-sweep: " + path + ":" +
+                                      std::to_string(lineno) + ": " + key;
+            std::string val, extra;
+            if (!(ls >> val))
+                fatal(where, ": missing value");
+            if (ls >> extra)
+                fatal(where, ": unexpected '", extra, "' after the value");
+            return flagValue(where.c_str(), val.c_str(), lo, hi);
+        };
         if (key == "program") {
             std::string val;
             while (ls >> val) {
@@ -183,21 +203,17 @@ loadManifest(const std::string &path)
                     cfg.levels.push_back(parseLevel(val));
             }
         } else if (key == "drift") {
-            ls >> cfg.driftThreshold;
+            cfg.driftThreshold = number(-kAny, kAny);
         } else if (key == "journal") {
             ls >> cfg.journalPath;
         } else if (key == "threads") {
-            ls >> cfg.threads;
+            cfg.threads = number(0, kMaxThreads);
         } else if (key == "budget_ms") {
-            ls >> budget_ms;
+            budget_ms = number(0.0, kAny);
         } else if (key == "cache") {
-            int v = 1;
-            ls >> v;
-            cfg.useCache = v != 0;
+            cfg.useCache = number(0, 1) != 0;
         } else if (key == "strict_calibration") {
-            int v = 1;
-            ls >> v;
-            cfg.options.strictCalibration = v != 0;
+            cfg.options.strictCalibration = number(0, 1) != 0;
         } else {
             fatal("triq-sweep: ", path, ":", lineno,
                   ": unknown directive '", key, "'");
@@ -220,9 +236,8 @@ usage()
            "  --manifest FILE   sweep grid description (required)\n"
            "  -o, --json FILE   write the results matrix here (default\n"
            "                    stdout)\n"
-           "  --threads N       worker threads; 0 = adaptive (default:\n"
-           "                    TRIQ_SWEEP_THREADS, else adaptive —\n"
-           "                    the cost model decides per day)\n"
+           "  --threads N       worker threads, at most 256; 0 = one per\n"
+           "                    hardware thread (default)\n"
            "  --drift T         reuse CN artifacts whose predicted ESP\n"
            "                    degraded <= T (relative); default off\n"
            "  --no-cache        disable the compile cache\n"
@@ -254,7 +269,7 @@ run(int argc, char **argv)
         else if (!std::strcmp(arg, "-o") || !std::strcmp(arg, "--json"))
             out_path = next();
         else if (!std::strcmp(arg, "--threads"))
-            threads = flagValue(arg, next(), 0);
+            threads = flagValue(arg, next(), 0, kMaxThreads);
         else if (!std::strcmp(arg, "--drift"))
             drift = flagValue<double>(arg, next());
         else if (!std::strcmp(arg, "--no-cache"))

@@ -42,6 +42,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
+#include "common/sched.hh"
 #include "core/compiler.hh"
 #include "core/crash_report.hh"
 #include "core/esp.hh"
@@ -110,7 +111,8 @@ usage()
         "  --trials N          prediction trials       (default 2000)\n"
         "  --sim-threads N     simulator worker threads for --report\n"
         "                      (default: TRIQ_SIM_THREADS env, else 1;\n"
-        "                      -1 or env 0 = adaptive cost model;\n"
+        "                      -1 or env 0 = one per hardware thread;\n"
+        "                      at most 256;\n"
         "                      results are identical for any value)\n"
         "  --sim-fusion N      gate fusion for --report trajectories:\n"
         "                      1 on, -1 off (default: TRIQ_SIM_FUSION\n"
@@ -165,7 +167,8 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--trials"))
             a.trials = flagValue(arg, need_value(i, arg), 1);
         else if (!std::strcmp(arg, "--sim-threads"))
-            a.simThreads = flagValue(arg, need_value(i, arg), -1);
+            a.simThreads =
+                flagValue(arg, need_value(i, arg), -1, kMaxThreads);
         else if (!std::strcmp(arg, "--sim-fusion"))
             a.simFusion = flagValue(arg, need_value(i, arg), -1, 1);
         else if (!std::strcmp(arg, "--crash-dir"))
@@ -267,19 +270,13 @@ run(int argc, char **argv)
     // *after* any original fault injection.
     if (!args.replayDir.empty()) {
         CrashBundle b = CrashBundle::load(args.replayDir);
-        // Reproduce the crashing process's TRIQ_* knobs (sched
-        // calibration, fusion toggle, ...); TRIQ_FAULT* is skipped
-        // inside applyTriqEnv.
+        // Reproduce the crashing process's TRIQ_* knobs (thread
+        // count, fusion toggle, ...); TRIQ_FAULT* is skipped inside
+        // applyTriqEnv.
         int applied = applyTriqEnv(b.envKnobs);
         if (applied > 0)
             std::cerr << "triqc: replay applied " << applied
                       << " TRIQ_* knob(s) from the bundle\n";
-        // A server-mode run may have fanned out under the adaptive
-        // scheduler; pin the recorded decision so the replay's timing
-        // shape matches the crash, not a fresh quiet-machine choice.
-        if (b.schedMode == "threaded" && b.simThreads == 0 &&
-            b.schedThreads > 0)
-            b.simThreads = b.schedThreads;
         args.benchName = b.benchName;
         args.qasm = b.qasm;
         args.device = b.device;
@@ -428,11 +425,6 @@ run(int argc, char **argv)
         ExecutionResult run =
             executeNoisy(res.hwCircuit, dev, calib, args.trials, 12345,
                          exec_opts);
-        // Record the fan-out the scheduler actually took so a crash
-        // bundle written after this point replays the same shape.
-        g_crash.schedMode = run.sched.mode();
-        g_crash.schedThreads = run.sched.threads;
-        g_crash.schedItemsPerTask = run.sched.itemsPerTask;
         std::cerr << "== triqc report ==\n"
                   << "program:        " << program.name() << " ("
                   << program.numQubits() << " qubits)\n"
