@@ -44,8 +44,6 @@ compileTriq(const Circuit &program, const Device &dev, OptLevel level,
     CompileOptions opts;
     opts.level = level;
     opts.emitAssembly = false;
-    if (!cacheEnabledFromEnv())
-        return compileForDevice(program, dev, calib, opts);
     CachedCompile cc = compileThroughCache(&processCompileCache(),
                                            program, dev, day, calib, opts);
     return *cc.result;

@@ -42,8 +42,7 @@ int defaultDay();
  * The harness's process-wide compile memo. Every compile issued
  * through compileTriq/runTriq lands here, so a figure that evaluates
  * the same (program, device, day, level) cell twice — or two panels
- * that share cells — compiles it once. TRIQ_CACHE=0 bypasses it
- * (every call compiles cold).
+ * that share cells — compiles it once.
  */
 CompileCache &processCompileCache();
 

@@ -129,7 +129,6 @@ try {
     cfg.options.emitAssembly = false;
     cfg.threads = 1;        // serial: no pool noise in the comparison
     cfg.useCache = false;   // cold every rep: maximal per-cell work
-    cfg.driftThreshold = -1.0;
 
     char journal_dir[] = "/tmp/triq_governor_XXXXXX";
     if (!mkdtemp(journal_dir))

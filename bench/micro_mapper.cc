@@ -205,7 +205,7 @@ try {
 
         // The drift-remap scenario: "yesterday" is a small
         // deterministic perturbation of today's error rates — the
-        // few-percent day-to-day drift TRIQ_SWEEP_DRIFT guards
+        // few-percent day-to-day drift the sweep's drift threshold guards
         // against. Yesterday's optimum (untimed cold solve) seeds
         // today's search, exactly what the sweep engine does when a
         // drift invalidation forces a recompile.

@@ -72,8 +72,8 @@ try {
             threads = flagValue(
                 "--threads", bench::flagArg(argc, argv, i), 1, kMaxThreads);
         else if (!std::strcmp(argv[i], "--drift"))
-            drift = flagValue<double>("--drift",
-                                      bench::flagArg(argc, argv, i));
+            drift = flagValue("--drift", bench::flagArg(argc, argv, i),
+                              0.0, 1.0);
         else if (!std::strcmp(argv[i], "--reps"))
             reps = flagValue("--reps", bench::flagArg(argc, argv, i), 1);
         else if (!std::strcmp(argv[i], "--json"))
@@ -93,7 +93,6 @@ try {
     cfg.levels = {OptLevel::OneQOptC, OptLevel::OneQOptCN};
     cfg.options.emitAssembly = false;
     cfg.threads = threads;
-    cfg.driftThreshold = -1.0;
 
     auto sweepMs = [&](const SweepConfig &c, CompileCache *cache,
                        SweepResult *out) {

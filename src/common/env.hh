@@ -53,7 +53,8 @@ int envInt(const char *name, int fallback, int min_value = 1,
            int max_value = 1000000000);
 
 /**
- * Read a floating-point environment variable (e.g. TRIQ_SWEEP_DRIFT).
+ * Read a floating-point environment variable (e.g.
+ * TRIQ_SERVER_TIMEOUT_MS).
  * Same contract as envInt: unset returns `fallback` silently; a
  * malformed or non-finite value, or one below `min_value`, triggers
  * one warn() line and returns `fallback`.

@@ -96,6 +96,32 @@ optLevelName(OptLevel level)
     panic("optLevelName: unknown level");
 }
 
+const char *
+optLevelToken(OptLevel level)
+{
+    switch (level) {
+      case OptLevel::N:
+        return "n";
+      case OptLevel::OneQOpt:
+        return "1q";
+      case OptLevel::OneQOptC:
+        return "c";
+      case OptLevel::OneQOptCN:
+        return "cn";
+    }
+    panic("optLevelToken: unknown level");
+}
+
+OptLevel
+optLevelFromToken(const std::string &token)
+{
+    for (OptLevel level : {OptLevel::N, OptLevel::OneQOpt,
+                           OptLevel::OneQOptC, OptLevel::OneQOptCN})
+        if (token == optLevelToken(level))
+            return level;
+    fatal("unknown level '", token, "' (expected n, 1q, c or cn)");
+}
+
 CompileResult
 compileForDevice(const Circuit &program, const Device &dev,
                  const Calibration &calib, const CompileOptions &opts,

@@ -38,6 +38,12 @@ enum class OptLevel
 /** Display name, e.g. "TriQ-1QOptCN". */
 std::string optLevelName(OptLevel level);
 
+/** The token the tools and triqd read: "n", "1q", "c" or "cn". */
+const char *optLevelToken(OptLevel level);
+
+/** Parse an optLevelToken; any other text is a FatalError. */
+OptLevel optLevelFromToken(const std::string &token);
+
 /** Compiler configuration. */
 struct CompileOptions
 {

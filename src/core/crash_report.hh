@@ -49,7 +49,7 @@ namespace triq
  * String-typed fields mirror the CLI surface (level "cn", mapper
  * "bnb") rather than the internal enums so a bundle stays readable and
  * diffable, and so load() can defer validation to the same
- * levelFromString/mapperKindFromString paths a normal invocation uses.
+ * optLevelFromToken/mapperKindFromString paths a normal invocation uses.
  */
 struct CrashBundle
 {

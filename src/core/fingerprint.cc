@@ -197,36 +197,43 @@ calibrationSanitizeDigest(const Calibration &calib, const Topology &topo)
     return h.value();
 }
 
+uint64_t
+DeviceDayKey::calibration(OptLevel level) const
+{
+    if (level == OptLevel::OneQOptCN)
+        return daySignature;
+    Fnv1a h;
+    h.u64(averageSignature).u64(sanitizeDigest);
+    return h.value();
+}
+
+DeviceDayKey
+deviceDayKey(const Device &dev, const Calibration &day_calib)
+{
+    DeviceDayKey key;
+    key.averageSignature = calibrationSignature(dev.averageCalibration());
+    key.daySignature = calibrationSignature(day_calib);
+    key.sanitizeDigest =
+        calibrationSanitizeDigest(day_calib, dev.topology());
+    Fnv1a h;
+    h.u64(topologyFingerprint(dev.topology()))
+        .u64(gateSetFingerprint(dev.gateSet()))
+        .u64(key.averageSignature);
+    key.device = h.value();
+    return key;
+}
+
 CompileFingerprint
 fingerprintCompile(const Circuit &lowered, const Device &dev,
                    const Calibration &day_calib,
                    const CompileOptions &opts)
 {
+    const DeviceDayKey day = deviceDayKey(dev, day_calib);
     CompileFingerprint fp;
     fp.program = circuitFingerprint(lowered);
-    {
-        // The average-calibration signature is a per-device constant;
-        // folding it in keeps structural twins (Aspen1 vs Aspen3 share
-        // a topology and gate set) from aliasing in the
-        // calibration-independent stableKey the drift path searches.
-        Fnv1a h;
-        h.u64(topologyFingerprint(dev.topology()))
-            .u64(gateSetFingerprint(dev.gateSet()))
-            .u64(calibrationSignature(dev.averageCalibration()));
-        fp.device = h.value();
-    }
+    fp.device = day.device;
+    fp.calibration = day.calibration(opts.level);
     fp.options = compileOptionsFingerprint(opts);
-    if (opts.level == OptLevel::OneQOptCN) {
-        // Noise-aware: the mapping reads the day's snapshot.
-        fp.calibration = calibrationSignature(day_calib);
-    } else {
-        // Noise-unaware levels map against the device average; the day
-        // snapshot only shapes the report through the sanitize pass.
-        Fnv1a h;
-        h.u64(calibrationSignature(dev.averageCalibration()))
-            .u64(calibrationSanitizeDigest(day_calib, dev.topology()));
-        fp.calibration = h.value();
-    }
     return fp;
 }
 

@@ -115,17 +115,44 @@ struct CompileFingerprint
 };
 
 /**
+ * The key parts one (device, calibration day) fixes for every program
+ * and level compiled against it. fingerprintCompile builds one per
+ * call; the sweep engine builds one per (device, day) and shares it.
+ */
+struct DeviceDayKey
+{
+    /**
+     * CompileFingerprint::device: topology, gate set and the
+     * average-calibration signature. The last keeps structural twins
+     * (Aspen1 and Aspen3 share a topology and gate set) apart in the
+     * calibration-independent stableKey the drift path searches.
+     */
+    uint64_t device = 0;
+    uint64_t averageSignature = 0; //!< Of the device-average calibration.
+    uint64_t daySignature = 0;     //!< Of the day's snapshot.
+    uint64_t sanitizeDigest = 0;   //!< Of the day's snapshot.
+
+    /**
+     * CompileFingerprint::calibration at `level`: exactly the data the
+     * level reads. The noise-aware CN level sees the day's snapshot,
+     * so it is the day signature. Every other level maps against the
+     * device average, so it folds the average signature with the
+     * day's sanitize digest (the repairs and diagnostics the sanitize
+     * pass records in the report): two days with identical
+     * sanitization share one TriQ-N/1QOpt/C entry.
+     */
+    uint64_t calibration(OptLevel level) const;
+};
+
+/**
+ * @param day_calib The day's calibration snapshot (unsanitized, as
+ *        handed to compileForDevice).
+ */
+DeviceDayKey deviceDayKey(const Device &dev, const Calibration &day_calib);
+
+/**
  * Fingerprint one (lowered program, device, calibration, options)
- * cell.
- *
- * The calibration component hashes exactly the data the level reads:
- * the noise-aware CN level sees the day's snapshot, so its signature
- * is folded in; every other level maps against the device-average
- * calibration, so the *average* signature is folded instead and the
- * day snapshot only contributes its sanitization digest (the repairs
- * and diagnostics the sanitize pass would record in the report). Two
- * days with identical sanitization therefore share one TriQ-N/1QOpt/C
- * entry — their compiled artifacts are provably identical.
+ * cell; the device and calibration components come from deviceDayKey.
  *
  * @param lowered The program already lowered by decomposeToCnotBasis
  *        with the device's native-CPHASE setting (the canonical IR).

@@ -1,6 +1,5 @@
 #include "service/compile_cache.hh"
 
-#include "common/env.hh"
 #include "core/esp.hh"
 
 namespace triq
@@ -55,8 +54,6 @@ CompileCache::findDriftTolerant(const CompileFingerprint &key,
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.driftChecks;
-        if (threshold < 0.0)
-            return std::nullopt;
         auto ns = newestByStable_.find(key.stableKey());
         if (ns == newestByStable_.end())
             return std::nullopt;
@@ -129,12 +126,6 @@ CompileCache::evictIfFullLocked()
         map_.erase(it);
         ++stats_.evictions;
     }
-}
-
-bool
-cacheEnabledFromEnv()
-{
-    return envInt("TRIQ_CACHE", 1, 0) != 0;
 }
 
 } // namespace triq

@@ -19,6 +19,11 @@
  * threshold, the entry is left alone and the caller recompiles. Both
  * outcomes are counted so a feed's drift rate is observable.
  *
+ * Cells are resolved against the cache in one place,
+ * compileThroughCache (service/sweep.hh), which runSweep, triqd and the
+ * bench harnesses share. A cache is consulted exactly when the caller
+ * passes one; no environment variable switches it off.
+ *
  * Thread safety: every method is safe to call concurrently; the sweep
  * engine's workers share one instance. Entries are immutable once
  * inserted and handed out as shared_ptr<const CompileResult>, so hits
@@ -116,7 +121,7 @@ class CompileCache
      * @param topo Device topology (ESP evaluation).
      * @param new_calib The new day's calibration snapshot.
      * @param threshold Max tolerated relative ESP degradation, in
-     *        [0, 1]. Negative disables (always refuses).
+     *        [0, 1]. A caller without a threshold does not call this.
      * @param esp_new_out When non-null, receives the re-scored ESP of
      *        the candidate (0 when there was no candidate) so the
      *        caller can report the delta.
@@ -159,13 +164,6 @@ class CompileCache
     std::deque<CompileFingerprint> order_;
     Stats stats_;
 };
-
-/**
- * True when caching is enabled for this process: the TRIQ_CACHE
- * environment knob (default 1; 0 disables every cache lookup and
- * insert, forcing cold compiles — the A/B switch for benchmarking).
- */
-bool cacheEnabledFromEnv();
 
 } // namespace triq
 

@@ -1,7 +1,11 @@
 #include "service/server.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 
 #include "common/diagnostics.hh"
 #include "common/env.hh"
@@ -36,22 +40,6 @@ msSince(Clock::time_point t0)
 
 /** Completed-latency ring size: enough for any loadgen campaign. */
 constexpr size_t kLatencyRing = 1 << 16;
-
-bool
-parseLevel(const std::string &s, OptLevel &out)
-{
-    if (s == "n")
-        out = OptLevel::N;
-    else if (s == "1q")
-        out = OptLevel::OneQOpt;
-    else if (s == "c")
-        out = OptLevel::OneQOptC;
-    else if (s == "cn")
-        out = OptLevel::OneQOptCN;
-    else
-        return false;
-    return true;
-}
 
 /**
  * The request's `id` member when a reply can echo it: a string, number
@@ -123,6 +111,31 @@ struct ServerReplyError
 {
     std::string reply;
 };
+
+/** Whole request numbers stay at or below 2^53, where doubles are exact. */
+constexpr double kMaxWhole = 9007199254740992.0;
+
+/**
+ * The request's number `key`, or nullopt when it is absent. A value of
+ * another JSON type, outside [lo, hi], or with a fraction when `whole`
+ * is refused with proto.bad-request naming the field.
+ */
+std::optional<double>
+requestNumber(const JsonValue &rq, const std::string &key, double lo,
+              double hi, bool whole)
+{
+    const JsonValue *v = rq.find(key);
+    if (!v)
+        return std::nullopt;
+    if (v->isNumber() && v->number >= lo && v->number <= hi &&
+        (!whole || v->number == std::floor(v->number)))
+        return v->number;
+    std::ostringstream msg;
+    msg << std::setprecision(17) << '"' << key << "\" must be "
+        << (whole ? "a whole number" : "a number") << " in [" << lo
+        << ", " << hi << "]";
+    throw ServerReplyError{errorReply(rq, "proto.bad-request", msg.str())};
+}
 
 /** Percentile of an unsorted sample copy (nearest-rank). */
 double
@@ -688,9 +701,9 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
         classes.calibration = has("calib") || has("all");
         classes.text = has("text") || has("all");
         classes.panic = has("panic");
-        inj = FaultInjector(
-            classes,
-            static_cast<uint64_t>(rq.getNumber("fault_seed", 1.0)));
+        const double fault_seed =
+            requestNumber(rq, "fault_seed", 0, kMaxWhole, true).value_or(1);
+        inj = FaultInjector(classes, static_cast<uint64_t>(fault_seed));
     }
 
     // Program front end: a study benchmark by name or inline source.
@@ -756,7 +769,9 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                          " qubits but " + dev->name() + " has " +
                          std::to_string(dev->numQubits()));
 
-    const int day = static_cast<int>(rq.getNumber("day", 0.0));
+    const int day = static_cast<int>(
+        requestNumber(rq, "day", 0, std::numeric_limits<int>::max(), true)
+            .value_or(0));
     crash.day = day;
     Calibration calib = dev->calibrate(day);
     if (inj.armsCalibration())
@@ -767,10 +782,11 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // Compile options.
     CompileOptions opts;
     const std::string level = rq.getString("level", "cn");
-    if (!parseLevel(level, opts.level))
-        throw refuse("proto.bad-request",
-                     "unknown level '" + level +
-                         "' (expected n, 1q, c or cn)");
+    try {
+        opts.level = optLevelFromToken(level);
+    } catch (const FatalError &e) {
+        throw refuse("proto.bad-request", e.what());
+    }
     crash.level = level;
     const std::string mapper = rq.getString("mapper", "bnb");
     try {
@@ -797,11 +813,9 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // Compile through the hot process-wide cache. A budget-armed
     // compile bypasses it (determinism contract), which
     // compileThroughCache handles internally.
-    const bool cache_on = envInt("TRIQ_CACHE", 1, 0) != 0;
-    const double drift = rq.getNumber("drift", -1.0);
     CachedCompile cc =
-        compileThroughCache(cache_on ? &cache_ : nullptr, program, *dev,
-                            day, calib, opts, drift);
+        compileThroughCache(&cache_, program, *dev, day, calib, opts,
+                            requestNumber(rq, "drift", 0, 1, false));
 
     JsonWriter w;
     beginOkReply(w, rq, op);
@@ -835,10 +849,11 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
         w.key("assembly").value(cc.result->assembly);
 
     if (op == "simulate") {
-        int trials = static_cast<int>(rq.getNumber("trials", 1000.0));
-        trials = std::max(1, std::min(trials, cfg_.maxTrials));
-        const uint64_t seed =
-            static_cast<uint64_t>(rq.getNumber("seed", 12345.0));
+        const int trials = static_cast<int>(std::min<double>(
+            requestNumber(rq, "trials", 1, kMaxWhole, true).value_or(1000),
+            cfg_.maxTrials));
+        const uint64_t seed = static_cast<uint64_t>(
+            requestNumber(rq, "seed", 0, kMaxWhole, true).value_or(12345));
         crash.trials = trials;
         crash.seed = seed;
         // Serial per request: cross-request concurrency comes from the

@@ -47,6 +47,18 @@
  *   {"id":"r3","op":"stats"}
  *   {"id":"r4","op":"ping"}
  *
+ * compile and simulate requests may add `drift`: a cn request whose
+ * exact key misses reuses the newest compilation of the same program,
+ * device and options when its predicted ESP under the request's day
+ * lost at most that fraction (reply `source` "drift_reuse"); past it
+ * the request recompiles, warm-started from the stale placement.
+ * Without `drift` only exact keys hit. Numbers are checked, never
+ * cast: `day` is a whole number in [0, 2^31 - 1]; `trials` one in
+ * [1, 2^53], then clamped to maxTrials; `seed` and `fault_seed` ones in
+ * [0, 2^53]; and `drift` a number in [0, 1]. A value of another JSON
+ * type, with a fraction where a whole number belongs, or out of range
+ * is refused with proto.bad-request naming the field.
+ *
  * Reply: {"id": "r1", "ok": true, ...} or
  *        {"id": "r1", "ok": false, "error": {"code": "...",
  *         "message": "..."}}.

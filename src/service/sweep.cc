@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/env.hh"
 #include "common/fault_injector.hh"
 #include "common/logging.hh"
 #include "common/sched.hh"
@@ -51,22 +50,21 @@ cellSourceName(CellSource s)
     panic("cellSourceName: unknown source");
 }
 
-double
-defaultDriftThreshold()
-{
-    // Unset/malformed => -1 (drift reuse disabled).
-    return envDouble("TRIQ_SWEEP_DRIFT", -1.0, 0.0);
-}
-
 CachedCompile
 compileThroughCache(CompileCache *cache, const Circuit &program,
                     const Device &dev, int day, const Calibration &calib,
-                    const CompileOptions &opts, double drift_threshold)
+                    const CompileOptions &opts, std::optional<double> drift,
+                    const Circuit *lowered,
+                    const CompileFingerprint *fingerprint)
 {
+    std::optional<Circuit> own_lowered;
+    if (!lowered)
+        lowered = &own_lowered.emplace(
+            decomposeToCnotBasis(program, dev.gateSet().nativeCphase));
     CachedCompile out;
-    Circuit lowered =
-        decomposeToCnotBasis(program, dev.gateSet().nativeCphase);
-    out.fingerprint = fingerprintCompile(lowered, dev, calib, opts);
+    out.fingerprint = fingerprint
+                          ? *fingerprint
+                          : fingerprintCompile(*lowered, dev, calib, opts);
 
     std::optional<CompileCache::Entry> drift_stale;
     bool drift_refused = false;
@@ -79,11 +77,11 @@ compileThroughCache(CompileCache *cache, const Circuit &program,
                 out.result->hwCircuit, dev.topology(), calib);
             return out;
         }
-        if (opts.level == OptLevel::OneQOptCN && drift_threshold >= 0.0) {
+        if (opts.level == OptLevel::OneQOptCN && drift) {
             double esp_new = 0.0;
             if (auto stale = cache->findDriftTolerant(
-                    out.fingerprint, dev.topology(), calib,
-                    drift_threshold, &esp_new, &drift_stale)) {
+                    out.fingerprint, dev.topology(), calib, *drift,
+                    &esp_new, &drift_stale)) {
                 out.result = stale->result;
                 out.source = CellSource::DriftReuse;
                 out.espAtCompile = stale->espAtCompile;
@@ -94,8 +92,10 @@ compileThroughCache(CompileCache *cache, const Circuit &program,
         }
     }
 
-    // Incremental remapping on a refused drift reuse: warm-start the
-    // mapper from the stale placement instead of the greedy seed.
+    // Incremental remapping on a refused drift reuse: a
+    // drift-invalidated placement is usually within a few swaps of the
+    // new optimum, so the mapper warm-starts from it instead of the
+    // greedy seed.
     CompileOptions warm_opts = opts;
     if (drift_refused && drift_stale && drift_stale->result) {
         warm_opts.mapping.warmStart = drift_stale->result->initialMap;
@@ -103,9 +103,10 @@ compileThroughCache(CompileCache *cache, const Circuit &program,
             "drift(day " + std::to_string(drift_stale->day) + ")";
     }
     auto compiled = std::make_shared<const CompileResult>(
-        compileForDevice(program, dev, calib, warm_opts, &lowered));
+        compileForDevice(program, dev, calib, warm_opts, lowered));
     out.result = compiled;
     out.source = CellSource::Compiled;
+    out.driftRecompiled = drift_refused;
     out.esp = estimatedSuccessProbability(compiled->hwCircuit,
                                           dev.topology(), calib);
     out.espAtCompile = out.esp;
@@ -125,11 +126,12 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         fatal("runSweep: every grid dimension (programs, devices, days, "
               "levels) must be non-empty");
 
-    const bool use_cache =
-        config.useCache && cache != nullptr && cacheEnabledFromEnv();
-    const double drift = config.driftThreshold <= -2.0
-                             ? defaultDriftThreshold()
-                             : config.driftThreshold;
+    if (config.driftThreshold && !(*config.driftThreshold >= 0.0 &&
+                                   *config.driftThreshold <= 1.0))
+        fatal("runSweep: drift threshold ", *config.driftThreshold,
+              " is outside [0, 1]");
+
+    CompileCache *const memo = config.useCache ? cache : nullptr;
     const bool budgeted = config.options.budget.limited();
 
     const int np = static_cast<int>(config.programs.size());
@@ -157,30 +159,16 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         }
     }
 
-    // Stage 2 hoist — one calibration + sanitize digest + device hash
-    // per (device, day), shared by every program x level cell.
-    std::vector<uint64_t> device_fp(nd);
-    std::vector<uint64_t> avg_sig(nd);
-    for (int di = 0; di < nd; ++di) {
-        const Device &dev = config.devices[di];
-        avg_sig[di] = calibrationSignature(dev.averageCalibration());
-        // Must mirror fingerprintCompile: topology + gate set + average
-        // calibration (the last keeps structural twins distinct).
-        Fnv1a h;
-        h.u64(topologyFingerprint(dev.topology()))
-            .u64(gateSetFingerprint(dev.gateSet()))
-            .u64(avg_sig[di]);
-        device_fp[di] = h.value();
-    }
+    // Stage 2 hoist — one calibration and one DeviceDayKey (signature,
+    // sanitize digest, device hash) per (device, day), shared by every
+    // program x level cell.
     std::vector<int> days = config.days;
     std::sort(days.begin(), days.end());
     days.erase(std::unique(days.begin(), days.end()), days.end());
-    // calib[di][day]: the raw snapshot plus its signature and digest.
     struct DayCalib
     {
         Calibration calib;
-        uint64_t signature;
-        uint64_t sanitizeDigest;
+        DeviceDayKey key;
     };
     // The TRIQ_FAULT=calib contract applies to the sweep's calibration
     // feed too: corrupt it here, *before* signatures are taken, so the
@@ -194,9 +182,7 @@ runSweep(const SweepConfig &config, CompileCache *cache)
             dc.calib = config.devices[di].calibrate(day);
             if (fault_inj.armsCalibration())
                 injectCalibrationFaults(dc.calib, fault_inj);
-            dc.signature = calibrationSignature(dc.calib);
-            dc.sanitizeDigest = calibrationSanitizeDigest(
-                dc.calib, config.devices[di].topology());
+            dc.key = deviceDayKey(config.devices[di], dc.calib);
             day_calib[di].emplace(day, std::move(dc));
         }
 
@@ -229,18 +215,11 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                     }
                     int variant = dev.gateSet().nativeCphase ? 1 : 0;
                     const DayCalib &dc = day_calib[di].at(day);
-                    CompileFingerprint fp;
-                    fp.program = program_fp[pi][variant];
-                    fp.device = device_fp[di];
-                    fp.options = options_fp[li];
-                    if (cell.level == OptLevel::OneQOptCN) {
-                        fp.calibration = dc.signature;
-                    } else {
-                        Fnv1a h;
-                        h.u64(avg_sig[di]).u64(dc.sanitizeDigest);
-                        fp.calibration = h.value();
-                    }
-                    cell.fingerprint = fp;
+                    cell.fingerprint.program = program_fp[pi][variant];
+                    cell.fingerprint.device = dc.key.device;
+                    cell.fingerprint.calibration =
+                        dc.key.calibration(cell.level);
+                    cell.fingerprint.options = options_fp[li];
                     cell.source = CellSource::Compiled; // resolved below
                     out.cells.push_back(std::move(cell));
                 }
@@ -319,7 +298,7 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                         warn("runSweep: ignoring journaled cell that "
                              "does not match this grid; recomputing it");
                 }
-                if (use_cache && !budgeted) {
+                if (memo && !budgeted) {
                     // Warm the cache in day-ascending order: an
                     // uninterrupted run inserts day by day, and the
                     // drift path trusts insertion recency to find the
@@ -337,8 +316,8 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                                          return a->day < b->day;
                                      });
                     for (const JournalArtifact *art : warm)
-                        cache->insert(art->fingerprint, art->result,
-                                      art->espAtCompile, art->day);
+                        memo->insert(art->fingerprint, art->result,
+                                     art->espAtCompile, art->day);
                 }
             } else {
                 warn("runSweep: --resume found no usable journal at '",
@@ -369,14 +348,6 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         jc.esp = cell.esp;
         jc.espAtCompile = cell.espAtCompile;
         jc.error = cell.error;
-        // A cache hit's ESP is normally scored in the final pass;
-        // journal records must be complete, so score it here with the
-        // same pure function the final pass applies.
-        if (cell.source == CellSource::CacheHit && cell.result)
-            jc.esp = estimatedSuccessProbability(
-                cell.result->hwCircuit,
-                config.devices[cell.deviceIndex].topology(),
-                day_calib[cell.deviceIndex].at(cell.day).calib);
         journal->recordCell(jc, cell.result, cell.day,
                             cell.source != CellSource::DriftReuse);
     };
@@ -410,7 +381,7 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                 // Dedup within the run only when caching is on: with
                 // the cache disabled the engine must honestly compile
                 // every cell (the A/B baseline).
-                if (use_cache) {
+                if (memo) {
                     rep_of.emplace(k, ci);
                     reps.push_back(ci);
                 } else {
@@ -425,108 +396,57 @@ runSweep(const SweepConfig &config, CompileCache *cache)
         SchedDecision dec = forEachIndex(config.threads, num_reps, [&](int ri) {
             int ci = reps[ri];
             SweepCell &cell = out.cells[ci];
-            const SweepProgram &prog =
-                config.programs[cell.programIndex];
             const Device &dev = config.devices[cell.deviceIndex];
-            const DayCalib &dc =
-                day_calib[cell.deviceIndex].at(cell.day);
             int variant = dev.gateSet().nativeCphase ? 1 : 0;
-            const Circuit &low =
-                *lowered[cell.programIndex][variant];
-
-            // The resolution proper lives in an inner lambda so that
-            // its early returns (cache hit, drift reuse) still fall
-            // through to the journal append below.
-            auto resolve = [&] {
             auto t0 = Clock::now();
-            bool drift_refused = false;
-            std::optional<CompileCache::Entry> drift_stale;
             // A throwing cell (strict calibration rejecting a corrupt
             // feed, or any pipeline failure) is recorded and contained
             // *inside* the worker: letting it escape would make
             // forEachIndex rethrow and void every other cell of the
             // sweep.
             try {
-            if (use_cache) {
-                if (auto hit = cache->find(cell.fingerprint)) {
-                    cell.result = hit->result;
-                    cell.source = CellSource::CacheHit;
-                    cell.espAtCompile = hit->espAtCompile;
-                    cell.ms = msSince(t0);
-                    return;
+                CachedCompile cc = compileThroughCache(
+                    memo, config.programs[cell.programIndex].circuit, dev,
+                    cell.day, day_calib[cell.deviceIndex].at(cell.day).calib,
+                    level_opts[ci % nl], config.driftThreshold,
+                    lowered[cell.programIndex][variant].get(),
+                    &cell.fingerprint);
+                cell.result = cc.result;
+                cell.source = cc.source;
+                cell.esp = cc.esp;
+                cell.espAtCompile = cc.espAtCompile;
+                if (cc.source == CellSource::Compiled) {
+                    const CompileReport &rep = cc.result->report;
+                    std::lock_guard<std::mutex> lock(stats_mutex);
+                    if (cc.driftRecompiled)
+                        ++out.stats.driftRecompiles;
+                    out.stats.mapperNodes += rep.mapperNodes;
+                    out.stats.mapperBoundPruned += rep.mapperBoundPruned;
+                    out.stats.mapperSymmetryPruned +=
+                        rep.mapperSymmetryPruned;
+                    out.stats.mapperDominancePruned +=
+                        rep.mapperDominancePruned;
+                    if (rep.mapperEngine != rep.requestedMapper)
+                        ++out.stats.mapperFallbacks;
+                    if (rep.mapperWarmStarted)
+                        ++out.stats.mapperWarmStarts;
                 }
-                if (cell.level == OptLevel::OneQOptCN && drift >= 0.0) {
-                    double esp_new = 0.0;
-                    if (auto stale = cache->findDriftTolerant(
-                            cell.fingerprint, dev.topology(), dc.calib,
-                            drift, &esp_new, &drift_stale)) {
-                        cell.result = stale->result;
-                        cell.source = CellSource::DriftReuse;
-                        cell.espAtCompile = stale->espAtCompile;
-                        cell.esp = esp_new;
-                        cell.ms = msSince(t0);
-                        return;
-                    }
-                    drift_refused = esp_new > 0.0;
-                }
-            }
-
-            CompileOptions opts = config.options;
-            opts.level = cell.level;
-            // Incremental remapping: a drift-invalidated placement is
-            // usually within a few swaps of the new optimum, so the
-            // recompile warm-starts the mapper search from it instead
-            // of the greedy seed.
-            if (drift_refused && drift_stale && drift_stale->result) {
-                opts.mapping.warmStart = drift_stale->result->initialMap;
-                opts.mapping.warmStartOrigin =
-                    "drift(day " + std::to_string(drift_stale->day) + ")";
-            }
-            auto compiled = std::make_shared<const CompileResult>(
-                compileForDevice(prog.circuit, dev, dc.calib, opts,
-                                 &low));
-            cell.result = compiled;
-            cell.source = CellSource::Compiled;
-            cell.espAtCompile = estimatedSuccessProbability(
-                compiled->hwCircuit, dev.topology(), dc.calib);
-            cell.esp = cell.espAtCompile;
-            cell.ms = msSince(t0);
-            if (use_cache && !budgeted)
-                cache->insert(cell.fingerprint, compiled,
-                              cell.espAtCompile, cell.day);
-            {
-                const CompileReport &rep = compiled->report;
-                std::lock_guard<std::mutex> lock(stats_mutex);
-                if (drift_refused)
-                    ++out.stats.driftRecompiles;
-                out.stats.mapperNodes += rep.mapperNodes;
-                out.stats.mapperBoundPruned += rep.mapperBoundPruned;
-                out.stats.mapperSymmetryPruned +=
-                    rep.mapperSymmetryPruned;
-                out.stats.mapperDominancePruned +=
-                    rep.mapperDominancePruned;
-                if (rep.mapperEngine != rep.requestedMapper)
-                    ++out.stats.mapperFallbacks;
-                if (rep.mapperWarmStarted)
-                    ++out.stats.mapperWarmStarts;
-            }
             } catch (const std::exception &e) {
                 cell.result.reset();
                 cell.source = CellSource::Error;
                 cell.error = e.what();
                 cell.esp = 0.0;
                 cell.espAtCompile = 0.0;
-                cell.ms = msSince(t0);
             }
-            };
-            resolve();
+            cell.ms = msSince(t0);
             journal_cell(ci);
         });
         out.stats.threads = std::max(out.stats.threads, dec.threads);
 
         // Members share their representative's artifact: within one
         // run that sharing *is* a cache hit (the entry the rep just
-        // inserted or found).
+        // inserted or found). Each is scored under its own device's
+        // calibration for the day.
         for (auto &[k, idxs] : members) {
             const SweepCell &rep = out.cells[rep_of.at(k)];
             for (int ci : idxs) {
@@ -538,42 +458,45 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                 cell.espAtCompile = rep.espAtCompile;
                 cell.error = rep.error; // Error reps poison their twins
                 cell.ms = 0.0;
-                // A DriftReuse member's own-calibration ESP is only
-                // scored in the final pass; the journal record carries
-                // it as written here and resume's final pass re-scores
-                // it identically from the restored artifact.
+                if (cell.result)
+                    cell.esp = estimatedSuccessProbability(
+                        cell.result->hwCircuit,
+                        config.devices[cell.deviceIndex].topology(),
+                        day_calib[cell.deviceIndex].at(day).calib);
                 journal_cell(ci);
             }
         }
     }
 
-    // Final pass: score every cell's artifact under its *own* day's
-    // calibration (a cross-day hit keeps the same circuit but idles
-    // under different error rates).
+    // Count sources. A restored cell that reused an artifact is scored
+    // again under its own day's calibration: journals written before
+    // members were scored on resolution carry 0 for a drift-reuse
+    // member's ESP.
     for (SweepCell &cell : out.cells) {
-        if (cell.source == CellSource::Skipped ||
-            cell.source == CellSource::Error || !cell.result)
+        if (cell.source == CellSource::Skipped) {
+            ++out.stats.skipped;
+            continue;
+        }
+        if (cell.source == CellSource::Error) {
+            ++out.stats.errors;
+            continue;
+        }
+        ++out.stats.cells;
+        if (!cell.result)
             continue;
         if (cell.source == CellSource::Compiled) {
             ++out.stats.compiles;
-            continue; // esp already set, same calibration
+            continue;
         }
-        const Device &dev = config.devices[cell.deviceIndex];
-        cell.esp = estimatedSuccessProbability(
-            cell.result->hwCircuit, dev.topology(),
-            day_calib[cell.deviceIndex].at(cell.day).calib);
         if (cell.source == CellSource::CacheHit)
             ++out.stats.cacheHits;
-        else if (cell.source == CellSource::DriftReuse)
-            ++out.stats.driftReuses;
-    }
-    for (const SweepCell &cell : out.cells) {
-        if (cell.source == CellSource::Skipped)
-            ++out.stats.skipped;
-        else if (cell.source == CellSource::Error)
-            ++out.stats.errors;
         else
-            ++out.stats.cells;
+            ++out.stats.driftReuses;
+        if (cell.restored)
+            cell.esp = estimatedSuccessProbability(
+                cell.result->hwCircuit,
+                config.devices[cell.deviceIndex].topology(),
+                day_calib[cell.deviceIndex].at(cell.day).calib);
     }
     if (out.stats.errors > 0)
         warn("runSweep: ", out.stats.errors,

@@ -23,16 +23,17 @@
  * SweepConfig::threads workers; everything the engine produces is
  * deterministic and independent of the thread count.
  *
- * Environment knobs (defaults; explicit SweepConfig fields override):
- *   TRIQ_CACHE          0 disables the compile cache (default on)
- *   TRIQ_SWEEP_DRIFT    drift threshold in [0,1]; negative/unset
- *                       disables drift reuse (default off)
+ * Each distinct fingerprint is resolved by compileThroughCache, the
+ * same function triqd calls for every request: the engine only hoists
+ * its inputs and keeps the books. The engine reads no environment
+ * variable except TRIQ_FAULT (common/fault_injector.hh).
  */
 
 #ifndef TRIQ_SERVICE_SWEEP_HH
 #define TRIQ_SERVICE_SWEEP_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,17 +66,17 @@ struct SweepConfig
      */
     int threads = 0;
 
-    /** Use the compile cache. Overridden to off by TRIQ_CACHE=0. */
+    /** Use the compile cache passed to runSweep. */
     bool useCache = true;
 
     /**
-     * Max tolerated relative ESP degradation before a noise-aware
-     * (CN) cell is recompiled for a new calibration day; within it the
-     * previous compilation is reused (marked DriftReuse). Negative
-     * disables drift reuse: every new day recompiles its CN cells.
-     * -2 (the default) reads TRIQ_SWEEP_DRIFT.
+     * Max tolerated relative ESP degradation, in [0, 1], before a
+     * noise-aware (CN) cell is recompiled for a new calibration day;
+     * within it the previous compilation is reused (marked
+     * DriftReuse). Unset (the default) disables drift reuse: every new
+     * day recompiles its CN cells.
      */
-    double driftThreshold = -2.0;
+    std::optional<double> driftThreshold;
 
     /**
      * Base CompileOptions for every cell; `level` is overridden per
@@ -211,7 +212,8 @@ struct SweepResult
 /**
  * Evaluate the grid. @param cache The memo to consult and fill; may be
  * null (every cell compiles cold, as if the cache were disabled).
- * @throws FatalError when the grid is empty in any dimension.
+ * @throws FatalError when the grid is empty in any dimension, or when
+ *         the drift threshold is set outside [0, 1].
  */
 SweepResult runSweep(const SweepConfig &config, CompileCache *cache);
 
@@ -223,28 +225,34 @@ struct CachedCompile
     CompileFingerprint fingerprint;
     double esp = 0.0;          //!< Under `calib`.
     double espAtCompile = 0.0; //!< Under the artifact's own calibration.
+
+    /** Compiled after refusing a drift candidate (a drift recompile). */
+    bool driftRecompiled = false;
 };
 
 /**
- * Single-cell front door to the cache (the bench_util entry point):
- * fingerprint, look up, optionally drift-check, compile on miss,
- * memoize. Exactly the per-cell step runSweep runs for each distinct
- * fingerprint.
+ * Resolve one compilation cell: fingerprint it, look it up, try a
+ * drift-tolerant reuse, compile on a miss (warm-starting the mapper
+ * from a refused drift candidate's placement) and memoize the result
+ * unless the compile is budgeted. triqd, the bench harnesses and
+ * runSweep all resolve cells here.
  *
  * @param cache The memo; null forces a cold compile.
- * @param program The *source* program (lowering is done here).
- * @param drift_threshold As SweepConfig::driftThreshold; pass a
- *        negative value for exact-only matching.
+ * @param program The *source* program.
+ * @param drift Max tolerated relative ESP degradation in [0, 1] for a
+ *        CN cell (as SweepConfig::driftThreshold); unset matches exact
+ *        keys only.
+ * @param lowered `program` already lowered for `dev`'s gate set, as
+ *        compileForDevice takes it; null lowers it here.
+ * @param fingerprint The cell's key when the caller has it (runSweep
+ *        hoists both); null computes it with fingerprintCompile.
  */
-CachedCompile compileThroughCache(CompileCache *cache,
-                                  const Circuit &program,
-                                  const Device &dev, int day,
-                                  const Calibration &calib,
-                                  const CompileOptions &opts,
-                                  double drift_threshold = -1.0);
-
-/** TRIQ_SWEEP_DRIFT, default = disabled (-1). */
-double defaultDriftThreshold();
+CachedCompile compileThroughCache(
+    CompileCache *cache, const Circuit &program, const Device &dev,
+    int day, const Calibration &calib, const CompileOptions &opts,
+    std::optional<double> drift = std::nullopt,
+    const Circuit *lowered = nullptr,
+    const CompileFingerprint *fingerprint = nullptr);
 
 } // namespace triq
 

@@ -220,13 +220,10 @@ sweepGridFingerprint(const SweepConfig &config)
     for (OptLevel l : config.levels)
         h.i64(static_cast<int64_t>(l));
     h.u64(compileOptionsFingerprint(config.options));
-    // Resolve env-backed knobs the same way runSweep does: the journal
-    // must describe the grid as it will actually be evaluated.
-    double drift = config.driftThreshold <= -2.0
-                       ? defaultDriftThreshold()
-                       : config.driftThreshold;
-    h.f64(drift);
-    h.b(config.useCache && cacheEnabledFromEnv());
+    // An unset threshold hashes as -1, as journals have always
+    // recorded "no drift reuse".
+    h.f64(config.driftThreshold.value_or(-1.0));
+    h.b(config.useCache);
     h.b(config.options.budget.limited());
     return h.value();
 }

@@ -5,22 +5,6 @@
 namespace triq
 {
 
-const char *
-optLevelToken(OptLevel level)
-{
-    switch (level) {
-      case OptLevel::N:
-        return "n";
-      case OptLevel::OneQOpt:
-        return "1q";
-      case OptLevel::OneQOptC:
-        return "c";
-      case OptLevel::OneQOptCN:
-        return "cn";
-    }
-    return "?";
-}
-
 void
 writeSweepMatrix(std::ostream &os, const SweepConfig &config,
                  const SweepResult &result,

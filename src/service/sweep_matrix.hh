@@ -27,9 +27,6 @@
 namespace triq
 {
 
-/** "n" / "1q" / "c" / "cn" — the manifest's level tokens. */
-const char *optLevelToken(OptLevel level);
-
 /**
  * Write the results matrix. `cache_stats` may be null (the "cache"
  * block is omitted; it is always omitted when `deterministic`).

@@ -28,6 +28,16 @@ TEST(Compiler, LevelNames)
     EXPECT_EQ(optLevelName(OptLevel::OneQOptCN), "TriQ-1QOptCN");
 }
 
+TEST(Compiler, LevelTokensRoundTrip)
+{
+    for (OptLevel level : {OptLevel::N, OptLevel::OneQOpt,
+                           OptLevel::OneQOptC, OptLevel::OneQOptCN})
+        EXPECT_EQ(optLevelFromToken(optLevelToken(level)), level);
+    EXPECT_STREQ(optLevelToken(OptLevel::OneQOpt), "1q");
+    EXPECT_THROW(optLevelFromToken("all"), FatalError);
+    EXPECT_THROW(optLevelFromToken("CN"), FatalError);
+}
+
 TEST(Compiler, DefaultMappingLevelsUseIdentityPlacement)
 {
     Device dev = makeIbmQ14();

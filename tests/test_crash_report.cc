@@ -162,7 +162,7 @@ TEST(CrashReport, RequestIdAndEnvRoundTrip)
     CrashBundle b;
     b.benchName = "BV4";
     b.requestId = "c3-r17";
-    b.envKnobs = {"TRIQ_CACHE=1", "TRIQ_SIM_THREADS=4"};
+    b.envKnobs = {"TRIQ_SIM_FUSION=0", "TRIQ_SIM_THREADS=4"};
     b.error = "boom";
 
     TempDir tmp;
@@ -170,7 +170,7 @@ TEST(CrashReport, RequestIdAndEnvRoundTrip)
     b.write(dir);
 
     std::string env = slurp(fs::path(dir) / "environment.txt");
-    EXPECT_NE(env.find("TRIQ_CACHE=1"), std::string::npos) << env;
+    EXPECT_NE(env.find("TRIQ_SIM_FUSION=0"), std::string::npos) << env;
     EXPECT_NE(env.find("TRIQ_SIM_THREADS=4"), std::string::npos);
 
     CrashBundle r = CrashBundle::load(dir);

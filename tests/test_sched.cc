@@ -252,7 +252,6 @@ TEST(SchedDeterminism, SweepResultsIdenticalAcrossThreadCounts)
     cfg.days = {0, 1};
     cfg.levels = {OptLevel::OneQOptC, OptLevel::OneQOptCN};
     cfg.options.emitAssembly = false;
-    cfg.driftThreshold = -1.0;
 
     auto espsOf = [](const SweepResult &r) {
         std::vector<double> esps;

@@ -299,6 +299,55 @@ TEST(ServerTest, ProtocolErrorsHaveStableCodes)
               "input.invalid");
 }
 
+TEST(ServerTest, RequestNumbersAreCheckedNotCast)
+{
+    // Each request carries one bad number: the wrong JSON type, a
+    // fraction where a whole number belongs, or a value out of range.
+    Server server(quietConfig());
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"day\":1e10", "day"},
+        {"\"day\":2.7", "day"},
+        {"\"day\":-3", "day"},
+        {"\"day\":\"1\"", "day"},
+        {"\"trials\":0", "trials"},
+        {"\"trials\":1.5", "trials"},
+        {"\"trials\":\"100\"", "trials"},
+        {"\"seed\":-1", "seed"},
+        {"\"seed\":1e16", "seed"},
+        {"\"seed\":0.5", "seed"},
+        {"\"fault\":\"calib\",\"fault_seed\":-1", "fault_seed"},
+        {"\"fault\":\"calib\",\"fault_seed\":\"7\"", "fault_seed"},
+        {"\"drift\":-5", "drift"},
+        {"\"drift\":5", "drift"},
+        {"\"drift\":\"0.05\"", "drift"},
+        {"\"drift\":null", "drift"},
+    };
+    for (const auto &[field, name] : cases) {
+        std::string reply = server.processLine(
+            "t", std::string("{\"id\":1,\"op\":\"simulate\",\"bench\":"
+                             "\"BV4\",\"device\":\"IBMQ5\",") +
+                     field + "}");
+        JsonValue r = parsed(reply);
+        EXPECT_EQ(errorCode(r), "proto.bad-request") << reply;
+        const JsonValue *err = r.find("error");
+        ASSERT_TRUE(err) << reply;
+        EXPECT_NE(err->getString("message").find(
+                      std::string("\"") + name + "\""),
+                  std::string::npos)
+            << reply;
+    }
+
+    // The server keeps answering, and a huge trial count is clamped to
+    // maxTrials rather than wrapped.
+    JsonValue ok = parsed(server.processLine(
+        "t", "{\"id\":2,\"op\":\"simulate\",\"bench\":\"BV4\","
+             "\"device\":\"IBMQ5\",\"day\":1,\"trials\":1e12,"
+             "\"seed\":9007199254740992,\"drift\":0.05}"));
+    ASSERT_TRUE(ok.getBool("ok")) << errorCode(ok);
+    EXPECT_EQ(ok.getNumber("day"), 1.0);
+    EXPECT_EQ(ok.getNumber("trials"), 4096.0);
+}
+
 TEST(ServerTest, OversizedFrameRejectedInConstantTime)
 {
     ServerConfig cfg = quietConfig();

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -240,10 +241,6 @@ TEST(CompileCache, DriftThresholdBoundaries)
                                           degradation * 1.1);
     ASSERT_TRUE(reused.has_value());
     EXPECT_EQ(reused->result.get(), first.result.get());
-    // Negative threshold always refuses, even for zero drift.
-    EXPECT_FALSE(cache
-                     .findDriftTolerant(key, dev.topology(), day0, -1.0)
-                     .has_value());
     // An *improved* day reuses at threshold zero.
     for (int day = 1; day < 10; ++day) {
         Calibration c = dev.calibrate(day);
@@ -416,6 +413,23 @@ TEST(Sweep, EmptyGridDimensionIsFatal)
     cfg.days = {0};
     cfg.levels = {OptLevel::OneQOptCN};
     EXPECT_THROW(runSweep(cfg, nullptr), FatalError);
+}
+
+TEST(Sweep, DriftThresholdOutsideUnitIntervalIsFatal)
+{
+    SweepConfig cfg;
+    cfg.programs.push_back({"BV4", makeBenchmark("BV4")});
+    cfg.devices = {makeIbmQ5()};
+    cfg.days = {0};
+    cfg.levels = {OptLevel::OneQOptCN};
+    for (double bad : {-1.0, -0.001, 1.5, std::nan("")}) {
+        cfg.driftThreshold = bad;
+        EXPECT_THROW(runSweep(cfg, nullptr), FatalError) << bad;
+    }
+    for (double ok : {0.0, 1.0}) {
+        cfg.driftThreshold = ok;
+        EXPECT_EQ(runSweep(cfg, nullptr).stats.compiles, 1) << ok;
+    }
 }
 
 // --- concurrency ---------------------------------------------------------
@@ -896,18 +910,126 @@ TEST(SweepJournal, GridFingerprintSeesEveryDimension)
     EXPECT_EQ(sweepGridFingerprint(c6), fp);
 }
 
+// --- golden sweeps -------------------------------------------------------
+//
+// Three grids pinned bit for bit: the FNV-1a of the deterministic
+// matrix, the grid fingerprint a journal header carries, and every
+// integer counter. A change to how a cell is resolved, keyed or
+// counted moves at least one of them.
+
+namespace
+{
+
+std::string
+hex16(uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** Every integer SweepStats counter, as "name=value" words. */
+std::string
+integerStats(const SweepStats &st)
+{
+    std::ostringstream os;
+    os << "cells=" << st.cells << " skipped=" << st.skipped
+       << " errors=" << st.errors << " compiles=" << st.compiles
+       << " hits=" << st.cacheHits << " drift_reuses=" << st.driftReuses
+       << " drift_recompiles=" << st.driftRecompiles
+       << " restored=" << st.restoredCells
+       << " nodes=" << st.mapperNodes
+       << " bound=" << st.mapperBoundPruned
+       << " symmetry=" << st.mapperSymmetryPruned
+       << " dominance=" << st.mapperDominancePruned
+       << " fallbacks=" << st.mapperFallbacks
+       << " warm=" << st.mapperWarmStarts << " threads=" << st.threads;
+    return os.str();
+}
+
+/**
+ * Run `cfg` on a fresh cache and compare it with the pinned values.
+ * Every evaluated cell's key must also be the one fingerprintCompile
+ * gives the cell on its own.
+ */
+void
+expectGoldenSweep(const SweepConfig &cfg, const std::string &matrix_fnv,
+                  const std::string &grid_fp, const std::string &stats)
+{
+    CompileCache cache;
+    SweepResult res = runSweep(cfg, &cache);
+    EXPECT_EQ(hex16(Fnv1a().str(matrixOf(cfg, res)).value()), matrix_fnv);
+    EXPECT_EQ(hex16(sweepGridFingerprint(cfg)), grid_fp);
+    EXPECT_EQ(integerStats(res.stats), stats);
+    for (const SweepCell &cell : res.cells) {
+        if (cell.source == CellSource::Skipped)
+            continue;
+        const Device &dev = cfg.devices[cell.deviceIndex];
+        CompileOptions opts = cfg.options;
+        opts.level = cell.level;
+        Circuit lowered =
+            decomposeToCnotBasis(cfg.programs[cell.programIndex].circuit,
+                                 dev.gateSet().nativeCphase);
+        EXPECT_TRUE(cell.fingerprint ==
+                    fingerprintCompile(lowered, dev,
+                                       dev.calibrate(cell.day), opts))
+            << cfg.programs[cell.programIndex].name << " on "
+            << dev.name() << " day " << cell.day;
+    }
+}
+
+} // namespace
+
+TEST(GoldenSweep, JournalGridWithDrift)
+{
+    expectGoldenSweep(
+        journalConfig(""), "95d1644fdc6f0667", "4ffbede1bb661a1c",
+        "cells=30 skipped=6 errors=0 compiles=13 hits=10 drift_reuses=7 "
+        "drift_recompiles=3 restored=0 nodes=159 bound=1514 symmetry=4 "
+        "dominance=0 fallbacks=0 warm=3 threads=2");
+}
+
+TEST(GoldenSweep, JournalGridWithoutDrift)
+{
+    SweepConfig cfg = journalConfig("");
+    cfg.driftThreshold = SweepConfig().driftThreshold; // off by default
+    expectGoldenSweep(
+        cfg, "c1f1ea2075d67a99", "7347b20012a56efc",
+        "cells=30 skipped=6 errors=0 compiles=20 hits=10 drift_reuses=0 "
+        "drift_recompiles=0 restored=0 nodes=334 bound=3318 symmetry=4 "
+        "dominance=0 fallbacks=0 warm=0 threads=2");
+}
+
+TEST(GoldenSweep, StudyGridWithDrift)
+{
+    SweepConfig cfg;
+    for (const std::string &name : benchmarkNames())
+        cfg.programs.push_back({name, makeBenchmark(name)});
+    cfg.devices = allStudyDevices();
+    cfg.days = {0, 1, 2, 3};
+    cfg.levels = {OptLevel::N, OptLevel::OneQOpt, OptLevel::OneQOptC,
+                  OptLevel::OneQOptCN};
+    cfg.options.emitAssembly = false;
+    cfg.driftThreshold = 0.05;
+    cfg.threads = 1;
+    expectGoldenSweep(
+        cfg, "9b6e76db240f436d", "360abd70ba1faee8",
+        "cells=1200 skipped=144 errors=0 compiles=414 hits=675 "
+        "drift_reuses=111 drift_recompiles=114 restored=0 nodes=5813 "
+        "bound=67634 symmetry=56 dominance=0 fallbacks=150 warm=114 "
+        "threads=1");
+}
+
 // --- real-binary kill + resume -------------------------------------------
 //
-// Drives the actual triq-sweep tool: start a journaled sweep, SIGKILL
-// it mid-run (once the journal shows progress), resume, and require
-// the resumed matrix to be byte-identical to an uninterrupted run's.
+// Drives the actual triq-sweep tool. A SIGKILL can only leave a prefix
+// of whole journal records plus at most one torn tail line, so the
+// test builds that state from a completed journal, resumes it, and
+// requires a mid-grid restore and a matrix byte-identical to the
+// uninterrupted run's.
 
 #ifdef TRIQ_SWEEP_PATH
-
-#include <csignal>
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 namespace
 {
@@ -957,57 +1079,31 @@ TEST(SweepJournalCli, KilledSweepResumesByteIdentical)
                              .c_str());
     ASSERT_EQ(rc, 0);
     std::string full_matrix = slurpFile(full_json);
-    ASSERT_FALSE(full_matrix.empty());
+    JsonParseResult full = parseJson(full_matrix);
+    ASSERT_TRUE(full.ok) << full.error;
+    const size_t grid_cells = full.value.find("cells")->array.size();
 
-    // Launch the same grid again and SIGKILL it once the journal shows
-    // at least a few resolved cells.
-    fs::path kill_json = dir.path / "killed.json";
-    fs::path kill_journal = dir.path / "killed.jsonl";
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        int devnull = open("/dev/null", O_WRONLY);
-        if (devnull >= 0) {
-            dup2(devnull, 1);
-            dup2(devnull, 2);
-        }
-        execl(TRIQ_SWEEP_PATH, TRIQ_SWEEP_PATH, "--manifest",
-              manifest.string().c_str(), "--journal",
-              kill_journal.string().c_str(), "-o",
-              kill_json.string().c_str(), static_cast<char *>(nullptr));
-        _exit(127);
-    }
-    bool killed = false;
-    for (int spin = 0; spin < 20000; ++spin) {
-        if (journalLines(kill_journal) >= 4) {
-            kill(pid, SIGKILL);
-            killed = true;
-            break;
-        }
-        int status = 0;
-        if (waitpid(pid, &status, WNOHANG) == pid) {
-            // The run outpaced the poller and finished — resuming a
-            // complete journal must still be byte-identical, so the
-            // test below stays meaningful either way.
-            pid = -1;
-            break;
-        }
-        usleep(100);
-    }
-    if (pid > 0) {
-        int status = 0;
-        ASSERT_EQ(waitpid(pid, &status, 0), pid);
-        if (killed)
-            ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
-    }
+    // What a kill leaves: half of the records (past the skipped cells
+    // journaled first) and 40 bytes of the next one.
+    fs::path killed_journal = dir.path / "killed.jsonl";
+    fs::copy_file(full_journal, killed_journal);
+    truncateJournal(killed_journal,
+                    static_cast<int>(journalLines(full_journal) / 2), 40);
 
-    // Resume and compare byte for byte.
     fs::path resumed_json = dir.path / "resumed.json";
-    rc = std::system((base + " --journal " + kill_journal.string() +
-                      " --resume -o " + resumed_json.string() +
-                      " 2>/dev/null")
+    fs::path resume_err = dir.path / "resume.err";
+    rc = std::system((base + " --journal " + killed_journal.string() +
+                      " --resume -o " + resumed_json.string() + " 2> " +
+                      resume_err.string())
                          .c_str());
     ASSERT_EQ(rc, 0);
+    std::string err = slurpFile(resume_err);
+    const size_t at = err.find(" cell(s) restored");
+    ASSERT_NE(at, std::string::npos) << err;
+    const size_t num_start = err.find_last_of(' ', at - 1) + 1;
+    const size_t restored = std::stoul(err.substr(num_start, at - num_start));
+    EXPECT_GE(restored, 1u) << err;
+    EXPECT_LT(restored, grid_cells) << err;
     EXPECT_EQ(slurpFile(resumed_json), full_matrix);
 }
 

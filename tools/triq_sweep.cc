@@ -23,7 +23,8 @@
  *   device IBMQ14 UMDTI      # study machine names, or "all"
  *   days 0..6                # inclusive range, or "days 0 2 5"
  *   level c cn               # n | 1q | c | cn | all
- *   drift 0.05               # drift threshold (CN reuse), optional
+ *   drift 0.05               # drift threshold in [0, 1] (CN reuse);
+ *                            # optional, absent = no drift reuse
  *   journal cells.jsonl      # crash-safe journal path, optional
  *   threads 4                # worker threads (at most 256); 0 = one
  *                            # per hardware thread (the default),
@@ -37,14 +38,14 @@
  * drift, threads, budget_ms, cache and strict_calibration take exactly
  * one number; a missing, malformed or out-of-range value, or a second
  * token, is an error naming the file, line and directive (exit 1).
- *
- * Env knobs (flags/manifest win): TRIQ_CACHE, TRIQ_SWEEP_DRIFT.
+ * Flags override the manifest.
  */
 
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "common/diagnostics.hh"
@@ -62,20 +63,6 @@ namespace triq
 {
 namespace
 {
-
-OptLevel
-parseLevel(const std::string &s)
-{
-    if (s == "n")
-        return OptLevel::N;
-    if (s == "1q")
-        return OptLevel::OneQOpt;
-    if (s == "c")
-        return OptLevel::OneQOptC;
-    if (s == "cn")
-        return OptLevel::OneQOptCN;
-    fatal("triq-sweep: unknown level '", s, "' (expected n|1q|c|cn|all)");
-}
 
 Circuit
 loadProgramFile(const std::string &path)
@@ -200,10 +187,10 @@ loadManifest(const std::string &path)
                                        OptLevel::OneQOptC,
                                        OptLevel::OneQOptCN});
                 else
-                    cfg.levels.push_back(parseLevel(val));
+                    cfg.levels.push_back(optLevelFromToken(val));
             }
         } else if (key == "drift") {
-            cfg.driftThreshold = number(-kAny, kAny);
+            cfg.driftThreshold = number(0.0, 1.0);
         } else if (key == "journal") {
             ls >> cfg.journalPath;
         } else if (key == "threads") {
@@ -239,7 +226,8 @@ usage()
            "  --threads N       worker threads, at most 256; 0 = one per\n"
            "                    hardware thread (default)\n"
            "  --drift T         reuse CN artifacts whose predicted ESP\n"
-           "                    degraded <= T (relative); default off\n"
+           "                    degraded <= T (relative, 0 <= T <= 1);\n"
+           "                    default off\n"
            "  --no-cache        disable the compile cache\n"
            "  --journal FILE    append every resolved cell to a\n"
            "                    crash-safe fsync'd JSONL journal (also\n"
@@ -254,7 +242,7 @@ run(int argc, char **argv)
 {
     std::string manifest, out_path, journal_path;
     int threads = -1;
-    double drift = -3.0;
+    std::optional<double> drift;
     bool no_cache = false;
     bool resume = false;
     for (int i = 1; i < argc; ++i) {
@@ -271,7 +259,7 @@ run(int argc, char **argv)
         else if (!std::strcmp(arg, "--threads"))
             threads = flagValue(arg, next(), 0, kMaxThreads);
         else if (!std::strcmp(arg, "--drift"))
-            drift = flagValue<double>(arg, next());
+            drift = flagValue(arg, next(), 0.0, 1.0);
         else if (!std::strcmp(arg, "--no-cache"))
             no_cache = true;
         else if (!std::strcmp(arg, "--journal"))
@@ -293,7 +281,7 @@ run(int argc, char **argv)
     SweepConfig cfg = loadManifest(manifest);
     if (threads >= 0)
         cfg.threads = threads;
-    if (drift > -3.0)
+    if (drift)
         cfg.driftThreshold = drift;
     if (no_cache)
         cfg.useCache = false;

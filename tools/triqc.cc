@@ -223,20 +223,6 @@ reportCrash(const char *what)
     }
 }
 
-OptLevel
-levelFromString(const std::string &s)
-{
-    if (s == "n")
-        return OptLevel::N;
-    if (s == "1q")
-        return OptLevel::OneQOpt;
-    if (s == "c")
-        return OptLevel::OneQOptC;
-    if (s == "cn")
-        return OptLevel::OneQOptCN;
-    fatal("triqc: unknown level '", s, "' (expected n|1q|c|cn)");
-}
-
 /** The --diag-json line; `report` is null when no compile ran. */
 void
 printDiagJson(const Diagnostics &diags, const CompileReport *report)
@@ -381,7 +367,7 @@ run(int argc, char **argv)
     g_crash.hasCalibration = true;
 
     CompileOptions opts;
-    opts.level = levelFromString(args.level);
+    opts.level = optLevelFromToken(args.level);
     opts.mapping.kind = mapperKindFromString(args.mapper);
     opts.peephole = args.peephole;
     opts.strictCalibration = args.strictCalibration;
