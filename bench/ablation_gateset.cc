@@ -24,7 +24,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
 
     Device study = bench::deviceByName("Aspen3");
     // Same name on purpose: calibration synthesis is seeded by the

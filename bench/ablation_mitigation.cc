@@ -22,7 +22,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials(4000);
+    const int trials = bench::defaultTrials(4000);
     for (const char *dev_name : {"Agave", "IBMQ14", "UMDTI"}) {
         Device dev = bench::deviceByName(dev_name);
         Calibration calib = dev.calibrate(day);

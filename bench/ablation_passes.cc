@@ -75,8 +75,8 @@ crosstalkAblation(int trials)
         row.push_back(bench::successCell(hs.executed));
         Circuit serialized = serializeAdjacentTwoQ(
             hs.compiled.hwCircuit, dev.topology());
-        ExecutionResult ser =
-            executeNoisy(serialized, dev, calib, trials);
+        ExecutionResult ser = executeNoisy(serialized, dev, calib, trials,
+                                           12345, bench::execOptions());
         row.push_back(bench::successCell(ser));
 
         auto bv = bench::runTriq(makeBenchmark("BV6"), dev,
@@ -98,7 +98,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     peepholeAblation(day, trials);
     crosstalkAblation(trials);
     return 0;

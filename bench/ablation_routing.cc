@@ -47,7 +47,7 @@ routeAndRun(const Circuit &program, const Device &dev,
         TranslateOptions{});
     ExecutionResult run = executeNoisy(
         tr.circuit, dev, truth, trials,
-        0x5EED0000 + static_cast<uint64_t>(day));
+        0x5EED0000 + static_cast<uint64_t>(day), bench::execOptions());
     return {tr.stats.twoQ, run.successRate};
 }
 
@@ -56,7 +56,7 @@ routeAndRun(const Circuit &program, const Device &dev,
 int
 main()
 {
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     Device dev = bench::deviceByName("IBMQ16");
 
     // Average over several days: path choice only matters when the

@@ -20,7 +20,7 @@ using namespace triq;
 int
 main()
 {
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     const int day = bench::defaultDay();
 
     // Uniform error rates (no spatial/temporal spread): the comparison

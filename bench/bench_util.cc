@@ -5,6 +5,7 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
 #include "workloads/benchmarks.hh"
@@ -27,6 +28,22 @@ int
 defaultDay()
 {
     return envInt("TRIQ_DAY", 3, 0);
+}
+
+int
+defaultTrials(int fallback)
+{
+    return envInt("TRIQ_TRIALS", fallback, 1);
+}
+
+ExecOptions
+execOptions()
+{
+    ExecOptions eo;
+    // 0 is valid: the executor reads it as one worker per hardware
+    // thread.
+    eo.threads = envInt("TRIQ_SIM_THREADS", 1, 0, kMaxThreads);
+    return eo;
 }
 
 CompileCache &
@@ -88,7 +105,8 @@ runTriq(const Circuit &program, const Device &dev, OptLevel level, int day,
     RunPoint pt;
     pt.compiled = compileTriq(program, dev, level, day);
     pt.executed = executeNoisy(pt.compiled.hwCircuit, dev, calib, trials,
-                               0x5EED0000 + static_cast<uint64_t>(day));
+                               0x5EED0000 + static_cast<uint64_t>(day),
+                               execOptions());
     return pt;
 }
 
@@ -98,7 +116,8 @@ runCompiled(const CompileResult &res, const Device &dev, int day,
 {
     Calibration calib = dev.calibrate(day);
     return executeNoisy(res.hwCircuit, dev, calib, trials,
-                        0x5EED0000 + static_cast<uint64_t>(day));
+                        0x5EED0000 + static_cast<uint64_t>(day),
+                        execOptions());
 }
 
 std::string

@@ -5,13 +5,14 @@
  * writeReport, the one place the micro benches print their JSON
  * reports (built with JsonWriter) and write them to `--json FILE`.
  *
- * Environment knobs:
+ * Environment knobs, read here and nowhere in the library:
  *   TRIQ_TRIALS       trials per success-rate measurement (default
  *                     1000; the paper used 8192 / 5000 on hardware)
  *   TRIQ_DAY          calibration day index (default 3)
- *   TRIQ_SIM_THREADS  executor worker threads (default 1). Success
- *                     rates and histograms are bit-identical for any
- *                     value; only wall-clock time changes.
+ *   TRIQ_SIM_THREADS  executor worker threads, 0..256 (default 1; 0 =
+ *                     one per hardware thread). Success rates and
+ *                     histograms are bit-identical for any value; only
+ *                     wall-clock time changes.
  */
 
 #ifndef TRIQ_BENCH_BENCH_UTIL_HH
@@ -37,6 +38,15 @@ Device deviceByName(const std::string &name);
 
 /** Calibration day index (TRIQ_DAY env, default 3). */
 int defaultDay();
+
+/** Trials per measurement (TRIQ_TRIALS env, default `fallback`). */
+int defaultTrials(int fallback = 1000);
+
+/**
+ * The harnesses' executor settings: TRIQ_SIM_THREADS worker threads
+ * (default 1), everything else at its ExecOptions default.
+ */
+ExecOptions execOptions();
 
 /**
  * The harness's process-wide compile memo. Every compile issued

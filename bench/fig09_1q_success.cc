@@ -18,7 +18,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     for (const char *dev_name : {"IBMQ14", "UMDTI"}) {
         Device dev = bench::deviceByName(dev_name);
         Table tab("Fig. 9: success rate, TriQ-N vs TriQ-1QOpt on " +

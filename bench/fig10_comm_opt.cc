@@ -62,7 +62,7 @@ main()
     // (c) Success rates on IBMQ14.
     Device dev = bench::deviceByName("IBMQ14");
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     Table tab("Fig. 10(c): success rate on IBMQ14 (" +
               std::to_string(trials) + " trials)");
     tab.setHeader({"benchmark", "TriQ-1QOpt", "TriQ-1QOptC"});

@@ -145,7 +145,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     ibmPanel(day, trials);
     rigettiPanel("Agave", day, trials);
     rigettiPanel("Aspen1", day, trials);

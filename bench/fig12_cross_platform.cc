@@ -24,7 +24,7 @@ int
 main()
 {
     const int day = bench::defaultDay();
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
 
     SweepConfig cfg;
     for (const std::string &name : benchmarkNames())
@@ -57,7 +57,8 @@ main()
             const Device &dev = cfg.devices[di];
             ExecutionResult ex = executeNoisy(
                 cell.result->hwCircuit, dev, dev.calibrate(day), trials,
-                0x5EED0000 + static_cast<uint64_t>(day));
+                0x5EED0000 + static_cast<uint64_t>(day),
+                bench::execOptions());
             row.push_back(bench::successCell(ex));
         }
         tab.addRow(row);

@@ -21,7 +21,7 @@ int
 main()
 {
     Device dev = bench::deviceByName("IBMQ5");
-    const int trials = defaultTrials();
+    const int trials = bench::defaultTrials();
     Circuit program = makeBenchmark("BV4");
 
     Table tab("Sec. 8: BV4 on IBMQ5 across 6 calibration days (" +

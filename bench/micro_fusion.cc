@@ -59,7 +59,7 @@ try {
     std::string device_name = "IBMQ14";
     std::string json_file;
     std::vector<std::string> bench_names;
-    int trials = defaultTrials(1000);
+    int trials = bench::defaultTrials(1000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     int reps = 3;
     for (int i = 1; i < argc; ++i) {
@@ -91,13 +91,13 @@ try {
     struct Config
     {
         const char *name;
-        int fusion;
+        bool fusion;
         int threads;
     };
     const Config configs[] = {
-        {"baseline", -1, 1},
-        {"fusion_only", 1, 1},
-        {"fusion_threaded", 1, threads},
+        {"baseline", false, 1},
+        {"fusion_only", true, 1},
+        {"fusion_threaded", true, threads},
     };
     constexpr size_t kNumConfigs = sizeof(configs) / sizeof(configs[0]);
 

@@ -66,7 +66,7 @@ try {
     std::vector<std::string> bench_names;
     std::string device_name = "IBMQ14";
     std::string json_file;
-    int trials = defaultTrials(2000);
+    int trials = bench::defaultTrials(2000);
     int threads = std::max(2, ThreadPool::hardwareThreads());
     bool wide = false;
     for (int i = 1; i < argc; ++i) {

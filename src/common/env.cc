@@ -71,21 +71,6 @@ envInt(const char *name, int fallback, int min_value, int max_value)
     return static_cast<int>(v);
 }
 
-double
-envDouble(const char *name, double fallback, double min_value)
-{
-    const char *env = std::getenv(name);
-    if (!env)
-        return fallback;
-    double v = 0.0;
-    if (!parseNumber(env, v) || v < min_value) {
-        warn(name, "='", env, "' is not a finite number >= ", min_value,
-             "; using ", fallback);
-        return fallback;
-    }
-    return v;
-}
-
 unsigned long long
 envBytes(const char *name, unsigned long long fallback,
          unsigned long long min_value)

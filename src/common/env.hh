@@ -1,12 +1,15 @@
 /**
  * @file
- * Number parsing for environment variables and command-line flags. All
- * TRIQ_* integer knobs (TRIQ_TRIALS, TRIQ_DAY, TRIQ_SIM_THREADS) funnel
- * through envInt so malformed values produce one consistent
- * warn-and-fallback behavior instead of silent atoi garbage; the CLI
- * tools read their numeric flags (and triq-sweep its manifest numbers)
- * through flagValue, which rejects the same malformed values with
- * fatal().
+ * Number parsing for environment variables and command-line flags.
+ * The library reads only two settings from the environment: the
+ * process memory budget (TRIQ_MEM_BUDGET, envBytes) and the
+ * fault-injection test hook (TRIQ_FAULT, TRIQ_FAULT_SEED); everything
+ * else is an argument its caller passes. The bench harnesses' integer
+ * knobs (TRIQ_TRIALS, TRIQ_DAY, TRIQ_SIM_THREADS) funnel through envInt
+ * so malformed values produce one consistent warn-and-fallback
+ * behavior instead of silent atoi garbage; the CLI tools read their
+ * numeric flags (and triq-sweep its manifest numbers) through
+ * flagValue, which rejects the same malformed values with fatal().
  */
 
 #ifndef TRIQ_COMMON_ENV_HH
@@ -51,16 +54,6 @@ T flagValue(const char *flag, const char *text,
  */
 int envInt(const char *name, int fallback, int min_value = 1,
            int max_value = 1000000000);
-
-/**
- * Read a floating-point environment variable (e.g.
- * TRIQ_SERVER_TIMEOUT_MS).
- * Same contract as envInt: unset returns `fallback` silently; a
- * malformed or non-finite value, or one below `min_value`, triggers
- * one warn() line and returns `fallback`.
- */
-double envDouble(const char *name, double fallback,
-                 double min_value = 0.0);
 
 /**
  * Read a byte-count environment variable (e.g. TRIQ_MEM_BUDGET).

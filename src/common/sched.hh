@@ -49,9 +49,10 @@ void schedCalib();
 
 /**
  * The most workers one fan-out runs at once. The thread flags, the
- * manifest directive and TRIQ_SIM_THREADS reject larger counts, and
- * fanOutWidth caps every other count (struct fields, the hardware
- * thread count) here, so the process pool never grows past it.
+ * manifest directive and the bench harnesses' TRIQ_SIM_THREADS reject
+ * larger counts, and fanOutWidth caps every other count (struct
+ * fields, the hardware thread count) here, so the process pool never
+ * grows past it. triqd's --threads takes at most this many workers.
  */
 constexpr int kMaxThreads = 256;
 

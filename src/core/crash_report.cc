@@ -80,7 +80,7 @@ CrashBundle::write(const std::string &dir) const
          << "seed=" << seed << "\n"
          << "trials=" << trials << "\n"
          << "sim_threads=" << simThreads << "\n"
-         << "sim_fusion=" << simFusion << "\n";
+         << "sim_fusion=" << (simFusion ? 1 : 0) << "\n";
     if (!requestId.empty())
         opts << "request_id=" << requestId << "\n";
     writeFile(fs::path(dir) / kOptionsFile, opts.str());
@@ -150,7 +150,7 @@ CrashBundle::load(const std::string &dir)
         else if (key == "sim_threads")
             b.simThreads = std::atoi(val.c_str());
         else if (key == "sim_fusion")
-            b.simFusion = std::atoi(val.c_str());
+            b.simFusion = val == "1";
         else if (key == "request_id")
             b.requestId = val;
         // Unknown keys are skipped so newer bundles load in older

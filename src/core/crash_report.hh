@@ -80,8 +80,8 @@ struct CrashBundle
     /** Simulation knobs (--report path). */
     uint64_t seed = 12345;
     int trials = 2000;
-    int simThreads = 0;
-    int simFusion = 0;
+    int simThreads = 1;
+    bool simFusion = true;
 
     /**
      * Request id when the crash happened serving a triqd request
@@ -95,7 +95,7 @@ struct CrashBundle
      * NAME=value entries (captureTriqEnv()). Replays re-apply them —
      * minus TRIQ_FAULT/TRIQ_FAULT_SEED, whose effects are already
      * baked into the bundled inputs — so knob-dependent behavior
-     * (TRIQ_SIM_THREADS, TRIQ_SIM_FUSION, ...) reproduces faithfully.
+     * (TRIQ_MEM_BUDGET's degraded plans) reproduces faithfully.
      */
     std::vector<std::string> envKnobs;
 

@@ -22,6 +22,7 @@
 #ifndef TRIQ_CORE_MAPPER_HH
 #define TRIQ_CORE_MAPPER_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,10 @@ enum class MapperKind
     Smt,
 };
 
-/** Parse "trivial" / "greedy" / "bnb" / "smt". */
+/** Parse "trivial" / "greedy" / "bnb" / "smt"; nullopt for other text. */
+std::optional<MapperKind> parseMapperKind(const std::string &s);
+
+/** Parse "trivial" / "greedy" / "bnb" / "smt"; other text is fatal. */
 MapperKind mapperKindFromString(const std::string &s);
 
 /** Inverse of mapperKindFromString: the engine's display name. */

@@ -8,10 +8,10 @@
 #include <sstream>
 
 #include "common/diagnostics.hh"
-#include "common/env.hh"
 #include "common/fault_injector.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
+#include "common/sched.hh"
 #include "core/compiler.hh"
 #include "core/crash_report.hh"
 #include "core/mapper.hh"
@@ -117,23 +117,24 @@ constexpr double kMaxWhole = 9007199254740992.0;
 
 /**
  * The request's number `key`, or nullopt when it is absent. A value of
- * another JSON type, outside [lo, hi], or with a fraction when `whole`
- * is refused with proto.bad-request naming the field.
+ * another JSON type, outside [lo, hi] (or (lo, hi] when `lo_open`), or
+ * with a fraction when `whole` is refused with proto.bad-request naming
+ * the field.
  */
 std::optional<double>
 requestNumber(const JsonValue &rq, const std::string &key, double lo,
-              double hi, bool whole)
+              double hi, bool whole, bool lo_open = false)
 {
     const JsonValue *v = rq.find(key);
     if (!v)
         return std::nullopt;
-    if (v->isNumber() && v->number >= lo && v->number <= hi &&
-        (!whole || v->number == std::floor(v->number)))
+    if (v->isNumber() && (lo_open ? v->number > lo : v->number >= lo) &&
+        v->number <= hi && (!whole || v->number == std::floor(v->number)))
         return v->number;
     std::ostringstream msg;
     msg << std::setprecision(17) << '"' << key << "\" must be "
-        << (whole ? "a whole number" : "a number") << " in [" << lo
-        << ", " << hi << "]";
+        << (whole ? "a whole number" : "a number") << " in "
+        << (lo_open ? '(' : '[') << lo << ", " << hi << "]";
     throw ServerReplyError{errorReply(rq, "proto.bad-request", msg.str())};
 }
 
@@ -176,59 +177,29 @@ findServerDevice(const std::string &name)
 
 /**
  * Memoized benchmark width for the submit-time memory prediction, 0
- * for an unknown name. Building a benchmark circuit is cheap but not
- * free (a Sup6x12d128 is thousands of gates), and admission runs on the
- * transport thread — each name is sized once per process. Admission
- * leaves unknown names to the worker's front end (input.invalid
- * carries the better message).
+ * for a name tryMakeBenchmark refuses. Building a benchmark circuit is
+ * cheap but not free (a Sup6x12d128 is thousands of gates), and
+ * admission runs on the transport thread — each accepted name is sized
+ * once per process. Refused names are not memoized, so distinct bad
+ * names cannot grow the memo; the worker refuses them as
+ * input.invalid.
  */
 int
 benchQubits(const std::string &bench)
 {
     static std::mutex m;
     static std::map<std::string, int> memo;
-    if (bench.empty())
-        return 0;
     std::lock_guard<std::mutex> lock(m);
     auto it = memo.find(bench);
     if (it != memo.end())
         return it->second;
-    int qubits = 0;
-    try {
-        qubits = makeBenchmark(bench).numQubits();
-    } catch (const FatalError &) {
-        // Leave it 0; the worker will refuse it properly.
-    }
-    memo.emplace(bench, qubits);
-    return qubits;
+    std::optional<Circuit> c = tryMakeBenchmark(bench);
+    if (!c)
+        return 0;
+    return memo.emplace(bench, c->numQubits()).first->second;
 }
 
 } // namespace
-
-// ---------------------------------------------------------------------
-// Config.
-// ---------------------------------------------------------------------
-
-void
-ServerConfig::applyDefaults()
-{
-    if (workers <= 0)
-        workers = envInt("TRIQ_SERVER_THREADS", 2, 1);
-    if (queueCapacity <= 0)
-        queueCapacity = envInt("TRIQ_SERVER_QUEUE", 64, 1);
-    if (timeoutMs < 0.0)
-        timeoutMs = envDouble("TRIQ_SERVER_TIMEOUT_MS", 10000.0, 1.0);
-    if (drainMs < 0.0)
-        drainMs = envDouble("TRIQ_SERVER_DRAIN_MS", 2000.0, 0.0);
-    if (drainHardMs < 0.0)
-        drainHardMs = envDouble("TRIQ_SERVER_DRAIN_HARD_MS", 30000.0, 0.0);
-    if (maxRequestBytes <= 0)
-        maxRequestBytes = envInt("TRIQ_SERVER_MAX_BYTES", 1 << 20, 1024);
-    if (budgetMs < 0.0)
-        budgetMs = envDouble("TRIQ_SERVER_BUDGET_MS", 0.0, 0.0);
-    if (maxTrials <= 0)
-        maxTrials = 65536;
-}
 
 // ---------------------------------------------------------------------
 // Lifecycle.
@@ -236,7 +207,27 @@ ServerConfig::applyDefaults()
 
 Server::Server(ServerConfig cfg) : cfg_(std::move(cfg))
 {
-    cfg_.applyDefaults();
+    // triqd's flags check the same ranges.
+    auto require = [](bool ok, const char *field, double value,
+                      const char *range) {
+        if (!ok)
+            fatal("ServerConfig::", field, " = ", value, " is not ", range);
+    };
+    require(cfg_.workers >= 1 && cfg_.workers <= kMaxThreads, "workers",
+            cfg_.workers, "in [1, 256]");
+    require(cfg_.queueCapacity >= 1, "queueCapacity", cfg_.queueCapacity,
+            ">= 1");
+    require(std::isfinite(cfg_.timeoutMs) && cfg_.timeoutMs > 0.0,
+            "timeoutMs", cfg_.timeoutMs, "a finite number > 0");
+    require(std::isfinite(cfg_.drainMs) && cfg_.drainMs >= 0.0, "drainMs",
+            cfg_.drainMs, "a finite number >= 0");
+    require(std::isfinite(cfg_.drainHardMs) && cfg_.drainHardMs >= 0.0,
+            "drainHardMs", cfg_.drainHardMs, "a finite number >= 0");
+    require(cfg_.maxRequestBytes >= 1024, "maxRequestBytes",
+            static_cast<double>(cfg_.maxRequestBytes), ">= 1024");
+    require(std::isfinite(cfg_.budgetMs) && cfg_.budgetMs >= 0.0,
+            "budgetMs", cfg_.budgetMs, "a finite number >= 0");
+    require(cfg_.maxTrials >= 1, "maxTrials", cfg_.maxTrials, ">= 1");
     startTime_ = Clock::now();
     latencies_.reserve(1024);
 }
@@ -397,13 +388,22 @@ Server::submit(const std::string &client, std::string line, Respond respond)
     start();
 
     Pending p;
+    try {
+        p.timeoutMs =
+            requestNumber(rq, "timeout_ms", 0, kMaxWhole, false, true)
+                .value_or(cfg_.timeoutMs);
+    } catch (const ServerReplyError &e) {
+        {
+            std::lock_guard<std::mutex> lock(statsMutex_);
+            ++counters_.failed;
+        }
+        respond(e.reply);
+        return;
+    }
     p.request = std::move(parsed.value);
     p.client = client;
     p.respond = std::move(respond);
     p.enqueued = Clock::now();
-    p.timeoutMs = p.request.getNumber("timeout_ms", cfg_.timeoutMs);
-    if (p.timeoutMs <= 0.0)
-        p.timeoutMs = cfg_.timeoutMs;
 
     {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -717,11 +717,11 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     if (!bench.empty()) {
         crash.benchName = bench;
         display = bench;
-        try {
-            program = makeBenchmark(bench);
-        } catch (const FatalError &e) {
-            throw refuse("input.invalid", e.what());
-        }
+        std::optional<Circuit> named = tryMakeBenchmark(bench);
+        if (!named)
+            throw refuse("input.invalid",
+                         "unknown benchmark '" + bench + "'");
+        program = std::move(*named);
     } else if (prog) {
         if (!prog->isString())
             throw refuse("proto.bad-request",
@@ -782,24 +782,28 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // Compile options.
     CompileOptions opts;
     const std::string level = rq.getString("level", "cn");
-    try {
-        opts.level = optLevelFromToken(level);
-    } catch (const FatalError &e) {
-        throw refuse("proto.bad-request", e.what());
-    }
+    std::optional<OptLevel> parsed_level = parseOptLevel(level);
+    if (!parsed_level)
+        throw refuse("proto.bad-request", "unknown level '" + level +
+                                              "' (expected n, 1q, c or cn)");
+    opts.level = *parsed_level;
     crash.level = level;
     const std::string mapper = rq.getString("mapper", "bnb");
-    try {
-        opts.mapping.kind = mapperKindFromString(mapper);
-    } catch (const FatalError &e) {
-        throw refuse("proto.bad-request", e.what());
-    }
+    std::optional<MapperKind> kind = parseMapperKind(mapper);
+    if (!kind)
+        throw refuse("proto.bad-request",
+                     "unknown mapper '" + mapper +
+                         "' (expected trivial, greedy, bnb or smt)");
+    opts.mapping.kind = *kind;
     crash.mapper = mapper;
     opts.peephole = rq.getBool("peephole", false);
     opts.strictCalibration = rq.getBool("strict_calibration", false);
     crash.peephole = opts.peephole;
     crash.strictCalibration = opts.strictCalibration;
-    const double budget_ms = rq.getNumber("budget_ms", cfg_.budgetMs);
+    // 0 compiles unbudgeted.
+    const double budget_ms =
+        requestNumber(rq, "budget_ms", 0, kMaxWhole, false)
+            .value_or(cfg_.budgetMs);
     if (budget_ms > 0.0) {
         opts.budget = CompileBudget::withDeadlineMs(budget_ms);
         crash.budgetMs = budget_ms;
@@ -856,16 +860,14 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
             requestNumber(rq, "seed", 0, kMaxWhole, true).value_or(12345));
         crash.trials = trials;
         crash.seed = seed;
-        // Serial per request: cross-request concurrency comes from the
-        // server's own workers, and the shared process pool must not
-        // be entered from several workers at once.
-        ExecOptions eo;
-        eo.threads = 1;
-        crash.simThreads = 1;
+        // Serial per request (the ExecOptions and CrashBundle default):
+        // cross-request concurrency comes from the server's own
+        // workers, and the shared process pool must not be entered from
+        // several workers at once.
         ExecutionResult run;
         try {
             run = executeNoisy(cc.result->hwCircuit, *dev, calib, trials,
-                               seed, eo);
+                               seed);
         } catch (const ResourceError &e) {
             // Predicted-overrun refusal or a translated bad_alloc from
             // inside the simulator: a resource outcome, not a TriQ bug

@@ -10,9 +10,9 @@
  * sanitization, structured diagnostics, crash bundles), adding what a
  * one-shot CLI cannot have:
  *
- *  - Admission control: a bounded queue (TRIQ_SERVER_QUEUE). A request
- *    arriving at a full queue is rejected *immediately* with a
- *    structured `server.overloaded` error — overload sheds load, it
+ *  - Admission control: a bounded queue (ServerConfig::queueCapacity).
+ *    A request arriving at a full queue is rejected *immediately* with
+ *    a structured `server.overloaded` error — overload sheds load, it
  *    never builds an unbounded backlog.
  *  - Fair queueing: queued requests are grouped per client and workers
  *    pop them round-robin across clients, so one client streaming a
@@ -20,16 +20,16 @@
  *    one request per client is ever in flight, which is what makes the
  *    per-client reply-ordering guarantee below hold with many workers.
  *  - Timeouts: a request that waited in the queue past its deadline
- *    (request `timeout_ms`, default TRIQ_SERVER_TIMEOUT_MS) is answered
- *    with `server.timeout` instead of being run pointlessly.
+ *    (request `timeout_ms`, default ServerConfig::timeoutMs) is
+ *    answered with `server.timeout` instead of being run pointlessly.
  *  - Graceful degradation: every failure mode is a one-line JSON error
  *    reply, never a dead connection or a dead daemon. PanicErrors
  *    (TriQ bugs) additionally dump a crash-report bundle tagged with
  *    the request id, then the daemon keeps serving.
  *  - Graceful drain: drain() stops admission, lets in-flight work
  *    finish, cancels whatever is still queued when the drain deadline
- *    (TRIQ_SERVER_DRAIN_MS) fires, and leaves the metrics readable.
- *    A second, generous hard cap (TRIQ_SERVER_DRAIN_HARD_MS) bounds
+ *    (ServerConfig::drainMs) fires, and leaves the metrics readable.
+ *    A second, generous hard cap (ServerConfig::drainHardMs) bounds
  *    even a wedged in-flight request, so SIGTERM always terminates.
  *
  * The engine is transport-free: submit() takes a raw frame plus a
@@ -55,9 +55,13 @@
  * Without `drift` only exact keys hit. Numbers are checked, never
  * cast: `day` is a whole number in [0, 2^31 - 1]; `trials` one in
  * [1, 2^53], then clamped to maxTrials; `seed` and `fault_seed` ones in
- * [0, 2^53]; and `drift` a number in [0, 1]. A value of another JSON
- * type, with a fraction where a whole number belongs, or out of range
- * is refused with proto.bad-request naming the field.
+ * [0, 2^53]; `drift` a number in [0, 1]; `timeout_ms` one in (0, 2^53];
+ * and `budget_ms` one in [0, 2^53], where 0 compiles unbudgeted. A
+ * value of another JSON type, with a fraction where a whole number
+ * belongs, or out of range is refused with proto.bad-request naming
+ * the field. So is an unknown `level` or `mapper`; an unknown `bench`
+ * is input.invalid. None of these refusals writes to the daemon's
+ * stderr.
  *
  * Reply: {"id": "r1", "ok": true, ...} or
  *        {"id": "r1", "ok": false, "error": {"code": "...",
@@ -104,59 +108,59 @@ namespace triq
 
 struct CrashBundle;
 
-/** Tuning knobs; non-positive fields fall back to TRIQ_SERVER_* env. */
+/**
+ * triqd's settings, each with its default. The Server constructor
+ * refuses a field outside its range with FatalError; triqd's flags
+ * check the same ranges.
+ */
 struct ServerConfig
 {
-    /** Worker threads executing requests (TRIQ_SERVER_THREADS, def 2). */
-    int workers = 0;
+    /** Worker threads executing requests, in [1, kMaxThreads]. */
+    int workers = 2;
 
     /**
-     * Max requests queued across all clients (TRIQ_SERVER_QUEUE,
-     * default 64). Arrivals past the cap are rejected immediately.
+     * Max requests queued across all clients (>= 1). Arrivals past the
+     * cap are rejected immediately.
      */
-    int queueCapacity = 0;
+    int queueCapacity = 64;
 
     /**
-     * Queue-wait deadline in ms (TRIQ_SERVER_TIMEOUT_MS, default
-     * 10000). A request may override it down or up with `timeout_ms`.
+     * Queue-wait deadline in ms (> 0). A request may override it down
+     * or up with `timeout_ms`.
      */
-    double timeoutMs = -1.0;
+    double timeoutMs = 10000.0;
 
     /**
-     * Drain deadline in ms (TRIQ_SERVER_DRAIN_MS, default 2000): how
-     * long drain() waits for queued work before cancelling it.
+     * Drain deadline in ms (>= 0): how long drain() waits for queued
+     * work before cancelling it.
      */
-    double drainMs = -1.0;
+    double drainMs = 2000.0;
 
     /**
-     * Hard in-flight cap in ms (TRIQ_SERVER_DRAIN_HARD_MS, default
-     * 30000): after cancelling queued work, how long drain() waits for
-     * in-flight requests before abandoning their workers. In-flight
-     * work is normally bounded by budgets and trial caps, so this only
-     * fires for a genuinely wedged request — it guarantees SIGTERM
-     * terminates the daemon regardless.
+     * Hard in-flight cap in ms (>= 0): after cancelling queued work,
+     * how long drain() waits for in-flight requests before abandoning
+     * their workers. In-flight work is normally bounded by budgets and
+     * trial caps, so this only fires for a genuinely wedged request —
+     * it guarantees SIGTERM terminates the daemon regardless.
      */
-    double drainHardMs = -1.0;
+    double drainHardMs = 30000.0;
 
-    /** Frame size cap in bytes (TRIQ_SERVER_MAX_BYTES, default 1 MiB). */
-    long maxRequestBytes = 0;
+    /** Frame size cap in bytes (>= 1024). */
+    long maxRequestBytes = 1 << 20;
 
     /**
-     * Default per-request compile budget in ms (TRIQ_SERVER_BUDGET_MS,
-     * default 0 = unlimited). Armed budgets make the pipeline anytime
-     * but bypass the compile cache (the determinism contract), so the
-     * default favors cache heat; requests can arm one with `budget_ms`.
+     * Default per-request compile budget in ms (>= 0; 0 = unlimited).
+     * Armed budgets make the pipeline anytime but bypass the compile
+     * cache (the determinism contract), so the default favors cache
+     * heat; requests can arm one with `budget_ms`.
      */
-    double budgetMs = -1.0;
+    double budgetMs = 0.0;
 
-    /** Trial cap for simulate requests (default 65536). */
-    int maxTrials = 0;
+    /** Trial cap for simulate requests (>= 1). */
+    int maxTrials = 65536;
 
     /** Crash-bundle directory base ("" = triq-crash-<pid>). */
     std::string crashDir;
-
-    /** Resolve every non-positive field from its env knob / default. */
-    void applyDefaults();
 };
 
 /** A point-in-time metrics snapshot (the `stats` reply body). */

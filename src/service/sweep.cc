@@ -277,6 +277,19 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                         // cell fingerprint differing from the journaled
                         // one means the record is corrupt — recompute.
                         ok = cell.fingerprint == jc.fingerprint;
+                        auto art = restored_art.find(
+                            jc.fingerprint.combined());
+                        // A cell that carries an artifact cannot be
+                        // restored without it (its record was corrupt).
+                        if (ok && art == restored_art.end() &&
+                            (jc.source == CellSource::Compiled ||
+                             jc.source == CellSource::CacheHit ||
+                             jc.source == CellSource::DriftReuse)) {
+                            warn("runSweep: the artifact of a journaled ",
+                                 cellSourceName(jc.source),
+                                 " cell did not load; recomputing it");
+                            continue;
+                        }
                         if (ok) {
                             cell.source = jc.source;
                             cell.esp = jc.esp;
@@ -284,8 +297,6 @@ runSweep(const SweepConfig &config, CompileCache *cache)
                             cell.error = jc.error;
                             cell.ms = 0.0;
                             cell.restored = true;
-                            auto art = restored_art.find(
-                                jc.fingerprint.combined());
                             if (art != restored_art.end())
                                 cell.result = art->second.result;
                             if (jc.source == CellSource::Compiled)

@@ -4,7 +4,6 @@
 #include <climits>
 #include <sstream>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/resource.hh"
 #include "common/rng.hh"
@@ -283,8 +282,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         ro_err[k] = safe.errRO[static_cast<size_t>(hq)];
     }
 
-    // 0 reads TRIQ_SIM_THREADS; forEachIndex applies the thread rule.
-    int threads = opts.threads != 0 ? opts.threads : defaultSimThreads(1);
+    // forEachIndex applies the thread rule.
+    int threads = opts.threads;
 
     // Shard trials into chunks; chunk ci owns the RNG stream
     // (seed, ci), and chunks merge in index order below, so the result
@@ -390,18 +389,14 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                                 sites[static_cast<size_t>(b)].gateIdx;
                      });
 
-    const bool use_fusion =
-        opts.fusion > 0 || (opts.fusion == 0 && defaultSimFusion());
     FusedProgram fused_program;
-    if (use_fusion) {
+    if (opts.fusion) {
         // Align fused operators to the checkpoint interval so replays
         // resumed from a checkpoint start on an operator boundary. A
         // per-gate interval would forbid all fusion, so leave operators
         // unaligned there: a resume or a Pauli inside an operator costs
         // one pass of its split head or tail (FusedProgram::apply).
-        FusionOptions fopt;
-        fopt.alignBoundary = interval > 1 ? interval : 0;
-        fused_program = FusedProgram(cc.circuit, fopt);
+        fused_program = FusedProgram(cc.circuit, interval > 1 ? interval : 0);
     }
 
     TrajectoryContext ctx;
@@ -412,7 +407,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     ctx.roErr = &ro_err;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
-    ctx.fused = use_fusion ? &fused_program : nullptr;
+    ctx.fused = opts.fusion ? &fused_program : nullptr;
     ctx.correctOutcome = ideal_key;
     ctx.flatHistogram = measured.size() <= kFlatHistogramBits;
 
@@ -514,26 +509,6 @@ outcomeForProgram(uint64_t key, const Circuit &hw,
         out |= ((key >> pos) & 1) << k;
     }
     return out;
-}
-
-int
-defaultTrials(int fallback)
-{
-    return envInt("TRIQ_TRIALS", fallback, 1);
-}
-
-int
-defaultSimThreads(int fallback)
-{
-    // TRIQ_SIM_THREADS=0 is valid: fanOutWidth reads it as one worker
-    // per hardware thread.
-    return envInt("TRIQ_SIM_THREADS", fallback, 0, kMaxThreads);
-}
-
-bool
-defaultSimFusion(bool fallback)
-{
-    return envInt("TRIQ_SIM_FUSION", fallback ? 1 : 0, 0) != 0;
 }
 
 } // namespace triq

@@ -14,12 +14,12 @@
  *    stream Rng::stream(seed, chunk_index); chunks run on the shared
  *    process pool through forEachIndex (common/sched.hh) and merge in
  *    chunk order, so results are bit-identical for any thread count
- *    (ExecOptions::threads, TRIQ_SIM_THREADS);
+ *    (ExecOptions::threads);
  *  - faulty trajectories resume from the nearest ideal-prefix
  *    checkpoint through their first faulted gate (every Pauli lands
  *    after its gate, so that prefix is fault-free) instead of from
  *    |0...0>;
- *  - gate fusion (sim/fusion.hh, TRIQ_SIM_FUSION, default on) rewrites
+ *  - gate fusion (sim/fusion.hh, ExecOptions::fusion, default on) rewrites
  *    the compact circuit into fused kernels so each replay makes fewer
  *    passes over the state.
  *
@@ -94,18 +94,17 @@ struct ExecutionResult
     std::vector<std::pair<uint64_t, int>> sortedHistogram() const;
 };
 
-/** Tuning knobs for executeNoisy; the defaults match the env knobs. */
+/** Settings for executeNoisy, each with its default. */
 struct ExecOptions
 {
     /**
-     * Worker threads for trajectory chunks. N >= 1 runs N workers
-     * (1 = serial path, no pool is touched; at most kMaxThreads);
-     * < 0 runs one worker per hardware thread; 0 reads
-     * TRIQ_SIM_THREADS (see defaultSimThreads). Results are
-     * bit-identical for every value — threads only change wall-clock
-     * time.
+     * Worker threads for trajectory chunks: 1 (the default) is the
+     * serial path on the calling thread, N >= 2 runs N workers (at most
+     * kMaxThreads) and <= 0 one worker per hardware thread — the rule
+     * forEachIndex applies. Results are bit-identical for every value;
+     * threads only change wall-clock time.
      */
-    int threads = 0;
+    int threads = 1;
 
     /**
      * Ideal-prefix checkpoint spacing in gates. 0 picks an automatic
@@ -123,13 +122,13 @@ struct ExecOptions
     int chunkSize = 0;
 
     /**
-     * Gate fusion for trajectory replays: > 0 on, < 0 off, 0 reads
-     * TRIQ_SIM_FUSION (default on). Fusion keeps amplitudes equal to
-     * the gate-by-gate path to ~1e-15 per gate (it reassociates
-     * floating-point products), so histograms match the unfused path
-     * for all practical seeds but are not guaranteed bit-identical.
+     * Gate fusion for trajectory replays (default on). Fusion keeps
+     * amplitudes equal to the gate-by-gate path to ~1e-15 per gate (it
+     * reassociates floating-point products), so histograms match the
+     * unfused path for all practical seeds but are not guaranteed
+     * bit-identical.
      */
-    int fusion = 0;
+    bool fusion = true;
 
     /**
      * Ignored: gate kernels run serially inside each trajectory. Kept
@@ -161,26 +160,6 @@ ExecutionResult executeNoisy(const Circuit &hw, const Device &dev,
                              const Calibration &calib, int trials,
                              uint64_t seed = 12345,
                              const ExecOptions &opts = {});
-
-/**
- * Default trial count for experiment harnesses: reads the TRIQ_TRIALS
- * environment variable, falling back to `fallback`.
- */
-int defaultTrials(int fallback = 1000);
-
-/**
- * Default simulation thread count: reads the TRIQ_SIM_THREADS
- * environment variable, falling back to `fallback` (serial) when it is
- * unset, malformed or above kMaxThreads. TRIQ_SIM_THREADS=0 returns 0,
- * which the fan-out reads as one worker per hardware thread.
- */
-int defaultSimThreads(int fallback = 1);
-
-/**
- * Default gate-fusion setting: reads the TRIQ_SIM_FUSION environment
- * variable (0 disables), falling back to `fallback` (on).
- */
-bool defaultSimFusion(bool fallback = true);
 
 /**
  * Re-order an outcome key from the executor's hardware-measured-qubit

@@ -12,6 +12,20 @@ namespace triq
 namespace
 {
 
+/** Largest dense fused region, in qubits. */
+constexpr int kMaxDenseQubits = 3;
+
+/** Largest diagonal-run support, in qubits. */
+constexpr int kMaxDiagonalQubits = 10;
+
+/**
+ * Largest original-gate span one fused operator may cover. An operator
+ * of k gates also stores 2(k-1) split operators (see FusedProgram), so
+ * the span bounds that storage: at most 22 tables of at most 64
+ * amplitudes (22 KiB) per operator.
+ */
+constexpr int kMaxGatesPerOp = 12;
+
 /**
  * Modeled cost of replaying one gate on the fused path, where dense
  * single-qubit gates (and XX) go through cached matrices and the fused
@@ -262,12 +276,12 @@ fusible(const Item &it)
 /**
  * Whether one fused operator may cover original gates [lo, hi): bounded
  * by the span cap, and never crossing an alignment boundary (checkpoint
- * interval) when one is set. See FusionOptions.
+ * interval) when one is set.
  */
 bool
-spanAllowed(int lo, int hi, int max_span, int align)
+spanAllowed(int lo, int hi, int align)
 {
-    if (hi - lo > max_span)
+    if (hi - lo > kMaxGatesPerOp)
         return false;
     if (align > 0 && lo / align != (hi - 1) / align)
         return false;
@@ -297,13 +311,12 @@ itemMatrixOn(const Item &it, const Circuit &c,
 /**
  * Collapse runs of adjacent diagonal gates into one Diag item when the
  * single table pass is modeled cheaper than replaying the run. Runs
- * split when their union support would exceed max_diag_qubits or the
+ * split when their union support would exceed kMaxDiagonalQubits or the
  * span limits. Single-qubit-support runs are left alone: the same-qubit
  * merge pass turns those into a cheaper 2x2.
  */
 std::vector<Item>
-collapseDiagonalRuns(std::vector<Item> items, const Circuit &c,
-                     int max_diag_qubits, int max_span, int align)
+collapseDiagonalRuns(std::vector<Item> items, const Circuit &c, int align)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -320,9 +333,9 @@ collapseDiagonalRuns(std::vector<Item> items, const Circuit &c,
         size_t j = i + 1;
         while (j < items.size() && items[j].kind == Item::Kind::Single &&
                isDiagGate(c.gate(items[j].lo).kind) &&
-               spanAllowed(head.lo, items[j].hi, max_span, align)) {
+               spanAllowed(head.lo, items[j].hi, align)) {
             std::vector<int> u = supportUnion(support, items[j].support);
-            if (static_cast<int>(u.size()) > max_diag_qubits)
+            if (static_cast<int>(u.size()) > kMaxDiagonalQubits)
                 break;
             support = std::move(u);
             plain_cost += items[j].cost;
@@ -356,8 +369,7 @@ collapseDiagonalRuns(std::vector<Item> items, const Circuit &c,
  * one 2x2 Dense item (left-multiplied in program order).
  */
 std::vector<Item>
-mergeSameQubitRuns(std::vector<Item> items, const Circuit &c,
-                   int max_span, int align)
+mergeSameQubitRuns(std::vector<Item> items, const Circuit &c, int align)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -375,7 +387,7 @@ mergeSameQubitRuns(std::vector<Item> items, const Circuit &c,
         size_t j = i + 1;
         while (j < items.size() && is1q(items[j]) &&
                items[j].support[0] == q &&
-               spanAllowed(items[i].lo, items[j].hi, max_span, align))
+               spanAllowed(items[i].lo, items[j].hi, align))
             ++j;
         if (j - i < 2) {
             out.push_back(std::move(items[i]));
@@ -407,7 +419,7 @@ mergeSameQubitRuns(std::vector<Item> items, const Circuit &c,
  */
 std::vector<Item>
 fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
-                 int max_span, int align)
+                 int align)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -423,7 +435,7 @@ fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
         int gate_count = items[i].gateCount;
         size_t j = i + 1;
         while (j < items.size() && fusible(items[j]) &&
-               spanAllowed(items[i].lo, items[j].hi, max_span, align)) {
+               spanAllowed(items[i].lo, items[j].hi, align)) {
             std::vector<int> u = supportUnion(support, items[j].support);
             if (static_cast<int>(u.size()) > max_qubits)
                 break;
@@ -457,14 +469,8 @@ fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
 
 } // namespace
 
-FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
-    : circuit_(c)
+FusedProgram::FusedProgram(const Circuit &c, int align) : circuit_(c)
 {
-    const int max_dense = std::clamp(opt.maxDenseQubits, 1, 3);
-    const int max_diag = std::clamp(opt.maxDiagonalQubits, 1, 16);
-    const int max_span = std::max(1, opt.maxGatesPerOp);
-    const int align = std::max(0, opt.alignBoundary);
-
     // Precompile the per-gate path (Pass ops, wide diagonal runs, ranges
     // inside one op): cache the 2x2 (or XX 4x4) unitaries once so those
     // replays go through the fused kernels instead of allocating a
@@ -514,13 +520,10 @@ FusedProgram::FusedProgram(const Circuit &c, const FusionOptions &opt)
         items.push_back(std::move(it));
     }
 
-    items = collapseDiagonalRuns(std::move(items), circuit_, max_diag,
-                                 max_span, align);
-    items = mergeSameQubitRuns(std::move(items), circuit_, max_span,
-                               align);
-    for (int limit = 2; limit <= max_dense; ++limit)
-        items = fuseDenseRegions(std::move(items), circuit_, limit,
-                                 max_span, align);
+    items = collapseDiagonalRuns(std::move(items), circuit_, align);
+    items = mergeSameQubitRuns(std::move(items), circuit_, align);
+    for (int limit = 2; limit <= kMaxDenseQubits; ++limit)
+        items = fuseDenseRegions(std::move(items), circuit_, limit, align);
 
     // Emit ops: fused items become kernels, everything else coalesces
     // into Pass ranges replayed gate by gate.

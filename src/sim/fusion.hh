@@ -36,33 +36,6 @@
 namespace triq
 {
 
-/** Tuning knobs for the fusion pass; defaults fit NISQ-size circuits. */
-struct FusionOptions
-{
-    /** Largest dense fused region, in qubits (1..3). */
-    int maxDenseQubits = 3;
-
-    /** Largest diagonal-run support, in qubits (1..16). */
-    int maxDiagonalQubits = 10;
-
-    /**
-     * Largest original-gate span one fused operator may cover. An
-     * operator of k gates also stores 2(k-1) split operators (see
-     * FusedProgram), so the span bounds that storage: at most 22
-     * tables of at most 64 amplitudes (22 KiB) per operator at the
-     * default.
-     */
-    int maxGatesPerOp = 12;
-
-    /**
-     * When > 0, fused operators never span gate indices that are
-     * multiples of this value. The executor sets it to its checkpoint
-     * interval (when above 1) so replays resumed from a checkpoint
-     * always start on an operator boundary.
-     */
-    int alignBoundary = 0;
-};
-
 /** What the fusion pass did to one circuit. */
 struct FusionStats
 {
@@ -101,8 +74,14 @@ class FusedProgram
   public:
     FusedProgram() = default;
 
-    /** Fuse `c` (kept by copy, so the program owns its fallback path). */
-    explicit FusedProgram(const Circuit &c, const FusionOptions &opt = {});
+    /**
+     * Fuse `c` (kept by copy, so the program owns its fallback path).
+     * When `align` > 0, fused operators never span gate indices that
+     * are multiples of it. The executor passes its checkpoint interval
+     * (when above 1) so replays resumed from a checkpoint always start
+     * on an operator boundary.
+     */
+    explicit FusedProgram(const Circuit &c, int align = 0);
 
     /** Apply original-gate range [from_gate, to_gate) to `sv`. */
     void apply(StateVector &sv, int from_gate, int to_gate) const;

@@ -316,8 +316,8 @@ benchmarkNames()
     return names;
 }
 
-Circuit
-makeBenchmark(const std::string &name)
+std::optional<Circuit>
+tryMakeBenchmark(const std::string &name)
 {
     if (name == "BV4")
         return makeBV(4);
@@ -346,16 +346,26 @@ makeBenchmark(const std::string &name)
     // "Sup<rows>x<cols>d<depth>" — parameterized supremacy grids, the
     // Sec. 6.5 compile-time-scaling workloads (e.g. Sup6x12d8 is the
     // 72-qubit Bristlecone-class circuit). Deliberately not listed in
-    // benchmarkNames(): "program all" sweeps must stay tractable.
-    {
-        int rows = 0, cols = 0, depth = 0;
-        char tail = 0;
-        if (std::sscanf(name.c_str(), "Sup%dx%dd%d%c", &rows, &cols,
-                        &depth, &tail) == 3 &&
-            rows >= 1 && cols >= 1 && depth >= 1)
-            return makeSupremacy(rows, cols, depth);
-    }
-    fatal("makeBenchmark: unknown benchmark '", name, "'");
+    // benchmarkNames(): "program all" sweeps must stay tractable. The
+    // caps keep a name from asking for an unbounded circuit.
+    int rows = 0, cols = 0, depth = 0;
+    char tail = 0;
+    if (std::sscanf(name.c_str(), "Sup%dx%dd%d%c", &rows, &cols, &depth,
+                    &tail) == 3 &&
+        rows >= 1 && cols >= 1 && static_cast<long>(rows) * cols <= 72 &&
+        depth >= 1 && depth <= 1024)
+        return makeSupremacy(rows, cols, depth);
+    return std::nullopt;
+}
+
+Circuit
+makeBenchmark(const std::string &name)
+{
+    if (std::optional<Circuit> c = tryMakeBenchmark(name))
+        return std::move(*c);
+    fatal("makeBenchmark: unknown benchmark '", name,
+          "' (a Sup<rows>x<cols>d<depth> grid takes at most 72 qubits ",
+          "and depth 1024)");
 }
 
 uint64_t

@@ -141,6 +141,17 @@ TEST(Benchmarks, InvalidSizesRejected)
     EXPECT_THROW(makeFredkinChain(-1), FatalError);
 }
 
+TEST(Supremacy, NamedGridsAreCapped)
+{
+    // A name cannot ask for more than the largest device (72 qubits)
+    // or a depth past 1024; the name-based callers use at most 128.
+    EXPECT_EQ(makeBenchmark("Sup6x12d128").numQubits(), 72);
+    EXPECT_THROW(makeBenchmark("Sup1x2d1025"), FatalError);
+    EXPECT_THROW(makeBenchmark("Sup9x9d8"), FatalError);
+    EXPECT_FALSE(tryMakeBenchmark("Sup1x2d100000000"));
+    EXPECT_FALSE(tryMakeBenchmark("Sup100000x100000d1"));
+}
+
 TEST(Supremacy, PaperScaleGateCount)
 {
     // 72 qubits, depth 128: about 2032 2Q gates in the paper.

@@ -334,38 +334,6 @@ TEST(Env, EnvIntWarnsOnMalformedValue)
     unsetenv("TRIQ_TEST_ENVINT");
 }
 
-TEST(Env, EnvDoubleParsesAndFallsBack)
-{
-    unsetenv("TRIQ_TEST_ENVDBL");
-    EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25), 0.25);
-    setenv("TRIQ_TEST_ENVDBL", "0.05", 1);
-    EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25), 0.05);
-    setenv("TRIQ_TEST_ENVDBL", "1e-3", 1);
-    EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25), 1e-3);
-    setenv("TRIQ_TEST_ENVDBL", "-1", 1);
-    EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25, -5.0), -1.0);
-    // Out of range: a value past DBL_MAX overflows to +inf under
-    // strtod (ERANGE) and must fall back, not propagate infinity.
-    setenv("TRIQ_TEST_ENVDBL", "1e999", 1);
-    EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25), 0.25);
-    unsetenv("TRIQ_TEST_ENVDBL");
-}
-
-TEST(Env, EnvDoubleWarnsOnMalformedValue)
-{
-    for (const char *bad : {"0.05x", "nan", "inf", "-0.1", ""}) {
-        setenv("TRIQ_TEST_ENVDBL", bad, 1);
-        testing::internal::CaptureStderr();
-        EXPECT_DOUBLE_EQ(envDouble("TRIQ_TEST_ENVDBL", 0.25), 0.25)
-            << "value: " << bad;
-        EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                      "TRIQ_TEST_ENVDBL"),
-                  std::string::npos)
-            << "value: " << bad;
-    }
-    unsetenv("TRIQ_TEST_ENVDBL");
-}
-
 TEST(Env, ParseNumberRequiresTheWholeString)
 {
     long i = 7;

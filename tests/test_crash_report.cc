@@ -102,7 +102,7 @@ TEST(CrashReport, BundleRoundTripsEveryField)
     b.seed = 0xDEADBEEFull;
     b.trials = 777;
     b.simThreads = 3;
-    b.simFusion = -1;
+    b.simFusion = false;
     b.error = "test panic message";
 
     TempDir tmp;
@@ -162,7 +162,7 @@ TEST(CrashReport, RequestIdAndEnvRoundTrip)
     CrashBundle b;
     b.benchName = "BV4";
     b.requestId = "c3-r17";
-    b.envKnobs = {"TRIQ_SIM_FUSION=0", "TRIQ_SIM_THREADS=4"};
+    b.envKnobs = {"TRIQ_MEM_BUDGET=256M", "TRIQ_SIM_THREADS=4"};
     b.error = "boom";
 
     TempDir tmp;
@@ -170,7 +170,7 @@ TEST(CrashReport, RequestIdAndEnvRoundTrip)
     b.write(dir);
 
     std::string env = slurp(fs::path(dir) / "environment.txt");
-    EXPECT_NE(env.find("TRIQ_SIM_FUSION=0"), std::string::npos) << env;
+    EXPECT_NE(env.find("TRIQ_MEM_BUDGET=256M"), std::string::npos) << env;
     EXPECT_NE(env.find("TRIQ_SIM_THREADS=4"), std::string::npos);
 
     CrashBundle r = CrashBundle::load(dir);

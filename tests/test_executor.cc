@@ -239,7 +239,7 @@ TEST(Executor, BitIdenticalAcrossThreadCounts)
     CompileResult res = compileForDevice(program, dev, c, opts);
     ExecOptions serial;
     serial.threads = 1;
-    serial.fusion = 1;
+    serial.fusion = true;
     ExecutionResult base =
         executeNoisy(res.hwCircuit, dev, c, 1500, 99, serial);
     EXPECT_GT(base.simulatedTrajectories, 0);
@@ -255,7 +255,7 @@ TEST(Executor, BitIdenticalAcrossThreadCounts)
         runs.push_back(t);
     }
     ExecOptions unfused = serial;
-    unfused.fusion = -1;
+    unfused.fusion = false;
     runs.push_back(unfused);
     for (const ExecOptions &o : runs) {
         ExecutionResult r =
@@ -295,46 +295,18 @@ TEST(Executor, CheckpointedReplayMatchesFullReplay)
     // Fusion off keeps the replay strictly gate by gate.
     ExecOptions full;
     full.checkpointInterval = -1; // replay from |00> every time
-    full.fusion = -1;
+    full.fusion = false;
     ExecutionResult a = executeNoisy(circ, dev, c, 800, 21, full);
     EXPECT_EQ(a.simulatedTrajectories, a.trials);
     for (int interval : {1, 2, 5, 0}) {
         ExecOptions ck;
         ck.checkpointInterval = interval;
-        ck.fusion = -1;
+        ck.fusion = false;
         ExecutionResult b = executeNoisy(circ, dev, c, 800, 21, ck);
         EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
         EXPECT_EQ(b.simulatedTrajectories, a.simulatedTrajectories);
         EXPECT_EQ(b.histogram, a.histogram);
     }
-}
-
-TEST(Executor, DefaultSimThreadsEnv)
-{
-    unsetenv("TRIQ_SIM_THREADS");
-    EXPECT_EQ(defaultSimThreads(), 1);
-    setenv("TRIQ_SIM_THREADS", "6", 1);
-    EXPECT_EQ(defaultSimThreads(), 6);
-    setenv("TRIQ_SIM_THREADS", "zero?", 1);
-    EXPECT_EQ(defaultSimThreads(), 1);
-    // 0 passes through (the fan-out reads it as one worker per
-    // hardware thread); a count past kMaxThreads falls back.
-    setenv("TRIQ_SIM_THREADS", "0", 1);
-    EXPECT_EQ(defaultSimThreads(), 0);
-    setenv("TRIQ_SIM_THREADS", "100000", 1);
-    EXPECT_EQ(defaultSimThreads(), 1);
-    unsetenv("TRIQ_SIM_THREADS");
-}
-
-TEST(Executor, DefaultTrialsEnv)
-{
-    unsetenv("TRIQ_TRIALS");
-    EXPECT_EQ(defaultTrials(1234), 1234);
-    setenv("TRIQ_TRIALS", "77", 1);
-    EXPECT_EQ(defaultTrials(1234), 77);
-    setenv("TRIQ_TRIALS", "bogus", 1);
-    EXPECT_EQ(defaultTrials(1234), 1234);
-    unsetenv("TRIQ_TRIALS");
 }
 
 // ---------------------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -366,17 +365,6 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
             check("applyDiagonal", qs);
         }
     }
-}
-
-TEST(Fusion, EnvDefaultToggles)
-{
-    unsetenv("TRIQ_SIM_FUSION");
-    EXPECT_TRUE(defaultSimFusion());
-    setenv("TRIQ_SIM_FUSION", "0", 1);
-    EXPECT_FALSE(defaultSimFusion());
-    setenv("TRIQ_SIM_FUSION", "1", 1);
-    EXPECT_TRUE(defaultSimFusion());
-    unsetenv("TRIQ_SIM_FUSION");
 }
 
 } // namespace

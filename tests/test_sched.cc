@@ -2,7 +2,7 @@
  * @file
  * Threading tests: the one fan-out (coverage, the in-flight bound,
  * the serial path, exception propagation, concurrent callers), the
- * thread-count rule of TRIQ_SIM_THREADS, and the end-to-end contract
+ * thread-count rule of ExecOptions::threads, and the end-to-end contract
  * that the thread count never changes a result (bit-identical
  * histograms and sweep artifacts for serial, 3, 8 and
  * one-per-hardware-thread workers).
@@ -180,25 +180,24 @@ TEST(ThreadPoolBatch, ProcessPoolIsShared)
 
 TEST(SchedEnv, SimThreadsZeroMeansHardwareThreads)
 {
-    // ExecOptions::threads = 0 reads TRIQ_SIM_THREADS: its 0 runs one
-    // worker per hardware thread, and an unset variable runs serially.
+    // ExecOptions::threads = 0 runs one worker per hardware thread, and
+    // the default runs serially.
     Device dev = makeIbmQ5();
     Calibration calib = dev.calibrate(0);
     CompileOptions copts;
     copts.emitAssembly = false;
     CompileResult compiled =
         compileForDevice(makeBenchmark("BV4"), dev, calib, copts);
-    ExecOptions eo;
-    eo.chunkSize = 1;
     const int trials = 64;
-    auto workers = [&] {
+    auto workers = [&](const ExecOptions &eo) {
         return executeNoisy(compiled.hwCircuit, dev, calib, trials, 5, eo)
             .sched.threads;
     };
-    setenv("TRIQ_SIM_THREADS", "0", 1);
-    EXPECT_EQ(workers(), std::min(ThreadPool::hardwareThreads(), trials));
-    unsetenv("TRIQ_SIM_THREADS");
-    EXPECT_EQ(workers(), 1);
+    ExecOptions eo;
+    eo.chunkSize = 1;
+    EXPECT_EQ(workers(eo), 1);
+    eo.threads = 0;
+    EXPECT_EQ(workers(eo), std::min(ThreadPool::hardwareThreads(), trials));
 }
 
 /**

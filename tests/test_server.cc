@@ -21,8 +21,12 @@
 
 #include "common/logging.hh"
 #include "common/resource.hh"
+#include "core/compiler.hh"
 #include "core/crash_report.hh"
+#include "device/machines.hh"
 #include "service/server.hh"
+#include "sim/executor.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace triq;
 namespace fs = std::filesystem;
@@ -321,6 +325,13 @@ TEST(ServerTest, RequestNumbersAreCheckedNotCast)
         {"\"drift\":5", "drift"},
         {"\"drift\":\"0.05\"", "drift"},
         {"\"drift\":null", "drift"},
+        {"\"timeout_ms\":0", "timeout_ms"},
+        {"\"timeout_ms\":-5", "timeout_ms"},
+        {"\"timeout_ms\":\"x\"", "timeout_ms"},
+        {"\"timeout_ms\":1e16", "timeout_ms"},
+        {"\"budget_ms\":\"5\"", "budget_ms"},
+        {"\"budget_ms\":-3", "budget_ms"},
+        {"\"budget_ms\":1e16", "budget_ms"},
     };
     for (const auto &[field, name] : cases) {
         std::string reply = server.processLine(
@@ -338,14 +349,45 @@ TEST(ServerTest, RequestNumbersAreCheckedNotCast)
     }
 
     // The server keeps answering, and a huge trial count is clamped to
-    // maxTrials rather than wrapped.
+    // maxTrials rather than wrapped. budget_ms 0 compiles unbudgeted.
     JsonValue ok = parsed(server.processLine(
         "t", "{\"id\":2,\"op\":\"simulate\",\"bench\":\"BV4\","
              "\"device\":\"IBMQ5\",\"day\":1,\"trials\":1e12,"
-             "\"seed\":9007199254740992,\"drift\":0.05}"));
+             "\"seed\":9007199254740992,\"drift\":0.05,"
+             "\"timeout_ms\":60000,\"budget_ms\":0}"));
     ASSERT_TRUE(ok.getBool("ok")) << errorCode(ok);
     EXPECT_EQ(ok.getNumber("day"), 1.0);
     EXPECT_EQ(ok.getNumber("trials"), 4096.0);
+}
+
+TEST(ServerTest, BadNamesWriteNothingToStderr)
+{
+    // A refused name costs the client a structured reply and the daemon
+    // nothing else: no stderr line, however many bad requests arrive.
+    Server server(quietConfig());
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"op\":\"compile\",\"bench\":\"BV4\",\"level\":\"x\"",
+         "proto.bad-request"},
+        {"\"op\":\"compile\",\"bench\":\"BV4\",\"mapper\":\"qiskit\"",
+         "proto.bad-request"},
+        {"\"op\":\"compile\",\"bench\":\"Nope\"", "input.invalid"},
+        {"\"op\":\"simulate\",\"bench\":\"Nope\"", "input.invalid"},
+        // Past the Sup caps: refused by name, never built.
+        {"\"op\":\"simulate\",\"bench\":\"Sup1x2d100000000\"",
+         "input.invalid"},
+        {"\"op\":\"simulate\",\"bench\":\"Sup9x9d8\"", "input.invalid"},
+    };
+    std::vector<std::string> replies;
+    testing::internal::CaptureStderr();
+    for (const auto &[members, code] : cases)
+        replies.push_back(server.processLine(
+            "t", std::string("{\"id\":1,\"device\":\"IBMQ5\",") +
+                     members + "}"));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    for (size_t i = 0; i < replies.size(); ++i) {
+        EXPECT_EQ(errorCode(parsed(replies[i])), cases[i].second)
+            << replies[i];
+    }
 }
 
 TEST(ServerTest, OversizedFrameRejectedInConstantTime)
@@ -793,6 +835,63 @@ TEST(ServerTest, SmallProgramOnWideDeviceIsNotFalselyRejected)
         "t", "{\"id\":1,\"op\":\"simulate\",\"bench\":\"BV4\","
              "\"device\":\"Google72\",\"trials\":10}"));
     EXPECT_TRUE(r.getBool("ok", false)) << r.getString("error");
+}
+
+TEST(ServerTest, ConfigOutOfRangeIsFatal)
+{
+    // The constructor refuses a bad field instead of replacing it.
+    const std::function<void(ServerConfig &)> bad[] = {
+        [](ServerConfig &c) { c.workers = 0; },
+        [](ServerConfig &c) { c.workers = 257; },
+        [](ServerConfig &c) { c.queueCapacity = 0; },
+        [](ServerConfig &c) { c.timeoutMs = 0.0; },
+        [](ServerConfig &c) { c.drainMs = -1.0; },
+        [](ServerConfig &c) { c.drainHardMs = -1.0; },
+        [](ServerConfig &c) { c.maxRequestBytes = 10; },
+        [](ServerConfig &c) { c.budgetMs = -1.0; },
+        [](ServerConfig &c) { c.maxTrials = 0; },
+    };
+    for (const auto &set : bad) {
+        ServerConfig cfg = quietConfig();
+        set(cfg);
+        EXPECT_THROW(Server{cfg}, FatalError);
+    }
+}
+
+TEST(Settings, RetiredVariablesAreNotRead)
+{
+    // The simulator and the server take their settings as arguments.
+    // Four variables that used to configure them must change nothing.
+    // Their names are spelled in two parts so that a search for a
+    // retired name finds only code that reads it.
+    const std::string prefix = "TRIQ_";
+    const std::pair<std::string, const char *> retired[] = {
+        {prefix + "SIM_FUSION", "0"},
+        {prefix + "SIM_THREADS", "4"},
+        {prefix + "SERVER_QUEUE", "1"},
+        {prefix + "SERVER_TIMEOUT_MS", "5"},
+    };
+    Device dev = makeIbmQ5();
+    Calibration calib = dev.calibrate(1);
+    CompileOptions copts;
+    copts.emitAssembly = false;
+    CompileResult compiled =
+        compileForDevice(makeBenchmark("Peres"), dev, calib, copts);
+    ExecutionResult unset =
+        executeNoisy(compiled.hwCircuit, dev, calib, 2000, 7);
+
+    for (const auto &[name, value] : retired)
+        ASSERT_EQ(setenv(name.c_str(), value, 1), 0);
+    ExecutionResult set =
+        executeNoisy(compiled.hwCircuit, dev, calib, 2000, 7);
+    ServerConfig cfg = Server().config();
+    for (const auto &[name, value] : retired)
+        unsetenv(name.c_str());
+
+    EXPECT_EQ(set.sched.threads, 1);
+    EXPECT_EQ(set.histogram, unset.histogram);
+    EXPECT_EQ(cfg.queueCapacity, 64);
+    EXPECT_EQ(cfg.timeoutMs, 10000.0);
 }
 
 TEST(ServerTest, UnlimitedBudgetAdmitsEverythingAtTheDoor)

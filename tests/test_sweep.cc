@@ -869,6 +869,57 @@ TEST(SweepJournal, ResumeRefusesForeignGrid)
     EXPECT_THROW(runSweep(other, &cache), FatalError);
 }
 
+TEST(SweepJournal, CorruptArtifactLineIsRecomputed)
+{
+    // A journaled compiled cell whose artifact record is corrupt
+    // mid-file has nothing to restore: it is recomputed, with a warning,
+    // and the matrix matches the uninterrupted run's byte for byte.
+    JournalDir dir;
+    std::string jp = (dir.path / "cells.jsonl").string();
+    SweepConfig cfg;
+    cfg.programs.push_back({"BV4", makeBenchmark("BV4")});
+    cfg.programs.push_back({"Toffoli", makeBenchmark("Toffoli")});
+    cfg.devices = {makeIbmQ5()};
+    cfg.days = {0, 1};
+    cfg.levels = {OptLevel::OneQOptC};
+    cfg.options.emitAssembly = false;
+    cfg.journalPath = jp;
+    std::string full_matrix;
+    {
+        CompileCache cache;
+        full_matrix = matrixOf(cfg, runSweep(cfg, &cache));
+    }
+
+    // Cut the first artifact record to 30 bytes, keeping every line.
+    std::string journal;
+    {
+        std::ifstream in(jp, std::ios::binary);
+        std::string line;
+        bool cut = false;
+        while (std::getline(in, line)) {
+            if (!cut && line.find("\"artifact\"") != std::string::npos) {
+                line.resize(30);
+                cut = true;
+            }
+            journal += line + "\n";
+        }
+        ASSERT_TRUE(cut);
+    }
+    std::ofstream(jp, std::ios::binary | std::ios::trunc) << journal;
+
+    SweepConfig resumed = cfg;
+    resumed.resume = true;
+    CompileCache cache;
+    testing::internal::CaptureStderr();
+    SweepResult res = runSweep(resumed, &cache);
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("did not load"), std::string::npos) << err;
+    EXPECT_EQ(matrixOf(resumed, res), full_matrix);
+    // Both BV4 cells share the lost artifact (level c compiles day 1
+    // as a cache hit of day 0); the two Toffoli cells are restored.
+    EXPECT_EQ(res.stats.restoredCells, 2);
+}
+
 TEST(SweepJournal, MissingJournalResumesFresh)
 {
     JournalDir dir;

@@ -23,7 +23,8 @@
  *   --report             print gate counts, ESP and predicted success
  *   --trials N           trials for the success prediction (default 2000)
  *   --sim-threads N      simulator worker threads for the prediction
- *   --sim-fusion N       gate fusion for the prediction (1 on, -1 off)
+ *                        (0..256, default 1; 0 = one per hardware thread)
+ *   --sim-fusion N       gate fusion for the prediction (1 on, 0 off)
  *   -o FILE              write assembly to FILE instead of stdout
  *
  * Internal errors (PanicError — a TriQ bug, exit code 2) dump a crash
@@ -71,8 +72,8 @@ struct Args
     std::string replayDir; // "" = normal invocation
     int day = 0;
     int trials = 2000;
-    int simThreads = 0; // 0 = TRIQ_SIM_THREADS env (default serial)
-    int simFusion = 0;  // 0 = TRIQ_SIM_FUSION env (default on)
+    int simThreads = 1; // 0 = one per hardware thread
+    bool simFusion = true;
     double budgetMs = 0.0; // 0 = unlimited
     long nodeBudget = 0;   // 0 = engine default
     bool strictCalibration = false;
@@ -109,14 +110,12 @@ usage()
         "  --report            print stats, ESP, predicted success\n"
         "  --verify            check compiled-vs-program equivalence\n"
         "  --trials N          prediction trials       (default 2000)\n"
-        "  --sim-threads N     simulator worker threads for --report\n"
-        "                      (default: TRIQ_SIM_THREADS env, else 1;\n"
-        "                      -1 or env 0 = one per hardware thread;\n"
-        "                      at most 256;\n"
-        "                      results are identical for any value)\n"
+        "  --sim-threads N     simulator worker threads for --report,\n"
+        "                      0..256 (default 1; 0 = one per hardware\n"
+        "                      thread; results are identical for any\n"
+        "                      value)\n"
         "  --sim-fusion N      gate fusion for --report trajectories:\n"
-        "                      1 on, -1 off (default: TRIQ_SIM_FUSION\n"
-        "                      env, else on)\n"
+        "                      1 on, 0 off (default 1)\n"
         "  --crash-dir DIR     where an internal-error crash report is\n"
         "                      written (default triq-crash-<pid>/)\n"
         "  --replay DIR        re-run the invocation captured in a\n"
@@ -168,9 +167,9 @@ parseArgs(int argc, char **argv)
             a.trials = flagValue(arg, need_value(i, arg), 1);
         else if (!std::strcmp(arg, "--sim-threads"))
             a.simThreads =
-                flagValue(arg, need_value(i, arg), -1, kMaxThreads);
+                flagValue(arg, need_value(i, arg), 0, kMaxThreads);
         else if (!std::strcmp(arg, "--sim-fusion"))
-            a.simFusion = flagValue(arg, need_value(i, arg), -1, 1);
+            a.simFusion = flagValue(arg, need_value(i, arg), 0, 1) == 1;
         else if (!std::strcmp(arg, "--crash-dir"))
             a.crashDir = need_value(i, arg);
         else if (!std::strcmp(arg, "--replay"))
@@ -256,9 +255,8 @@ run(int argc, char **argv)
     // *after* any original fault injection.
     if (!args.replayDir.empty()) {
         CrashBundle b = CrashBundle::load(args.replayDir);
-        // Reproduce the crashing process's TRIQ_* knobs (thread
-        // count, fusion toggle, ...); TRIQ_FAULT* is skipped inside
-        // applyTriqEnv.
+        // Reproduce the crashing process's TRIQ_* knobs (the memory
+        // budget); TRIQ_FAULT* is skipped inside applyTriqEnv.
         int applied = applyTriqEnv(b.envKnobs);
         if (applied > 0)
             std::cerr << "triqc: replay applied " << applied

@@ -7,16 +7,20 @@
  *   triqd --socket PATH [options]    serve a Unix-domain socket
  *   triqd --stdio [options]          serve stdin/stdout (tests, CI)
  *
- * Options:
- *   --threads N       worker threads (TRIQ_SERVER_THREADS, default 2)
- *   --queue N         admission queue capacity (TRIQ_SERVER_QUEUE, 64)
- *   --timeout-ms T    queue-wait deadline (TRIQ_SERVER_TIMEOUT_MS, 10000)
- *   --drain-ms T      shutdown drain deadline (TRIQ_SERVER_DRAIN_MS, 2000)
- *   --drain-hard-ms T in-flight hard cap at shutdown
- *                     (TRIQ_SERVER_DRAIN_HARD_MS, 30000)
- *   --max-bytes B     frame size cap (TRIQ_SERVER_MAX_BYTES, 1 MiB)
- *   --budget-ms T     default compile budget (TRIQ_SERVER_BUDGET_MS, off)
+ * Options (the daemon's settings are flags; from the environment it
+ * reads only the memory budget TRIQ_MEM_BUDGET and the TRIQ_FAULT test
+ * hook):
+ *   --threads N       worker threads, 1..256 (default 2)
+ *   --queue N         admission queue capacity, >= 1 (default 64)
+ *   --timeout-ms T    queue-wait deadline, > 0 (default 10000)
+ *   --drain-ms T      shutdown drain deadline, >= 0 (default 2000)
+ *   --drain-hard-ms T in-flight hard cap at shutdown, >= 0
+ *                     (default 30000)
+ *   --max-bytes B     frame size cap, >= 1024 (default 1 MiB)
+ *   --budget-ms T     default compile budget, >= 0 (default 0 = off)
  *   --crash-dir DIR   crash-bundle base directory (triq-crash-<pid>)
+ *
+ * A value outside its range exits 1 with a fatal: line naming the flag.
  *
  * Protocol: newline-delimited JSON (see src/service/server.hh). The
  * daemon never dies on a bad request — every failure is a structured
@@ -51,6 +55,7 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 #include "service/server.hh"
 
 namespace triq
@@ -308,16 +313,17 @@ usage()
            "  --socket PATH     serve a Unix-domain socket at PATH\n"
            "  --stdio           serve stdin/stdout (one line per "
            "request)\n"
-           "  --threads N       worker threads (TRIQ_SERVER_THREADS)\n"
-           "  --queue N         admission queue cap (TRIQ_SERVER_QUEUE)\n"
-           "  --timeout-ms T    queue-wait deadline "
-           "(TRIQ_SERVER_TIMEOUT_MS)\n"
-           "  --drain-ms T      drain deadline (TRIQ_SERVER_DRAIN_MS)\n"
-           "  --drain-hard-ms T in-flight hard cap at shutdown "
-           "(TRIQ_SERVER_DRAIN_HARD_MS)\n"
-           "  --max-bytes B     frame size cap (TRIQ_SERVER_MAX_BYTES)\n"
-           "  --budget-ms T     default compile budget "
-           "(TRIQ_SERVER_BUDGET_MS)\n"
+           "  --threads N       worker threads, 1..256 (default 2)\n"
+           "  --queue N         admission queue cap, >= 1 (default 64)\n"
+           "  --timeout-ms T    queue-wait deadline, > 0 (default "
+           "10000)\n"
+           "  --drain-ms T      drain deadline, >= 0 (default 2000)\n"
+           "  --drain-hard-ms T in-flight hard cap at shutdown, >= 0 "
+           "(default 30000)\n"
+           "  --max-bytes B     frame size cap, >= 1024 (default "
+           "1048576)\n"
+           "  --budget-ms T     default compile budget, >= 0 (default "
+           "0 = off)\n"
            "  --crash-dir DIR   crash-bundle base directory\n";
 }
 
@@ -339,17 +345,20 @@ run(int argc, char **argv)
         else if (!std::strcmp(arg, "--stdio"))
             stdio = true;
         else if (!std::strcmp(arg, "--threads"))
-            cfg.workers = flagValue(arg, next(), 0);
+            cfg.workers = flagValue(arg, next(), 1, kMaxThreads);
         else if (!std::strcmp(arg, "--queue"))
-            cfg.queueCapacity = flagValue(arg, next(), 0);
-        else if (!std::strcmp(arg, "--timeout-ms"))
-            cfg.timeoutMs = flagValue(arg, next(), 0.0);
-        else if (!std::strcmp(arg, "--drain-ms"))
+            cfg.queueCapacity = flagValue(arg, next(), 1);
+        else if (!std::strcmp(arg, "--timeout-ms")) {
+            const char *text = next();
+            cfg.timeoutMs = flagValue(arg, text, 0.0);
+            if (cfg.timeoutMs == 0.0)
+                fatal(arg, ": '", text, "' is not a finite number > 0");
+        } else if (!std::strcmp(arg, "--drain-ms"))
             cfg.drainMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--drain-hard-ms"))
             cfg.drainHardMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--max-bytes"))
-            cfg.maxRequestBytes = flagValue(arg, next(), 0L);
+            cfg.maxRequestBytes = flagValue(arg, next(), 1024L);
         else if (!std::strcmp(arg, "--budget-ms"))
             cfg.budgetMs = flagValue(arg, next(), 0.0);
         else if (!std::strcmp(arg, "--crash-dir"))
