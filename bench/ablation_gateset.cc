@@ -26,7 +26,7 @@ main()
     const int day = bench::defaultDay();
     const int trials = bench::defaultTrials();
 
-    Device study = bench::deviceByName("Aspen3");
+    Device study = deviceByName("Aspen3");
     // Same name on purpose: calibration synthesis is seeded by the
     // device name, so both variants see identical noise and the
     // comparison isolates the gate-set exposure.

@@ -82,7 +82,7 @@ main()
         {"Aspen1", "Adder"},  {"Aspen3", "BV6"},  {"UMDTI", "Toffoli"},
     };
     for (const auto &c : cases) {
-        Device dev = bench::deviceByName(c.device);
+        Device dev = deviceByName(c.device);
         Calibration calib = dev.calibrate(day);
         Circuit program = makeBenchmark(c.bench);
         Point mm = run(program, dev, calib, MappingObjective::MaxMin);
@@ -108,7 +108,7 @@ main()
     for (int side : {4, 5, 6}) {
         Device dev("Grid" + std::to_string(side * side),
                    Topology::grid(side, side), GateSet::ibm(),
-                   bench::deviceByName("IBMQ14").noiseSpec());
+                   deviceByName("IBMQ14").noiseSpec());
         Calibration calib = dev.calibrate(1);
         Circuit prog =
             makeSupremacy(side, side, 8 * side, 1, false);

@@ -24,7 +24,7 @@ main()
     const int day = bench::defaultDay();
     const int trials = bench::defaultTrials(4000);
     for (const char *dev_name : {"Agave", "IBMQ14", "UMDTI"}) {
-        Device dev = bench::deviceByName(dev_name);
+        Device dev = deviceByName(dev_name);
         Calibration calib = dev.calibrate(day);
         Table tab("readout mitigation on " + dev.name() + " (RO err " +
                   fmtF(100 * dev.noiseSpec().meanRO, 1) + "%, " +

@@ -24,7 +24,7 @@ namespace
 void
 peepholeAblation(int day, int trials)
 {
-    Device dev = bench::deviceByName("IBMQ14");
+    Device dev = deviceByName("IBMQ14");
     Table tab("ablation: peephole cancellation on IBMQ14 (" +
               std::to_string(trials) + " trials)");
     tab.setHeader({"benchmark", "2Q (off)", "2Q (on)", "success (off)",
@@ -62,7 +62,7 @@ crosstalkAblation(int trials)
               "recovery (HS6 on an IBMQ14-class device, " +
               std::to_string(trials) + " trials)");
     tab.setHeader({"crosstalk factor", "HS6", "HS6 serialized", "BV6"});
-    Device base = bench::deviceByName("IBMQ14");
+    Device base = deviceByName("IBMQ14");
     for (double factor : {0.0, 0.5, 1.0, 2.0}) {
         NoiseSpec spec = base.noiseSpec();
         spec.crosstalkFactor = factor;

@@ -57,7 +57,7 @@ int
 main()
 {
     const int trials = bench::defaultTrials();
-    Device dev = bench::deviceByName("IBMQ16");
+    Device dev = deviceByName("IBMQ16");
 
     // Average over several days: path choice only matters when the
     // day's bad edges sit on the hop-shortest route.

@@ -25,7 +25,7 @@ main()
 
     // Uniform error rates (no spatial/temporal spread): the comparison
     // must isolate topology, not which edges happened to be good.
-    NoiseSpec spec = bench::deviceByName("IBMQ14").noiseSpec();
+    NoiseSpec spec = deviceByName("IBMQ14").noiseSpec();
     spec.spatialSigma = 0.0;
     spec.temporalSigma = 0.0;
     struct Variant

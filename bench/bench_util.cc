@@ -15,15 +15,6 @@ namespace triq
 namespace bench
 {
 
-Device
-deviceByName(const std::string &name)
-{
-    for (auto &d : allStudyDevices())
-        if (d.name() == name)
-            return d;
-    fatal("bench: unknown device '", name, "'");
-}
-
 int
 defaultDay()
 {

@@ -33,9 +33,6 @@ namespace triq
 namespace bench
 {
 
-/** Resolve one of the seven study devices by name. */
-Device deviceByName(const std::string &name);
-
 /** Calibration day index (TRIQ_DAY env, default 3). */
 int defaultDay();
 

@@ -16,7 +16,7 @@ using namespace triq;
 int
 main()
 {
-    Device dev = bench::deviceByName("IBMQ14");
+    Device dev = deviceByName("IBMQ14");
     const Topology &topo = dev.topology();
 
     // The paper's four tracked gates: CNOT 6,8; 7,8; 9,8; 13,1.

@@ -20,7 +20,7 @@ main()
 {
     const int day = bench::defaultDay();
     for (const char *dev_name : {"IBMQ14", "Agave", "UMDTI"}) {
-        Device dev = bench::deviceByName(dev_name);
+        Device dev = deviceByName(dev_name);
         Table tab("Fig. 8: native 1Q pulse counts on " + dev.name());
         tab.setHeader({"benchmark", "TriQ-N", "TriQ-1QOpt", "reduction"});
         bench::Ratios ratios;

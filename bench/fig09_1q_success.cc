@@ -20,7 +20,7 @@ main()
     const int day = bench::defaultDay();
     const int trials = bench::defaultTrials();
     for (const char *dev_name : {"IBMQ14", "UMDTI"}) {
-        Device dev = bench::deviceByName(dev_name);
+        Device dev = deviceByName(dev_name);
         Table tab("Fig. 9: success rate, TriQ-N vs TriQ-1QOpt on " +
                   dev.name() + " (" + std::to_string(trials) + " trials)");
         tab.setHeader(

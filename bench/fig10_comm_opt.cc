@@ -23,7 +23,7 @@ namespace
 void
 gateCountTable(const std::string &dev_name, const char *paper_note)
 {
-    Device dev = bench::deviceByName(dev_name);
+    Device dev = deviceByName(dev_name);
     const int day = bench::defaultDay();
     Table tab("Fig. 10: 2Q gate counts on " + dev.name());
     tab.setHeader({"benchmark", "TriQ-1QOpt", "TriQ-1QOptC", "reduction"});
@@ -60,7 +60,7 @@ main()
     gateCountTable("Agave", "up to 3.5x, geomean 1.3x");
 
     // (c) Success rates on IBMQ14.
-    Device dev = bench::deviceByName("IBMQ14");
+    Device dev = deviceByName("IBMQ14");
     const int day = bench::defaultDay();
     const int trials = bench::defaultTrials();
     Table tab("Fig. 10(c): success rate on IBMQ14 (" +

@@ -27,7 +27,7 @@ namespace
 void
 ibmPanel(int day, int trials)
 {
-    Device dev = bench::deviceByName("IBMQ14");
+    Device dev = deviceByName("IBMQ14");
     Table counts("Fig. 11(a): 2Q gate count on IBMQ14");
     counts.setHeader(
         {"benchmark", "Qiskit", "TriQ-1QOptC", "TriQ-1QOptCN"});
@@ -73,7 +73,7 @@ ibmPanel(int day, int trials)
 void
 rigettiPanel(const std::string &dev_name, int day, int trials)
 {
-    Device dev = bench::deviceByName(dev_name);
+    Device dev = deviceByName(dev_name);
     Table tab("Fig. 11(c/d): success rate on " + dev.name() + " (" +
               std::to_string(trials) + " trials)");
     tab.setHeader({"benchmark", "Quil", "TriQ-1QOptCN", "improvement"});
@@ -107,7 +107,7 @@ umdChains(int first_day, int trials)
     // which is lucky on some days and unlucky on others; the mean
     // exposes the systematic gap the paper measures.
     constexpr int kDays = 4;
-    Device dev = bench::deviceByName("UMDTI");
+    Device dev = deviceByName("UMDTI");
     for (bool fredkin : {false, true}) {
         const int maxlen = fredkin ? 7 : 8;
         Table tab(std::string("Fig. 11") + (fredkin ? "(f)" : "(e)") +

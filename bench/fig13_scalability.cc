@@ -57,7 +57,7 @@ main()
     for (const auto &cfg : configs) {
         Device dev("Grid" + std::to_string(cfg.rows * cfg.cols),
                    Topology::grid(cfg.rows, cfg.cols), GateSet::ibm(),
-                   bench::deviceByName("IBMQ14").noiseSpec());
+                   deviceByName("IBMQ14").noiseSpec());
         Circuit program = makeSupremacy(cfg.rows, cfg.cols, cfg.depth, 1);
         double greedy = compileTimeMs(program, dev, MapperKind::Greedy);
         double bnb =

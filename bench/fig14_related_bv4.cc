@@ -20,7 +20,7 @@ using namespace triq;
 int
 main()
 {
-    Device dev = bench::deviceByName("IBMQ5");
+    Device dev = deviceByName("IBMQ5");
     const int trials = bench::defaultTrials();
     Circuit program = makeBenchmark("BV4");
 

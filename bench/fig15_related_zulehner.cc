@@ -41,7 +41,7 @@ int
 main()
 {
     for (const char *dev_name : {"IBMQ14", "IBMQ16"}) {
-        Device dev = bench::deviceByName(dev_name);
+        Device dev = deviceByName(dev_name);
         Calibration calib = dev.calibrate(bench::defaultDay());
         Table tab("Sec. 8: 2Q gate count, A*-layered ([71] model) vs "
                   "TriQ-1QOptC on " +

@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,7 @@ try {
     if (bench_names.empty())
         bench_names = benchmarkNames(); // the fig07 set
 
-    Device dev = bench::deviceByName(device_name);
+    Device dev = deviceByName(device_name);
     int day = bench::defaultDay();
     Calibration calib = dev.calibrate(day);
 
@@ -172,6 +173,10 @@ try {
     w.endObject();
     bench::writeReport("micro_fusion", w, json_file);
     return all_identical ? 0 : 4;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
     return 1;
+} catch (const PanicError &e) {
+    std::cerr << "panic: " << e.what() << "\n";
+    return 2;
 }

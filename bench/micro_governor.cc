@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -184,6 +185,10 @@ try {
     if (mean_us > 500.0)
         return 4;
     return 0;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
     return 1;
+} catch (const PanicError &e) {
+    std::cerr << "panic: " << e.what() << "\n";
+    return 2;
 }

@@ -170,7 +170,7 @@ try {
     const Config configs[] = {{2, 3, 16}, {3, 4, 24},  {4, 4, 32},
                               {4, 6, 48}, {6, 6, 64},  {6, 9, 96},
                               {6, 12, 128}};
-    const NoiseSpec noise = bench::deviceByName("IBMQ14").noiseSpec();
+    const NoiseSpec noise = deviceByName("IBMQ14").noiseSpec();
 
     MappingOptions cold_opts;
     cold_opts.kind = MapperKind::BranchAndBound;
@@ -291,6 +291,10 @@ try {
     if (!gate_ok)
         return 6;
     return 0;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
     return 1;
+} catch (const PanicError &e) {
+    std::cerr << "panic: " << e.what() << "\n";
+    return 2;
 }

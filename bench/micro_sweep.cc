@@ -202,6 +202,10 @@ try {
     if (warm_compiles > 0)
         return 5;
     return 0;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
     return 1;
+} catch (const PanicError &e) {
+    std::cerr << "panic: " << e.what() << "\n";
+    return 2;
 }

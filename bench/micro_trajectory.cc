@@ -25,6 +25,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,7 @@ try {
     if (bench_names.empty())
         bench_names = {"BV8", "QFT", "Adder"};
 
-    Device dev = bench::deviceByName(device_name);
+    Device dev = deviceByName(device_name);
     int day = bench::defaultDay();
     Calibration calib = dev.calibrate(day);
 
@@ -217,6 +218,10 @@ try {
     w.endObject();
     bench::writeReport("micro_trajectory", w, json_file);
     return all_identical ? 0 : 4;
-} catch (const FatalError &) {
+} catch (const FatalError &e) {
+    std::cerr << "fatal: " << e.what() << "\n";
     return 1;
+} catch (const PanicError &e) {
+    std::cerr << "panic: " << e.what() << "\n";
+    return 2;
 }

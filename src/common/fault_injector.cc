@@ -10,15 +10,11 @@
 namespace triq
 {
 
-FaultInjector
-FaultInjector::fromEnv()
+std::string
+FaultInjector::parseClasses(const std::string &spec, Classes &classes)
 {
-    const char *spec = std::getenv("TRIQ_FAULT");
-    if (!spec || !*spec)
-        return FaultInjector();
-    Classes classes;
-    std::string s(spec);
-    std::istringstream is(s);
+    std::string error;
+    std::istringstream is(spec);
     std::string item;
     while (std::getline(is, item, ',')) {
         if (item == "calib" || item == "calibration")
@@ -29,10 +25,24 @@ FaultInjector::fromEnv()
             classes.calibration = classes.text = true;
         else if (item == "panic")
             classes.panic = true;
-        else if (!item.empty())
-            warn("TRIQ_FAULT: unknown fault class '", item,
-                 "' ignored (known: calib, text, panic, all)");
+        else if (!item.empty() && error.empty())
+            error = "unknown fault class '" + item +
+                    "' (known: calib, text, panic, all)";
     }
+    return error;
+}
+
+FaultInjector
+FaultInjector::fromEnv()
+{
+    const char *spec = std::getenv("TRIQ_FAULT");
+    if (!spec || !*spec)
+        return FaultInjector();
+    std::string s(spec);
+    Classes classes;
+    std::string error = parseClasses(s, classes);
+    if (!error.empty())
+        warn("TRIQ_FAULT: ", error, " ignored");
     if (!classes.calibration && !classes.text && !classes.panic)
         return FaultInjector();
     uint64_t seed =

@@ -10,12 +10,12 @@
  * is "garbage in, diagnostic out", not "garbage in, garbage out".
  *
  * Activation: construct one explicitly, or via fromEnv() which reads
- *   TRIQ_FAULT       fault classes to arm: comma list of
- *                    "calib", "text", "panic", "all" (unset/empty =
- *                    disabled; "all" = calib+text, panic is by name)
+ *   TRIQ_FAULT       fault classes to arm, in the parseClasses()
+ *                    grammar (unset/empty = disabled)
  *   TRIQ_FAULT_SEED  decimal seed (default 1); same seed, same faults
  * so any existing binary (triqc, the benches) can be driven into its
- * degradation paths without a rebuild.
+ * degradation paths without a rebuild. A triqd request's `fault`
+ * member takes the same grammar.
  *
  * The injector lives in src/common and therefore only manipulates
  * primitive data (vectors of doubles, strings); layer-specific helpers
@@ -64,7 +64,19 @@ class FaultInjector
     {
     }
 
-    /** Build from TRIQ_FAULT / TRIQ_FAULT_SEED (disabled when unset). */
+    /**
+     * Arm in `classes` each class a comma list names: "calib" (or
+     * "calibration"), "text" (or "program"), "panic", and "all"
+     * (calib + text). Empty items are skipped. Returns a message naming
+     * the first unknown item, or "" when every item is known.
+     */
+    static std::string parseClasses(const std::string &spec,
+                                    Classes &classes);
+
+    /**
+     * Build from TRIQ_FAULT / TRIQ_FAULT_SEED (disabled when unset). An
+     * unknown class is ignored with a warning.
+     */
     static FaultInjector fromEnv();
 
     /** True when any fault class is armed. */

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 
 namespace triq
 {
@@ -23,11 +22,8 @@ setQuiet(bool quiet)
 void
 detail::emit(const char *level, const std::string &msg)
 {
-    bool is_error =
-        std::strcmp(level, "panic") == 0 || std::strcmp(level, "fatal") == 0;
-    if (!is_error && quietFlag.load())
-        return;
-    std::fprintf(stderr, "%s: %s\n", level, msg.c_str());
+    if (!quietFlag.load())
+        std::fprintf(stderr, "%s: %s\n", level, msg.c_str());
 }
 
 } // namespace triq

@@ -3,6 +3,12 @@
  * Minimal status/error reporting helpers in the spirit of gem5's
  * logging.hh: panic() for internal invariant violations, fatal() for
  * user/configuration errors, warn()/inform() for status messages.
+ *
+ * panic() and fatal() only throw: the code that catches the error
+ * decides how to report it (a program's top-level catch chain prints
+ * "fatal: <what>" or "panic: <what>" once, triqd answers with a
+ * structured reply, a sweep cell keeps the text). warn() and inform()
+ * print one line to stderr.
  */
 
 #ifndef TRIQ_COMMON_LOGGING_HH
@@ -30,6 +36,7 @@ struct FatalError : std::runtime_error
 namespace detail
 {
 
+/** Print "<level>: <msg>" to stderr unless setQuiet(true). */
 void emit(const char *level, const std::string &msg);
 
 inline void
@@ -56,24 +63,20 @@ concat(const Args &...args)
 
 } // namespace detail
 
-/** Report an internal invariant violation and throw PanicError. */
+/** Throw PanicError: an internal invariant was violated. */
 template <typename... Args>
 [[noreturn]] void
 panic(const Args &...args)
 {
-    std::string msg = detail::concat(args...);
-    detail::emit("panic", msg);
-    throw PanicError(msg);
+    throw PanicError(detail::concat(args...));
 }
 
-/** Report a user-correctable error and throw FatalError. */
+/** Throw FatalError: a user-correctable error. */
 template <typename... Args>
 [[noreturn]] void
 fatal(const Args &...args)
 {
-    std::string msg = detail::concat(args...);
-    detail::emit("fatal", msg);
-    throw FatalError(msg);
+    throw FatalError(detail::concat(args...));
 }
 
 /** Report a suspicious-but-survivable condition. */

@@ -112,21 +112,13 @@ optLevelToken(OptLevel level)
     panic("optLevelToken: unknown level");
 }
 
-std::optional<OptLevel>
-parseOptLevel(const std::string &token)
+OptLevel
+optLevelFromToken(const std::string &token)
 {
     for (OptLevel level : {OptLevel::N, OptLevel::OneQOpt,
                            OptLevel::OneQOptC, OptLevel::OneQOptCN})
         if (token == optLevelToken(level))
             return level;
-    return std::nullopt;
-}
-
-OptLevel
-optLevelFromToken(const std::string &token)
-{
-    if (std::optional<OptLevel> level = parseOptLevel(token))
-        return *level;
     fatal("unknown level '", token, "' (expected n, 1q, c or cn)");
 }
 

@@ -16,7 +16,6 @@
 #ifndef TRIQ_CORE_COMPILER_HH
 #define TRIQ_CORE_COMPILER_HH
 
-#include <optional>
 #include <string>
 
 #include "core/circuit.hh"
@@ -41,9 +40,6 @@ std::string optLevelName(OptLevel level);
 
 /** The token the tools and triqd read: "n", "1q", "c" or "cn". */
 const char *optLevelToken(OptLevel level);
-
-/** Parse an optLevelToken; nullopt for any other text. */
-std::optional<OptLevel> parseOptLevel(const std::string &token);
 
 /** Parse an optLevelToken; any other text is a FatalError. */
 OptLevel optLevelFromToken(const std::string &token);

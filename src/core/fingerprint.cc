@@ -4,7 +4,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "device/device.hh"
 
 namespace triq
@@ -178,15 +177,10 @@ calibrationSanitizeDigest(const Calibration &calib, const Topology &topo)
 {
     Calibration copy = calib;
     Diagnostics diags("calibration");
-    int repairs = 0;
     // A structurally broken snapshot (errors even in Sanitize mode)
     // digests over its error diagnostics; compileForDevice will reject
     // it anyway, so the digest only needs to be *distinct*, not useful.
-    try {
-        repairs = copy.validate(topo, ValidateMode::Sanitize, diags);
-    } catch (const FatalError &) {
-        repairs = -1;
-    }
+    int repairs = copy.validate(topo, ValidateMode::Sanitize, diags);
     Fnv1a h;
     h.u64(kTagSanitize).i64(repairs);
     for (const Diagnostic &d : diags.all())

@@ -35,8 +35,8 @@ ProgramInfo::fromCircuit(const Circuit &c)
     return info;
 }
 
-std::optional<MapperKind>
-parseMapperKind(const std::string &s)
+MapperKind
+mapperKindFromString(const std::string &s)
 {
     if (s == "trivial")
         return MapperKind::Trivial;
@@ -46,15 +46,7 @@ parseMapperKind(const std::string &s)
         return MapperKind::BranchAndBound;
     if (s == "smt")
         return MapperKind::Smt;
-    return std::nullopt;
-}
-
-MapperKind
-mapperKindFromString(const std::string &s)
-{
-    if (std::optional<MapperKind> kind = parseMapperKind(s))
-        return *kind;
-    fatal("unknown mapper kind '", s, "'");
+    fatal("unknown mapper '", s, "' (expected trivial, greedy, bnb or smt)");
 }
 
 std::string

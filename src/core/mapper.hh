@@ -22,7 +22,6 @@
 #ifndef TRIQ_CORE_MAPPER_HH
 #define TRIQ_CORE_MAPPER_HH
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,9 +62,6 @@ enum class MapperKind
     BranchAndBound,
     Smt,
 };
-
-/** Parse "trivial" / "greedy" / "bnb" / "smt"; nullopt for other text. */
-std::optional<MapperKind> parseMapperKind(const std::string &s);
 
 /** Parse "trivial" / "greedy" / "bnb" / "smt"; other text is fatal. */
 MapperKind mapperKindFromString(const std::string &s);

@@ -213,4 +213,27 @@ makeGoogle72()
                   scNoise(0.0020, 0.0500, 0.0500, 40.0, kIbmDurations));
 }
 
+const std::vector<Device> &
+namedDevices()
+{
+    static const std::vector<Device> devices = [] {
+        std::vector<Device> d = allStudyDevices();
+        d.push_back(makeGoogle72());
+        return d;
+    }();
+    return devices;
+}
+
+const Device &
+deviceByName(const std::string &name)
+{
+    for (const Device &d : namedDevices())
+        if (d.name() == name)
+            return d;
+    std::string known;
+    for (const Device &d : namedDevices())
+        known += (known.empty() ? "" : ", ") + d.name();
+    fatal("unknown device '", name, "' (known: ", known, ")");
+}
+
 } // namespace triq

@@ -10,6 +10,7 @@
 #ifndef TRIQ_DEVICE_MACHINES_HH
 #define TRIQ_DEVICE_MACHINES_HH
 
+#include <string>
 #include <vector>
 
 #include "device/device.hh"
@@ -59,6 +60,19 @@ std::vector<double> fig6Reliabilities();
  * statistics, mirroring the paper's methodology.
  */
 Device makeGoogle72();
+
+/**
+ * Every machine a name selects: the seven study machines, then
+ * Google72 (addressable by name, but kept out of allStudyDevices() so
+ * "all" stays the paper's seven-machine grid).
+ */
+const std::vector<Device> &namedDevices();
+
+/**
+ * The machine of namedDevices() called `name`.
+ * @throws FatalError naming the known machines for any other name.
+ */
+const Device &deviceByName(const std::string &name);
 
 } // namespace triq
 

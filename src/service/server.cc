@@ -151,36 +151,11 @@ percentile(std::vector<double> sample, double p)
 }
 
 /**
- * The machines triqd serves: the seven study devices plus the
- * 72-qubit scaling-study grid (its 2^72-amplitude state vector is
- * exactly what predictive admission exists to refuse).
- */
-const std::vector<Device> &
-serverDevices()
-{
-    static const std::vector<Device> devices = [] {
-        std::vector<Device> d = allStudyDevices();
-        d.push_back(makeGoogle72());
-        return d;
-    }();
-    return devices;
-}
-
-const Device *
-findServerDevice(const std::string &name)
-{
-    for (const Device &d : serverDevices())
-        if (d.name() == name)
-            return &d;
-    return nullptr;
-}
-
-/**
- * Memoized benchmark width for the submit-time memory prediction, 0
- * for a name tryMakeBenchmark refuses. Building a benchmark circuit is
- * cheap but not free (a Sup6x12d128 is thousands of gates), and
- * admission runs on the transport thread — each accepted name is sized
- * once per process. Refused names are not memoized, so distinct bad
+ * Memoized benchmark width for the submit-time memory prediction.
+ * Building a benchmark circuit is cheap but not free (a Sup6x12d128 is
+ * thousands of gates), and admission runs on the transport thread —
+ * each accepted name is sized once per process. A name makeBenchmark
+ * refuses throws its FatalError before it is memoized, so distinct bad
  * names cannot grow the memo; the worker refuses them as
  * input.invalid.
  */
@@ -193,10 +168,8 @@ benchQubits(const std::string &bench)
     auto it = memo.find(bench);
     if (it != memo.end())
         return it->second;
-    std::optional<Circuit> c = tryMakeBenchmark(bench);
-    if (!c)
-        return 0;
-    return memo.emplace(bench, c->numQubits()).first->second;
+    return memo.emplace(bench, makeBenchmark(bench).numQubits())
+        .first->second;
 }
 
 } // namespace
@@ -205,7 +178,8 @@ benchQubits(const std::string &bench)
 // Lifecycle.
 // ---------------------------------------------------------------------
 
-Server::Server(ServerConfig cfg) : cfg_(std::move(cfg))
+Server::Server(ServerConfig cfg)
+    : cfg_(std::move(cfg)), envFaults_(FaultInjector::fromEnv())
 {
     // triqd's flags check the same ranges.
     auto require = [](bool ok, const char *field, double value,
@@ -357,19 +331,20 @@ Server::submit(const std::string &client, std::string line, Respond respond)
     // estimate that never falsely rejects — the executor's own
     // reservation enforces the truth for whatever routing adds.
     // Unknown devices, unknown benchmarks and inline programs fall
-    // through to the worker's front end, which owns the better error
-    // message (and, for admitted-but-unaffordable runs, the
-    // structured sim.oom reply).
+    // through to the worker, which owns their structured replies (and,
+    // for admitted-but-unaffordable runs, the sim.oom reply).
     if (op == "simulate") {
-        const std::string dev_name =
-            rq.getString("device", "IBMQ5");
-        const Device *dev = findServerDevice(dev_name);
-        const int qubits = benchQubits(rq.getString("bench"));
-        if (dev && qubits > 0) {
+        int qubits = 0;
+        try {
+            const Device &dev = deviceByName(rq.getString("device", "IBMQ5"));
+            qubits = std::min(benchQubits(rq.getString("bench")),
+                              dev.numQubits());
+        } catch (const FatalError &) {
+        }
+        if (qubits > 0) {
             // Workers = 1: triqd executes each request serially (see
             // executeCompileOrSimulate).
-            AdmissionVerdict v =
-                checkAdmission(std::min(qubits, dev->numQubits()), 1);
+            AdmissionVerdict v = checkAdmission(qubits, 1);
             if (!v.fits) {
                 {
                     std::lock_guard<std::mutex> lock(statsMutex_);
@@ -687,20 +662,17 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     };
 
     // Fault injector: a request can arm its own (the loadgen fault
-    // mode), else the daemon-wide TRIQ_FAULT env applies.
-    FaultInjector inj = FaultInjector::fromEnv();
+    // mode), else a fresh copy of the daemon-wide TRIQ_FAULT one.
+    FaultInjector inj = envFaults_;
     if (const JsonValue *fault = rq.find("fault")) {
         if (!fault->isString())
             throw refuse("proto.bad-request",
                          "\"fault\" must be a string of fault classes");
-        const std::string &s = fault->string;
-        auto has = [&](const char *w) {
-            return s.find(w) != std::string::npos;
-        };
         FaultInjector::Classes classes;
-        classes.calibration = has("calib") || has("all");
-        classes.text = has("text") || has("all");
-        classes.panic = has("panic");
+        std::string error =
+            FaultInjector::parseClasses(fault->string, classes);
+        if (!error.empty())
+            throw refuse("proto.bad-request", "\"fault\": " + error);
         const double fault_seed =
             requestNumber(rq, "fault_seed", 0, kMaxWhole, true).value_or(1);
         inj = FaultInjector(classes, static_cast<uint64_t>(fault_seed));
@@ -717,11 +689,7 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     if (!bench.empty()) {
         crash.benchName = bench;
         display = bench;
-        std::optional<Circuit> named = tryMakeBenchmark(bench);
-        if (!named)
-            throw refuse("input.invalid",
-                         "unknown benchmark '" + bench + "'");
-        program = std::move(*named);
+        program = makeBenchmark(bench); // FatalError: input.invalid
     } else if (prog) {
         if (!prog->isString())
             throw refuse("proto.bad-request",
@@ -751,15 +719,13 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
                      op + " needs a \"bench\" name or \"program\" source");
     }
 
-    // Device and calibration day.
-    const std::string dev_name = rq.getString("device", "IBMQ5");
-    const Device *dev = findServerDevice(dev_name);
-    if (!dev) {
-        std::string known;
-        for (const Device &d : serverDevices())
-            known += (known.empty() ? "" : ", ") + d.name();
-        throw refuse("proto.bad-request", "unknown device '" + dev_name +
-                                              "' (known: " + known + ")");
+    // Device and calibration day. An unknown device, level or mapper
+    // name is a bad request, not bad input.
+    const Device *dev = nullptr;
+    try {
+        dev = &deviceByName(rq.getString("device", "IBMQ5"));
+    } catch (const FatalError &e) {
+        throw refuse("proto.bad-request", e.what());
     }
     crash.device = dev->name();
     if (program.numQubits() > dev->numQubits())
@@ -782,19 +748,14 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
     // Compile options.
     CompileOptions opts;
     const std::string level = rq.getString("level", "cn");
-    std::optional<OptLevel> parsed_level = parseOptLevel(level);
-    if (!parsed_level)
-        throw refuse("proto.bad-request", "unknown level '" + level +
-                                              "' (expected n, 1q, c or cn)");
-    opts.level = *parsed_level;
-    crash.level = level;
     const std::string mapper = rq.getString("mapper", "bnb");
-    std::optional<MapperKind> kind = parseMapperKind(mapper);
-    if (!kind)
-        throw refuse("proto.bad-request",
-                     "unknown mapper '" + mapper +
-                         "' (expected trivial, greedy, bnb or smt)");
-    opts.mapping.kind = *kind;
+    try {
+        opts.level = optLevelFromToken(level);
+        opts.mapping.kind = mapperKindFromString(mapper);
+    } catch (const FatalError &e) {
+        throw refuse("proto.bad-request", e.what());
+    }
+    crash.level = level;
     crash.mapper = mapper;
     opts.peephole = rq.getBool("peephole", false);
     opts.strictCalibration = rq.getBool("strict_calibration", false);
@@ -861,9 +822,7 @@ Server::executeCompileOrSimulate(const Pending &p, CrashBundle &crash)
         crash.trials = trials;
         crash.seed = seed;
         // Serial per request (the ExecOptions and CrashBundle default):
-        // cross-request concurrency comes from the server's own
-        // workers, and the shared process pool must not be entered from
-        // several workers at once.
+        // the server's own workers already run requests concurrently.
         ExecutionResult run;
         try {
             run = executeNoisy(cc.result->hwCircuit, *dev, calib, trials,

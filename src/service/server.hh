@@ -59,9 +59,12 @@
  * and `budget_ms` one in [0, 2^53], where 0 compiles unbudgeted. A
  * value of another JSON type, with a fraction where a whole number
  * belongs, or out of range is refused with proto.bad-request naming
- * the field. So is an unknown `level` or `mapper`; an unknown `bench`
- * is input.invalid. None of these refusals writes to the daemon's
- * stderr.
+ * the field. So is an unknown `device`, `level` or `mapper`; an
+ * unknown `bench` is input.invalid. A request may arm its own fault
+ * injector with `fault`, a comma list of fault classes in the grammar
+ * TRIQ_FAULT takes (FaultInjector::parseClasses), seeded by
+ * `fault_seed`; an unknown class is proto.bad-request naming `fault`.
+ * No refusal writes to the daemon's stderr: the reply carries it.
  *
  * Reply: {"id": "r1", "ok": true, ...} or
  *        {"id": "r1", "ok": false, "error": {"code": "...",
@@ -100,6 +103,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injector.hh"
 #include "common/json.hh"
 #include "service/compile_cache.hh"
 
@@ -271,6 +275,13 @@ class Server
 
     ServerConfig cfg_;
     CompileCache cache_;
+
+    /**
+     * The TRIQ_FAULT injector, read once. A request that arms no
+     * `fault` of its own runs on a fresh copy, so its faults depend on
+     * the seed alone, not on the requests before it.
+     */
+    const FaultInjector envFaults_;
 
     mutable std::mutex mutex_;
     std::condition_variable workReady_;

@@ -316,8 +316,8 @@ benchmarkNames()
     return names;
 }
 
-std::optional<Circuit>
-tryMakeBenchmark(const std::string &name)
+Circuit
+makeBenchmark(const std::string &name)
 {
     if (name == "BV4")
         return makeBV(4);
@@ -355,15 +355,7 @@ tryMakeBenchmark(const std::string &name)
         rows >= 1 && cols >= 1 && static_cast<long>(rows) * cols <= 72 &&
         depth >= 1 && depth <= 1024)
         return makeSupremacy(rows, cols, depth);
-    return std::nullopt;
-}
-
-Circuit
-makeBenchmark(const std::string &name)
-{
-    if (std::optional<Circuit> c = tryMakeBenchmark(name))
-        return std::move(*c);
-    fatal("makeBenchmark: unknown benchmark '", name,
+    fatal("unknown benchmark '", name,
           "' (a Sup<rows>x<cols>d<depth> grid takes at most 72 qubits ",
           "and depth 1024)");
 }

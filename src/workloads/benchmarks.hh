@@ -14,7 +14,6 @@
 #define TRIQ_WORKLOADS_BENCHMARKS_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,12 +89,9 @@ const std::vector<std::string> &benchmarkNames();
 /**
  * Construct a benchmark by name: a study benchmark ("BV4", "HS6",
  * "Toffoli", "QFT", ...) or a supremacy grid "Sup<rows>x<cols>d<depth>"
- * of at most 72 qubits (the largest device) and depth 1024. nullopt
- * for any other name.
+ * of at most 72 qubits (the largest device) and depth 1024.
+ * @throws FatalError for any other name.
  */
-std::optional<Circuit> tryMakeBenchmark(const std::string &name);
-
-/** tryMakeBenchmark, with a FatalError for a name it refuses. */
 Circuit makeBenchmark(const std::string &name);
 
 /**

@@ -148,8 +148,8 @@ TEST(Supremacy, NamedGridsAreCapped)
     EXPECT_EQ(makeBenchmark("Sup6x12d128").numQubits(), 72);
     EXPECT_THROW(makeBenchmark("Sup1x2d1025"), FatalError);
     EXPECT_THROW(makeBenchmark("Sup9x9d8"), FatalError);
-    EXPECT_FALSE(tryMakeBenchmark("Sup1x2d100000000"));
-    EXPECT_FALSE(tryMakeBenchmark("Sup100000x100000d1"));
+    EXPECT_THROW(makeBenchmark("Sup1x2d100000000"), FatalError);
+    EXPECT_THROW(makeBenchmark("Sup100000x100000d1"), FatalError);
 }
 
 TEST(Supremacy, PaperScaleGateCount)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common subsystem: angles, RNG, matrices, stats,
- * env helpers and table formatting (the thread pool is tested with
- * the fan-out in test_sched).
+ * env helpers, logging and table formatting (the thread pool is tested
+ * with the fan-out in test_sched).
  */
 
 #include <cmath>
@@ -332,6 +332,21 @@ TEST(Env, EnvIntWarnsOnMalformedValue)
     EXPECT_EQ(envInt("TRIQ_TEST_ENVINT", 42), 10);
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
     unsetenv("TRIQ_TEST_ENVINT");
+}
+
+TEST(Logging, FatalAndPanicOnlyThrow)
+{
+    // The code that catches an error reports it; the throw site
+    // writes nothing.
+    testing::internal::CaptureStderr();
+    try {
+        fatal("line ", 1, ": index ", 3, " out of range");
+        ADD_FAILURE() << "fatal() returned";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "line 1: index 3 out of range");
+    }
+    EXPECT_THROW(panic("invariant ", "broken"), PanicError);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(Env, ParseNumberRequiresTheWholeString)

@@ -400,30 +400,39 @@ TEST(CrashReport, ServerModeBundleReplaysThroughTriqc)
     // The full server-mode loop: a panicking daemon request dumps a
     // bundle tagged with its request id, and that bundle alone —
     // handed to the ordinary CLI on another machine, as it were —
-    // reproduces the compile cleanly.
+    // reproduces the compile cleanly, on every machine triqd serves.
     TempDir tmp;
     ServerConfig cfg;
     cfg.crashDir = (tmp.path / "server-crash").string();
     Server server(std::move(cfg));
 
-    std::string reply = server.processLine(
-        "t", "{\"id\":\"replay-me\",\"op\":\"compile\",\"bench\":\"BV4\","
-             "\"device\":\"IBMQ5\",\"fault\":\"panic\"}");
-    JsonParseResult r = parseJson(reply);
-    ASSERT_TRUE(r.ok) << reply;
-    const JsonValue *err = r.value.find("error");
-    ASSERT_TRUE(err) << reply;
-    std::string bundle = err->getString("crash_dir");
-    ASSERT_TRUE(fs::is_directory(bundle)) << reply;
-    EXPECT_NE(slurp(fs::path(bundle) / "options.txt")
-                  .find("request_id=replay-me"),
-              std::string::npos);
+    const std::pair<const char *, const char *> requests[] = {
+        {"BV4", "IBMQ5"},
+        {"Sup3x4d8", "Google72"},
+    };
+    for (const auto &[bench, device] : requests) {
+        std::string reply = server.processLine(
+            "t", std::string("{\"id\":\"replay-me\",\"op\":\"compile\","
+                             "\"bench\":\"") +
+                     bench + "\",\"device\":\"" + device +
+                     "\",\"fault\":\"panic\"}");
+        JsonParseResult r = parseJson(reply);
+        ASSERT_TRUE(r.ok) << reply;
+        const JsonValue *err = r.value.find("error");
+        ASSERT_TRUE(err) << reply;
+        std::string bundle = err->getString("crash_dir");
+        ASSERT_TRUE(fs::is_directory(bundle)) << reply;
+        EXPECT_NE(slurp(fs::path(bundle) / "options.txt")
+                      .find("request_id=replay-me"),
+                  std::string::npos);
 
-    std::string replay_out = (tmp.path / "replay.s").string();
-    int rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " --replay " + bundle +
-                    " -o " + replay_out + " 2>/dev/null");
-    EXPECT_EQ(rc, 0);
-    EXPECT_FALSE(slurp(replay_out).empty());
+        std::string replay_out =
+            (tmp.path / (std::string(device) + ".s")).string();
+        int rc = runCmd(std::string(TRIQ_TRIQC_PATH) + " --replay " +
+                        bundle + " -o " + replay_out + " 2>/dev/null");
+        EXPECT_EQ(rc, 0) << device;
+        EXPECT_FALSE(slurp(replay_out).empty()) << device;
+    }
 }
 
 #endif // TRIQ_TRIQC_PATH

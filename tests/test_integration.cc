@@ -80,15 +80,6 @@ caseName(const ::testing::TestParamInfo<PipelineCase> &info)
     return out;
 }
 
-Device
-deviceByName(const std::string &name)
-{
-    for (auto &d : allStudyDevices())
-        if (d.name() == name)
-            return d;
-    fatal("unknown device ", name);
-}
-
 class Pipeline : public ::testing::TestWithParam<PipelineCase>
 {
 };

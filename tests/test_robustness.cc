@@ -33,15 +33,6 @@ namespace triq
 namespace
 {
 
-Device
-deviceByName(const std::string &name)
-{
-    for (auto &d : allStudyDevices())
-        if (d.name() == name)
-            return d;
-    fatal("test: unknown device ", name);
-}
-
 /** Every 2Q gate of a compiled circuit must sit on a coupled pair. */
 void
 expectRoutedValid(const CompileResult &res, const Device &dev)

@@ -362,8 +362,9 @@ TEST(ServerTest, RequestNumbersAreCheckedNotCast)
 
 TEST(ServerTest, BadNamesWriteNothingToStderr)
 {
-    // A refused name costs the client a structured reply and the daemon
+    // A refusal costs the client a structured reply and the daemon
     // nothing else: no stderr line, however many bad requests arrive.
+    // That holds for bad names and for errors the pipeline raises.
     Server server(quietConfig());
     const std::pair<const char *, const char *> cases[] = {
         {"\"op\":\"compile\",\"bench\":\"BV4\",\"level\":\"x\"",
@@ -376,6 +377,12 @@ TEST(ServerTest, BadNamesWriteNothingToStderr)
         {"\"op\":\"simulate\",\"bench\":\"Sup1x2d100000000\"",
          "input.invalid"},
         {"\"op\":\"simulate\",\"bench\":\"Sup9x9d8\"", "input.invalid"},
+        {"\"op\":\"compile\",\"bench\":\"BV4\",\"fault\":\"calib\","
+         "\"fault_seed\":3,\"strict_calibration\":true",
+         "input.invalid"},
+        {"\"op\":\"compile\",\"program\":"
+         "\"module m { qreg q[1]; x q[3]; }\"",
+         "input.parse"},
     };
     std::vector<std::string> replies;
     testing::internal::CaptureStderr();
@@ -426,6 +433,70 @@ TEST(ServerTest, StrictCalibrationFaultAnswersStructurally)
         "t", "{\"id\":2,\"op\":\"compile\",\"bench\":\"BV4\","
              "\"device\":\"IBMQ5\"}"));
     EXPECT_TRUE(ok.getBool("ok"));
+}
+
+TEST(ServerTest, RequestFaultClassesUseTheEnvironmentGrammar)
+{
+    // A request's `fault` is parsed as TRIQ_FAULT is: whole class
+    // names, with the same aliases, and an unknown one is refused.
+    Server server(quietConfig());
+    auto reply = [&](const std::string &members) {
+        return server.processLine(
+            "t", "{\"id\":1,\"op\":\"compile\",\"device\":\"IBMQ5\"," +
+                     members + "}");
+    };
+    for (const char *bad : {"nocalib", "calib,bogus", "textual"}) {
+        JsonValue r = parsed(reply(
+            std::string("\"bench\":\"BV4\",\"fault\":\"") + bad + "\""));
+        EXPECT_EQ(errorCode(r), "proto.bad-request") << bad;
+        const JsonValue *err = r.find("error");
+        ASSERT_TRUE(err) << bad;
+        EXPECT_NE(err->getString("message").find("\"fault\""),
+                  std::string::npos)
+            << bad;
+    }
+
+    // "program" is the alias of "text": the same faults under one seed.
+    const std::string source =
+        "\"program\":\"module m { qreg q[2]; h q[0]; cnot q[0], q[1]; "
+        "measure q[0]; measure q[1]; }\",\"fault_seed\":2";
+    std::string text = reply(source + ",\"fault\":\"text\"");
+    EXPECT_EQ(errorCode(parsed(text)), "input.parse") << text;
+    EXPECT_EQ(reply(source + ",\"fault\":\"program\""), text);
+    EXPECT_TRUE(parsed(reply(source)).getBool("ok"));
+
+    // "calibration" is the alias of "calib".
+    const std::string strict =
+        "\"bench\":\"BV4\",\"fault_seed\":3,\"strict_calibration\":true";
+    std::string calib = reply(strict + ",\"fault\":\"calib\"");
+    EXPECT_EQ(errorCode(parsed(calib)), "input.invalid") << calib;
+    EXPECT_EQ(reply(strict + ",\"fault\":\"calibration\""), calib);
+}
+
+TEST(ServerTest, EnvironmentFaultsAreReadOnceAndCopiedPerRequest)
+{
+    // The Server reads TRIQ_FAULT when it is built, so its warnings
+    // appear once and a later change to the environment is not seen.
+    // Each request runs on a fresh copy of that injector: identical
+    // requests meet identical faults.
+    setenv("TRIQ_FAULT", "bogus,calib", 1);
+    setenv("TRIQ_FAULT_SEED", "3", 1);
+    testing::internal::CaptureStderr();
+    Server server(quietConfig());
+    std::string built = testing::internal::GetCapturedStderr();
+    unsetenv("TRIQ_FAULT");
+    unsetenv("TRIQ_FAULT_SEED");
+    EXPECT_NE(built.find("'bogus'"), std::string::npos) << built;
+
+    const std::string rq =
+        "{\"id\":1,\"op\":\"compile\",\"bench\":\"BV4\","
+        "\"device\":\"IBMQ5\",\"strict_calibration\":true}";
+    testing::internal::CaptureStderr();
+    std::string first = server.processLine("t", rq);
+    std::string second = server.processLine("t", rq);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(errorCode(parsed(first)), "input.invalid") << first;
+    EXPECT_EQ(first, second);
 }
 
 // --- crash containment ---------------------------------------------------

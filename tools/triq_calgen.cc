@@ -56,12 +56,7 @@ main(int argc, char **argv)
                 fatal("triq-calgen: unknown option '", arg, "'");
             }
         }
-        Device dev = [&] {
-            for (auto &d : allStudyDevices())
-                if (d.name() == device)
-                    return d;
-            fatal("triq-calgen: unknown device '", device, "'");
-        }();
+        const Device &dev = deviceByName(device);
         Calibration calib =
             average ? dev.averageCalibration() : dev.calibrate(day);
         if (output.empty()) {
@@ -73,10 +68,12 @@ main(int argc, char **argv)
             calib.save(out);
         }
         return 0;
-    } catch (const FatalError &) {
-        return 1; // message already printed by fatal()
-    } catch (const PanicError &) {
-        return 2; // internal invariant violation, printed by panic()
+    } catch (const FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
+    } catch (const PanicError &e) {
+        std::cerr << "panic: " << e.what() << "\n";
+        return 2;
     } catch (const std::exception &e) {
         std::cerr << "triq-calgen: internal error: " << e.what() << "\n";
         return 2;

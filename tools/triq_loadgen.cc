@@ -452,9 +452,11 @@ main(int argc, char **argv)
 {
     try {
         return triq::run(argc, argv);
-    } catch (const triq::FatalError &) {
+    } catch (const triq::FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
         return 1;
-    } catch (const triq::PanicError &) {
+    } catch (const triq::PanicError &e) {
+        std::cerr << "panic: " << e.what() << "\n";
         return 2;
     }
 }

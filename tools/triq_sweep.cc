@@ -85,20 +85,6 @@ loadProgramFile(const std::string &path)
     return c;
 }
 
-Device
-deviceByName(const std::string &name)
-{
-    for (Device &d : allStudyDevices())
-        if (d.name() == name)
-            return d;
-    // The 72-qubit scaling-study grid: addressable by name, but not
-    // part of "device all" (that keeps the paper's 7-machine grid).
-    if (name == "Google72")
-        return makeGoogle72();
-    fatal("triq-sweep: unknown device '", name,
-          "' (see triqc --list-devices)");
-}
-
 /** Parse "0..6" or a single integer into `out`. */
 void
 parseDays(std::istringstream &rest, std::vector<int> &out)
@@ -342,9 +328,11 @@ main(int argc, char **argv)
 {
     try {
         return triq::run(argc, argv);
-    } catch (const triq::FatalError &) {
+    } catch (const triq::FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
         return 1;
-    } catch (const triq::PanicError &) {
+    } catch (const triq::PanicError &e) {
+        std::cerr << "panic: " << e.what() << "\n";
         return 2;
     }
 }

@@ -3,8 +3,9 @@
  * triqc — the TriQ command-line compiler driver.
  *
  * Compiles a ScaffLite or OpenQASM program for any of the seven study
- * machines at any Table-1 optimization level and prints the executable
- * assembly, plus an optional compilation/prediction report.
+ * machines (or the 72-qubit Google72 grid) at any Table-1 optimization
+ * level and prints the executable assembly, plus an optional
+ * compilation/prediction report.
  *
  * Usage:
  *   triqc [options] <program-file>
@@ -121,7 +122,7 @@ usage()
         "  --replay DIR        re-run the invocation captured in a\n"
         "                      crash-report directory\n"
         "  -o FILE             write assembly to FILE\n"
-        "  --list-devices      list the seven study machines\n";
+        "  --list-devices      list the machines -d accepts\n";
 }
 
 Args
@@ -243,7 +244,7 @@ run(int argc, char **argv)
 {
     Args args = parseArgs(argc, argv);
     if (args.listDevices) {
-        for (const Device &d : allStudyDevices())
+        for (const Device &d : namedDevices())
             std::cout << d.name() << ": " << d.numQubits()
                       << " qubits, " << d.gateSet().describe() << "\n";
         return 0;
@@ -340,13 +341,7 @@ run(int argc, char **argv)
         return 1;
     }
 
-    Device dev = [&] {
-        for (auto &d : allStudyDevices())
-            if (d.name() == args.device)
-                return d;
-        fatal("triqc: unknown device '", args.device,
-              "' (try --list-devices)");
-    }();
+    const Device &dev = deviceByName(args.device);
 
     Calibration calib = [&] {
         if (args.calibrationFile.empty())
@@ -439,8 +434,9 @@ main(int argc, char **argv)
     //   mismatch. Nothing escapes as an uncaught exception.
     try {
         return run(argc, argv);
-    } catch (const FatalError &) {
-        return 1; // message already printed by fatal()
+    } catch (const FatalError &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
     } catch (const ResourceError &e) {
         // The simulation could not get its memory (budget refusal or a
         // failed allocation): a resource outcome, not a TriQ bug — one
@@ -454,8 +450,9 @@ main(int argc, char **argv)
         std::cerr << "triqc: error: " << e.what() << "\n" << w.str() << "\n";
         return 1;
     } catch (const PanicError &e) {
-        // Message already printed by panic(); dump the captured inputs
-        // so the bug reproduces from one artifact (triqc --replay).
+        std::cerr << "panic: " << e.what() << "\n";
+        // Dump the captured inputs so the bug reproduces from one
+        // artifact (triqc --replay).
         reportCrash(e.what());
         return 2;
     } catch (const std::exception &e) {
