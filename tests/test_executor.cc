@@ -482,5 +482,34 @@ TEST(GoldenHistogram, WideRegistersAreBitIdentical)
     }
 }
 
+// A wide cell that is neither Clifford nor deterministic: a 4x4
+// depth-8 supremacy circuit, compiled and run like kGoldenWide. Its
+// compact register (17 qubits: greedy routing adds a relay) always
+// takes the trajectory-replay path, so it keeps the large-register
+// kernels pinned.
+const GoldenCell kGoldenWideNonClifford = {
+    "Sup4x4d8", "Google72", 0x95ff85199e92fe11ull, 0x0p+0};
+
+TEST(GoldenHistogram, WideNonCliffordIsBitIdentical)
+{
+    const GoldenCell &want = kGoldenWideNonClifford;
+    const Device dev = makeGoogle72();
+    ASSERT_EQ(dev.name(), want.device);
+    const Calibration calib = dev.calibrate(3);
+    CompileOptions opts;
+    opts.mapping.kind = MapperKind::Greedy;
+    CompileResult res =
+        compileForDevice(makeBenchmark(want.bench), dev, calib, opts);
+    ASSERT_GT(compactCircuit(res.hwCircuit).circuit.numQubits(), 12);
+    ExecutionResult r = executeNoisy(res.hwCircuit, dev, calib, 64, 2019);
+    const uint64_t hash = histogramHash(r);
+    char got[64];
+    std::snprintf(got, sizeof got, "0x%016llxull, %a",
+                  static_cast<unsigned long long>(hash), r.successRate);
+    SCOPED_TRACE(std::string(want.bench) + ": got " + got);
+    EXPECT_EQ(hash, want.histogramHash);
+    EXPECT_EQ(r.successRate, want.successRate);
+}
+
 } // namespace
 } // namespace triq
