@@ -12,6 +12,11 @@
  * round-trip and QFT rows compiled onto the Google72 grid, where each
  * replay is a pass over megabytes of amplitudes.
  *
+ * The BV8, GHZ20 and GHZ24 rows are Clifford with a deterministic
+ * output, so executeNoisy resolves their faulty trials on the Clifford
+ * frame path (sim/pauli_frame.hh) without replay or checkpoints: they
+ * time the frame path, and only the QFT and Adder rows time replay.
+ *
  * The run doubles as a determinism check: all three configurations
  * must produce bit-identical results per row, and the JSON records
  * whether they did (exit 4 when they do not).

@@ -16,7 +16,6 @@
 #include <iostream>
 #include <vector>
 
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
@@ -57,9 +56,6 @@ evaluate(const MaxCutGraph &graph, double gamma, double beta,
 int
 main()
 {
-    // QAOA outputs are distributions, not a single correct answer;
-    // silence the executor's non-deterministic-output advisory.
-    setQuiet(true);
     MaxCutGraph graph = MaxCutGraph::ring(5);
     const int trials = 1024;
     std::cout << "MaxCut instance: 5-vertex ring, optimum cut = "

@@ -92,7 +92,6 @@ FaultInjector::corruptValues(std::vector<double> &values, double rate)
             pathologicalValue();
         hits = 1;
     }
-    calibrationHits_ += hits;
     return hits;
 }
 
@@ -102,7 +101,6 @@ FaultInjector::corruptScalar(double &value)
     if (!armsCalibration())
         return false;
     value = pathologicalValue();
-    ++calibrationHits_;
     return true;
 }
 
@@ -111,7 +109,6 @@ FaultInjector::corruptText(const std::string &source)
 {
     if (!armsText() || source.empty())
         return source;
-    ++textHits_;
     std::string out = source;
     switch (rng_.uniformInt(3)) {
       case 0: {
@@ -147,16 +144,6 @@ FaultInjector::corruptText(const std::string &source)
       }
     }
     return out;
-}
-
-std::string
-FaultInjector::summary() const
-{
-    std::ostringstream os;
-    os << "fault injection: " << calibrationHits_
-       << " calibration value(s), " << textHits_
-       << " program text mutation(s)";
-    return os.str();
 }
 
 } // namespace triq

@@ -114,15 +114,10 @@ class FaultInjector
      */
     std::string corruptText(const std::string &source);
 
-    /** Human-readable summary of what was injected so far. */
-    std::string summary() const;
-
   private:
     Classes classes_{};
     Rng rng_{0};
     bool enabled_ = false;
-    int calibrationHits_ = 0;
-    int textHits_ = 0;
 };
 
 } // namespace triq

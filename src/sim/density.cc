@@ -194,11 +194,7 @@ exactSuccessProbability(const Circuit &hw, const Device &dev,
         fatal("exactSuccessProbability: ", cc.circuit.numQubits(),
               " active qubits exceed the density-matrix limit of ",
               DensityMatrix::maxQubits());
-    for (auto &s : sites) {
-        s.q0 = cc.hwToCompact[static_cast<size_t>(s.q0)];
-        if (s.q1 != -1)
-            s.q1 = cc.hwToCompact[static_cast<size_t>(s.q1)];
-    }
+    relabelSites(sites, cc.hwToCompact);
     std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
     if (measured.empty())
         fatal("exactSuccessProbability: circuit measures no qubits");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -12,6 +13,7 @@
 #include "sim/compact.hh"
 #include "sim/fusion.hh"
 #include "sim/noise.hh"
+#include "sim/pauli_frame.hh"
 #include "sim/sim_cost.hh"
 #include "sim/statevector.hh"
 
@@ -29,6 +31,13 @@ constexpr size_t kFlatHistogramBits = 12;
 
 /** Snapshot memory budget for automatic checkpoint spacing. */
 constexpr uint64_t kCheckpointBudgetBytes = 64ull << 20;
+
+/**
+ * The frame path needs the correct answer's ideal probability at least
+ * 1 - this. A Clifford circuit's output is either deterministic (then
+ * the rest is rounding, ~1e-30) or at most 1/2 likely.
+ */
+constexpr double kDeterministicSlack = 1e-9;
 
 /** Map a sampled basis index to the measured-qubit key. */
 uint64_t
@@ -58,6 +67,7 @@ struct TrajectoryContext
     const StateVector *ideal;
     const std::vector<Checkpoint> *checkpoints; // ascending gatesApplied
     const FusedProgram *fused;                  // null = replay plain gates
+    const FlipTable *frame; // non-null = Clifford frame path, no replay
     uint64_t correctOutcome;
     bool flatHistogram;
 };
@@ -88,22 +98,6 @@ advanceState(const TrajectoryContext &ctx, StateVector &sv, int from,
         if (g.kind != GateKind::Measure)
             sv.applyGate(g);
     }
-}
-
-/**
- * Draw the Pauli choice for a fired site. Idle sites deterministically
- * inject Z (pure dephasing) and consume no randomness; 1Q sites draw a
- * uniform X/Y/Z; 2Q sites draw a uniform non-identity two-qubit Pauli
- * (index 1..15 in base 4).
- */
-int
-drawPauliCode(Rng &rng, const ErrorSite &s)
-{
-    if (s.idle)
-        return 0;
-    if (s.q1 == -1)
-        return rng.uniformInt(3);
-    return 1 + rng.uniformInt(15);
 }
 
 /** Inject the Pauli a (site, code) pair denotes. */
@@ -164,9 +158,9 @@ seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv, int prefix)
 /**
  * Run one chunk of trials on the RNG stream (seed, chunk index). Every
  * random draw happens in a fixed per-trial order (site Bernoullis,
- * Pauli choices in gate order, measurement sample, readout flips), so
- * the chunk's outcome depends only on its stream — never on which
- * worker thread runs it or on checkpoint spacing.
+ * Pauli choices in injection order, measurement sample, readout flips)
+ * on both paths, so the chunk's outcome depends only on its stream —
+ * never on which worker thread runs it or on checkpoint spacing.
  */
 void
 runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
@@ -178,7 +172,10 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
     const std::vector<double> &ro_err = *ctx.roErr;
     const int num_gates = circuit.numGates();
 
-    StateVector traj(circuit.numQubits());
+    // The frame path replays nothing, so it holds no trajectory state.
+    std::optional<StateVector> traj;
+    if (ctx.frame == nullptr)
+        traj.emplace(circuit.numQubits());
     std::vector<bool> fired(sites.size(), false);
     if (ctx.flatHistogram)
         out.flat.assign(uint64_t{1} << measured.size(), 0);
@@ -195,13 +192,31 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
                 first_gate = std::min(first_gate, sites[i].gateIdx);
             }
         }
-        uint64_t basis;
-        if (!any) {
+        uint64_t key;
+        if (ctx.frame != nullptr) {
+            // Clifford frame path: each fired Pauli XORs its fixed flip
+            // mask into the correct answer. The draws are replay's: the
+            // codes in injection order, then the measurement sample,
+            // whose outcome the deterministic output already fixes.
+            key = ctx.correctOutcome;
+            if (any) {
+                ++out.simulated;
+                for (int si : *ctx.injOrder) {
+                    const auto i = static_cast<size_t>(si);
+                    if (!fired[i])
+                        continue;
+                    const int code = drawPauliCode(rng, sites[i]);
+                    key ^= ctx.frame->flips[kPauliCodes * i +
+                                            static_cast<size_t>(code)];
+                }
+            }
+            (void)rng.uniform();
+        } else if (!any) {
             // Fault-free trajectory: sample from the cached ideal state.
-            basis = ctx.ideal->sampleMeasurement(rng);
+            key = outcomeKey(ctx.ideal->sampleMeasurement(rng), measured);
         } else {
             ++out.simulated;
-            int pos = seekCheckpoint(ctx, traj, first_gate + 1);
+            int pos = seekCheckpoint(ctx, *traj, first_gate + 1);
             // Walk the fired sites in injection order — (gateIdx, site
             // index) ascending — advancing the state up to each site's
             // gate before injecting its Pauli.
@@ -209,14 +224,13 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
                 if (!fired[static_cast<size_t>(si)])
                     continue;
                 const ErrorSite &s = sites[static_cast<size_t>(si)];
-                advanceState(ctx, traj, pos, s.gateIdx + 1);
+                advanceState(ctx, *traj, pos, s.gateIdx + 1);
                 pos = std::max(pos, s.gateIdx + 1);
-                injectPauli(traj, s, drawPauliCode(rng, s));
+                injectPauli(*traj, s, drawPauliCode(rng, s));
             }
-            advanceState(ctx, traj, pos, num_gates);
-            basis = traj.sampleMeasurement(rng);
+            advanceState(ctx, *traj, pos, num_gates);
+            key = outcomeKey(traj->sampleMeasurement(rng), measured);
         }
-        uint64_t key = outcomeKey(basis, measured);
         // Classical readout errors flip measured bits independently.
         for (size_t k = 0; k < measured.size(); ++k)
             if (rng.bernoulli(ro_err[k]))
@@ -231,15 +245,17 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
 }
 
 /**
- * The executeNoisy body. `planned_bytes` reports the reservation the
- * run held, so the public wrapper can attribute a std::bad_alloc that
- * escapes any allocation in here (including ones rethrown from pool
- * workers) to a sized, structured ResourceError.
+ * The executeNoisy body; `allow_frame` false keeps a Clifford cell on
+ * replay. `planned_bytes` reports the reservation the run held, so the
+ * public wrapper can attribute a std::bad_alloc that escapes any
+ * allocation in here (including ones rethrown from pool workers) to a
+ * sized, structured ResourceError.
  */
 ExecutionResult
 executeNoisyImpl(const Circuit &hw, const Device &dev,
                  const Calibration &calib, int trials, uint64_t seed,
-                 const ExecOptions &opts, uint64_t &planned_bytes)
+                 const ExecOptions &opts, bool allow_frame,
+                 uint64_t &planned_bytes)
 {
     if (trials < 1)
         fatal("executeNoisy: need at least one trial");
@@ -249,17 +265,16 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     // Never trust the calibration feed: a NaN or negative rate here
     // would silently poison every Bernoulli draw, and an undersized
-    // vector would read out of bounds below.
+    // vector would read out of bounds below. The repair count goes to
+    // the caller, which decides whether to report it.
+    ExecutionResult res;
     Calibration safe = calib;
     {
         Diagnostics cdiags("calibration");
-        int repairs =
+        res.calibrationRepairs =
             safe.validate(dev.topology(), ValidateMode::Sanitize, cdiags);
         cdiags.throwIfErrors("executeNoisy: unusable calibration for " +
                              dev.name());
-        if (repairs > 0)
-            warn("executeNoisy: sanitized ", repairs,
-                 " invalid calibration value(s)");
     }
 
     // Error sites are enumerated on the full-width circuit (edge lookup
@@ -267,11 +282,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     std::vector<ErrorSite> sites =
         collectErrorSites(hw, dev.topology(), safe);
     CompactCircuit cc = compactCircuit(hw);
-    for (auto &s : sites) {
-        s.q0 = cc.hwToCompact[static_cast<size_t>(s.q0)];
-        if (s.q1 != -1)
-            s.q1 = cc.hwToCompact[static_cast<size_t>(s.q1)];
-    }
+    relabelSites(sites, cc.hwToCompact);
 
     std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
     if (measured.empty())
@@ -341,15 +352,27 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
         interval = std::max(1, (num_gates + max_ckpts - 1) / max_ckpts);
     }
     std::vector<Checkpoint> checkpoints;
-    for (int gi = 0; gi < num_gates; ++gi) {
-        const Gate &g = cc.circuit.gate(gi);
-        if (g.kind != GateKind::Measure)
-            ideal.applyGate(g);
-        int applied = gi + 1;
-        if (interval > 0 && applied % interval == 0 &&
-            applied < num_gates)
-            checkpoints.push_back({applied, ideal});
-    }
+    auto evolve_ideal = [&](int every) {
+        ideal.reset();
+        checkpoints.clear();
+        for (int gi = 0; gi < num_gates; ++gi) {
+            const Gate &g = cc.circuit.gate(gi);
+            if (g.kind != GateKind::Measure)
+                ideal.applyGate(g);
+            int applied = gi + 1;
+            if (every > 0 && applied % every == 0 && applied < num_gates)
+                checkpoints.push_back({applied, ideal});
+        }
+    };
+
+    // The Clifford frame path (sim/pauli_frame.hh) needs no
+    // checkpoints: when every gate is Clifford and the ideal measured
+    // outcome is deterministic, a fault flips fixed key bits, so no
+    // trial replays the state.
+    std::optional<FlipTable> frame;
+    if (allow_frame)
+        frame = pauliFlipTable(cc.circuit, sites, measured);
+    evolve_ideal(frame ? -1 : interval);
 
     // The benchmark's correct answer: the dominant outcome of the
     // *measured-qubit marginal* (unmeasured ancillas may legitimately
@@ -367,15 +390,19 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
             ideal_prob = marginal[k];
             ideal_key = k;
         }
-    ExecutionResult res;
     res.correctOutcome = ideal_key;
+    res.idealOutcomeProb = ideal_prob;
     res.trials = trials;
     res.esp = estimatedSuccessProbability(hw, dev.topology(), safe);
     res.noErrorProb = noErrorProbability(sites);
-    if (ideal_prob < 0.99)
-        warn("executeNoisy: ", hw.name(),
-             " has a non-deterministic ideal output (p=", ideal_prob,
-             "); success is counted against the dominant outcome");
+
+    // A Clifford circuit whose output is not deterministic (GHZ
+    // measured without uncompute) replays, so it needs the checkpoints
+    // after all; the second pass ends in the same state.
+    const bool use_frame =
+        frame && ideal_prob >= 1.0 - kDeterministicSlack;
+    if (frame && !use_frame)
+        evolve_ideal(interval);
 
     // Injection order: site indices sorted by (gateIdx, site index).
     // Every trial draws its fired sites' Pauli codes and applies their
@@ -390,7 +417,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                      });
 
     FusedProgram fused_program;
-    if (opts.fusion) {
+    if (opts.fusion && !use_frame) {
         // Align fused operators to the checkpoint interval so replays
         // resumed from a checkpoint start on an operator boundary. A
         // per-gate interval would forbid all fusion, so leave operators
@@ -407,7 +434,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     ctx.roErr = &ro_err;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
-    ctx.fused = opts.fusion ? &fused_program : nullptr;
+    ctx.fused = opts.fusion && !use_frame ? &fused_program : nullptr;
+    ctx.frame = use_frame ? &*frame : nullptr;
     ctx.correctOutcome = ideal_key;
     ctx.flatHistogram = measured.size() <= kFlatHistogramBits;
 
@@ -453,6 +481,33 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     return res;
 }
 
+/**
+ * executeNoisyImpl with a std::bad_alloc from any allocation the
+ * reservation did not cover (or an untracked ancillary one) surfaced as
+ * the same structured resource error the reservation path throws,
+ * never as an unhandled abort.
+ */
+ExecutionResult
+executeGuarded(const Circuit &hw, const Device &dev,
+               const Calibration &calib, int trials, uint64_t seed,
+               const ExecOptions &opts, bool allow_frame)
+{
+    uint64_t planned_bytes = 0;
+    try {
+        return executeNoisyImpl(hw, dev, calib, trials, seed, opts,
+                                allow_frame, planned_bytes);
+    } catch (const std::bad_alloc &) {
+        ResourceGovernor &gov = processGovernor();
+        std::ostringstream msg;
+        msg << "simulation of " << hw.name()
+            << " failed to allocate (planned "
+            << formatBytes(planned_bytes) << ", budget "
+            << formatBytes(gov.budgetBytes()) << ")";
+        throw ResourceError(msg.str(), planned_bytes, gov.budgetBytes(),
+                            gov.committedBytes());
+    }
+}
+
 } // namespace
 
 std::vector<std::pair<uint64_t, int>>
@@ -468,25 +523,21 @@ ExecutionResult
 executeNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
              int trials, uint64_t seed, const ExecOptions &opts)
 {
-    uint64_t planned_bytes = 0;
-    try {
-        return executeNoisyImpl(hw, dev, calib, trials, seed, opts,
-                                planned_bytes);
-    } catch (const std::bad_alloc &) {
-        // An allocation the reservation did not cover (or an untracked
-        // ancillary one) failed. Surface it as the same structured
-        // resource error the reservation path throws, never as an
-        // unhandled abort.
-        ResourceGovernor &gov = processGovernor();
-        std::ostringstream msg;
-        msg << "simulation of " << hw.name()
-            << " failed to allocate (planned "
-            << formatBytes(planned_bytes) << ", budget "
-            << formatBytes(gov.budgetBytes()) << ")";
-        throw ResourceError(msg.str(), planned_bytes, gov.budgetBytes(),
-                            gov.committedBytes());
-    }
+    return executeGuarded(hw, dev, calib, trials, seed, opts, true);
 }
+
+namespace detail
+{
+
+ExecutionResult
+executeNoisyReplay(const Circuit &hw, const Device &dev,
+                   const Calibration &calib, int trials, uint64_t seed,
+                   const ExecOptions &opts)
+{
+    return executeGuarded(hw, dev, calib, trials, seed, opts, false);
+}
+
+} // namespace detail
 
 uint64_t
 outcomeForProgram(uint64_t key, const Circuit &hw,

@@ -21,9 +21,15 @@
  *    |0...0>;
  *  - gate fusion (sim/fusion.hh, ExecOptions::fusion, default on) rewrites
  *    the compact circuit into fused kernels so each replay makes fewer
- *    passes over the state.
+ *    passes over the state;
+ *  - a Clifford circuit with a deterministic ideal output takes the
+ *    frame path (sim/pauli_frame.hh): a faulty trial's outcome is the
+ *    correct answer XOR the fixed flip masks of its faults, so no trial
+ *    replays and no checkpoint or fused program is built. It makes the
+ *    same random draws as replay, in the same order, so its histograms
+ *    are replay's.
  *
- * Every faulty trial replays its own trajectory.
+ * Every other faulty trial replays its own trajectory.
  */
 
 #ifndef TRIQ_SIM_EXECUTOR_HH
@@ -60,11 +66,26 @@ struct ExecutionResult
     double noErrorProb = 0.0;
 
     /**
-     * State-vector trajectories simulated: the number of faulty trials
-     * (each replays individually; fault-free trials sample the cached
-     * ideal state).
+     * Faulty trials: those in which some error site fired. The replay
+     * path simulates each one's trajectory; the Clifford frame path
+     * XORs its flip masks instead. Fault-free trials sample the cached
+     * ideal state.
      */
     int simulatedTrajectories = 0;
+
+    /**
+     * Ideal probability of correctOutcome over the measured qubits.
+     * Below 1 the output is not deterministic (variational workloads
+     * like QAOA, supremacy circuits): success is then counted against
+     * the dominant outcome, and the histogram is the figure of merit.
+     */
+    double idealOutcomeProb = 0.0;
+
+    /**
+     * Calibration values repaired before sampling (Calibration::validate
+     * in Sanitize mode); 0 for a valid snapshot.
+     */
+    int calibrationRepairs = 0;
 
     /**
      * True when the correct answer dominated the observed output
@@ -151,15 +172,30 @@ struct ExecOptions
  * @param seed RNG seed; fixed seeds make experiments reproducible.
  * @param opts Performance knobs (thread count, checkpoint spacing).
  *
- * @note Circuits without a dominant ideal outcome (variational
- *       workloads like QAOA) trigger a one-line advisory per call;
- *       use the histogram field for their figure of merit and
- *       setQuiet(true) to silence the advisory.
+ * @note Nothing is printed. A circuit without a deterministic ideal
+ *       output reports it through idealOutcomeProb, and repaired
+ *       calibration values through calibrationRepairs; the caller
+ *       decides what to show.
  */
 ExecutionResult executeNoisy(const Circuit &hw, const Device &dev,
                              const Calibration &calib, int trials,
                              uint64_t seed = 12345,
                              const ExecOptions &opts = {});
+
+namespace detail
+{
+
+/**
+ * Test seam: executeNoisy with the Clifford frame path turned off, so
+ * tests can check a Clifford cell's frame histogram against replay.
+ * Production code calls executeNoisy.
+ */
+ExecutionResult executeNoisyReplay(const Circuit &hw, const Device &dev,
+                                   const Calibration &calib, int trials,
+                                   uint64_t seed = 12345,
+                                   const ExecOptions &opts = {});
+
+} // namespace detail
 
 /**
  * Re-order an outcome key from the executor's hardware-measured-qubit

@@ -89,4 +89,15 @@ noErrorProbability(const std::vector<ErrorSite> &sites)
     return p;
 }
 
+void
+relabelSites(std::vector<ErrorSite> &sites,
+             const std::vector<int> &hw_to_compact)
+{
+    for (auto &s : sites) {
+        s.q0 = hw_to_compact[static_cast<size_t>(s.q0)];
+        if (s.q1 != -1)
+            s.q1 = hw_to_compact[static_cast<size_t>(s.q1)];
+    }
+}
+
 } // namespace triq

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/circuit.hh"
 #include "device/calibration.hh"
 #include "device/topology.hh"
@@ -23,7 +24,15 @@
 namespace triq
 {
 
-/** One potential fault location in a circuit. */
+/**
+ * One potential fault location in a circuit.
+ *
+ * A fired site injects the Pauli its *code* names (drawPauliCode):
+ *  - an idle site always injects Z, code 0;
+ *  - a 1Q site injects X, Y or Z on q0 for code 0, 1 or 2;
+ *  - a 2Q site's code in [1, 15] holds the Pauli on q0 in bits 0-1 and
+ *    the one on q1 in bits 2-3, each 0 = I, 1 = X, 2 = Y, 3 = Z.
+ */
 struct ErrorSite
 {
     /** Gate index after which the fault (if sampled) is injected. */
@@ -51,6 +60,31 @@ std::vector<ErrorSite> collectErrorSites(const Circuit &hw,
 
 /** Probability that *no* site fires: product of (1 - prob). */
 double noErrorProbability(const std::vector<ErrorSite> &sites);
+
+/**
+ * Relabel sites onto a compact register: hw_to_compact[h] is the
+ * compact index of hardware qubit h (CompactCircuit::hwToCompact).
+ */
+void relabelSites(std::vector<ErrorSite> &sites,
+                  const std::vector<int> &hw_to_compact);
+
+/** Codes a site can draw: every code is below this. */
+constexpr int kPauliCodes = 16;
+
+/**
+ * Draw the Pauli code of a fired site. Idle sites consume no
+ * randomness; 1Q sites draw a uniform X/Y/Z and 2Q sites a uniform
+ * non-identity two-qubit Pauli.
+ */
+inline int
+drawPauliCode(Rng &rng, const ErrorSite &s)
+{
+    if (s.idle)
+        return 0;
+    if (s.q1 == -1)
+        return rng.uniformInt(3);
+    return 1 + rng.uniformInt(15);
+}
 
 } // namespace triq
 

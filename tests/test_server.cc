@@ -397,6 +397,50 @@ TEST(ServerTest, BadNamesWriteNothingToStderr)
     }
 }
 
+TEST(ServerTest, SimulationReportsWriteNothingToStderr)
+{
+    // A simulation whose calibration the executor repairs, or whose
+    // ideal output is not deterministic, is answered like any other and
+    // writes nothing: the executor returns both facts in its result,
+    // and compile's `degraded` already flags the repairs. The expected
+    // values are the replies of the build that still printed them.
+    Server server(quietConfig());
+    struct Case
+    {
+        std::string members;
+        bool degraded;
+        double success;
+        double trajectories;
+    };
+    std::vector<Case> cases;
+    const std::pair<double, double> faulty[] = {
+        {0.56, 23}, {0.78, 10}, {0.02, 50}, {0.52, 50}};
+    for (int i = 1; i <= 4; ++i)
+        cases.push_back({"\"bench\":\"BV4\",\"device\":\"IBMQ5\","
+                         "\"fault\":\"calib\",\"fault_seed\":" +
+                             std::to_string(i),
+                         true, faulty[i - 1].first, faulty[i - 1].second});
+    for (int i = 0; i < 2; ++i)
+        cases.push_back({"\"bench\":\"Sup3x4d8\",\"device\":\"Google72\"",
+                         false, 0.0, 25});
+    std::vector<std::string> replies;
+    testing::internal::CaptureStderr();
+    for (const Case &c : cases)
+        replies.push_back(server.processLine(
+            "t", "{\"id\":1,\"op\":\"simulate\",\"trials\":50," +
+                     c.members + "}"));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    for (size_t i = 0; i < cases.size(); ++i) {
+        JsonValue r = parsed(replies[i]);
+        ASSERT_TRUE(r.getBool("ok")) << replies[i];
+        EXPECT_EQ(r.getBool("degraded"), cases[i].degraded) << replies[i];
+        EXPECT_EQ(r.getNumber("success_rate"), cases[i].success)
+            << replies[i];
+        EXPECT_EQ(r.getNumber("trajectories"), cases[i].trajectories)
+            << replies[i];
+    }
+}
+
 TEST(ServerTest, OversizedFrameRejectedInConstantTime)
 {
     ServerConfig cfg = quietConfig();

@@ -112,10 +112,8 @@ TEST(Qaoa, HistogramExpectationMatchesIdealUnderZeroNoise)
     CompileOptions opts;
     opts.emitAssembly = false;
     CompileResult res = compileForDevice(c, dev, zero, opts);
-    setQuiet(true);
     ExecutionResult run =
         executeNoisy(res.hwCircuit, dev, zero, 20000, 5);
-    setQuiet(false);
     std::vector<std::pair<uint64_t, int>> counts;
     long total = 0;
     for (const auto &[key, count] : run.sortedHistogram()) {
@@ -144,10 +142,8 @@ TEST(Qaoa, NoiseDegradesCut)
     CompileOptions opts;
     opts.emitAssembly = false;
     CompileResult res = compileForDevice(c, dev, calib, opts);
-    setQuiet(true);
     ExecutionResult run =
         executeNoisy(res.hwCircuit, dev, calib, 8000, 3);
-    setQuiet(false);
     std::vector<std::pair<uint64_t, int>> counts =
         run.sortedHistogram();
     for (auto &[key, count] : counts)

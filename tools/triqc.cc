@@ -310,8 +310,6 @@ run(int argc, char **argv)
     // *before* they hit the front end / validator, to exercise exactly
     // the paths a hostile or broken feed would.
     FaultInjector inj = FaultInjector::fromEnv();
-    if (inj.enabled())
-        warn("triqc: fault injection armed (", inj.summary(), ")");
 
     Diagnostics diags(args.benchName.empty() ? args.inputFile
                                              : "<bench>");
@@ -419,6 +417,8 @@ run(int argc, char **argv)
                   << "ESP:            " << run.esp << "\n"
                   << "pred. success:  " << run.successRate << " ("
                   << run.trials << " trials)\n"
+                  << "ideal p(answer): " << run.idealOutcomeProb << "\n"
+                  << "calib. repairs: " << run.calibrationRepairs << "\n"
                   << res.report.str();
     }
     return 0;
