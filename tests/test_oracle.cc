@@ -1,10 +1,11 @@
 /**
  * @file
- * The exact Clifford oracle (cliffordSuccessProbability): checked
- * against the density matrix on the study's Clifford cells, then used
- * as the reference for trajectory replay on registers wider than the
- * density matrix can hold, so the >12-qubit replay kernels are checked
- * against a value they did not compute.
+ * The exact Clifford oracle (cliffordSuccessProbability and
+ * cliffordBitFlipProbabilities): checked against the density matrix
+ * and sampling on the study's Clifford cells, then used as the
+ * reference for trajectory replay on registers wider than the density
+ * matrix can hold, so the >12-qubit replay kernels are checked against
+ * values they did not compute.
  */
 
 #include <cmath>
@@ -25,7 +26,7 @@ namespace triq
 namespace
 {
 
-/** True when `observed` of `trials` is within 5 sigma of rate p. */
+/** True when a rate observed over `trials` is within 5 sigma of p. */
 ::testing::AssertionResult
 withinFiveSigma(double observed, double p, int trials)
 {

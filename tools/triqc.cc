@@ -417,7 +417,7 @@ run(int argc, char **argv)
                   << "ESP:            " << run.esp << "\n"
                   << "pred. success:  " << run.successRate << " ("
                   << run.trials << " trials)\n"
-                  << "ideal p(answer): " << run.idealOutcomeProb << "\n"
+                  << "ideal prob.:    " << run.idealOutcomeProb << "\n"
                   << "calib. repairs: " << run.calibrationRepairs << "\n"
                   << res.report.str();
     }
