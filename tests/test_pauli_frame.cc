@@ -191,17 +191,23 @@ TEST(PauliFrame, FlipMasksMatchInjectedPaulis)
     }
 }
 
-/** True when executeNoisy took the frame path for this cell. */
-bool
-takesFramePath(const Circuit &hw, const Device &dev,
-               const Calibration &calib, const ExecutionResult &r)
+/** The flip table executeNoisy builds for a compiled circuit. */
+std::optional<FlipTable>
+flipTableOf(const Circuit &hw, const Device &dev, const Calibration &calib)
 {
     std::vector<ErrorSite> sites =
         collectErrorSites(hw, dev.topology(), calib);
     CompactCircuit cc = compactCircuit(hw);
     relabelSites(sites, cc.hwToCompact);
-    return pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits())
-               .has_value() &&
+    return pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits());
+}
+
+/** True when executeNoisy took the frame path for this cell. */
+bool
+takesFramePath(const Circuit &hw, const Device &dev,
+               const Calibration &calib, const ExecutionResult &r)
+{
+    return flipTableOf(hw, dev, calib).has_value() &&
            r.idealOutcomeProb >= 1.0 - 1e-9;
 }
 
@@ -300,12 +306,7 @@ TEST(FrameVsReplay, NonDeterministicCliffordCircuitStaysOnReplay)
     const Calibration calib = dev.calibrate(3);
     CompileResult res = compileForDevice(ghz, dev, calib, CompileOptions{});
 
-    std::vector<ErrorSite> sites =
-        collectErrorSites(res.hwCircuit, dev.topology(), calib);
-    CompactCircuit cc = compactCircuit(res.hwCircuit);
-    relabelSites(sites, cc.hwToCompact);
-    std::optional<FlipTable> table =
-        pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits());
+    std::optional<FlipTable> table = flipTableOf(res.hwCircuit, dev, calib);
     ASSERT_TRUE(table.has_value());
     EXPECT_FALSE(table->deterministic);
 
