@@ -1,13 +1,17 @@
 #include "core/crash_report.hh"
 
 #include <algorithm>
+#include <cfloat>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
+#include "common/sched.hh"
 
 #ifdef _WIN32
 #include <process.h>
@@ -79,8 +83,7 @@ CrashBundle::write(const std::string &dir) const
          << "node_budget=" << nodeBudget << "\n"
          << "seed=" << seed << "\n"
          << "trials=" << trials << "\n"
-         << "sim_threads=" << simThreads << "\n"
-         << "sim_fusion=" << (simFusion ? 1 : 0) << "\n";
+         << "sim_threads=" << simThreads << "\n";
     if (!requestId.empty())
         opts << "request_id=" << requestId << "\n";
     writeFile(fs::path(dir) / kOptionsFile, opts.str());
@@ -123,39 +126,48 @@ CrashBundle::load(const std::string &dir)
                   ": '", line, "'");
         std::string key = line.substr(0, eq);
         std::string val = line.substr(eq + 1);
+        // A number must parse whole and lie in its field's range, as
+        // the triqc flag it stands for must: a misread value would
+        // replay a different invocation.
+        auto number = [&](auto min_value, auto max_value) {
+            const std::string label = "crash report: options.txt line " +
+                                      std::to_string(lineno) + ": " + key;
+            return flagValue(label.c_str(), val.c_str(), min_value,
+                             max_value);
+        };
+        auto boolean = [&] { return number(0, 1) == 1; };
         if (key == "bench")
             b.benchName = val;
         else if (key == "qasm")
-            b.qasm = val == "1";
+            b.qasm = boolean();
         else if (key == "device")
             b.device = val;
         else if (key == "day")
-            b.day = std::atoi(val.c_str());
+            b.day = number(0, INT_MAX);
         else if (key == "level")
             b.level = val;
         else if (key == "mapper")
             b.mapper = val;
         else if (key == "peephole")
-            b.peephole = val == "1";
+            b.peephole = boolean();
         else if (key == "strict_calibration")
-            b.strictCalibration = val == "1";
+            b.strictCalibration = boolean();
         else if (key == "budget_ms")
-            b.budgetMs = std::atof(val.c_str());
+            b.budgetMs = number(0.0, DBL_MAX);
         else if (key == "node_budget")
-            b.nodeBudget = std::atol(val.c_str());
+            b.nodeBudget = number(0L, LONG_MAX);
         else if (key == "seed")
-            b.seed = std::strtoull(val.c_str(), nullptr, 10);
+            b.seed = static_cast<uint64_t>(number(0L, LONG_MAX));
         else if (key == "trials")
-            b.trials = std::atoi(val.c_str());
+            b.trials = number(1, INT_MAX);
         else if (key == "sim_threads")
-            b.simThreads = std::atoi(val.c_str());
-        else if (key == "sim_fusion")
-            b.simFusion = val == "1";
+            b.simThreads = number(0, kMaxThreads);
         else if (key == "request_id")
             b.requestId = val;
         // Unknown keys are skipped so newer bundles load in older
-        // builds, and older bundles' retired keys (sched_mode,
-        // sched_threads, sched_items_per_task) load in newer ones.
+        // builds, and older bundles' retired keys (the adaptive
+        // scheduler's sched_* keys and the fusion switch) load in
+        // newer ones.
     }
 
     if (fs::exists(fs::path(dir) / kEnvironmentFile)) {

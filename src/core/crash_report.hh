@@ -77,11 +77,10 @@ struct CrashBundle
     double budgetMs = 0.0;
     long nodeBudget = 0;
 
-    /** Simulation knobs (--report path). */
+    /** Simulation settings (--report path). */
     uint64_t seed = 12345;
     int trials = 2000;
     int simThreads = 1;
-    bool simFusion = true;
 
     /**
      * Request id when the crash happened serving a triqd request
@@ -110,7 +109,9 @@ struct CrashBundle
 
     /**
      * Load a bundle written by write(). Throws FatalError on a missing
-     * directory, unreadable file or malformed options.txt.
+     * directory, unreadable file or malformed options.txt, including a
+     * number that does not parse whole or lies outside its field's
+     * range (the error names the key and the line).
      */
     static CrashBundle load(const std::string &dir);
 };

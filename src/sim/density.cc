@@ -183,30 +183,50 @@ DensityMatrix::measurementDistribution(
     return out;
 }
 
-double
-exactSuccessProbability(const Circuit &hw, const Device &dev,
-                        const Calibration &calib)
+namespace
+{
+
+/**
+ * A compiled circuit's exact noisy output: the distribution over
+ * measured keys before readout flips, the correct answer (the dominant
+ * ideal outcome) and each key bit's readout error.
+ */
+struct NoisyOutput
+{
+    std::vector<double> dist;
+    uint64_t correct = 0;
+    std::vector<double> roErr;
+};
+
+/**
+ * Evolve the density matrix of `hw` through the error sites the
+ * trajectory executor samples; `caller` names the public function in
+ * errors.
+ */
+NoisyOutput
+evolveNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
+            const char *caller)
 {
     std::vector<ErrorSite> sites =
         collectErrorSites(hw, dev.topology(), calib);
     CompactCircuit cc = compactCircuit(hw);
     if (cc.circuit.numQubits() > DensityMatrix::maxQubits())
-        fatal("exactSuccessProbability: ", cc.circuit.numQubits(),
+        fatal(caller, ": ", cc.circuit.numQubits(),
               " active qubits exceed the density-matrix limit of ",
               DensityMatrix::maxQubits());
     relabelSites(sites, cc.hwToCompact);
     std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
     if (measured.empty())
-        fatal("exactSuccessProbability: circuit measures no qubits");
+        fatal(caller, ": circuit measures no qubits");
 
+    NoisyOutput out;
     // The benchmark's correct answer: dominant ideal marginal outcome.
     std::vector<double> ideal = idealMeasurementDistribution(cc.circuit);
-    uint64_t correct = 0;
     double best = -1.0;
     for (uint64_t k = 0; k < ideal.size(); ++k)
         if (ideal[k] > best) {
             best = ideal[k];
-            correct = k;
+            out.correct = k;
         }
 
     // Sites grouped by preceding gate, as in the executor.
@@ -232,24 +252,56 @@ exactSuccessProbability(const Circuit &hw, const Device &dev,
         }
     }
 
-    std::vector<double> dist = rho.measurementDistribution(measured);
-    // Fold classical readout flips: the observed key matches `correct`
-    // when each bit either matches and survives, or mismatches and
-    // flips.
+    out.dist = rho.measurementDistribution(measured);
+    for (ProgQubit q : measured) {
+        HwQubit hq = cc.compactToHw[static_cast<size_t>(q)];
+        out.roErr.push_back(calib.errRO[static_cast<size_t>(hq)]);
+    }
+    return out;
+}
+
+} // namespace
+
+double
+exactSuccessProbability(const Circuit &hw, const Device &dev,
+                        const Calibration &calib)
+{
+    const NoisyOutput out =
+        evolveNoisy(hw, dev, calib, "exactSuccessProbability");
+    // Fold classical readout flips: the observed key matches the
+    // correct one when each bit either matches and survives, or
+    // mismatches and flips.
     double success = 0.0;
-    for (uint64_t key = 0; key < dist.size(); ++key) {
-        if (dist[key] == 0.0)
+    for (uint64_t key = 0; key < out.dist.size(); ++key) {
+        if (out.dist[key] == 0.0)
             continue;
         double w = 1.0;
-        for (size_t k = 0; k < measured.size(); ++k) {
-            HwQubit hq = cc.compactToHw[static_cast<size_t>(measured[k])];
-            double ro = calib.errRO[static_cast<size_t>(hq)];
-            bool match = ((key >> k) & 1) == ((correct >> k) & 1);
-            w *= match ? 1.0 - ro : ro;
+        for (size_t k = 0; k < out.roErr.size(); ++k) {
+            bool match = (((key ^ out.correct) >> k) & 1) == 0;
+            w *= match ? 1.0 - out.roErr[k] : out.roErr[k];
         }
-        success += dist[key] * w;
+        success += out.dist[key] * w;
     }
     return success;
+}
+
+std::vector<double>
+exactBitFlipProbabilities(const Circuit &hw, const Device &dev,
+                          const Calibration &calib)
+{
+    const NoisyOutput out =
+        evolveNoisy(hw, dev, calib, "exactBitFlipProbabilities");
+    std::vector<double> flips(out.roErr.size(), 0.0);
+    for (uint64_t key = 0; key < out.dist.size(); ++key)
+        for (size_t k = 0; k < flips.size(); ++k)
+            if (((key ^ out.correct) >> k) & 1)
+                flips[k] += out.dist[key];
+    // An observed bit differs when it differs and survives readout, or
+    // matches and flips.
+    for (size_t k = 0; k < flips.size(); ++k)
+        flips[k] = flips[k] * (1.0 - out.roErr[k]) +
+                   (1.0 - flips[k]) * out.roErr[k];
+    return flips;
 }
 
 } // namespace triq

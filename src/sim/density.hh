@@ -96,6 +96,20 @@ class DensityMatrix
 double exactSuccessProbability(const Circuit &hw, const Device &dev,
                                const Calibration &calib);
 
+/**
+ * For the same circuits and noise, the exact probability that each
+ * observed key bit differs from the correct answer (element k for key
+ * bit k), readout flips included: the density-matrix twin of
+ * cliffordBitFlipProbabilities (sim/pauli_frame.hh), at any gate set.
+ * Most faulty trials fail whether or not their replay is right, so a
+ * replay bug moves these rates where it barely moves success.
+ *
+ * @pre As exactSuccessProbability.
+ */
+std::vector<double> exactBitFlipProbabilities(const Circuit &hw,
+                                              const Device &dev,
+                                              const Calibration &calib);
+
 } // namespace triq
 
 #endif // TRIQ_SIM_DENSITY_HH

@@ -24,13 +24,10 @@ namespace
 {
 
 /** Trials per RNG chunk; part of the sampling contract (see header). */
-constexpr int kDefaultChunkSize = 64;
+constexpr int kChunkTrials = 64;
 
 /** Histograms this narrow use a flat per-chunk count vector. */
 constexpr size_t kFlatHistogramBits = 12;
-
-/** Snapshot memory budget for automatic checkpoint spacing. */
-constexpr uint64_t kCheckpointBudgetBytes = 64ull << 20;
 
 /**
  * The frame path needs the correct answer's ideal probability at least
@@ -245,16 +242,16 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
 }
 
 /**
- * The executeNoisy body; `allow_frame` false keeps a Clifford cell on
- * replay. `planned_bytes` reports the reservation the run held, so the
- * public wrapper can attribute a std::bad_alloc that escapes any
- * allocation in here (including ones rethrown from pool workers) to a
- * sized, structured ResourceError.
+ * The executeNoisy body, running the engine layers `layers` turns on.
+ * `planned_bytes` reports the reservation the run held, so the public
+ * wrapper can attribute a std::bad_alloc that escapes any allocation
+ * in here (including ones rethrown from pool workers) to a sized,
+ * structured ResourceError.
  */
 ExecutionResult
 executeNoisyImpl(const Circuit &hw, const Device &dev,
                  const Calibration &calib, int trials, uint64_t seed,
-                 const ExecOptions &opts, bool allow_frame,
+                 const ExecOptions &opts, detail::EngineLayers layers,
                  uint64_t &planned_bytes)
 {
     if (trials < 1)
@@ -298,11 +295,8 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     // Shard trials into chunks; chunk ci owns the RNG stream
     // (seed, ci), and chunks merge in index order below, so the result
-    // is a pure function of (seed, trials, chunk size) — never of the
-    // thread count.
-    const int chunk_size =
-        opts.chunkSize > 0 ? opts.chunkSize : kDefaultChunkSize;
-    const int num_chunks = (trials + chunk_size - 1) / chunk_size;
+    // is a pure function of (seed, trials) — never of the thread count.
+    const int num_chunks = (trials + kChunkTrials - 1) / kChunkTrials;
     const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
     // Reserve the run's predicted peak memory against the process
@@ -334,23 +328,19 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
              "checkpoints)");
     }
 
-    // Ideal reference evolution, snapshotted every K gates so faulty
-    // trajectories can resume mid-circuit. K is chosen so the snapshots
-    // stay within a fixed memory budget; the final state doubles as the
-    // fault-free sampling cache and the benchmark's correct answer.
-    // The ideal pass stays gate-by-gate even with fusion on, so the
-    // checkpoints (and the fault-free sampling cache) are bitwise
-    // independent of the fusion setting.
+    // Ideal reference evolution, snapshotted every `spacing` gates
+    // (0 = never) so faulty trajectories can resume mid-circuit. The
+    // spacing keeps the snapshots within a fixed memory budget
+    // (sim/sim_cost.hh); the low-memory plan takes none. The final
+    // state doubles as the fault-free sampling cache and the
+    // benchmark's correct answer. The ideal pass stays gate-by-gate
+    // even with fusion on, so the checkpoints (and the fault-free
+    // sampling cache) are bitwise independent of fusion.
     const int num_gates = cc.circuit.numGates();
-    StateVector ideal(cc.circuit.numQubits());
-    int interval = low_mem ? -1 : opts.checkpointInterval;
-    if (interval == 0) {
-        uint64_t bytes_per = ideal.dim() * sizeof(Cplx);
-        int max_ckpts = static_cast<int>(std::clamp<uint64_t>(
-            kCheckpointBudgetBytes / std::max<uint64_t>(bytes_per, 1), 1,
-            1024));
-        interval = std::max(1, (num_gates + max_ckpts - 1) / max_ckpts);
-    }
+    StateVector ideal(active_qubits);
+    const int spacing = layers.checkpoints && !low_mem
+                            ? checkpointSpacing(active_qubits, num_gates)
+                            : 0;
     std::vector<Checkpoint> checkpoints;
     auto evolve_ideal = [&](int every) {
         ideal.reset();
@@ -370,9 +360,9 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     // outcome is deterministic, a fault flips fixed key bits, so no
     // trial replays the state.
     std::optional<FlipTable> frame;
-    if (allow_frame)
+    if (layers.frame)
         frame = pauliFlipTable(cc.circuit, sites, measured);
-    evolve_ideal(frame ? -1 : interval);
+    evolve_ideal(frame ? 0 : spacing);
 
     // The benchmark's correct answer: the dominant outcome of the
     // *measured-qubit marginal* (unmeasured ancillas may legitimately
@@ -402,7 +392,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     const bool use_frame =
         frame && ideal_prob >= 1.0 - kDeterministicSlack;
     if (frame && !use_frame)
-        evolve_ideal(interval);
+        evolve_ideal(spacing);
 
     // Injection order: site indices sorted by (gateIdx, site index).
     // Every trial draws its fired sites' Pauli codes and applies their
@@ -416,14 +406,15 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                                 sites[static_cast<size_t>(b)].gateIdx;
                      });
 
+    const bool fuse = layers.gateFusion && !use_frame;
     FusedProgram fused_program;
-    if (opts.fusion && !use_frame) {
-        // Align fused operators to the checkpoint interval so replays
+    if (fuse) {
+        // Align fused operators to the checkpoint spacing so replays
         // resumed from a checkpoint start on an operator boundary. A
-        // per-gate interval would forbid all fusion, so leave operators
+        // per-gate spacing would forbid all fusion, so leave operators
         // unaligned there: a resume or a Pauli inside an operator costs
         // one pass of its split head or tail (FusedProgram::apply).
-        fused_program = FusedProgram(cc.circuit, interval > 1 ? interval : 0);
+        fused_program = FusedProgram(cc.circuit, spacing > 1 ? spacing : 0);
     }
 
     TrajectoryContext ctx;
@@ -434,7 +425,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     ctx.roErr = &ro_err;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
-    ctx.fused = opts.fusion && !use_frame ? &fused_program : nullptr;
+    ctx.fused = fuse ? &fused_program : nullptr;
     ctx.frame = use_frame ? &*frame : nullptr;
     ctx.correctOutcome = ideal_key;
     ctx.flatHistogram = measured.size() <= kFlatHistogramBits;
@@ -444,7 +435,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     std::vector<ChunkStats> stats(static_cast<size_t>(num_chunks));
     res.sched = forEachIndex(threads, num_chunks, [&](int ci) {
         runChunk(ctx, Rng::stream(stream_seed, static_cast<uint64_t>(ci)),
-                 std::min(chunk_size, trials - ci * chunk_size),
+                 std::min(kChunkTrials, trials - ci * kChunkTrials),
                  stats[static_cast<size_t>(ci)]);
     });
 
@@ -490,12 +481,12 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 ExecutionResult
 executeGuarded(const Circuit &hw, const Device &dev,
                const Calibration &calib, int trials, uint64_t seed,
-               const ExecOptions &opts, bool allow_frame)
+               const ExecOptions &opts, detail::EngineLayers layers)
 {
     uint64_t planned_bytes = 0;
     try {
-        return executeNoisyImpl(hw, dev, calib, trials, seed, opts,
-                                allow_frame, planned_bytes);
+        return executeNoisyImpl(hw, dev, calib, trials, seed, opts, layers,
+                                planned_bytes);
     } catch (const std::bad_alloc &) {
         ResourceGovernor &gov = processGovernor();
         std::ostringstream msg;
@@ -523,18 +514,18 @@ ExecutionResult
 executeNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
              int trials, uint64_t seed, const ExecOptions &opts)
 {
-    return executeGuarded(hw, dev, calib, trials, seed, opts, true);
+    return executeGuarded(hw, dev, calib, trials, seed, opts, {});
 }
 
 namespace detail
 {
 
 ExecutionResult
-executeNoisyReplay(const Circuit &hw, const Device &dev,
-                   const Calibration &calib, int trials, uint64_t seed,
-                   const ExecOptions &opts)
+executeNoisyWith(const Circuit &hw, const Device &dev,
+                 const Calibration &calib, int trials, uint64_t seed,
+                 const ExecOptions &opts, EngineLayers layers)
 {
-    return executeGuarded(hw, dev, calib, trials, seed, opts, false);
+    return executeGuarded(hw, dev, calib, trials, seed, opts, layers);
 }
 
 } // namespace detail

@@ -7,21 +7,23 @@
  * the fraction of trials returning the benchmark's correct answer.
  *
  * Performance architecture (see DESIGN.md, "Simulator performance
- * architecture"):
+ * architecture"). The engine always runs every layer it has; only the
+ * detail::executeNoisyWith seam below turns one off, for tests and
+ * micro_trajectory:
  *  - the circuit is compacted onto its active qubits and trials in
  *    which no error site fires reuse the cached ideal state;
- *  - trials are sharded into fixed-size chunks, each owning the RNG
- *    stream Rng::stream(seed, chunk_index); chunks run on the shared
- *    process pool through forEachIndex (common/sched.hh) and merge in
- *    chunk order, so results are bit-identical for any thread count
- *    (ExecOptions::threads);
+ *  - trials are sharded into chunks of 64, each owning the RNG stream
+ *    Rng::stream(seed, chunk_index); chunks run on the shared process
+ *    pool through forEachIndex (common/sched.hh) and merge in chunk
+ *    order, so results are a pure function of (seed, trials), whatever
+ *    the thread count (ExecOptions::threads);
  *  - faulty trajectories resume from the nearest ideal-prefix
  *    checkpoint through their first faulted gate (every Pauli lands
  *    after its gate, so that prefix is fault-free) instead of from
- *    |0...0>;
- *  - gate fusion (sim/fusion.hh, ExecOptions::fusion, default on) rewrites
- *    the compact circuit into fused kernels so each replay makes fewer
- *    passes over the state;
+ *    |0...0>; the spacing keeps the snapshots within a fixed budget
+ *    (checkpointSpacing, sim/sim_cost.hh);
+ *  - gate fusion (sim/fusion.hh) rewrites the compact circuit into
+ *    fused kernels so each replay makes fewer passes over the state;
  *  - a Clifford circuit with a deterministic ideal output takes the
  *    frame path (sim/pauli_frame.hh): a faulty trial's outcome is the
  *    correct answer XOR the fixed flip masks of its faults, so no trial
@@ -128,30 +130,6 @@ struct ExecOptions
     int threads = 1;
 
     /**
-     * Ideal-prefix checkpoint spacing in gates. 0 picks an automatic
-     * value (bounded snapshot memory); negative disables checkpointing
-     * (every faulty trajectory replays from |0...0>). Results are
-     * bit-identical for every value.
-     */
-    int checkpointInterval = 0;
-
-    /**
-     * Trials per RNG chunk (default 64). Part of the sampling contract:
-     * changing it changes which random stream each trial draws from, so
-     * results are only comparable at equal chunk size.
-     */
-    int chunkSize = 0;
-
-    /**
-     * Gate fusion for trajectory replays (default on). Fusion keeps
-     * amplitudes equal to the gate-by-gate path to ~1e-15 per gate (it
-     * reassociates floating-point products), so histograms match the
-     * unfused path for all practical seeds but are not guaranteed
-     * bit-identical.
-     */
-    bool fusion = true;
-
-    /**
      * Ignored: gate kernels run serially inside each trajectory. Kept
      * only because the triqbench `triqd` workload sets it.
      */
@@ -170,7 +148,7 @@ struct ExecOptions
  * @param trials Number of repetitions (the paper uses 8192 on
  *               superconducting machines, 5000 on UMDTI).
  * @param seed RNG seed; fixed seeds make experiments reproducible.
- * @param opts Performance knobs (thread count, checkpoint spacing).
+ * @param opts The worker-thread count.
  *
  * @note Nothing is printed. A circuit without a deterministic ideal
  *       output reports it through idealOutcomeProb, and repaired
@@ -186,14 +164,34 @@ namespace detail
 {
 
 /**
- * Test seam: executeNoisy with the Clifford frame path turned off, so
- * tests can check a Clifford cell's frame histogram against replay.
- * Production code calls executeNoisy.
+ * The engine layers executeNoisy stacks. Each is on by default, and
+ * turning one off changes only the time a run takes: the frame path
+ * and checkpoints keep results bit-identical by construction, fusion
+ * empirically (it reassociates floating-point products, ~1e-15 per
+ * gate).
  */
-ExecutionResult executeNoisyReplay(const Circuit &hw, const Device &dev,
-                                   const Calibration &calib, int trials,
-                                   uint64_t seed = 12345,
-                                   const ExecOptions &opts = {});
+struct EngineLayers
+{
+    /** Clifford frame path for Clifford cells with one correct answer. */
+    bool frame = true;
+
+    /** Replay through fused operators instead of gate by gate. */
+    bool gateFusion = true;
+
+    /** Resume faulty replays from ideal-prefix checkpoints. */
+    bool checkpoints = true;
+};
+
+/**
+ * Test and bench seam: executeNoisy with some engine layers turned
+ * off, so tests can check each layer against the engine without it
+ * and micro_trajectory can time what each one buys. Production code
+ * calls executeNoisy, which runs every layer.
+ */
+ExecutionResult executeNoisyWith(const Circuit &hw, const Device &dev,
+                                 const Calibration &calib, int trials,
+                                 uint64_t seed, const ExecOptions &opts,
+                                 EngineLayers layers);
 
 } // namespace detail
 

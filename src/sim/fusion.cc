@@ -276,7 +276,7 @@ fusible(const Item &it)
 /**
  * Whether one fused operator may cover original gates [lo, hi): bounded
  * by the span cap, and never crossing an alignment boundary (checkpoint
- * interval) when one is set.
+ * spacing) when one is set.
  */
 bool
 spanAllowed(int lo, int hi, int align)

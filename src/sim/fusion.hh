@@ -77,7 +77,7 @@ class FusedProgram
     /**
      * Fuse `c` (kept by copy, so the program owns its fallback path).
      * When `align` > 0, fused operators never span gate indices that
-     * are multiples of it. The executor passes its checkpoint interval
+     * are multiples of it. The executor passes its checkpoint spacing
      * (when above 1) so replays resumed from a checkpoint always start
      * on an operator boundary.
      */

@@ -32,11 +32,14 @@ satShift(int exp)
 }
 
 /**
- * Mirror of the executor's checkpoint budget (sim/executor.cc): ideal
- * snapshots are spaced to fit this cap, and circuits whose single
- * state exceeds it get no checkpoints at all.
+ * Snapshot memory for executeNoisy's ideal-prefix checkpoints:
+ * checkpointSpacing fits the snapshots into it, and a circuit whose
+ * single state fills it gets no checkpoints at all.
  */
 constexpr uint64_t kCheckpointBudgetBytes = 64ull << 20;
+
+/** Most snapshots one run takes, however small its state. */
+constexpr uint64_t kMaxCheckpoints = 1024;
 
 } // namespace
 
@@ -54,6 +57,16 @@ densityMatrixBytes(int qubits)
     if (qubits < 1)
         return 0;
     return satShift(2 * qubits + 4); // 4^n entries x 16 B
+}
+
+int
+checkpointSpacing(int active_qubits, int num_gates)
+{
+    const uint64_t per_state =
+        std::max<uint64_t>(stateVectorBytes(active_qubits), 1);
+    const int max_ckpts = static_cast<int>(std::clamp<uint64_t>(
+        kCheckpointBudgetBytes / per_state, 1, kMaxCheckpoints));
+    return std::max(1, (num_gates + max_ckpts - 1) / max_ckpts);
 }
 
 uint64_t

@@ -29,12 +29,20 @@ uint64_t stateVectorBytes(int qubits);
 uint64_t densityMatrixBytes(int qubits);
 
 /**
+ * Ideal-prefix checkpoint spacing, in gates, for executeNoisy over a
+ * compact circuit of `active_qubits` qubits and `num_gates` gates: the
+ * smallest spacing whose snapshots (at most 1024) fit the 64 MiB
+ * checkpoint budget, and at least 1. A circuit whose single state
+ * fills the budget gets spacing `num_gates`, so it takes no snapshot.
+ */
+int checkpointSpacing(int active_qubits, int num_gates);
+
+/**
  * Predicted peak committed bytes for executeNoisy over a compact
  * circuit of `active_qubits` qubits fanned out across `workers`
  * concurrent trial chunks: the cached ideal state, the one trajectory
- * state each running chunk allocates, and the executor's bounded
- * checkpoint budget (charged only when the executor would actually
- * take checkpoints).
+ * state each running chunk allocates, and the checkpoint budget
+ * (charged only when checkpointSpacing leaves room for a snapshot).
  */
 uint64_t predictSimulationBytes(int active_qubits, int workers);
 

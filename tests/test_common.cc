@@ -378,13 +378,14 @@ TEST(Env, FlagValueRejectsMalformedAndOutOfRangeValues)
 {
     EXPECT_EQ(flagValue("--day", "3", 0), 3);
     EXPECT_EQ(flagValue("--node-budget", "1000000", 1L), 1000000L);
-    EXPECT_EQ(flagValue("--sim-fusion", "-1", -1, 1), -1);
+    EXPECT_EQ(flagValue("--sim-threads", "256", 0, 256), 256);
     EXPECT_DOUBLE_EQ(flagValue("--budget-ms", "2.5", 0.0), 2.5);
     EXPECT_DOUBLE_EQ(flagValue<double>("--drift", "-1"), -1.0);
     for (const char *bad : {"1e6", "abc", "-5", ""})
         EXPECT_THROW(flagValue("--node-budget", bad, 1L), FatalError)
             << "value: " << bad;
-    EXPECT_THROW(flagValue("--sim-fusion", "2", -1, 1), FatalError);
+    EXPECT_THROW(flagValue("--sim-threads", "257", 0, 256), FatalError);
+    EXPECT_THROW(flagValue("--sim-threads", "-1", 0, 256), FatalError);
     EXPECT_THROW(flagValue("--budget-ms", "abc", 0.0), FatalError);
     // Past INT_MAX an int flag is rejected, never truncated.
     EXPECT_THROW(flagValue("--day", "4294967296", 0), FatalError);

@@ -16,14 +16,18 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "core/compiler.hh"
 #include "core/crash_report.hh"
 #include "device/machines.hh"
 #include "service/server.hh"
+#include "sim/executor.hh"
+#include "workloads/benchmarks.hh"
 
 using namespace triq;
 namespace fs = std::filesystem;
@@ -102,7 +106,6 @@ TEST(CrashReport, BundleRoundTripsEveryField)
     b.seed = 0xDEADBEEFull;
     b.trials = 777;
     b.simThreads = 3;
-    b.simFusion = false;
     b.error = "test panic message";
 
     TempDir tmp;
@@ -132,7 +135,6 @@ TEST(CrashReport, BundleRoundTripsEveryField)
     EXPECT_EQ(r.seed, b.seed);
     EXPECT_EQ(r.trials, b.trials);
     EXPECT_EQ(r.simThreads, b.simThreads);
-    EXPECT_EQ(r.simFusion, b.simFusion);
 }
 
 TEST(CrashReport, BenchOnlyBundleOmitsProgramFile)
@@ -181,14 +183,16 @@ TEST(CrashReport, RequestIdAndEnvRoundTrip)
 TEST(CrashReport, RetiredSchedKeysStillLoad)
 {
     // Bundles from builds with the adaptive scheduler carry three
-    // sched_* option keys; they must still load, minus those keys.
+    // sched_* option keys, and bundles from builds with a fusion switch
+    // carry its key; they must still load, minus those keys (such a
+    // bundle replays fused).
     TempDir tmp;
     fs::path dir = tmp.path / "bundle";
     fs::create_directories(dir);
     std::ofstream(dir / "options.txt")
         << "bench=BV4\ndevice=IBMQ14\nsim_threads=0\n"
            "request_id=c3-r17\nsched_mode=threaded\nsched_threads=4\n"
-           "sched_items_per_task=8\ntrials=64\n";
+           "sched_items_per_task=8\nsim_fusion=0\ntrials=64\n";
 
     CrashBundle r = CrashBundle::load(dir.string());
     EXPECT_EQ(r.benchName, "BV4");
@@ -196,6 +200,41 @@ TEST(CrashReport, RetiredSchedKeysStillLoad)
     EXPECT_EQ(r.simThreads, 0);
     EXPECT_EQ(r.requestId, "c3-r17");
     EXPECT_EQ(r.trials, 64);
+}
+
+TEST(CrashReport, LoadRejectsMalformedNumbers)
+{
+    // Each number must parse whole and lie in its field's range; the
+    // error names the key and the line, never replays a misread value.
+    const char *bad[] = {
+        "day=3x",          "day=-1",         "trials=abc",
+        "trials=0",        "sim_threads=257", "sim_threads=1.5",
+        "seed=-7",         "seed=12x",        "node_budget=1e6",
+        "budget_ms=fast",  "peephole=yes",    "qasm=2",
+    };
+    TempDir tmp;
+    fs::path dir = tmp.path / "bundle";
+    fs::create_directories(dir);
+    for (const char *line : bad) {
+        SCOPED_TRACE(line);
+        std::ofstream(dir / "options.txt")
+            << "bench=BV4\ndevice=IBMQ5\n" << line << "\n";
+        const std::string key(line, std::strchr(line, '=') - line);
+        try {
+            CrashBundle::load(dir.string());
+            ADD_FAILURE() << "loaded";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("line 3: " + key), std::string::npos) << msg;
+        }
+    }
+    std::ofstream(dir / "options.txt")
+        << "bench=BV4\nday=0\ntrials=1\nsim_threads=256\nseed=0\n"
+           "budget_ms=0.5\nnode_budget=0\n";
+    CrashBundle r = CrashBundle::load(dir.string());
+    EXPECT_EQ(r.simThreads, 256);
+    EXPECT_EQ(r.trials, 1);
+    EXPECT_DOUBLE_EQ(r.budgetMs, 0.5);
 }
 
 TEST(CrashReport, CliBundlesOmitServerOnlyFields)
@@ -393,6 +432,42 @@ TEST(CrashReport, ReplayOfBenchBundleMatchesDirectRun)
     EXPECT_EQ(rc, 0);
     EXPECT_EQ(slurp(replay_out), slurp(direct_out));
     EXPECT_FALSE(slurp(replay_out).empty());
+}
+
+TEST(CrashReport, ReplaySimulatesAtTheBundleSeed)
+{
+    // --report's simulation on replay runs at the bundle's seed, so the
+    // predicted success equals an in-process executeNoisy at that seed.
+    const Device dev = makeIbmQ5();
+    const Calibration calib = dev.calibrate(2);
+    CompileResult res = compileForDevice(makeBenchmark("Peres"), dev, calib,
+                                         CompileOptions{});
+    TempDir tmp;
+    for (uint64_t seed : {7, 8}) {
+        SCOPED_TRACE(seed);
+        CrashBundle b;
+        b.benchName = "Peres";
+        b.device = dev.name();
+        b.day = 2;
+        b.trials = 300;
+        b.seed = seed;
+        const std::string bundle =
+            (tmp.path / ("bundle" + std::to_string(seed))).string();
+        b.write(bundle);
+
+        const std::string err = (tmp.path / "replay.err").string();
+        ASSERT_EQ(runCmd(std::string(TRIQ_TRIQC_PATH) + " --replay " +
+                         bundle + " --report -o /dev/null 2> " + err),
+                  0);
+        std::ostringstream expected;
+        expected << "pred. success:  "
+                 << executeNoisy(res.hwCircuit, dev, calib, 300, seed)
+                        .successRate
+                 << " (300 trials)";
+        EXPECT_NE(slurp(err).find(expected.str()), std::string::npos)
+            << "expected '" << expected.str() << "' in:\n"
+            << slurp(err);
+    }
 }
 
 TEST(CrashReport, ServerModeBundleReplaysThroughTriqc)

@@ -3,7 +3,8 @@
  * Density-matrix simulator tests: pure-state agreement with the
  * state-vector simulator, channel algebra (trace preservation,
  * dephasing semantics), and the headline cross-validation — the
- * Monte-Carlo executor's success rate converges to the exact value.
+ * Monte-Carlo executor's success rate and per-bit flip rates converge
+ * to the exact values.
  */
 
 #include <cmath>
@@ -108,8 +109,11 @@ class ExecutorConvergence
 TEST_P(ExecutorConvergence, MonteCarloMatchesExact)
 {
     // The headline cross-validation: run the full compile pipeline,
-    // compute the exact noise-averaged success probability, and check
-    // the sampling executor lands within Monte-Carlo error.
+    // compute the exact noise-averaged success probability and per-bit
+    // flip probabilities, and check the sampling executor lands within
+    // Monte-Carlo error. Most faulty trials fail whether or not their
+    // replay is right, so a replay bug shows in the per-bit rates long
+    // before it moves success.
     Device dev = makeIbmQ5();
     Calibration calib = dev.calibrate(4);
     Circuit program = makeBenchmark(GetParam());
@@ -121,9 +125,24 @@ TEST_P(ExecutorConvergence, MonteCarloMatchesExact)
     const int trials = 20000;
     ExecutionResult mc =
         executeNoisy(res.hwCircuit, dev, calib, trials, 2026);
-    double sigma = std::sqrt(exact * (1.0 - exact) / trials);
-    EXPECT_NEAR(mc.successRate, exact, 5.0 * sigma + 1e-6)
+    auto within_five_sigma = [&](double observed, double p) {
+        return std::abs(observed - p) <=
+               5.0 * std::sqrt(p * (1.0 - p) / trials) + 1e-6;
+    };
+    EXPECT_TRUE(within_five_sigma(mc.successRate, exact))
         << "exact=" << exact << " mc=" << mc.successRate;
+    const std::vector<double> flips =
+        exactBitFlipProbabilities(res.hwCircuit, dev, calib);
+    ASSERT_EQ(flips.size(), res.hwCircuit.measuredQubits().size());
+    for (size_t k = 0; k < flips.size(); ++k) {
+        int flipped = 0;
+        for (const auto &[key, count] : mc.histogram)
+            if (((key ^ mc.correctOutcome) >> k) & 1)
+                flipped += count;
+        const double rate = static_cast<double>(flipped) / trials;
+        EXPECT_TRUE(within_five_sigma(rate, flips[k]))
+            << "key bit " << k << ": exact=" << flips[k] << " mc=" << rate;
+    }
     // ESP never exceeds the exact success probability by much: ESP
     // counts every fault as fatal.
     EXPECT_LT(mc.esp, exact + 0.02);

@@ -237,29 +237,22 @@ TEST(Executor, BitIdenticalAcrossThreadCounts)
     Circuit program = makeBenchmark("Peres");
     CompileOptions opts;
     CompileResult res = compileForDevice(program, dev, c, opts);
-    ExecOptions serial;
-    serial.threads = 1;
-    serial.fusion = true;
-    ExecutionResult base =
-        executeNoisy(res.hwCircuit, dev, c, 1500, 99, serial);
+    ExecutionResult base = executeNoisy(res.hwCircuit, dev, c, 1500, 99);
     EXPECT_GT(base.simulatedTrajectories, 0);
     // Threaded fused runs must match bit for bit, and so must an
     // unfused serial run. Fusion reassociates floating point, so that
     // last equality is empirical (a uniform draw would have to land
     // within ~1e-13 of a cumulative-probability boundary to flip), not
     // algebraic.
-    std::vector<ExecOptions> runs;
+    std::vector<ExecutionResult> runs;
     for (int threads : {2, 8}) {
-        ExecOptions t = serial;
+        ExecOptions t;
         t.threads = threads;
-        runs.push_back(t);
+        runs.push_back(executeNoisy(res.hwCircuit, dev, c, 1500, 99, t));
     }
-    ExecOptions unfused = serial;
-    unfused.fusion = false;
-    runs.push_back(unfused);
-    for (const ExecOptions &o : runs) {
-        ExecutionResult r =
-            executeNoisy(res.hwCircuit, dev, c, 1500, 99, o);
+    runs.push_back(detail::executeNoisyWith(res.hwCircuit, dev, c, 1500, 99,
+                                            {}, {.gateFusion = false}));
+    for (const ExecutionResult &r : runs) {
         EXPECT_DOUBLE_EQ(r.successRate, base.successRate);
         EXPECT_EQ(r.simulatedTrajectories, base.simulatedTrajectories);
         EXPECT_EQ(r.correctOutcome, base.correctOutcome);
@@ -292,21 +285,20 @@ TEST(Executor, CheckpointedReplayMatchesFullReplay)
     }
     circ.add(Gate::measure(0));
     circ.add(Gate::measure(1));
-    // Fusion off keeps the replay strictly gate by gate.
-    ExecOptions full;
-    full.checkpointInterval = -1; // replay from |00> every time
-    full.fusion = false;
-    ExecutionResult a = executeNoisy(circ, dev, c, 800, 21, full);
+    // Fusion off keeps the replay strictly gate by gate. The automatic
+    // spacing of a 2-qubit state is one gate, so checkpointed replays
+    // resume right after their first faulted gate; a resume that lands
+    // before it (spacing > 1) is pinned by
+    // GoldenHistogram.WideNonCliffordIsBitIdentical.
+    ExecutionResult a =
+        detail::executeNoisyWith(circ, dev, c, 800, 21, {},
+                                 {.gateFusion = false, .checkpoints = false});
     EXPECT_EQ(a.simulatedTrajectories, a.trials);
-    for (int interval : {1, 2, 5, 0}) {
-        ExecOptions ck;
-        ck.checkpointInterval = interval;
-        ck.fusion = false;
-        ExecutionResult b = executeNoisy(circ, dev, c, 800, 21, ck);
-        EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
-        EXPECT_EQ(b.simulatedTrajectories, a.simulatedTrajectories);
-        EXPECT_EQ(b.histogram, a.histogram);
-    }
+    ExecutionResult b = detail::executeNoisyWith(circ, dev, c, 800, 21, {},
+                                                 {.gateFusion = false});
+    EXPECT_DOUBLE_EQ(b.successRate, a.successRate);
+    EXPECT_EQ(b.simulatedTrajectories, a.simulatedTrajectories);
+    EXPECT_EQ(b.histogram, a.histogram);
 }
 
 // ---------------------------------------------------------------------

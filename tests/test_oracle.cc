@@ -69,11 +69,17 @@ TEST(CliffordOracle, MatchesDensityMatrixOnStudyCliffordCells)
             EXPECT_NEAR(*oracle,
                         exactSuccessProbability(res.hwCircuit, dev, calib),
                         1e-12);
-            // The per-bit rates against sampling at the golden trial
-            // counts.
+            // The per-bit rates against the density matrix, and against
+            // sampling at the golden trial counts.
             std::optional<std::vector<double>> bit_flips =
                 cliffordBitFlipProbabilities(res.hwCircuit, dev, calib);
             ASSERT_TRUE(bit_flips.has_value());
+            const std::vector<double> exact_flips =
+                exactBitFlipProbabilities(res.hwCircuit, dev, calib);
+            ASSERT_EQ(exact_flips.size(), bit_flips->size());
+            for (size_t k = 0; k < exact_flips.size(); ++k)
+                EXPECT_NEAR((*bit_flips)[k], exact_flips[k], 1e-12)
+                    << "key bit " << k;
             const int trials = dev.name() == "UMDTI" ? 5000 : 8192;
             ExecutionResult r =
                 executeNoisy(res.hwCircuit, dev, calib, trials, 2019);
@@ -130,9 +136,8 @@ expectReplayNearOracle(const Circuit &program, int compact_qubits,
     ASSERT_TRUE(success.has_value() && bit_flips.has_value());
     ExecOptions exec;
     exec.threads = 0;
-    exec.fusion = true;
-    ExecutionResult r = detail::executeNoisyReplay(res.hwCircuit, dev, calib,
-                                                   trials, 2019, exec);
+    ExecutionResult r = detail::executeNoisyWith(
+        res.hwCircuit, dev, calib, trials, 2019, exec, {.frame = false});
     ASSERT_GT(r.simulatedTrajectories, trials / 4);
     EXPECT_TRUE(withinFiveSigma(r.successRate, *success, trials))
         << "success";

@@ -2,8 +2,8 @@
  * @file
  * The Clifford frame path: gate recognition, flip masks checked against
  * injected Paulis, and frame histograms checked bit for bit against
- * trajectory replay (detail::executeNoisyReplay) on the study's
- * Clifford cells and on random Clifford programs.
+ * trajectory replay (detail::executeNoisyWith, frame layer off) on the
+ * study's Clifford cells and on random Clifford programs.
  */
 
 #include <string>
@@ -222,10 +222,9 @@ frameMatchesReplay(const Circuit &hw, const Device &dev,
 {
     ExecutionResult frame = executeNoisy(hw, dev, calib, trials, seed);
     for (bool fusion : {true, false}) {
-        ExecOptions opts;
-        opts.fusion = fusion;
-        ExecutionResult replay =
-            detail::executeNoisyReplay(hw, dev, calib, trials, seed, opts);
+        ExecutionResult replay = detail::executeNoisyWith(
+            hw, dev, calib, trials, seed, {},
+            {.frame = false, .gateFusion = fusion});
         SCOPED_TRACE(fusion ? "fused replay" : "unfused replay");
         EXPECT_EQ(frame.histogram, replay.histogram);
         EXPECT_EQ(frame.successRate, replay.successRate);
@@ -311,8 +310,8 @@ TEST(FrameVsReplay, NonDeterministicCliffordCircuitStaysOnReplay)
     EXPECT_FALSE(table->deterministic);
 
     ExecutionResult r = executeNoisy(res.hwCircuit, dev, calib, 2000, 7);
-    ExecutionResult replay =
-        detail::executeNoisyReplay(res.hwCircuit, dev, calib, 2000, 7);
+    ExecutionResult replay = detail::executeNoisyWith(
+        res.hwCircuit, dev, calib, 2000, 7, {}, {.frame = false});
     EXPECT_NEAR(r.idealOutcomeProb, 0.5, 1e-9);
     EXPECT_EQ(r.histogram, replay.histogram);
     EXPECT_GT(r.histogram[0], 700);

@@ -20,7 +20,10 @@
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
+#include "sim/compact.hh"
 #include "sim/executor.hh"
+#include "sim/noise.hh"
+#include "sim/pauli_frame.hh"
 #include "sim/sim_cost.hh"
 #include "workloads/benchmarks.hh"
 
@@ -230,6 +233,22 @@ TEST(SimCost, PredictionsOrderedAndMonotonic)
     EXPECT_EQ(predictLowMemSimulationBytes(72), ~uint64_t{0});
 }
 
+TEST(SimCost, CheckpointSpacingFitsTheBudget)
+{
+    // Small states: at most 1024 snapshots, at least one gate apart.
+    EXPECT_EQ(checkpointSpacing(2, 20), 1);
+    EXPECT_EQ(checkpointSpacing(4, 4096), 4);
+    // 17 qubits: 2 MiB per state, 32 snapshots in 64 MiB.
+    EXPECT_EQ(checkpointSpacing(17, 1000), 32);
+    // From 22 qubits one state fills the budget: the spacing is the
+    // whole circuit, so no snapshot is taken, and the prediction
+    // charges no checkpoint memory.
+    EXPECT_EQ(checkpointSpacing(22, 500), 500);
+    EXPECT_EQ(predictSimulationBytes(22, 1), 2 * stateVectorBytes(22));
+    EXPECT_EQ(predictSimulationBytes(21, 1),
+              2 * stateVectorBytes(21) + (64ull << 20));
+}
+
 // ---------------------------------------------------------------------
 // Admission cost model.
 // ---------------------------------------------------------------------
@@ -271,31 +290,57 @@ TEST(CostModel, DegradedPlanAdmitsWhatFullPlanCannot)
 namespace
 {
 
-ExecutionResult
-runBV8(int threads)
+/** A benchmark compiled for IBMQ14 at day 0. */
+struct Ibmq14Cell
 {
     Device dev = makeIbmQ14();
     Calibration calib = dev.calibrate(0);
-    CompileOptions opts;
-    CompileResult res =
-        compileForDevice(makeBenchmark("BV8"), dev, calib, opts);
-    ExecOptions eo;
-    eo.threads = threads;
-    return executeNoisy(res.hwCircuit, dev, calib, 500, 99, eo);
-}
+    CompileResult res;
+
+    explicit Ibmq14Cell(const char *name)
+        : res(compileForDevice(makeBenchmark(name), dev, calib,
+                               CompileOptions{}))
+    {
+    }
+
+    /** 500 trials at seed 99. */
+    ExecutionResult
+    run(int threads) const
+    {
+        ExecOptions eo;
+        eo.threads = threads;
+        return executeNoisy(res.hwCircuit, dev, calib, 500, 99, eo);
+    }
+};
 
 } // namespace
 
 TEST(ExecutorGovernor, LowMemoryPlanIsBitIdentical)
 {
-    ExecutionResult full = runBV8(2);
+    // QFT has 4 compact qubits here and is not Clifford, so neither
+    // plan takes the frame path: the full plan replays faulty trials
+    // from checkpoints, the low-memory plan from |0...0>.
+    const Ibmq14Cell qft("QFT");
+    CompactCircuit cc = compactCircuit(qft.res.hwCircuit);
+    ASSERT_EQ(cc.circuit.numQubits(), 4);
+    std::vector<ErrorSite> sites =
+        collectErrorSites(qft.res.hwCircuit, qft.dev.topology(), qft.calib);
+    relabelSites(sites, cc.hwToCompact);
+    ASSERT_FALSE(
+        pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits()));
+
+    ExecutionResult full = qft.run(2);
+    EXPECT_EQ(full.sched.threads, 2);
+    EXPECT_GT(full.simulatedTrajectories, 0);
     // A budget that fits the low-memory plan but not the full plan
     // forces the degraded path (serial, no checkpoints), which must
     // produce bit-identical results.
     BudgetGuard guard(1ull << 20);
-    ExecutionResult degraded = runBV8(2);
+    ExecutionResult degraded = qft.run(2);
+    EXPECT_EQ(degraded.sched.threads, 1);
     EXPECT_EQ(full.histogram, degraded.histogram);
     EXPECT_EQ(full.successRate, degraded.successRate);
+    EXPECT_EQ(full.simulatedTrajectories, degraded.simulatedTrajectories);
     EXPECT_EQ(full.esp, degraded.esp);
 }
 
@@ -303,7 +348,7 @@ TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)
 {
     BudgetGuard guard(1024); // fits nothing
     try {
-        runBV8(1);
+        Ibmq14Cell("BV8").run(1);
         FAIL() << "expected ResourceError";
     } catch (const ResourceError &e) {
         EXPECT_GT(e.attemptedBytes, 1024ull);
@@ -315,6 +360,6 @@ TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)
 
 TEST(ExecutorGovernor, ReservationsDrainAfterSuccessfulRun)
 {
-    runBV8(2);
+    Ibmq14Cell("BV8").run(2);
     EXPECT_EQ(processGovernor().committedBytes(), 0ull);
 }

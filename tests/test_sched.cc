@@ -188,16 +188,18 @@ TEST(SchedEnv, SimThreadsZeroMeansHardwareThreads)
     copts.emitAssembly = false;
     CompileResult compiled =
         compileForDevice(makeBenchmark("BV4"), dev, calib, copts);
-    const int trials = 64;
+    // 64 chunks of 64 trials: more chunks than any test box has
+    // hardware threads.
+    const int chunks = 64;
     auto workers = [&](const ExecOptions &eo) {
-        return executeNoisy(compiled.hwCircuit, dev, calib, trials, 5, eo)
+        return executeNoisy(compiled.hwCircuit, dev, calib, 64 * chunks, 5,
+                            eo)
             .sched.threads;
     };
     ExecOptions eo;
-    eo.chunkSize = 1;
     EXPECT_EQ(workers(eo), 1);
     eo.threads = 0;
-    EXPECT_EQ(workers(eo), std::min(ThreadPool::hardwareThreads(), trials));
+    EXPECT_EQ(workers(eo), std::min(ThreadPool::hardwareThreads(), chunks));
 }
 
 /**

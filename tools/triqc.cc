@@ -25,13 +25,13 @@
  *   --trials N           trials for the success prediction (default 2000)
  *   --sim-threads N      simulator worker threads for the prediction
  *                        (0..256, default 1; 0 = one per hardware thread)
- *   --sim-fusion N       gate fusion for the prediction (1 on, 0 off)
  *   -o FILE              write assembly to FILE instead of stdout
  *
  * Internal errors (PanicError — a TriQ bug, exit code 2) dump a crash
  * report to triq-crash-<pid>/ (program text, calibration snapshot,
  * options, seed); `triqc --replay <dir>` re-runs that exact invocation
- * from the bundle. See src/core/crash_report.hh.
+ * from the bundle, its simulation seed included. See
+ * src/core/crash_report.hh.
  */
 
 #include <cstring>
@@ -74,7 +74,7 @@ struct Args
     int day = 0;
     int trials = 2000;
     int simThreads = 1; // 0 = one per hardware thread
-    bool simFusion = true;
+    uint64_t seed = 12345; // --replay takes the bundle's
     double budgetMs = 0.0; // 0 = unlimited
     long nodeBudget = 0;   // 0 = engine default
     bool strictCalibration = false;
@@ -115,8 +115,6 @@ usage()
         "                      0..256 (default 1; 0 = one per hardware\n"
         "                      thread; results are identical for any\n"
         "                      value)\n"
-        "  --sim-fusion N      gate fusion for --report trajectories:\n"
-        "                      1 on, 0 off (default 1)\n"
         "  --crash-dir DIR     where an internal-error crash report is\n"
         "                      written (default triq-crash-<pid>/)\n"
         "  --replay DIR        re-run the invocation captured in a\n"
@@ -169,8 +167,6 @@ parseArgs(int argc, char **argv)
         else if (!std::strcmp(arg, "--sim-threads"))
             a.simThreads =
                 flagValue(arg, need_value(i, arg), 0, kMaxThreads);
-        else if (!std::strcmp(arg, "--sim-fusion"))
-            a.simFusion = flagValue(arg, need_value(i, arg), 0, 1) == 1;
         else if (!std::strcmp(arg, "--crash-dir"))
             a.crashDir = need_value(i, arg);
         else if (!std::strcmp(arg, "--replay"))
@@ -274,7 +270,7 @@ run(int argc, char **argv)
         args.nodeBudget = b.nodeBudget;
         args.trials = b.trials;
         args.simThreads = b.simThreads;
-        args.simFusion = b.simFusion;
+        args.seed = b.seed;
         args.inputFile =
             b.hasProgram ? args.replayDir + "/program.txt" : "";
         args.calibrationFile =
@@ -300,10 +296,9 @@ run(int argc, char **argv)
     g_crash.strictCalibration = args.strictCalibration;
     g_crash.budgetMs = args.budgetMs;
     g_crash.nodeBudget = args.nodeBudget;
-    g_crash.seed = 12345; // executeNoisy seed below
+    g_crash.seed = args.seed;
     g_crash.trials = args.trials;
     g_crash.simThreads = args.simThreads;
-    g_crash.simFusion = args.simFusion;
     g_crash.envKnobs = captureTriqEnv();
 
     // Optional fault injection (TRIQ_FAULT env): corrupts the inputs
@@ -398,10 +393,9 @@ run(int argc, char **argv)
     if (args.report) {
         ExecOptions exec_opts;
         exec_opts.threads = args.simThreads;
-        exec_opts.fusion = args.simFusion;
-        ExecutionResult run =
-            executeNoisy(res.hwCircuit, dev, calib, args.trials, 12345,
-                         exec_opts);
+        ExecutionResult run = executeNoisy(res.hwCircuit, dev, calib,
+                                           args.trials, args.seed,
+                                           exec_opts);
         std::cerr << "== triqc report ==\n"
                   << "program:        " << program.name() << " ("
                   << program.numQubits() << " qubits)\n"
