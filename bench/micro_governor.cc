@@ -79,28 +79,20 @@ try {
     }
 
     // --- admission latency: the per-request predicate, over the mix a
-    // daemon actually sees (small fits, wide rejects).
-    struct Probe
-    {
-        int qubits, workers;
-    };
-    const Probe probes[] = {
-        {5, 1},  // small simulate — always fits
-        {14, 4}, // mid-size threaded simulate
-        {72, 1}, // fig13-wide — rejects under a budget
-        {16, 1}, // mid-size serial simulate
-    };
+    // daemon actually sees (small fits, wide rejects): qubit counts of
+    // a small, two mid-size and a fig13-wide simulate.
+    const int probes[] = {5, 14, 72, 16};
     volatile uint64_t sink = 0; // keep the verdicts from being elided
     // Create the process governor once so the measurement is
     // steady-state.
-    sink = sink + checkAdmission(5, 1).predictedBytes;
+    sink = sink + checkAdmission(5).predictedBytes;
 
     std::vector<double> us;
     us.reserve(static_cast<size_t>(iters));
     for (int i = 0; i < iters; ++i) {
-        const Probe &p = probes[static_cast<size_t>(i) % 4];
+        const int qubits = probes[static_cast<size_t>(i) % 4];
         auto t0 = std::chrono::steady_clock::now();
-        AdmissionVerdict v = checkAdmission(p.qubits, p.workers);
+        AdmissionVerdict v = checkAdmission(qubits);
         auto t1 = std::chrono::steady_clock::now();
         sink = sink + v.predictedBytes;
         us.push_back(

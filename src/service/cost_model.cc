@@ -8,25 +8,19 @@ namespace triq
 {
 
 AdmissionVerdict
-checkAdmission(int active_qubits, int workers)
+checkAdmission(int active_qubits)
 {
     AdmissionVerdict v;
     ResourceGovernor &gov = processGovernor();
     v.budgetBytes = gov.budgetBytes();
-    v.predictedBytes = predictSimulationBytes(active_qubits, workers);
-    if (v.budgetBytes == 0 || gov.wouldFit(v.predictedBytes))
-        return v;
-    // The full plan does not fit, but the executor degrades to a
-    // serial low-memory plan before giving up — admit iff that fits.
-    uint64_t low = predictLowMemSimulationBytes(active_qubits);
-    if (gov.wouldFit(low))
+    v.predictedBytes = predictSimulationBytes(active_qubits, 1, 0);
+    if (gov.wouldFit(v.predictedBytes))
         return v;
     v.fits = false;
     std::ostringstream msg;
     msg << "predicted simulation memory "
-        << formatBytes(v.predictedBytes) << " (" << formatBytes(low)
-        << " degraded) exceeds the memory budget "
-        << formatBytes(v.budgetBytes);
+        << formatBytes(v.predictedBytes)
+        << " exceeds the memory budget " << formatBytes(v.budgetBytes);
     v.reason = msg.str();
     return v;
 }

@@ -6,9 +6,12 @@
  * `server.budget` error instead of queueing it until the allocator (or
  * the kernel) kills the daemon.
  *
- * The memory formulas live in sim/sim_cost.hh — executeNoisy reserves
- * exactly what admission checks, so the layers cannot disagree. See
- * DESIGN.md, "Resource governor", for the formulas.
+ * The memory formula lives in sim/sim_cost.hh: every executeNoisy plan
+ * holds (1 + workers + K) state vectors and reserves exactly that.
+ * Admission checks the smallest plan, the low-memory one (one worker,
+ * no checkpoints: two states), because the executor falls back to it
+ * whenever a larger plan does not fit. See DESIGN.md, "Resource
+ * governor".
  */
 
 #ifndef TRIQ_SERVICE_COST_MODEL_HH
@@ -32,12 +35,11 @@ struct AdmissionVerdict
 };
 
 /**
- * Check a simulate request against the process memory budget:
- * `active_qubits` wide, fanned out over `workers` chunks. Considers the
- * executor's degraded low-memory plan before rejecting: a request only
- * fails admission when even the fallback cannot fit.
+ * Check a simulate request `active_qubits` wide against the process
+ * memory budget. It fails only when the executor's low-memory plan
+ * (predictSimulationBytes(active_qubits, 1, 0)) cannot fit.
  */
-AdmissionVerdict checkAdmission(int active_qubits, int workers);
+AdmissionVerdict checkAdmission(int active_qubits);
 
 } // namespace triq
 

@@ -342,9 +342,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
         } catch (const FatalError &) {
         }
         if (qubits > 0) {
-            // Workers = 1: triqd executes each request serially (see
-            // executeCompileOrSimulate).
-            AdmissionVerdict v = checkAdmission(qubits, 1);
+            AdmissionVerdict v = checkAdmission(qubits);
             if (!v.fits) {
                 {
                     std::lock_guard<std::mutex> lock(statsMutex_);

@@ -46,13 +46,6 @@ outcomeKey(uint64_t basis, const std::vector<ProgQubit> &measured)
     return key;
 }
 
-/** An ideal-evolution snapshot taken after `gatesApplied` gates. */
-struct Checkpoint
-{
-    int gatesApplied;
-    StateVector state;
-};
-
 /** Read-only per-call context shared by every chunk. */
 struct TrajectoryContext
 {
@@ -62,8 +55,8 @@ struct TrajectoryContext
     const std::vector<ProgQubit> *measured;
     const std::vector<double> *roErr;
     const StateVector *ideal;
-    const std::vector<Checkpoint> *checkpoints; // ascending gatesApplied
-    const FusedProgram *fused;                  // null = replay plain gates
+    const std::vector<StateVector> *checkpoints; // [k]: after k + 1 gates
+    const FusedProgram *fused; // null = replay plain gates
     const FlipTable *frame; // non-null = Clifford frame path, no replay
     uint64_t correctOutcome;
     bool flatHistogram;
@@ -130,26 +123,23 @@ injectPauli(StateVector &sv, const ErrorSite &s, int code)
 }
 
 /**
- * Seek the last ideal-prefix checkpoint taken after at most `prefix`
- * gates and load it into `sv` (or reset to |0...0>). The caller passes
- * one past its first faulted gate: every Pauli is injected after its
- * gate, so that prefix is fault-free and its evolution is the ideal one.
+ * Load the ideal state after min(`prefix`, K) gates into `sv`, where K
+ * is the number of checkpoints (|0...0> when that is 0). The caller
+ * passes one past its first faulted gate: every Pauli is injected after
+ * its gate, so that prefix is fault-free and its evolution is the ideal
+ * one.
  * @return Number of gates already applied to `sv`.
  */
 int
 seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv, int prefix)
 {
-    const std::vector<Checkpoint> &ckpts = *ctx.checkpoints;
-    auto it = std::upper_bound(
-        ckpts.begin(), ckpts.end(), prefix,
-        [](int g, const Checkpoint &c) { return g < c.gatesApplied; });
-    if (it != ckpts.begin()) {
-        const Checkpoint &c = *std::prev(it);
-        sv.amps() = c.state.amps();
-        return c.gatesApplied;
-    }
-    sv.reset();
-    return 0;
+    const std::vector<StateVector> &ckpts = *ctx.checkpoints;
+    const int applied = std::min(prefix, static_cast<int>(ckpts.size()));
+    if (applied == 0)
+        sv.reset();
+    else
+        sv.amps() = ckpts[static_cast<size_t>(applied - 1)].amps();
+    return applied;
 }
 
 /**
@@ -157,7 +147,7 @@ seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv, int prefix)
  * random draw happens in a fixed per-trial order (site Bernoullis,
  * Pauli choices in injection order, measurement sample, readout flips)
  * on both paths, so the chunk's outcome depends only on its stream —
- * never on which worker thread runs it or on checkpoint spacing.
+ * never on which worker thread runs it or on how many checkpoints exist.
  */
 void
 runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
@@ -299,70 +289,58 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     const int num_chunks = (trials + kChunkTrials - 1) / kChunkTrials;
     const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
-    // Reserve the run's predicted peak memory against the process
-    // budget before the first state vector exists. Each chunk in
-    // flight holds its own trajectory state, so the plan counts the
-    // chunks forEachIndex runs at once. When the full plan does not
-    // fit, degrade to the low-memory plan (serial, no checkpoints:
-    // ideal + one trajectory state) before giving up; only when even
-    // that cannot fit does the reservation throw a structured
-    // ResourceError.
+    // The Clifford frame path (sim/pauli_frame.hh) needs no
+    // checkpoints: when every gate is Clifford and the ideal measured
+    // outcome is deterministic, a fault flips fixed key bits, so no
+    // trial replays the state. The table is built first because it
+    // decides how much memory the run reserves.
+    std::optional<FlipTable> frame;
+    if (layers.frame)
+        frame = pauliFlipTable(cc.circuit, sites, measured);
+
+    // Reserve the run's memory against the process budget before the
+    // first state vector exists: (1 + workers + K) states, one
+    // trajectory state per chunk in flight and K ideal-prefix
+    // checkpoints (sim/sim_cost.hh). When that does not fit, the
+    // low-memory plan (serial, no checkpoints: two states) takes its
+    // place; only when even that cannot fit does the reservation throw
+    // a structured ResourceError. The plan changes time, never results.
     ResourceGovernor &gov = processGovernor();
     const int active_qubits = cc.circuit.numQubits();
-    bool low_mem = false;
+    const int num_gates = cc.circuit.numGates();
+    int num_checkpoints = layers.checkpoints && !frame
+                              ? checkpointCount(active_qubits, num_gates)
+                              : 0;
     planned_bytes = predictSimulationBytes(
-        active_qubits, fanOutWidth(threads, num_chunks));
+        active_qubits, fanOutWidth(threads, num_chunks), num_checkpoints);
     MemReservation reservation;
     try {
         reservation = MemReservation(gov, planned_bytes,
                                      "simulation of " + hw.name());
     } catch (const ResourceError &) {
-        planned_bytes = predictLowMemSimulationBytes(active_qubits);
+        threads = 1;
+        num_checkpoints = 0;
+        planned_bytes = predictSimulationBytes(active_qubits, 1, 0);
         reservation = MemReservation(
             gov, planned_bytes, "low-memory simulation of " + hw.name());
-        low_mem = true;
-        threads = 1;
-        warn("executeNoisy: memory budget ",
-             formatBytes(gov.budgetBytes()), " forces the low-memory ",
-             "plan for ", hw.name(), " (serial trajectories, no ",
-             "checkpoints)");
     }
 
-    // Ideal reference evolution, snapshotted every `spacing` gates
-    // (0 = never) so faulty trajectories can resume mid-circuit. The
-    // spacing keeps the snapshots within a fixed memory budget
-    // (sim/sim_cost.hh); the low-memory plan takes none. The final
-    // state doubles as the fault-free sampling cache and the
-    // benchmark's correct answer. The ideal pass stays gate-by-gate
-    // even with fusion on, so the checkpoints (and the fault-free
-    // sampling cache) are bitwise independent of fusion.
-    const int num_gates = cc.circuit.numGates();
+    // The ideal evolution, gate by gate, keeping the state after each
+    // of the first K gates so faulty trajectories can resume
+    // mid-circuit. The final state doubles as the fault-free sampling
+    // cache and the benchmark's correct answer. The pass never goes
+    // through the fused program, so the checkpoints (and the cache)
+    // are bitwise independent of fusion.
     StateVector ideal(active_qubits);
-    const int spacing = layers.checkpoints && !low_mem
-                            ? checkpointSpacing(active_qubits, num_gates)
-                            : 0;
-    std::vector<Checkpoint> checkpoints;
-    auto evolve_ideal = [&](int every) {
-        ideal.reset();
-        checkpoints.clear();
-        for (int gi = 0; gi < num_gates; ++gi) {
-            const Gate &g = cc.circuit.gate(gi);
-            if (g.kind != GateKind::Measure)
-                ideal.applyGate(g);
-            int applied = gi + 1;
-            if (every > 0 && applied % every == 0 && applied < num_gates)
-                checkpoints.push_back({applied, ideal});
-        }
-    };
-
-    // The Clifford frame path (sim/pauli_frame.hh) needs no
-    // checkpoints: when every gate is Clifford and the ideal measured
-    // outcome is deterministic, a fault flips fixed key bits, so no
-    // trial replays the state.
-    std::optional<FlipTable> frame;
-    if (layers.frame)
-        frame = pauliFlipTable(cc.circuit, sites, measured);
-    evolve_ideal(frame ? 0 : spacing);
+    std::vector<StateVector> checkpoints;
+    checkpoints.reserve(static_cast<size_t>(num_checkpoints));
+    for (int gi = 0; gi < num_gates; ++gi) {
+        const Gate &g = cc.circuit.gate(gi);
+        if (g.kind != GateKind::Measure)
+            ideal.applyGate(g);
+        if (gi < num_checkpoints)
+            checkpoints.push_back(ideal);
+    }
 
     // The benchmark's correct answer: the dominant outcome of the
     // *measured-qubit marginal* (unmeasured ancillas may legitimately
@@ -387,12 +365,10 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     res.noErrorProb = noErrorProbability(sites);
 
     // A Clifford circuit whose output is not deterministic (GHZ
-    // measured without uncompute) replays, so it needs the checkpoints
-    // after all; the second pass ends in the same state.
+    // measured without uncompute) replays, from |0...0>: it took no
+    // checkpoints.
     const bool use_frame =
         frame && ideal_prob >= 1.0 - kDeterministicSlack;
-    if (frame && !use_frame)
-        evolve_ideal(spacing);
 
     // Injection order: site indices sorted by (gateIdx, site index).
     // Every trial draws its fired sites' Pauli codes and applies their
@@ -407,15 +383,11 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                      });
 
     const bool fuse = layers.gateFusion && !use_frame;
+    // A resume or a Pauli inside a fused operator costs one pass of
+    // its split head or tail (FusedProgram::apply).
     FusedProgram fused_program;
-    if (fuse) {
-        // Align fused operators to the checkpoint spacing so replays
-        // resumed from a checkpoint start on an operator boundary. A
-        // per-gate spacing would forbid all fusion, so leave operators
-        // unaligned there: a resume or a Pauli inside an operator costs
-        // one pass of its split head or tail (FusedProgram::apply).
-        fused_program = FusedProgram(cc.circuit, spacing > 1 ? spacing : 0);
-    }
+    if (fuse)
+        fused_program = FusedProgram(cc.circuit);
 
     TrajectoryContext ctx;
     ctx.circuit = &cc.circuit;

@@ -17,19 +17,25 @@
  *    pool through forEachIndex (common/sched.hh) and merge in chunk
  *    order, so results are a pure function of (seed, trials), whatever
  *    the thread count (ExecOptions::threads);
- *  - faulty trajectories resume from the nearest ideal-prefix
- *    checkpoint through their first faulted gate (every Pauli lands
- *    after its gate, so that prefix is fault-free) instead of from
- *    |0...0>; the spacing keeps the snapshots within a fixed budget
- *    (checkpointSpacing, sim/sim_cost.hh);
+ *  - the ideal pass keeps the state after each of the first K gates
+ *    (checkpointCount, sim/sim_cost.hh: every gate but the last while
+ *    they fit 64 MiB), and a faulty trajectory whose first fault is at
+ *    gate f resumes from the state after min(f + 1, K) gates instead
+ *    of from |0...0> (every Pauli lands after its gate, so that prefix
+ *    is fault-free);
+ *  - the run reserves its (1 + workers + K) states against the process
+ *    memory budget before allocating; when they do not fit it runs the
+ *    low-memory plan, serial with no checkpoints (two states), which
+ *    changes its time but not its results;
  *  - gate fusion (sim/fusion.hh) rewrites the compact circuit into
  *    fused kernels so each replay makes fewer passes over the state;
  *  - a Clifford circuit with a deterministic ideal output takes the
  *    frame path (sim/pauli_frame.hh): a faulty trial's outcome is the
  *    correct answer XOR the fixed flip masks of its faults, so no trial
- *    replays and no checkpoint or fused program is built. It makes the
- *    same random draws as replay, in the same order, so its histograms
- *    are replay's.
+ *    replays and no checkpoint or fused program is built (a Clifford
+ *    circuit without a deterministic output replays from |0...0>). It
+ *    makes the same random draws as replay, in the same order, so its
+ *    histograms are replay's.
  *
  * Every other faulty trial replays its own trajectory.
  */
@@ -151,9 +157,10 @@ struct ExecOptions
  * @param opts The worker-thread count.
  *
  * @note Nothing is printed. A circuit without a deterministic ideal
- *       output reports it through idealOutcomeProb, and repaired
- *       calibration values through calibrationRepairs; the caller
- *       decides what to show.
+ *       output reports it through idealOutcomeProb, repaired
+ *       calibration values through calibrationRepairs, and a memory
+ *       budget that forces the serial low-memory plan through
+ *       sched.threads; the caller decides what to show.
  */
 ExecutionResult executeNoisy(const Circuit &hw, const Device &dev,
                              const Calibration &calib, int trials,

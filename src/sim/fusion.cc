@@ -273,19 +273,11 @@ fusible(const Item &it)
     return it.kind != Item::Kind::Fence;
 }
 
-/**
- * Whether one fused operator may cover original gates [lo, hi): bounded
- * by the span cap, and never crossing an alignment boundary (checkpoint
- * spacing) when one is set.
- */
+/** Whether one fused operator may cover original gates [lo, hi). */
 bool
-spanAllowed(int lo, int hi, int align)
+spanAllowed(int lo, int hi)
 {
-    if (hi - lo > kMaxGatesPerOp)
-        return false;
-    if (align > 0 && lo / align != (hi - 1) / align)
-        return false;
-    return true;
+    return hi - lo <= kMaxGatesPerOp;
 }
 
 /** The item's unitary over `support` (superset of the item's support). */
@@ -316,7 +308,7 @@ itemMatrixOn(const Item &it, const Circuit &c,
  * merge pass turns those into a cheaper 2x2.
  */
 std::vector<Item>
-collapseDiagonalRuns(std::vector<Item> items, const Circuit &c, int align)
+collapseDiagonalRuns(std::vector<Item> items, const Circuit &c)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -333,7 +325,7 @@ collapseDiagonalRuns(std::vector<Item> items, const Circuit &c, int align)
         size_t j = i + 1;
         while (j < items.size() && items[j].kind == Item::Kind::Single &&
                isDiagGate(c.gate(items[j].lo).kind) &&
-               spanAllowed(head.lo, items[j].hi, align)) {
+               spanAllowed(head.lo, items[j].hi)) {
             std::vector<int> u = supportUnion(support, items[j].support);
             if (static_cast<int>(u.size()) > kMaxDiagonalQubits)
                 break;
@@ -369,7 +361,7 @@ collapseDiagonalRuns(std::vector<Item> items, const Circuit &c, int align)
  * one 2x2 Dense item (left-multiplied in program order).
  */
 std::vector<Item>
-mergeSameQubitRuns(std::vector<Item> items, const Circuit &c, int align)
+mergeSameQubitRuns(std::vector<Item> items, const Circuit &c)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -387,7 +379,7 @@ mergeSameQubitRuns(std::vector<Item> items, const Circuit &c, int align)
         size_t j = i + 1;
         while (j < items.size() && is1q(items[j]) &&
                items[j].support[0] == q &&
-               spanAllowed(items[i].lo, items[j].hi, align))
+               spanAllowed(items[i].lo, items[j].hi))
             ++j;
         if (j - i < 2) {
             out.push_back(std::move(items[i]));
@@ -418,8 +410,7 @@ mergeSameQubitRuns(std::vector<Item> items, const Circuit &c, int align)
  * 2-qubit blocks form first and become units for 3-qubit growth.
  */
 std::vector<Item>
-fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
-                 int align)
+fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits)
 {
     std::vector<Item> out;
     size_t i = 0;
@@ -435,7 +426,7 @@ fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
         int gate_count = items[i].gateCount;
         size_t j = i + 1;
         while (j < items.size() && fusible(items[j]) &&
-               spanAllowed(items[i].lo, items[j].hi, align)) {
+               spanAllowed(items[i].lo, items[j].hi)) {
             std::vector<int> u = supportUnion(support, items[j].support);
             if (static_cast<int>(u.size()) > max_qubits)
                 break;
@@ -469,7 +460,7 @@ fuseDenseRegions(std::vector<Item> items, const Circuit &c, int max_qubits,
 
 } // namespace
 
-FusedProgram::FusedProgram(const Circuit &c, int align) : circuit_(c)
+FusedProgram::FusedProgram(const Circuit &c) : circuit_(c)
 {
     // Precompile the per-gate path (Pass ops, wide diagonal runs, ranges
     // inside one op): cache the 2x2 (or XX 4x4) unitaries once so those
@@ -520,10 +511,10 @@ FusedProgram::FusedProgram(const Circuit &c, int align) : circuit_(c)
         items.push_back(std::move(it));
     }
 
-    items = collapseDiagonalRuns(std::move(items), circuit_, align);
-    items = mergeSameQubitRuns(std::move(items), circuit_, align);
+    items = collapseDiagonalRuns(std::move(items), circuit_);
+    items = mergeSameQubitRuns(std::move(items), circuit_);
     for (int limit = 2; limit <= kMaxDenseQubits; ++limit)
-        items = fuseDenseRegions(std::move(items), circuit_, limit, align);
+        items = fuseDenseRegions(std::move(items), circuit_, limit);
 
     // Emit ops: fused items become kernels, everything else coalesces
     // into Pass ranges replayed gate by gate.

@@ -21,7 +21,9 @@
  * index (checkpoints resume mid-circuit; Pauli faults inject after a
  * specific gate). Each fused operator also stores its split operators,
  * the products of its leading and trailing gates, so a range that
- * starts or stops inside it still costs one kernel pass.
+ * starts or stops inside it still costs one kernel pass. Operator
+ * boundaries therefore follow the cost model alone, never the
+ * executor's checkpoints.
  */
 
 #ifndef TRIQ_SIM_FUSION_HH
@@ -74,14 +76,8 @@ class FusedProgram
   public:
     FusedProgram() = default;
 
-    /**
-     * Fuse `c` (kept by copy, so the program owns its fallback path).
-     * When `align` > 0, fused operators never span gate indices that
-     * are multiples of it. The executor passes its checkpoint spacing
-     * (when above 1) so replays resumed from a checkpoint always start
-     * on an operator boundary.
-     */
-    explicit FusedProgram(const Circuit &c, int align = 0);
+    /** Fuse `c` (kept by copy, so the program owns its fallback path). */
+    explicit FusedProgram(const Circuit &c);
 
     /** Apply original-gate range [from_gate, to_gate) to `sv`. */
     void apply(StateVector &sv, int from_gate, int to_gate) const;

@@ -11,12 +11,6 @@ namespace
 constexpr uint64_t kSaturated = ~uint64_t{0};
 
 uint64_t
-satAdd(uint64_t a, uint64_t b)
-{
-    return a > kSaturated - b ? kSaturated : a + b;
-}
-
-uint64_t
 satMul(uint64_t a, uint64_t b)
 {
     if (a == 0 || b == 0)
@@ -31,15 +25,8 @@ satShift(int exp)
     return exp >= 64 ? kSaturated : uint64_t{1} << exp;
 }
 
-/**
- * Snapshot memory for executeNoisy's ideal-prefix checkpoints:
- * checkpointSpacing fits the snapshots into it, and a circuit whose
- * single state fills it gets no checkpoints at all.
- */
+/** Most memory one run's ideal-prefix checkpoints may hold. */
 constexpr uint64_t kCheckpointBudgetBytes = 64ull << 20;
-
-/** Most snapshots one run takes, however small its state. */
-constexpr uint64_t kMaxCheckpoints = 1024;
 
 } // namespace
 
@@ -60,30 +47,21 @@ densityMatrixBytes(int qubits)
 }
 
 int
-checkpointSpacing(int active_qubits, int num_gates)
+checkpointCount(int active_qubits, int num_gates)
 {
     const uint64_t per_state =
         std::max<uint64_t>(stateVectorBytes(active_qubits), 1);
-    const int max_ckpts = static_cast<int>(std::clamp<uint64_t>(
-        kCheckpointBudgetBytes / per_state, 1, kMaxCheckpoints));
-    return std::max(1, (num_gates + max_ckpts - 1) / max_ckpts);
+    const auto prefix = static_cast<uint64_t>(std::max(num_gates - 1, 0));
+    return static_cast<int>(
+        std::min(kCheckpointBudgetBytes / per_state, prefix));
 }
 
 uint64_t
-predictSimulationBytes(int active_qubits, int workers)
+predictSimulationBytes(int active_qubits, int workers, int checkpoints)
 {
-    uint64_t per_state = stateVectorBytes(active_qubits);
-    uint64_t w = static_cast<uint64_t>(std::max(workers, 1));
-    uint64_t states = satMul(per_state, satAdd(1, w));
-    uint64_t ckpts =
-        per_state < kCheckpointBudgetBytes ? kCheckpointBudgetBytes : 0;
-    return satAdd(states, ckpts);
-}
-
-uint64_t
-predictLowMemSimulationBytes(int active_qubits)
-{
-    return satMul(stateVectorBytes(active_qubits), 2);
+    const uint64_t states = 1 + static_cast<uint64_t>(std::max(workers, 1)) +
+                            static_cast<uint64_t>(std::max(checkpoints, 0));
+    return satMul(stateVectorBytes(active_qubits), states);
 }
 
 } // namespace triq

@@ -1,12 +1,14 @@
 /**
  * @file
  * The simulator's memory cost model: how many bytes a noisy-simulation
- * run will commit, as a pure function of qubit count and worker fan-out.
- * executeNoisy reserves exactly these predictions against the process
- * ResourceGovernor before allocating, and triqd admission (via
- * service/cost_model.hh) checks the same formulas — one model, so the
- * layers cannot disagree about what fits. Only the *trajectory*
- * fan-out multiplies memory: each concurrent chunk owns one state.
+ * run will commit. Every executeNoisy plan holds (1 + workers + K)
+ * state vectors over the compact register: the cached ideal state, one
+ * trajectory state per concurrent trial chunk and K ideal-prefix
+ * checkpoints (checkpointCount). executeNoisy reserves exactly that
+ * against the process ResourceGovernor before allocating; its
+ * low-memory plan is workers = 1, K = 0. triqd admission (via
+ * service/cost_model.hh) checks that two-state plan with the same
+ * formula, so the layers cannot disagree about what fits.
  */
 
 #ifndef TRIQ_SIM_SIM_COST_HH
@@ -29,31 +31,21 @@ uint64_t stateVectorBytes(int qubits);
 uint64_t densityMatrixBytes(int qubits);
 
 /**
- * Ideal-prefix checkpoint spacing, in gates, for executeNoisy over a
- * compact circuit of `active_qubits` qubits and `num_gates` gates: the
- * smallest spacing whose snapshots (at most 1024) fit the 64 MiB
- * checkpoint budget, and at least 1. A circuit whose single state
- * fills the budget gets spacing `num_gates`, so it takes no snapshot.
+ * Ideal-prefix checkpoints executeNoisy keeps for a compact circuit of
+ * `active_qubits` qubits and `num_gates` gates: the state after each
+ * of the first K gates, K = min(num_gates - 1, 64 MiB / one state's
+ * bytes). K is 0 once a single state exceeds 64 MiB.
  */
-int checkpointSpacing(int active_qubits, int num_gates);
+int checkpointCount(int active_qubits, int num_gates);
 
 /**
  * Predicted peak committed bytes for executeNoisy over a compact
  * circuit of `active_qubits` qubits fanned out across `workers`
- * concurrent trial chunks: the cached ideal state, the one trajectory
- * state each running chunk allocates, and the checkpoint budget
- * (charged only when checkpointSpacing leaves room for a snapshot).
+ * concurrent trial chunks with `checkpoints` ideal-prefix checkpoints:
+ * (1 + workers + checkpoints) state vectors.
  */
-uint64_t predictSimulationBytes(int active_qubits, int workers);
-
-/**
- * Predicted bytes of the degraded low-memory plan: serial
- * trajectories, no checkpoints — the ideal state plus a single
- * trajectory state (~2 x stateVectorBytes). executeNoisy falls
- * back to this plan automatically when the full plan does not fit the
- * budget.
- */
-uint64_t predictLowMemSimulationBytes(int active_qubits);
+uint64_t predictSimulationBytes(int active_qubits, int workers,
+                                int checkpoints);
 
 } // namespace triq
 

@@ -285,11 +285,13 @@ TEST(Executor, CheckpointedReplayMatchesFullReplay)
     }
     circ.add(Gate::measure(0));
     circ.add(Gate::measure(1));
-    // Fusion off keeps the replay strictly gate by gate. The automatic
-    // spacing of a 2-qubit state is one gate, so checkpointed replays
-    // resume right after their first faulted gate; a resume that lands
-    // before it (spacing > 1) is pinned by
-    // GoldenHistogram.WideNonCliffordIsBitIdentical.
+    // Fusion off keeps the replay strictly gate by gate. A 2-qubit
+    // state keeps a checkpoint after every gate but the last, so
+    // checkpointed replays resume right after their first faulted gate;
+    // a resume that lands before it (a first fault past the last
+    // checkpoint) is pinned by
+    // GoldenHistogram.WideNonCliffordIsBitIdentical (17 qubits, 32
+    // checkpoints).
     ExecutionResult a =
         detail::executeNoisyWith(circ, dev, c, 800, 21, {},
                                  {.gateFusion = false, .checkpoints = false});

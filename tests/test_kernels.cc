@@ -32,9 +32,9 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     // Admission against a small budget rejects 30 qubits up front
     // (even the degraded 2-state plan needs 32 GiB)...
     ResourceGovernor tight(uint64_t{1} << 30);
-    EXPECT_FALSE(tight.wouldFit(predictLowMemSimulationBytes(30)));
+    EXPECT_FALSE(tight.wouldFit(predictSimulationBytes(30, 1, 0)));
     // ...and the reservation path reports it structurally.
-    EXPECT_THROW(tight.reserve(predictLowMemSimulationBytes(30),
+    EXPECT_THROW(tight.reserve(predictSimulationBytes(30, 1, 0),
                                "30-qubit simulation"),
                  ResourceError);
 
@@ -44,7 +44,7 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     ResourceGovernor &gov = processGovernor();
     const uint64_t saved = gov.budgetBytes();
     gov.setBudgetBytes(uint64_t{1} << 30);
-    AdmissionVerdict v = checkAdmission(30, 1);
+    AdmissionVerdict v = checkAdmission(30);
     gov.setBudgetBytes(saved);
     EXPECT_FALSE(v.fits);
     EXPECT_GE(v.predictedBytes, uint64_t{32} << 30);
@@ -53,7 +53,7 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     // And with a roomy budget the same request is admitted — the
     // ceiling itself never rejects.
     gov.setBudgetBytes(uint64_t{128} << 30);
-    AdmissionVerdict roomy = checkAdmission(30, 1);
+    AdmissionVerdict roomy = checkAdmission(30);
     gov.setBudgetBytes(saved);
     EXPECT_TRUE(roomy.fits);
 }

@@ -220,33 +220,36 @@ TEST(SimCost, StateAndDensityBytes)
 
 TEST(SimCost, PredictionsOrderedAndMonotonic)
 {
-    // The low-memory plan never predicts more than the full plan, and
-    // more workers never predict less.
+    // The low-memory plan (one worker, no checkpoints) never predicts
+    // more than a plan with checkpoints, and more workers never predict
+    // less.
     for (int q = 2; q <= 30; q += 4) {
-        EXPECT_LE(predictLowMemSimulationBytes(q),
-                  predictSimulationBytes(q, 1));
-        EXPECT_LE(predictSimulationBytes(q, 1),
-                  predictSimulationBytes(q, 8));
+        const int k = checkpointCount(q, 100);
+        EXPECT_LE(predictSimulationBytes(q, 1, 0),
+                  predictSimulationBytes(q, 1, k));
+        EXPECT_LE(predictSimulationBytes(q, 1, k),
+                  predictSimulationBytes(q, 8, k));
     }
     // Saturated predictions stay saturated.
-    EXPECT_EQ(predictSimulationBytes(72, 8), ~uint64_t{0});
-    EXPECT_EQ(predictLowMemSimulationBytes(72), ~uint64_t{0});
+    EXPECT_EQ(predictSimulationBytes(72, 8, 0), ~uint64_t{0});
+    EXPECT_EQ(predictSimulationBytes(72, 1, 0), ~uint64_t{0});
 }
 
-TEST(SimCost, CheckpointSpacingFitsTheBudget)
+TEST(SimCost, CheckpointCountFitsTheBudget)
 {
-    // Small states: at most 1024 snapshots, at least one gate apart.
-    EXPECT_EQ(checkpointSpacing(2, 20), 1);
-    EXPECT_EQ(checkpointSpacing(4, 4096), 4);
-    // 17 qubits: 2 MiB per state, 32 snapshots in 64 MiB.
-    EXPECT_EQ(checkpointSpacing(17, 1000), 32);
-    // From 22 qubits one state fills the budget: the spacing is the
-    // whole circuit, so no snapshot is taken, and the prediction
-    // charges no checkpoint memory.
-    EXPECT_EQ(checkpointSpacing(22, 500), 500);
-    EXPECT_EQ(predictSimulationBytes(22, 1), 2 * stateVectorBytes(22));
-    EXPECT_EQ(predictSimulationBytes(21, 1),
-              2 * stateVectorBytes(21) + (64ull << 20));
+    // Small states: a checkpoint after every gate but the last.
+    EXPECT_EQ(checkpointCount(4, 485), 484);
+    EXPECT_EQ(checkpointCount(10, 485), 484);
+    EXPECT_EQ(checkpointCount(2, 1), 0);
+    // 17 qubits: 2 MiB per state, 32 checkpoints in 64 MiB.
+    EXPECT_EQ(checkpointCount(17, 1000), 32);
+    // At 22 qubits one state fills 64 MiB; above that none fits.
+    EXPECT_EQ(checkpointCount(22, 500), 1);
+    EXPECT_EQ(checkpointCount(23, 500), 0);
+    EXPECT_EQ(checkpointCount(72, 500), 0);
+    // A plan holds (1 + workers + checkpoints) states and nothing else.
+    EXPECT_EQ(predictSimulationBytes(4, 2, 484), 487 * stateVectorBytes(4));
+    EXPECT_EQ(predictSimulationBytes(21, 1, 0), 2 * stateVectorBytes(21));
 }
 
 // ---------------------------------------------------------------------
@@ -256,31 +259,18 @@ TEST(SimCost, CheckpointSpacingFitsTheBudget)
 TEST(CostModel, AdmitsUnderBudgetRejectsOver)
 {
     BudgetGuard guard(256ull << 20); // 256 MiB
-    // 10 qubits: trivially fits.
-    AdmissionVerdict small = checkAdmission(10, 4);
+    // 10 qubits: trivially fits. Admission prices the low-memory plan,
+    // the two states the executor can always fall back to.
+    AdmissionVerdict small = checkAdmission(10);
     EXPECT_TRUE(small.fits);
-    EXPECT_GT(small.predictedBytes, 0ull);
+    EXPECT_EQ(small.predictedBytes, 2 * stateVectorBytes(10));
     EXPECT_EQ(small.budgetBytes, 256ull << 20);
     // 72 qubits: cannot fit even degraded; the verdict carries the
     // predicted cost and budget for the server.budget reply.
-    AdmissionVerdict big = checkAdmission(72, 1);
+    AdmissionVerdict big = checkAdmission(72);
     EXPECT_FALSE(big.fits);
     EXPECT_EQ(big.predictedBytes, ~uint64_t{0});
     EXPECT_NE(big.reason.find("memory budget"), std::string::npos);
-}
-
-TEST(CostModel, DegradedPlanAdmitsWhatFullPlanCannot)
-{
-    // Budget sized between the low-memory plan (2 states) and the full
-    // fan-out plan (1 + workers states + checkpoint budget): the
-    // verdict must admit, because the executor degrades automatically.
-    const int q = 20; // 16 MiB per state
-    uint64_t low = predictLowMemSimulationBytes(q);
-    uint64_t full = predictSimulationBytes(q, 8);
-    ASSERT_LT(low, full);
-    BudgetGuard guard(low + (full - low) / 2);
-    AdmissionVerdict v = checkAdmission(q, 8);
-    EXPECT_TRUE(v.fits);
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +293,7 @@ struct Ibmq14Cell
     {
     }
 
-    /** 500 trials at seed 99. */
+    /** 500 trials (8 chunks) at seed 99. */
     ExecutionResult
     run(int threads) const
     {
@@ -311,37 +301,71 @@ struct Ibmq14Cell
         eo.threads = threads;
         return executeNoisy(res.hwCircuit, dev, calib, 500, 99, eo);
     }
+
+    /**
+     * The checkpoints executeNoisy keeps for this cell's compact
+     * circuit, after asserting it has 4 qubits (256 B states) and no
+     * flip table, so every plan replays faulty trials.
+     */
+    int
+    checkpoints() const
+    {
+        CompactCircuit cc = compactCircuit(res.hwCircuit);
+        EXPECT_EQ(cc.circuit.numQubits(), 4);
+        std::vector<ErrorSite> sites =
+            collectErrorSites(res.hwCircuit, dev.topology(), calib);
+        relabelSites(sites, cc.hwToCompact);
+        EXPECT_FALSE(
+            pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits()));
+        return checkpointCount(4, cc.circuit.numGates());
+    }
 };
 
 } // namespace
 
 TEST(ExecutorGovernor, LowMemoryPlanIsBitIdentical)
 {
-    // QFT has 4 compact qubits here and is not Clifford, so neither
-    // plan takes the frame path: the full plan replays faulty trials
-    // from checkpoints, the low-memory plan from |0...0>.
+    // QFT is not Clifford, so neither plan takes the frame path: the
+    // full plan replays faulty trials from checkpoints, the low-memory
+    // plan from |0...0>.
     const Ibmq14Cell qft("QFT");
-    CompactCircuit cc = compactCircuit(qft.res.hwCircuit);
-    ASSERT_EQ(cc.circuit.numQubits(), 4);
-    std::vector<ErrorSite> sites =
-        collectErrorSites(qft.res.hwCircuit, qft.dev.topology(), qft.calib);
-    relabelSites(sites, cc.hwToCompact);
-    ASSERT_FALSE(
-        pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits()));
-
+    const int k = qft.checkpoints();
     ExecutionResult full = qft.run(2);
     EXPECT_EQ(full.sched.threads, 2);
     EXPECT_GT(full.simulatedTrajectories, 0);
-    // A budget that fits the low-memory plan but not the full plan
-    // forces the degraded path (serial, no checkpoints), which must
-    // produce bit-identical results.
-    BudgetGuard guard(1ull << 20);
+    // A budget between the low-memory plan (two states) and the full
+    // plan (1 + 2 workers + K states) forces the degraded path (serial,
+    // no checkpoints), which must produce bit-identical results.
+    const uint64_t low = predictSimulationBytes(4, 1, 0);
+    const uint64_t high = predictSimulationBytes(4, 2, k);
+    ASSERT_LT(low, high);
+    BudgetGuard guard(low + (high - low) / 2);
     ExecutionResult degraded = qft.run(2);
     EXPECT_EQ(degraded.sched.threads, 1);
     EXPECT_EQ(full.histogram, degraded.histogram);
     EXPECT_EQ(full.successRate, degraded.successRate);
     EXPECT_EQ(full.simulatedTrajectories, degraded.simulatedTrajectories);
     EXPECT_EQ(full.esp, degraded.esp);
+}
+
+TEST(ExecutorGovernor, FullPlanFitsABudgetOfItsExactSize)
+{
+    // At 2 threads QFT's full plan holds the ideal state, two
+    // trajectory states and a checkpoint after every gate but the last:
+    // (3 + K) x 256 B, reserved exactly. That budget keeps both
+    // workers; one byte less takes the low-memory plan.
+    const Ibmq14Cell qft("QFT");
+    const int k = qft.checkpoints();
+    const uint64_t full = (3 + static_cast<uint64_t>(k)) * 256;
+    ASSERT_EQ(predictSimulationBytes(4, 2, k), full);
+    {
+        BudgetGuard guard(full);
+        EXPECT_EQ(qft.run(2).sched.threads, 2);
+    }
+    {
+        BudgetGuard guard(full - 1);
+        EXPECT_EQ(qft.run(2).sched.threads, 1);
+    }
 }
 
 TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)

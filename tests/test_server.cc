@@ -86,6 +86,18 @@ quietConfig()
     return cfg;
 }
 
+/** Scoped budget override on the process governor (always restored). */
+struct BudgetGuard
+{
+    explicit BudgetGuard(uint64_t bytes)
+        : old_(processGovernor().budgetBytes())
+    {
+        processGovernor().setBudgetBytes(bytes);
+    }
+    ~BudgetGuard() { processGovernor().setBudgetBytes(old_); }
+    uint64_t old_;
+};
+
 } // namespace
 
 // --- wire format ---------------------------------------------------------
@@ -403,7 +415,9 @@ TEST(ServerTest, SimulationReportsWriteNothingToStderr)
     // ideal output is not deterministic, is answered like any other and
     // writes nothing: the executor returns both facts in its result,
     // and compile's `degraded` already flags the repairs. The expected
-    // values are the replies of the build that still printed them.
+    // values are the replies of the build that still printed them. A
+    // simulation the memory budget forces onto the low-memory plan
+    // writes nothing either, and its reply matches the unbudgeted one.
     Server server(quietConfig());
     struct Case
     {
@@ -423,13 +437,32 @@ TEST(ServerTest, SimulationReportsWriteNothingToStderr)
     for (int i = 0; i < 2; ++i)
         cases.push_back({"\"bench\":\"Sup3x4d8\",\"device\":\"Google72\"",
                          false, 0.0, 25});
+    const std::string qft = "{\"id\":1,\"op\":\"simulate\",\"trials\":50,"
+                            "\"bench\":\"QFT\",\"device\":\"IBMQ14\"}";
+    const JsonValue full = parsed(server.processLine("t", qft));
     std::vector<std::string> replies;
+    std::string low_memory;
+    long refused = 0;
     testing::internal::CaptureStderr();
     for (const Case &c : cases)
         replies.push_back(server.processLine(
             "t", "{\"id\":1,\"op\":\"simulate\",\"trials\":50," +
                      c.members + "}"));
+    {
+        // QFT's 4 compact qubits hold 256 B states: 1 KiB admits the
+        // two-state low-memory plan but not the full plan, whose
+        // checkpoints alone are one state per gate.
+        BudgetGuard budget(1024);
+        refused = processGovernor().stats().refusals;
+        low_memory = server.processLine("t", qft);
+        refused = processGovernor().stats().refusals - refused;
+    }
     EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(refused, 1);
+    const JsonValue low = parsed(low_memory);
+    ASSERT_TRUE(low.getBool("ok")) << low_memory;
+    EXPECT_EQ(low.getNumber("success_rate"), full.getNumber("success_rate"));
+    EXPECT_EQ(low.getNumber("trajectories"), full.getNumber("trajectories"));
     for (size_t i = 0; i < cases.size(); ++i) {
         JsonValue r = parsed(replies[i]);
         ASSERT_TRUE(r.getBool("ok")) << replies[i];
@@ -887,23 +920,6 @@ TEST(ServerTest, StatsCountLatenciesAndCacheHeat)
 }
 
 // --- predictive admission (resource governor) ----------------------------
-
-namespace
-{
-
-/** Scoped budget override on the process governor (always restored). */
-struct BudgetGuard
-{
-    explicit BudgetGuard(uint64_t bytes)
-        : old_(processGovernor().budgetBytes())
-    {
-        processGovernor().setBudgetBytes(bytes);
-    }
-    ~BudgetGuard() { processGovernor().setBudgetBytes(old_); }
-    uint64_t old_;
-};
-
-} // namespace
 
 TEST(ServerTest, BudgetRejectsOversizedSimulationAndKeepsServing)
 {

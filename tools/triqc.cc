@@ -24,7 +24,9 @@
  *   --report             print gate counts, ESP and predicted success
  *   --trials N           trials for the success prediction (default 2000)
  *   --sim-threads N      simulator worker threads for the prediction
- *                        (0..256, default 1; 0 = one per hardware thread)
+ *                        (0..256, default 1; 0 = one per hardware thread;
+ *                        --report prints the count that ran, 1 when the
+ *                        memory budget forces the serial plan)
  *   -o FILE              write assembly to FILE instead of stdout
  *
  * Internal errors (PanicError — a TriQ bug, exit code 2) dump a crash
@@ -411,6 +413,7 @@ run(int argc, char **argv)
                   << "ESP:            " << run.esp << "\n"
                   << "pred. success:  " << run.successRate << " ("
                   << run.trials << " trials)\n"
+                  << "sim workers:    " << run.sched.threads << "\n"
                   << "ideal prob.:    " << run.idealOutcomeProb << "\n"
                   << "calib. repairs: " << run.calibrationRepairs << "\n"
                   << res.report.str();
