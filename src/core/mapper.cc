@@ -1394,8 +1394,6 @@ mapQubits(const ProgramInfo &info, const ReliabilityMatrix &rel,
       }
       case MapperKind::Smt:
         if (opts.objective == MappingObjective::Product) {
-            warn("SMT mapper supports only the max-min objective; "
-                 "using branch-and-bound for the product objective");
             MappingOptions fb = opts;
             fb.kind = MapperKind::BranchAndBound;
             Mapping m = mapQubits(info, rel, fb);

@@ -15,7 +15,9 @@ namespace triq
 
 /**
  * Solve the max-min mapping problem with Z3 when compiled in; otherwise
- * warn once and delegate to the branch-and-bound engine.
+ * delegate to the branch-and-bound engine. Either fallback prints
+ * nothing: it is a Mapping::notes entry, which the compiler reports in
+ * CompileReport::degradations.
  */
 Mapping mapQubitsSmtOrFallback(const ProgramInfo &info,
                                const ReliabilityMatrix &rel,

@@ -14,8 +14,6 @@
 
 #include "core/mapper_smt.hh"
 
-#include "common/logging.hh"
-
 #ifdef TRIQ_HAVE_Z3
 
 #include <algorithm>
@@ -112,7 +110,6 @@ Mapping
 fallBackToBnb(const ProgramInfo &info, const ReliabilityMatrix &rel,
               const MappingOptions &opts, const std::string &why)
 {
-    warn("SMT mapper: ", why, "; falling back to branch-and-bound");
     MappingOptions fb = opts;
     fb.kind = MapperKind::BranchAndBound;
     Mapping m = mapQubits(info, rel, fb);
@@ -205,8 +202,6 @@ Mapping
 mapQubitsSmtOrFallback(const ProgramInfo &info, const ReliabilityMatrix &rel,
                        const MappingOptions &opts)
 {
-    warn("SMT mapper requested but this build has no Z3; "
-         "using branch-and-bound");
     MappingOptions fb = opts;
     fb.kind = MapperKind::BranchAndBound;
     Mapping m = mapQubits(info, rel, fb);

@@ -13,7 +13,7 @@ checkAdmission(int active_qubits)
     AdmissionVerdict v;
     ResourceGovernor &gov = processGovernor();
     v.budgetBytes = gov.budgetBytes();
-    v.predictedBytes = predictSimulationBytes(active_qubits, 1, 0);
+    v.predictedBytes = predictSimulationBytes(active_qubits, 0, 0);
     if (gov.wouldFit(v.predictedBytes))
         return v;
     v.fits = false;

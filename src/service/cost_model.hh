@@ -8,10 +8,9 @@
  *
  * The memory formula lives in sim/sim_cost.hh: every executeNoisy plan
  * holds (1 + workers + K) state vectors and reserves exactly that.
- * Admission checks the smallest plan, the low-memory one (one worker,
- * no checkpoints: two states), because the executor falls back to it
- * whenever a larger plan does not fit. See DESIGN.md, "Resource
- * governor".
+ * Admission checks the smallest plan any run can take, the frame
+ * path's one state, so it never refuses a request the executor could
+ * run. See DESIGN.md, "Resource governor".
  */
 
 #ifndef TRIQ_SERVICE_COST_MODEL_HH
@@ -36,8 +35,8 @@ struct AdmissionVerdict
 
 /**
  * Check a simulate request `active_qubits` wide against the process
- * memory budget. It fails only when the executor's low-memory plan
- * (predictSimulationBytes(active_qubits, 1, 0)) cannot fit.
+ * memory budget. It fails only when the one-state plan
+ * (predictSimulationBytes(active_qubits, 0, 0)) cannot fit.
  */
 AdmissionVerdict checkAdmission(int active_qubits);
 

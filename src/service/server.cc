@@ -322,7 +322,7 @@ Server::submit(const std::string &client, std::string line, Respond respond)
 
     // Predictive admission (the resource governor's front door): a
     // simulate request whose state memory provably cannot fit the
-    // budget — even in the executor's degraded serial plan — is
+    // budget — even in the executor's smallest plan, one state — is
     // refused *now*, before it occupies a queue slot or a worker.
     // The daemon keeps serving; under-budget requests are unaffected.
     // The simulator runs on the *compacted* mapped register, whose

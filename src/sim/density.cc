@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "core/unitary.hh"
-#include "sim/compact.hh"
 #include "sim/noise.hh"
 
 namespace triq
@@ -207,21 +206,16 @@ NoisyOutput
 evolveNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
             const char *caller)
 {
-    std::vector<ErrorSite> sites =
-        collectErrorSites(hw, dev.topology(), calib);
-    CompactCircuit cc = compactCircuit(hw);
-    if (cc.circuit.numQubits() > DensityMatrix::maxQubits())
-        fatal(caller, ": ", cc.circuit.numQubits(),
+    const NoisyCircuit nc = noisyCircuit(hw, dev.topology(), calib);
+    const Circuit &circuit = nc.circuit;
+    if (circuit.numQubits() > DensityMatrix::maxQubits())
+        fatal(caller, ": ", circuit.numQubits(),
               " active qubits exceed the density-matrix limit of ",
               DensityMatrix::maxQubits());
-    relabelSites(sites, cc.hwToCompact);
-    std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
-    if (measured.empty())
-        fatal(caller, ": circuit measures no qubits");
 
     NoisyOutput out;
     // The benchmark's correct answer: dominant ideal marginal outcome.
-    std::vector<double> ideal = idealMeasurementDistribution(cc.circuit);
+    std::vector<double> ideal = idealMeasurementDistribution(circuit);
     double best = -1.0;
     for (uint64_t k = 0; k < ideal.size(); ++k)
         if (ideal[k] > best) {
@@ -231,18 +225,18 @@ evolveNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
 
     // Sites grouped by preceding gate, as in the executor.
     std::vector<std::vector<int>> sites_after(
-        static_cast<size_t>(cc.circuit.numGates()));
-    for (size_t i = 0; i < sites.size(); ++i)
-        sites_after[static_cast<size_t>(sites[i].gateIdx)].push_back(
+        static_cast<size_t>(circuit.numGates()));
+    for (size_t i = 0; i < nc.sites.size(); ++i)
+        sites_after[static_cast<size_t>(nc.sites[i].gateIdx)].push_back(
             static_cast<int>(i));
 
-    DensityMatrix rho(cc.circuit.numQubits());
-    for (int gi = 0; gi < cc.circuit.numGates(); ++gi) {
-        const Gate &g = cc.circuit.gate(gi);
+    DensityMatrix rho(circuit.numQubits());
+    for (int gi = 0; gi < circuit.numGates(); ++gi) {
+        const Gate &g = circuit.gate(gi);
         if (g.kind != GateKind::Measure)
             rho.applyGate(g);
         for (int si : sites_after[static_cast<size_t>(gi)]) {
-            const ErrorSite &s = sites[static_cast<size_t>(si)];
+            const ErrorSite &s = nc.sites[static_cast<size_t>(si)];
             if (s.idle)
                 rho.applyDephasing(s.q0, s.prob);
             else if (s.q1 == -1)
@@ -252,11 +246,8 @@ evolveNoisy(const Circuit &hw, const Device &dev, const Calibration &calib,
         }
     }
 
-    out.dist = rho.measurementDistribution(measured);
-    for (ProgQubit q : measured) {
-        HwQubit hq = cc.compactToHw[static_cast<size_t>(q)];
-        out.roErr.push_back(calib.errRO[static_cast<size_t>(hq)]);
-    }
+    out.dist = rho.measurementDistribution(nc.measured);
+    out.roErr = nc.roErr;
     return out;
 }
 

@@ -10,7 +10,6 @@
 #include "common/rng.hh"
 #include "common/sched.hh"
 #include "core/esp.hh"
-#include "sim/compact.hh"
 #include "sim/fusion.hh"
 #include "sim/noise.hh"
 #include "sim/pauli_frame.hh"
@@ -29,13 +28,6 @@ constexpr int kChunkTrials = 64;
 /** Histograms this narrow use a flat per-chunk count vector. */
 constexpr size_t kFlatHistogramBits = 12;
 
-/**
- * The frame path needs the correct answer's ideal probability at least
- * 1 - this. A Clifford circuit's output is either deterministic (then
- * the rest is rounding, ~1e-30) or at most 1/2 likely.
- */
-constexpr double kDeterministicSlack = 1e-9;
-
 /** Map a sampled basis index to the measured-qubit key. */
 uint64_t
 outcomeKey(uint64_t basis, const std::vector<ProgQubit> &measured)
@@ -49,11 +41,8 @@ outcomeKey(uint64_t basis, const std::vector<ProgQubit> &measured)
 /** Read-only per-call context shared by every chunk. */
 struct TrajectoryContext
 {
-    const Circuit *circuit; // compact circuit
-    const std::vector<ErrorSite> *sites;
+    const NoisyCircuit *noisy;
     const std::vector<int> *injOrder; // site indices by (gateIdx, index)
-    const std::vector<ProgQubit> *measured;
-    const std::vector<double> *roErr;
     const StateVector *ideal;
     const std::vector<StateVector> *checkpoints; // [k]: after k + 1 gates
     const FusedProgram *fused; // null = replay plain gates
@@ -84,7 +73,7 @@ advanceState(const TrajectoryContext &ctx, StateVector &sv, int from,
         return;
     }
     for (int gi = from; gi < to; ++gi) {
-        const Gate &g = ctx.circuit->gate(gi);
+        const Gate &g = ctx.noisy->circuit.gate(gi);
         if (g.kind != GateKind::Measure)
             sv.applyGate(g);
     }
@@ -153,16 +142,15 @@ void
 runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
          ChunkStats &out)
 {
-    const Circuit &circuit = *ctx.circuit;
-    const std::vector<ErrorSite> &sites = *ctx.sites;
-    const std::vector<ProgQubit> &measured = *ctx.measured;
-    const std::vector<double> &ro_err = *ctx.roErr;
-    const int num_gates = circuit.numGates();
+    const NoisyCircuit &nc = *ctx.noisy;
+    const std::vector<ErrorSite> &sites = nc.sites;
+    const std::vector<ProgQubit> &measured = nc.measured;
+    const int num_gates = nc.circuit.numGates();
 
     // The frame path replays nothing, so it holds no trajectory state.
     std::optional<StateVector> traj;
     if (ctx.frame == nullptr)
-        traj.emplace(circuit.numQubits());
+        traj.emplace(nc.circuit.numQubits());
     std::vector<bool> fired(sites.size(), false);
     if (ctx.flatHistogram)
         out.flat.assign(uint64_t{1} << measured.size(), 0);
@@ -220,7 +208,7 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
         }
         // Classical readout errors flip measured bits independently.
         for (size_t k = 0; k < measured.size(); ++k)
-            if (rng.bernoulli(ro_err[k]))
+            if (rng.bernoulli(nc.roErr[k]))
                 key ^= uint64_t{1} << k;
         if (key == ctx.correctOutcome)
             ++out.successes;
@@ -264,21 +252,10 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
                              dev.name());
     }
 
-    // Error sites are enumerated on the full-width circuit (edge lookup
-    // needs hardware indices), then relabeled onto the compact register.
-    std::vector<ErrorSite> sites =
-        collectErrorSites(hw, dev.topology(), safe);
-    CompactCircuit cc = compactCircuit(hw);
-    relabelSites(sites, cc.hwToCompact);
-
-    std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
-    if (measured.empty())
-        fatal("executeNoisy: circuit measures no qubits");
-    std::vector<double> ro_err(measured.size());
-    for (size_t k = 0; k < measured.size(); ++k) {
-        HwQubit hq = cc.compactToHw[static_cast<size_t>(measured[k])];
-        ro_err[k] = safe.errRO[static_cast<size_t>(hq)];
-    }
+    const NoisyCircuit nc = noisyCircuit(hw, dev.topology(), safe);
+    const Circuit &circuit = nc.circuit;
+    const std::vector<ErrorSite> &sites = nc.sites;
+    const std::vector<ProgQubit> &measured = nc.measured;
 
     // forEachIndex applies the thread rule.
     int threads = opts.threads;
@@ -289,35 +266,39 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     const int num_chunks = (trials + kChunkTrials - 1) / kChunkTrials;
     const uint64_t stream_seed = seed ^ 0xABCDEF1234567890ull;
 
-    // The Clifford frame path (sim/pauli_frame.hh) needs no
-    // checkpoints: when every gate is Clifford and the ideal measured
-    // outcome is deterministic, a fault flips fixed key bits, so no
-    // trial replays the state. The table is built first because it
-    // decides how much memory the run reserves.
+    // The Clifford frame path (sim/pauli_frame.hh) replays nothing:
+    // when the flip table is deterministic, a fault flips fixed key
+    // bits. It is picked first because it decides what the run
+    // reserves; every other circuit replays.
     std::optional<FlipTable> frame;
     if (layers.frame)
-        frame = pauliFlipTable(cc.circuit, sites, measured);
+        frame = pauliFlipTable(circuit, sites, measured);
+    const bool use_frame = frame && frame->deterministic;
 
     // Reserve the run's memory against the process budget before the
-    // first state vector exists: (1 + workers + K) states, one
+    // first state vector exists (sim/sim_cost.hh): the ideal state
+    // alone on the frame path, else (1 + workers + K) states, one
     // trajectory state per chunk in flight and K ideal-prefix
-    // checkpoints (sim/sim_cost.hh). When that does not fit, the
-    // low-memory plan (serial, no checkpoints: two states) takes its
-    // place; only when even that cannot fit does the reservation throw
-    // a structured ResourceError. The plan changes time, never results.
+    // checkpoints. When a replay plan does not fit, the low-memory
+    // plan (serial, no checkpoints: two states) takes its place; only
+    // when no plan fits does the reservation throw a structured
+    // ResourceError. The plan changes time, never results.
     ResourceGovernor &gov = processGovernor();
-    const int active_qubits = cc.circuit.numQubits();
-    const int num_gates = cc.circuit.numGates();
-    int num_checkpoints = layers.checkpoints && !frame
+    const int active_qubits = circuit.numQubits();
+    const int num_gates = circuit.numGates();
+    int num_checkpoints = layers.checkpoints && !use_frame
                               ? checkpointCount(active_qubits, num_gates)
                               : 0;
     planned_bytes = predictSimulationBytes(
-        active_qubits, fanOutWidth(threads, num_chunks), num_checkpoints);
+        active_qubits, use_frame ? 0 : fanOutWidth(threads, num_chunks),
+        num_checkpoints);
     MemReservation reservation;
     try {
         reservation = MemReservation(gov, planned_bytes,
                                      "simulation of " + hw.name());
     } catch (const ResourceError &) {
+        if (use_frame)
+            throw;
         threads = 1;
         num_checkpoints = 0;
         planned_bytes = predictSimulationBytes(active_qubits, 1, 0);
@@ -335,7 +316,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     std::vector<StateVector> checkpoints;
     checkpoints.reserve(static_cast<size_t>(num_checkpoints));
     for (int gi = 0; gi < num_gates; ++gi) {
-        const Gate &g = cc.circuit.gate(gi);
+        const Gate &g = circuit.gate(gi);
         if (g.kind != GateKind::Measure)
             ideal.applyGate(g);
         if (gi < num_checkpoints)
@@ -364,12 +345,6 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     res.esp = estimatedSuccessProbability(hw, dev.topology(), safe);
     res.noErrorProb = noErrorProbability(sites);
 
-    // A Clifford circuit whose output is not deterministic (GHZ
-    // measured without uncompute) replays, from |0...0>: it took no
-    // checkpoints.
-    const bool use_frame =
-        frame && ideal_prob >= 1.0 - kDeterministicSlack;
-
     // Injection order: site indices sorted by (gateIdx, site index).
     // Every trial draws its fired sites' Pauli codes and applies their
     // injections in exactly this order.
@@ -387,14 +362,11 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     // its split head or tail (FusedProgram::apply).
     FusedProgram fused_program;
     if (fuse)
-        fused_program = FusedProgram(cc.circuit);
+        fused_program = FusedProgram(circuit);
 
     TrajectoryContext ctx;
-    ctx.circuit = &cc.circuit;
-    ctx.sites = &sites;
+    ctx.noisy = &nc;
     ctx.injOrder = &inj_order;
-    ctx.measured = &measured;
-    ctx.roErr = &ro_err;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
     ctx.fused = fuse ? &fused_program : nullptr;

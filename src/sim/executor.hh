@@ -23,19 +23,18 @@
  *    gate f resumes from the state after min(f + 1, K) gates instead
  *    of from |0...0> (every Pauli lands after its gate, so that prefix
  *    is fault-free);
- *  - the run reserves its (1 + workers + K) states against the process
- *    memory budget before allocating; when they do not fit it runs the
- *    low-memory plan, serial with no checkpoints (two states), which
- *    changes its time but not its results;
+ *  - a replay run reserves its (1 + workers + K) states against the
+ *    process memory budget before allocating; when they do not fit it
+ *    runs the low-memory plan, serial with no checkpoints (two
+ *    states), which changes its time but not its results;
  *  - gate fusion (sim/fusion.hh) rewrites the compact circuit into
  *    fused kernels so each replay makes fewer passes over the state;
- *  - a Clifford circuit with a deterministic ideal output takes the
- *    frame path (sim/pauli_frame.hh): a faulty trial's outcome is the
- *    correct answer XOR the fixed flip masks of its faults, so no trial
- *    replays and no checkpoint or fused program is built (a Clifford
- *    circuit without a deterministic output replays from |0...0>). It
- *    makes the same random draws as replay, in the same order, so its
- *    histograms are replay's.
+ *  - a circuit whose flip table (sim/pauli_frame.hh) is deterministic
+ *    takes the frame path: a faulty trial's outcome is the correct
+ *    answer XOR the fixed flip masks of its faults, so no trial
+ *    replays, no checkpoint or fused program is built and the run
+ *    holds the ideal state alone. It makes the same random draws as
+ *    replay, in the same order, so its histograms are replay's.
  *
  * Every other faulty trial replays its own trajectory.
  */
@@ -179,7 +178,7 @@ namespace detail
  */
 struct EngineLayers
 {
-    /** Clifford frame path for Clifford cells with one correct answer. */
+    /** Clifford frame path where the flip table is deterministic. */
     bool frame = true;
 
     /** Replay through fused operators instead of gate by gate. */

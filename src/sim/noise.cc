@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
+#include "common/logging.hh"
 #include "core/esp.hh"
 #include "core/schedule.hh"
+#include "sim/compact.hh"
 
 namespace triq
 {
@@ -89,15 +92,26 @@ noErrorProbability(const std::vector<ErrorSite> &sites)
     return p;
 }
 
-void
-relabelSites(std::vector<ErrorSite> &sites,
-             const std::vector<int> &hw_to_compact)
+NoisyCircuit
+noisyCircuit(const Circuit &hw, const Topology &topo,
+             const Calibration &calib)
 {
-    for (auto &s : sites) {
-        s.q0 = hw_to_compact[static_cast<size_t>(s.q0)];
+    NoisyCircuit out;
+    out.sites = collectErrorSites(hw, topo, calib);
+    CompactCircuit cc = compactCircuit(hw);
+    for (ErrorSite &s : out.sites) {
+        s.q0 = cc.hwToCompact[static_cast<size_t>(s.q0)];
         if (s.q1 != -1)
-            s.q1 = hw_to_compact[static_cast<size_t>(s.q1)];
+            s.q1 = cc.hwToCompact[static_cast<size_t>(s.q1)];
     }
+    out.measured = cc.circuit.measuredQubits();
+    if (out.measured.empty())
+        fatal("noisyCircuit: ", hw.name(), " measures no qubits");
+    for (ProgQubit q : out.measured)
+        out.roErr.push_back(calib.errRO[static_cast<size_t>(
+            cc.compactToHw[static_cast<size_t>(q)])]);
+    out.circuit = std::move(cc.circuit);
+    return out;
 }
 
 } // namespace triq

@@ -8,7 +8,8 @@
  * non-identity two-qubit Paulis for 2Q). Readout errors flip measured
  * bits. Idle windows from the ASAP schedule become dephasing (Z) sites
  * with probability 1 - exp(-t_idle / T2), which is how the machines'
- * coherence times (Fig. 1) enter the simulation.
+ * coherence times (Fig. 1) enter the simulation. noisyCircuit builds
+ * the model the executor and both exact oracles consume.
  */
 
 #ifndef TRIQ_SIM_NOISE_HH
@@ -62,11 +63,31 @@ std::vector<ErrorSite> collectErrorSites(const Circuit &hw,
 double noErrorProbability(const std::vector<ErrorSite> &sites);
 
 /**
- * Relabel sites onto a compact register: hw_to_compact[h] is the
- * compact index of hardware qubit h (CompactCircuit::hwToCompact).
+ * A hardware circuit's noise model on its active qubits, as executeNoisy
+ * samples it and the density-matrix and Clifford oracles evaluate it.
  */
-void relabelSites(std::vector<ErrorSite> &sites,
-                  const std::vector<int> &hw_to_compact);
+struct NoisyCircuit
+{
+    /** The circuit relabeled onto its active qubits (compactCircuit). */
+    Circuit circuit;
+
+    /** Its error sites (collectErrorSites), on the compact register. */
+    std::vector<ErrorSite> sites;
+
+    /** Measured compact qubits, ascending: key bit k is measured[k]. */
+    std::vector<ProgQubit> measured;
+
+    /** roErr[k]: the readout error of key bit k's hardware qubit. */
+    std::vector<double> roErr;
+};
+
+/**
+ * Build a translated circuit's NoisyCircuit. Its sites are enumerated
+ * on the full-width circuit, where edge lookups need hardware indices.
+ * @throws FatalError when the circuit measures no qubit.
+ */
+NoisyCircuit noisyCircuit(const Circuit &hw, const Topology &topo,
+                          const Calibration &calib);
 
 /** Codes a site can draw: every code is below this. */
 constexpr int kPauliCodes = 16;

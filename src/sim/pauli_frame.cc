@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "core/unitary.hh"
-#include "sim/compact.hh"
 
 namespace triq
 {
@@ -115,18 +114,12 @@ std::optional<Characteristic>
 characteristic(const Circuit &hw, const Device &dev,
                const Calibration &calib)
 {
-    std::vector<ErrorSite> sites =
-        collectErrorSites(hw, dev.topology(), calib);
-    CompactCircuit cc = compactCircuit(hw);
-    const std::vector<ProgQubit> measured = cc.circuit.measuredQubits();
-    if (measured.empty())
-        fatal("Clifford oracle: circuit measures no qubits");
-    if (cc.circuit.numQubits() > 64)
-        fatal("Clifford oracle: ", cc.circuit.numQubits(),
+    const NoisyCircuit nc = noisyCircuit(hw, dev.topology(), calib);
+    if (nc.circuit.numQubits() > 64)
+        fatal("Clifford oracle: ", nc.circuit.numQubits(),
               " active qubits exceed the 64-bit Pauli masks");
-    relabelSites(sites, cc.hwToCompact);
     std::optional<FlipTable> table =
-        pauliFlipTable(cc.circuit, sites, measured);
+        pauliFlipTable(nc.circuit, nc.sites, nc.measured);
     if (!table || !table->deterministic)
         return std::nullopt;
 
@@ -136,8 +129,8 @@ characteristic(const Circuit &hw, const Device &dev,
         if (gens != Gens{})
             merged.try_emplace(gens, 1.0).first->second *= 1.0 - kappa * p;
     };
-    for (size_t si = 0; si < sites.size(); ++si) {
-        const ErrorSite &s = sites[si];
+    for (size_t si = 0; si < nc.sites.size(); ++si) {
+        const ErrorSite &s = nc.sites[si];
         const uint64_t *row = &table->flips[kPauliCodes * si];
         if (s.idle)
             add({row[0], 0, 0, 0}, 2.0, s.prob);
@@ -146,13 +139,10 @@ characteristic(const Circuit &hw, const Device &dev,
         else // X and Z on q0 are codes 1 and 3; on q1, 4 and 12.
             add({row[1], row[3], row[4], row[12]}, 16.0 / 15.0, s.prob);
     }
-    for (size_t k = 0; k < measured.size(); ++k) {
-        HwQubit hq = cc.compactToHw[static_cast<size_t>(measured[k])];
-        add({uint64_t{1} << k, 0, 0, 0}, 2.0,
-            calib.errRO[static_cast<size_t>(hq)]);
-    }
+    for (size_t k = 0; k < nc.roErr.size(); ++k)
+        add({uint64_t{1} << k, 0, 0, 0}, 2.0, nc.roErr[k]);
     Characteristic f;
-    f.measured = static_cast<int>(measured.size());
+    f.measured = static_cast<int>(nc.measured.size());
     f.factors.assign(merged.begin(), merged.end());
     return f;
 }
@@ -188,6 +178,8 @@ std::optional<FlipTable>
 pauliFlipTable(const Circuit &circuit, const std::vector<ErrorSite> &sites,
                const std::vector<ProgQubit> &measured)
 {
+    if (circuit.numQubits() > 64)
+        return std::nullopt; // wider than the masks
     // obs[k]: measured[k]'s Z, conjugated back through every gate after
     // the sweep's position. A Pauli injected there flips key bit k
     // exactly when it anticommutes with obs[k].

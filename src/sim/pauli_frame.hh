@@ -73,7 +73,8 @@ struct FlipTable
 
     /**
      * True when every measured Z conjugates back to a product of Zs,
-     * which |0...0> fixes: the ideal measured outcome is deterministic.
+     * which |0...0> fixes: the ideal measured outcome is deterministic,
+     * and executeNoisy takes the frame path.
      */
     bool deterministic = false;
 };
@@ -84,11 +85,11 @@ struct FlipTable
  * flips. Measure and Barrier are the identity (measurements are
  * terminal).
  *
- * @param circuit A compact circuit of at most 64 qubits.
+ * @param circuit A compact circuit.
  * @param sites Its error sites, on the same qubits.
- * @param measured Measured qubits; key bit k is measured[k] (at most
- *                 64).
- * @return The table, or nullopt when some gate is not Clifford.
+ * @param measured Measured qubits; key bit k is measured[k].
+ * @return The table, or nullopt when some gate is not Clifford or the
+ *         circuit has more than 64 qubits.
  */
 std::optional<FlipTable>
 pauliFlipTable(const Circuit &circuit, const std::vector<ErrorSite> &sites,

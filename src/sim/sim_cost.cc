@@ -59,7 +59,7 @@ checkpointCount(int active_qubits, int num_gates)
 uint64_t
 predictSimulationBytes(int active_qubits, int workers, int checkpoints)
 {
-    const uint64_t states = 1 + static_cast<uint64_t>(std::max(workers, 1)) +
+    const uint64_t states = 1 + static_cast<uint64_t>(std::max(workers, 0)) +
                             static_cast<uint64_t>(std::max(checkpoints, 0));
     return satMul(stateVectorBytes(active_qubits), states);
 }

@@ -5,9 +5,10 @@
  * state vectors over the compact register: the cached ideal state, one
  * trajectory state per concurrent trial chunk and K ideal-prefix
  * checkpoints (checkpointCount). executeNoisy reserves exactly that
- * against the process ResourceGovernor before allocating; its
+ * against the process ResourceGovernor before allocating. The Clifford
+ * frame path holds the ideal state alone (workers = 0, K = 0); the
  * low-memory plan is workers = 1, K = 0. triqd admission (via
- * service/cost_model.hh) checks that two-state plan with the same
+ * service/cost_model.hh) checks the one-state plan with the same
  * formula, so the layers cannot disagree about what fits.
  */
 
@@ -40,8 +41,8 @@ int checkpointCount(int active_qubits, int num_gates);
 
 /**
  * Predicted peak committed bytes for executeNoisy over a compact
- * circuit of `active_qubits` qubits fanned out across `workers`
- * concurrent trial chunks with `checkpoints` ideal-prefix checkpoints:
+ * circuit of `active_qubits` qubits with `workers` trajectory states
+ * (0 on the frame path) and `checkpoints` ideal-prefix checkpoints:
  * (1 + workers + checkpoints) state vectors.
  */
 uint64_t predictSimulationBytes(int active_qubits, int workers,

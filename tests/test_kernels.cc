@@ -30,11 +30,12 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     EXPECT_EQ(stateVectorBytes(30), uint64_t{16} << 30);
 
     // Admission against a small budget rejects 30 qubits up front
-    // (even the degraded 2-state plan needs 32 GiB)...
+    // (even the smallest plan, the frame path's one state, needs
+    // 16 GiB)...
     ResourceGovernor tight(uint64_t{1} << 30);
-    EXPECT_FALSE(tight.wouldFit(predictSimulationBytes(30, 1, 0)));
+    EXPECT_FALSE(tight.wouldFit(predictSimulationBytes(30, 0, 0)));
     // ...and the reservation path reports it structurally.
-    EXPECT_THROW(tight.reserve(predictSimulationBytes(30, 1, 0),
+    EXPECT_THROW(tight.reserve(predictSimulationBytes(30, 0, 0),
                                "30-qubit simulation"),
                  ResourceError);
 
@@ -47,7 +48,7 @@ TEST(Kernels, ThirtyQubitCeilingIsStructural)
     AdmissionVerdict v = checkAdmission(30);
     gov.setBudgetBytes(saved);
     EXPECT_FALSE(v.fits);
-    EXPECT_GE(v.predictedBytes, uint64_t{32} << 30);
+    EXPECT_EQ(v.predictedBytes, stateVectorBytes(30));
     EXPECT_FALSE(v.reason.empty());
 
     // And with a roomy budget the same request is admitted — the

@@ -14,7 +14,6 @@
 #include "common/rng.hh"
 #include "core/compiler.hh"
 #include "device/machines.hh"
-#include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/noise.hh"
 #include "sim/pauli_frame.hh"
@@ -191,24 +190,42 @@ TEST(PauliFrame, FlipMasksMatchInjectedPaulis)
     }
 }
 
+TEST(PauliFrame, NoTableBeyondSixtyFourQubits)
+{
+    // The masks are 64 bits wide, so a wider register has no table even
+    // when every gate is Clifford: executeNoisy replays it instead.
+    Circuit c(65, "WideX");
+    for (int q = 0; q < 65; ++q)
+        c.add(Gate::x(q));
+    for (int q = 0; q < 65; ++q)
+        c.add(Gate::measure(q));
+    EXPECT_FALSE(pauliFlipTable(c, {}, c.measuredQubits()).has_value());
+}
+
 /** The flip table executeNoisy builds for a compiled circuit. */
 std::optional<FlipTable>
 flipTableOf(const Circuit &hw, const Device &dev, const Calibration &calib)
 {
-    std::vector<ErrorSite> sites =
-        collectErrorSites(hw, dev.topology(), calib);
-    CompactCircuit cc = compactCircuit(hw);
-    relabelSites(sites, cc.hwToCompact);
-    return pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits());
+    const NoisyCircuit nc = noisyCircuit(hw, dev.topology(), calib);
+    return pauliFlipTable(nc.circuit, nc.sites, nc.measured);
 }
 
-/** True when executeNoisy took the frame path for this cell. */
+/**
+ * True when executeNoisy took the frame path for this cell: its flip
+ * table is deterministic. The state-vector test, an ideal probability
+ * of at least 1 - 1e-9, must agree on every Clifford cell; that is the
+ * evidence that the table alone may pick the path.
+ */
 bool
 takesFramePath(const Circuit &hw, const Device &dev,
                const Calibration &calib, const ExecutionResult &r)
 {
-    return flipTableOf(hw, dev, calib).has_value() &&
-           r.idealOutcomeProb >= 1.0 - 1e-9;
+    const std::optional<FlipTable> table = flipTableOf(hw, dev, calib);
+    if (!table)
+        return false;
+    EXPECT_EQ(table->deterministic, r.idealOutcomeProb >= 1.0 - 1e-9)
+        << "ideal probability " << r.idealOutcomeProb;
+    return table->deterministic;
 }
 
 /**

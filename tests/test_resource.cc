@@ -20,7 +20,6 @@
 #include "core/compiler.hh"
 #include "device/machines.hh"
 #include "service/cost_model.hh"
-#include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/noise.hh"
 #include "sim/pauli_frame.hh"
@@ -220,11 +219,13 @@ TEST(SimCost, StateAndDensityBytes)
 
 TEST(SimCost, PredictionsOrderedAndMonotonic)
 {
-    // The low-memory plan (one worker, no checkpoints) never predicts
-    // more than a plan with checkpoints, and more workers never predict
-    // less.
+    // The frame plan (no workers) predicts less than the low-memory
+    // plan (one worker, no checkpoints), which never predicts more than
+    // a plan with checkpoints, and more workers never predict less.
     for (int q = 2; q <= 30; q += 4) {
         const int k = checkpointCount(q, 100);
+        EXPECT_LT(predictSimulationBytes(q, 0, 0),
+                  predictSimulationBytes(q, 1, 0));
         EXPECT_LE(predictSimulationBytes(q, 1, 0),
                   predictSimulationBytes(q, 1, k));
         EXPECT_LE(predictSimulationBytes(q, 1, k),
@@ -247,9 +248,11 @@ TEST(SimCost, CheckpointCountFitsTheBudget)
     EXPECT_EQ(checkpointCount(22, 500), 1);
     EXPECT_EQ(checkpointCount(23, 500), 0);
     EXPECT_EQ(checkpointCount(72, 500), 0);
-    // A plan holds (1 + workers + checkpoints) states and nothing else.
+    // A plan holds (1 + workers + checkpoints) states and nothing else;
+    // the frame path's plan, with no workers, holds one.
     EXPECT_EQ(predictSimulationBytes(4, 2, 484), 487 * stateVectorBytes(4));
     EXPECT_EQ(predictSimulationBytes(21, 1, 0), 2 * stateVectorBytes(21));
+    EXPECT_EQ(predictSimulationBytes(8, 0, 0), stateVectorBytes(8));
 }
 
 // ---------------------------------------------------------------------
@@ -259,13 +262,13 @@ TEST(SimCost, CheckpointCountFitsTheBudget)
 TEST(CostModel, AdmitsUnderBudgetRejectsOver)
 {
     BudgetGuard guard(256ull << 20); // 256 MiB
-    // 10 qubits: trivially fits. Admission prices the low-memory plan,
-    // the two states the executor can always fall back to.
+    // 10 qubits: trivially fits. Admission prices the smallest plan
+    // any run can take, the frame path's one state.
     AdmissionVerdict small = checkAdmission(10);
     EXPECT_TRUE(small.fits);
-    EXPECT_EQ(small.predictedBytes, 2 * stateVectorBytes(10));
+    EXPECT_EQ(small.predictedBytes, stateVectorBytes(10));
     EXPECT_EQ(small.budgetBytes, 256ull << 20);
-    // 72 qubits: cannot fit even degraded; the verdict carries the
+    // 72 qubits: cannot fit even one state; the verdict carries the
     // predicted cost and budget for the server.budget reply.
     AdmissionVerdict big = checkAdmission(72);
     EXPECT_FALSE(big.fits);
@@ -302,6 +305,13 @@ struct Ibmq14Cell
         return executeNoisy(res.hwCircuit, dev, calib, 500, 99, eo);
     }
 
+    /** The noisy model executeNoisy builds for this cell. */
+    NoisyCircuit
+    noisy() const
+    {
+        return noisyCircuit(res.hwCircuit, dev.topology(), calib);
+    }
+
     /**
      * The checkpoints executeNoisy keeps for this cell's compact
      * circuit, after asserting it has 4 qubits (256 B states) and no
@@ -310,14 +320,10 @@ struct Ibmq14Cell
     int
     checkpoints() const
     {
-        CompactCircuit cc = compactCircuit(res.hwCircuit);
-        EXPECT_EQ(cc.circuit.numQubits(), 4);
-        std::vector<ErrorSite> sites =
-            collectErrorSites(res.hwCircuit, dev.topology(), calib);
-        relabelSites(sites, cc.hwToCompact);
-        EXPECT_FALSE(
-            pauliFlipTable(cc.circuit, sites, cc.circuit.measuredQubits()));
-        return checkpointCount(4, cc.circuit.numGates());
+        const NoisyCircuit nc = noisy();
+        EXPECT_EQ(nc.circuit.numQubits(), 4);
+        EXPECT_FALSE(pauliFlipTable(nc.circuit, nc.sites, nc.measured));
+        return checkpointCount(4, nc.circuit.numGates());
     }
 };
 
@@ -366,6 +372,30 @@ TEST(ExecutorGovernor, FullPlanFitsABudgetOfItsExactSize)
         BudgetGuard guard(full - 1);
         EXPECT_EQ(qft.run(2).sched.threads, 1);
     }
+}
+
+TEST(ExecutorGovernor, FramePathReservesOnlyTheIdealState)
+{
+    // BV8's 8 compact qubits hold 4 KiB states, and its deterministic
+    // flip table puts it on the frame path, which replays nothing: the
+    // run holds the ideal state alone and reserves exactly that, so a
+    // budget of one state keeps both workers and the histogram.
+    const Ibmq14Cell bv8("BV8");
+    const NoisyCircuit nc = bv8.noisy();
+    ASSERT_EQ(nc.circuit.numQubits(), 8);
+    const std::optional<FlipTable> table =
+        pauliFlipTable(nc.circuit, nc.sites, nc.measured);
+    ASSERT_TRUE(table.has_value());
+    ASSERT_TRUE(table->deterministic);
+    const ExecutionResult unbudgeted = bv8.run(2);
+    ASSERT_EQ(predictSimulationBytes(8, 0, 0), 4096u);
+    BudgetGuard guard(predictSimulationBytes(8, 0, 0));
+    const ExecutionResult budgeted = bv8.run(2);
+    EXPECT_EQ(budgeted.sched.threads, 2);
+    EXPECT_EQ(budgeted.histogram, unbudgeted.histogram);
+    EXPECT_EQ(budgeted.successRate, unbudgeted.successRate);
+    EXPECT_EQ(budgeted.simulatedTrajectories,
+              unbudgeted.simulatedTrajectories);
 }
 
 TEST(ExecutorGovernor, ImpossibleBudgetThrowsStructuredError)

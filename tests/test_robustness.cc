@@ -397,17 +397,26 @@ TEST(CompileReportTest, ReportCarriesEnginesTimingsAndRenders)
 TEST(CompileReportTest, SmtRequestRecordsLadderInReport)
 {
     // Whatever this build has (Z3 or not), requesting SMT under an
-    // expired budget must fall down the ladder and say so.
+    // expired budget must fall down the ladder and say so in the
+    // report alone: a fallback writes nothing to stderr. The same holds
+    // for the product objective, which the SMT engine cannot optimize.
     Device dev = deviceByName("IBMQ5");
-    CompileOptions opts;
-    opts.mapping.kind = MapperKind::Smt;
-    opts.budget = CompileBudget::withDeadlineMs(0.0);
-    CompileResult res = compileForDevice(makeBenchmark("BV4"), dev,
-                                         dev.calibrate(0), opts);
-    EXPECT_EQ(res.report.requestedMapper, "smt");
-    EXPECT_NE(res.report.mapperEngine, "smt");
-    EXPECT_TRUE(res.report.degraded);
-    EXPECT_FALSE(res.report.degradations.empty());
+    CompileOptions expired;
+    expired.mapping.kind = MapperKind::Smt;
+    expired.budget = CompileBudget::withDeadlineMs(0.0);
+    CompileOptions product;
+    product.mapping.kind = MapperKind::Smt;
+    product.mapping.objective = MappingObjective::Product;
+    for (const CompileOptions &opts : {expired, product}) {
+        testing::internal::CaptureStderr();
+        CompileResult res = compileForDevice(makeBenchmark("BV4"), dev,
+                                             dev.calibrate(0), opts);
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+        EXPECT_EQ(res.report.requestedMapper, "smt");
+        EXPECT_NE(res.report.mapperEngine, "smt");
+        EXPECT_TRUE(res.report.degraded);
+        EXPECT_FALSE(res.report.degradations.empty());
+    }
 }
 
 TEST(DiagnosticsTest, JsonEscapesControlAndNonAsciiBytes)
