@@ -5,6 +5,7 @@
  * outcome flag and golden histograms over the study matrix.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -21,6 +22,7 @@
 #include "sim/compact.hh"
 #include "sim/executor.hh"
 #include "sim/noise.hh"
+#include "sim/pauli_frame.hh"
 #include "workloads/benchmarks.hh"
 
 namespace triq
@@ -503,6 +505,74 @@ TEST(GoldenHistogram, WideNonCliffordIsBitIdentical)
     SCOPED_TRACE(std::string(want.bench) + ": got " + got);
     EXPECT_EQ(hash, want.histogramHash);
     EXPECT_EQ(r.successRate, want.successRate);
+}
+
+// The two draws Rng::bernoulli skips: a site whose crosstalk-scaled
+// probability saturates at exactly 1 fires without a draw, and a
+// readout error of exactly 0 flips nothing without a draw. No study
+// cell reaches either, so these cells pin both on a 4-qubit line whose
+// two simultaneous adjacent CZs (2Q error 0.4, crosstalk factor 2)
+// saturate, with qubit 1 read out perfectly and idle dephasing sites
+// around them. One variant replays (a T gate makes it non-Clifford);
+// the other is a deterministic Clifford circuit on the frame path.
+// Average calibration, 3000 trials (a partial last chunk), seed 2019.
+const GoldenCell kGoldenSaturated[] = {
+    {"replay", "Sat4", 0x38dca5bb19733fe5ull, 0x1.d0369d0369d03p-5},
+    {"frame", "Sat4", 0xe845a886f485a193ull, 0x1.9c54a6921735fp-5},
+};
+
+TEST(GoldenHistogram, SaturatedAndSilentDrawsAreBitIdentical)
+{
+    NoiseSpec spec{0.02, 0.4, 0.05, 20.0, 0.0, 0.0, {0.1, 0.4, 3.0}};
+    spec.crosstalkFactor = 2.0;
+    const Device dev("Sat4", Topology::line(4), GateSet::rigetti(), spec);
+    Calibration calib = dev.averageCalibration();
+    calib.errRO[1] = 0.0;
+
+    // Qubit 0's two pulses hold CZ(0, 1) back while CZ(2, 3) starts,
+    // and CZ(1, 2) waits on qubit 1: qubits 1 and 2 idle.
+    Circuit replay(4, "replay");
+    for (const Gate &g : {Gate::h(0), Gate::t(0), Gate::h(0), Gate::x(1),
+                          Gate::h(2), Gate::cz(0, 1), Gate::cz(2, 3),
+                          Gate::x(1), Gate::cz(1, 2), Gate::h(0)})
+        replay.add(g);
+    Circuit frame(4, "frame");
+    for (const Gate &g : {Gate::x(0), Gate::y(0), Gate::x(1), Gate::x(2),
+                          Gate::cz(0, 1), Gate::cz(2, 3), Gate::x(1),
+                          Gate::cz(1, 2)})
+        frame.add(g);
+    for (int q = 0; q < 4; ++q) {
+        replay.add(Gate::measure(q));
+        frame.add(Gate::measure(q));
+    }
+
+    const Circuit *circuits[] = {&replay, &frame};
+    for (size_t i = 0; i < std::size(kGoldenSaturated); ++i) {
+        const GoldenCell &want = kGoldenSaturated[i];
+        const Circuit &hw = *circuits[i];
+        ASSERT_EQ(hw.name(), want.bench);
+        ASSERT_EQ(dev.name(), want.device);
+        const NoisyCircuit nc = noisyCircuit(hw, dev.topology(), calib);
+        EXPECT_TRUE(std::any_of(nc.sites.begin(), nc.sites.end(),
+                                [](const ErrorSite &s) {
+                                    return s.prob == 1.0;
+                                }))
+            << want.bench;
+        EXPECT_EQ(std::count(nc.roErr.begin(), nc.roErr.end(), 0.0), 1)
+            << want.bench;
+        const auto table = pauliFlipTable(nc.circuit, nc.sites, nc.measured);
+        EXPECT_EQ(table && table->deterministic, hw.name() == "frame")
+            << want.bench;
+
+        ExecutionResult r = executeNoisy(hw, dev, calib, 3000, 2019);
+        const uint64_t hash = histogramHash(r);
+        char got[64];
+        std::snprintf(got, sizeof got, "0x%016llxull, %a",
+                      static_cast<unsigned long long>(hash), r.successRate);
+        SCOPED_TRACE(std::string(want.bench) + ": got " + got);
+        EXPECT_EQ(hash, want.histogramHash);
+        EXPECT_EQ(r.successRate, want.successRate);
+    }
 }
 
 } // namespace
