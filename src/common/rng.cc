@@ -52,19 +52,10 @@ Rng::uniform(double lo, double hi)
     return lo + (hi - lo) * uniform();
 }
 
-int
-Rng::uniformInt(int n)
+void
+Rng::nonPositiveBound(int n)
 {
-    if (n <= 0)
-        panic("Rng::uniformInt: n must be positive, got ", n);
-    // Rejection sampling to avoid modulo bias.
-    uint64_t un = static_cast<uint64_t>(n);
-    uint64_t limit = UINT64_MAX - UINT64_MAX % un;
-    uint64_t r;
-    do {
-        r = next();
-    } while (r >= limit);
-    return static_cast<int>(r % un);
+    panic("Rng::uniformInt: n must be positive, got ", n);
 }
 
 double

@@ -11,6 +11,7 @@
 #ifndef TRIQ_COMMON_RNG_HH
 #define TRIQ_COMMON_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -58,8 +59,23 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n). @pre n > 0. */
-    int uniformInt(int n);
+    /**
+     * Uniform integer in [0, n), by rejection so there is no modulo
+     * bias. @pre n > 0. Inline so a constant n (drawPauliCode's 3 and
+     * 15) compiles to multiplies rather than 64-bit divisions.
+     */
+    int uniformInt(int n)
+    {
+        if (n <= 0)
+            nonPositiveBound(n);
+        const uint64_t un = static_cast<uint64_t>(n);
+        const uint64_t limit = UINT64_MAX - UINT64_MAX % un;
+        uint64_t r;
+        do {
+            r = next();
+        } while (r >= limit);
+        return static_cast<int>(r % un);
+    }
 
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p)
@@ -69,6 +85,35 @@ class Rng
         if (p >= 1.0)
             return true;
         return uniform() < p;
+    }
+
+    /**
+     * The threshold that makes uniformBelow(bernoulliThreshold(p)) the
+     * exact integer form of `uniform() < p`, for every p: the same one
+     * draw and the same answer. uniform() is the 53-bit integer
+     * next() >> 11 times 2^-53, and an integer is below a real r exactly
+     * when it is below ceil(r), so for 0 < p < 1 the threshold is
+     * ceil(p * 2^53), in [1, 2^53]. A NaN or p <= 0 gives 0 (never
+     * below) and p >= 1 gives 2^53 (always below), so no NaN and nothing
+     * past 2^53 is cast to an integer.
+     *
+     * bernoulli(p) differs only in drawing nothing when p <= 0 or
+     * p >= 1; a caller that precomputes thresholds skips those draws
+     * itself to keep bernoulli's stream.
+     */
+    static uint64_t bernoulliThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return uint64_t{1} << 53;
+        return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** One draw against a bernoulliThreshold: uniform() < p, in integers. */
+    bool uniformBelow(uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
     }
 
     /** Standard normal deviate (Box-Muller, cached pair). */
@@ -103,6 +148,9 @@ class Rng
     {
         return (x << k) | (x >> (64 - k));
     }
+
+    /** uniformInt's precondition failure, kept out of line. */
+    [[noreturn]] static void nonPositiveBound(int n);
 
     uint64_t s_[4];
     double cachedNormal_;

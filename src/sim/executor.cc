@@ -1,7 +1,6 @@
 #include "sim/executor.hh"
 
 #include <algorithm>
-#include <climits>
 #include <optional>
 #include <sstream>
 
@@ -38,11 +37,77 @@ outcomeKey(uint64_t basis, const std::vector<ProgQubit> &measured)
     return key;
 }
 
+/**
+ * Every Bernoulli draw a trial makes, built once per call. A trial draws
+ * its sites in site order and its readout flips in key-bit order, as
+ * Rng::bernoulli would: a probability >= 1 fires without a draw, one
+ * <= 0 neither fires nor draws, and every other one (a NaN too) makes
+ * one draw against its Rng::bernoulliThreshold.
+ */
+struct DrawPlan
+{
+    /** One draw: it fires when Rng::uniformBelow(threshold). */
+    struct Draw
+    {
+        uint64_t threshold;
+        size_t index; // the site's injection rank, or the key bit
+    };
+
+    /** Site indices by injection rank: (gateIdx, site index) ascending. */
+    std::vector<size_t> injOrder;
+
+    /** The sites that draw, in site order. */
+    std::vector<Draw> sites;
+
+    /** Injection ranks of the sites that always fire. */
+    std::vector<size_t> alwaysFired;
+
+    /** The key bits whose readout flip draws, in bit order. */
+    std::vector<Draw> readout;
+
+    /** Key bits whose readout always flips. */
+    uint64_t readoutAlways = 0;
+};
+
+DrawPlan
+drawPlan(const NoisyCircuit &nc)
+{
+    const std::vector<ErrorSite> &sites = nc.sites;
+    DrawPlan plan;
+    plan.injOrder.resize(sites.size());
+    for (size_t i = 0; i < sites.size(); ++i)
+        plan.injOrder[i] = i;
+    std::stable_sort(plan.injOrder.begin(), plan.injOrder.end(),
+                     [&](size_t a, size_t b) {
+                         return sites[a].gateIdx < sites[b].gateIdx;
+                     });
+    std::vector<size_t> rank(sites.size());
+    for (size_t r = 0; r < sites.size(); ++r)
+        rank[plan.injOrder[r]] = r;
+
+    for (size_t i = 0; i < sites.size(); ++i) {
+        const double p = sites[i].prob;
+        if (p >= 1.0)
+            plan.alwaysFired.push_back(rank[i]);
+        else if (!(p <= 0.0))
+            plan.sites.push_back({Rng::bernoulliThreshold(p), rank[i]});
+    }
+
+    for (size_t k = 0; k < nc.roErr.size(); ++k) {
+        const double p = nc.roErr[k];
+        if (p >= 1.0)
+            plan.readoutAlways |= uint64_t{1} << k;
+        else if (!(p <= 0.0))
+            plan.readout.push_back({Rng::bernoulliThreshold(p), k});
+    }
+    return plan;
+}
+
 /** Read-only per-call context shared by every chunk. */
 struct TrajectoryContext
 {
     const NoisyCircuit *noisy;
-    const std::vector<int> *injOrder; // site indices by (gateIdx, index)
+    const DrawPlan *plan;
     const StateVector *ideal;
     const std::vector<StateVector> *checkpoints; // [k]: after k + 1 gates
     const FusedProgram *fused; // null = replay plain gates
@@ -133,16 +198,21 @@ seekCheckpoint(const TrajectoryContext &ctx, StateVector &sv, int prefix)
 
 /**
  * Run one chunk of trials on the RNG stream (seed, chunk index). Every
- * random draw happens in a fixed per-trial order (site Bernoullis,
- * Pauli choices in injection order, measurement sample, readout flips)
- * on both paths, so the chunk's outcome depends only on its stream —
- * never on which worker thread runs it or on how many checkpoints exist.
+ * random draw happens in a fixed per-trial order on both paths: the
+ * site Bernoullis in site order, the fired sites' Pauli codes in
+ * injection order, the measurement sample, then the readout flips. So
+ * the chunk's outcome depends only on its stream, never on which worker
+ * thread runs it or on how many checkpoints exist.
+ *
+ * A trial draws through ctx.plan into a short list of fired injection
+ * ranks, which it sorts; a trial walks only the sites that fired.
  */
 void
 runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
          ChunkStats &out)
 {
     const NoisyCircuit &nc = *ctx.noisy;
+    const DrawPlan &plan = *ctx.plan;
     const std::vector<ErrorSite> &sites = nc.sites;
     const std::vector<ProgQubit> &measured = nc.measured;
     const int num_gates = nc.circuit.numGates();
@@ -151,22 +221,20 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
     std::optional<StateVector> traj;
     if (ctx.frame == nullptr)
         traj.emplace(nc.circuit.numQubits());
-    std::vector<bool> fired(sites.size(), false);
+    std::vector<size_t> fired;
+    fired.reserve(plan.alwaysFired.size() + plan.sites.size());
     if (ctx.flatHistogram)
         out.flat.assign(uint64_t{1} << measured.size(), 0);
     else
         out.sparse.reserve(static_cast<size_t>(chunk_trials));
 
     for (int t = 0; t < chunk_trials; ++t) {
-        bool any = false;
-        int first_gate = INT_MAX;
-        for (size_t i = 0; i < sites.size(); ++i) {
-            fired[i] = rng.bernoulli(sites[i].prob);
-            if (fired[i]) {
-                any = true;
-                first_gate = std::min(first_gate, sites[i].gateIdx);
-            }
-        }
+        fired.assign(plan.alwaysFired.begin(), plan.alwaysFired.end());
+        for (const DrawPlan::Draw &d : plan.sites)
+            if (rng.uniformBelow(d.threshold))
+                fired.push_back(d.index);
+        if (fired.size() > 1)
+            std::sort(fired.begin(), fired.end());
         uint64_t key;
         if (ctx.frame != nullptr) {
             // Clifford frame path: each fired Pauli XORs its fixed flip
@@ -174,31 +242,27 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
             // codes in injection order, then the measurement sample,
             // whose outcome the deterministic output already fixes.
             key = ctx.correctOutcome;
-            if (any) {
+            if (!fired.empty())
                 ++out.simulated;
-                for (int si : *ctx.injOrder) {
-                    const auto i = static_cast<size_t>(si);
-                    if (!fired[i])
-                        continue;
-                    const int code = drawPauliCode(rng, sites[i]);
-                    key ^= ctx.frame->flips[kPauliCodes * i +
-                                            static_cast<size_t>(code)];
-                }
+            for (size_t r : fired) {
+                const size_t i = plan.injOrder[r];
+                const int code = drawPauliCode(rng, sites[i]);
+                key ^= ctx.frame->flips[kPauliCodes * i +
+                                        static_cast<size_t>(code)];
             }
             (void)rng.uniform();
-        } else if (!any) {
+        } else if (fired.empty()) {
             // Fault-free trajectory: sample from the cached ideal state.
             key = outcomeKey(ctx.ideal->sampleMeasurement(rng), measured);
         } else {
             ++out.simulated;
+            // The lowest rank holds the first faulted gate.
+            const int first_gate = sites[plan.injOrder[fired[0]]].gateIdx;
             int pos = seekCheckpoint(ctx, *traj, first_gate + 1);
-            // Walk the fired sites in injection order — (gateIdx, site
-            // index) ascending — advancing the state up to each site's
-            // gate before injecting its Pauli.
-            for (int si : *ctx.injOrder) {
-                if (!fired[static_cast<size_t>(si)])
-                    continue;
-                const ErrorSite &s = sites[static_cast<size_t>(si)];
+            // Walk the fired sites in injection order, advancing the
+            // state up to each site's gate before injecting its Pauli.
+            for (size_t r : fired) {
+                const ErrorSite &s = sites[plan.injOrder[r]];
                 advanceState(ctx, *traj, pos, s.gateIdx + 1);
                 pos = std::max(pos, s.gateIdx + 1);
                 injectPauli(*traj, s, drawPauliCode(rng, s));
@@ -207,9 +271,10 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
             key = outcomeKey(traj->sampleMeasurement(rng), measured);
         }
         // Classical readout errors flip measured bits independently.
-        for (size_t k = 0; k < measured.size(); ++k)
-            if (rng.bernoulli(nc.roErr[k]))
-                key ^= uint64_t{1} << k;
+        for (const DrawPlan::Draw &d : plan.readout)
+            if (rng.uniformBelow(d.threshold))
+                key ^= uint64_t{1} << d.index;
+        key ^= plan.readoutAlways;
         if (key == ctx.correctOutcome)
             ++out.successes;
         if (ctx.flatHistogram)
@@ -345,17 +410,9 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     res.esp = estimatedSuccessProbability(hw, dev.topology(), safe);
     res.noErrorProb = noErrorProbability(sites);
 
-    // Injection order: site indices sorted by (gateIdx, site index).
     // Every trial draws its fired sites' Pauli codes and applies their
-    // injections in exactly this order.
-    std::vector<int> inj_order(sites.size());
-    for (size_t i = 0; i < sites.size(); ++i)
-        inj_order[i] = static_cast<int>(i);
-    std::stable_sort(inj_order.begin(), inj_order.end(),
-                     [&](int a, int b) {
-                         return sites[static_cast<size_t>(a)].gateIdx <
-                                sites[static_cast<size_t>(b)].gateIdx;
-                     });
+    // injections in the plan's injection order.
+    const DrawPlan plan = drawPlan(nc);
 
     const bool fuse = layers.gateFusion && !use_frame;
     // A resume or a Pauli inside a fused operator costs one pass of
@@ -366,7 +423,7 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
 
     TrajectoryContext ctx;
     ctx.noisy = &nc;
-    ctx.injOrder = &inj_order;
+    ctx.plan = &plan;
     ctx.ideal = &ideal;
     ctx.checkpoints = &checkpoints;
     ctx.fused = fuse ? &fused_program : nullptr;

@@ -17,6 +17,11 @@
  *    pool through forEachIndex (common/sched.hh) and merge in chunk
  *    order, so results are a pure function of (seed, trials), whatever
  *    the thread count (ExecOptions::threads);
+ *  - each call builds one draw plan, every site's and readout bit's
+ *    Bernoulli as an integer threshold (Rng::bernoulliThreshold), so a
+ *    trial draws straight into a short list of the sites that fired,
+ *    sorts it by injection rank and walks only those; it makes
+ *    Rng::bernoulli's draws, in the same order;
  *  - the ideal pass keeps the state after each of the first K gates
  *    (checkpointCount, sim/sim_cost.hh: every gate but the last while
  *    they fit 64 MiB), and a faulty trajectory whose first fault is at

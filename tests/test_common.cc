@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -114,6 +115,46 @@ TEST(Rng, BernoulliEdges)
         EXPECT_FALSE(rng.bernoulli(0.0));
         EXPECT_TRUE(rng.bernoulli(1.0));
     }
+}
+
+TEST(Rng, BernoulliThresholdIsTheUniformCompare)
+{
+    // Two copies of one stream, one drawing through the integer compare
+    // and one through bernoulli, agree on every draw and end in the
+    // same state.
+    for (double p : {5e-324, 1e-300, 1e-12, 0x1p-53, 0.1, 0.5, 1 - 0x1p-53}) {
+        SCOPED_TRACE(p);
+        const uint64_t threshold = Rng::bernoulliThreshold(p);
+        // The threshold is the first 53-bit draw that is not below p.
+        EXPECT_LT(static_cast<double>(threshold - 1) * 0x1p-53, p);
+        EXPECT_GE(static_cast<double>(threshold) * 0x1p-53, p);
+        Rng a(2019), b(2019);
+        int mismatches = 0;
+        for (int i = 0; i < 100000; ++i)
+            mismatches += a.uniformBelow(threshold) != b.bernoulli(p);
+        EXPECT_EQ(mismatches, 0);
+        EXPECT_EQ(a.next(), b.next());
+    }
+
+    // Out of (0, 1) bernoulli draws nothing, and the threshold is the
+    // compare's constant answer.
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double p : {0.0, -0.0, 1.0, 1.5, inf, -inf}) {
+        SCOPED_TRACE(p);
+        Rng a(7), b(7);
+        EXPECT_EQ(a.bernoulli(p), p >= 1.0);
+        EXPECT_EQ(a.next(), b.next());
+        EXPECT_EQ(Rng::bernoulliThreshold(p),
+                  p >= 1.0 ? uint64_t{1} << 53 : 0u);
+    }
+
+    // A NaN draws once and never fires, like its threshold of 0.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(Rng::bernoulliThreshold(nan), 0u);
+    Rng a(7), b(7);
+    EXPECT_FALSE(a.bernoulli(nan));
+    b.next();
+    EXPECT_EQ(a.next(), b.next());
 }
 
 TEST(Matrix, IdentityAndMultiply)
