@@ -235,6 +235,8 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
                 fired.push_back(d.index);
         if (fired.size() > 1)
             std::sort(fired.begin(), fired.end());
+        if (!fired.empty())
+            ++out.simulated;
         uint64_t key;
         if (ctx.frame != nullptr) {
             // Clifford frame path: each fired Pauli XORs its fixed flip
@@ -242,8 +244,6 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
             // codes in injection order, then the measurement sample,
             // whose outcome the deterministic output already fixes.
             key = ctx.correctOutcome;
-            if (!fired.empty())
-                ++out.simulated;
             for (size_t r : fired) {
                 const size_t i = plan.injOrder[r];
                 const int code = drawPauliCode(rng, sites[i]);
@@ -255,7 +255,6 @@ runChunk(const TrajectoryContext &ctx, Rng rng, int chunk_trials,
             // Fault-free trajectory: sample from the cached ideal state.
             key = outcomeKey(ctx.ideal->sampleMeasurement(rng), measured);
         } else {
-            ++out.simulated;
             // The lowest rank holds the first faulted gate.
             const int first_gate = sites[plan.injOrder[fired[0]]].gateIdx;
             int pos = seekCheckpoint(ctx, *traj, first_gate + 1);
