@@ -414,8 +414,9 @@ executeNoisyImpl(const Circuit &hw, const Device &dev,
     const DrawPlan plan = drawPlan(nc);
 
     const bool fuse = layers.gateFusion && !use_frame;
-    // A resume or a Pauli inside a fused operator costs one pass of
-    // its split head or tail (FusedProgram::apply).
+    // Replay goes through dense one- and two-qubit operators. A resume
+    // or a Pauli inside one costs one pass of its split head or tail,
+    // and two faults inside one cost two passes (FusedProgram::apply).
     FusedProgram fused_program;
     if (fuse)
         fused_program = FusedProgram(circuit);

@@ -32,8 +32,9 @@
  *    process memory budget before allocating; when they do not fit it
  *    runs the low-memory plan, serial with no checkpoints (two
  *    states), which changes its time but not its results;
- *  - gate fusion (sim/fusion.hh) rewrites the compact circuit into
- *    fused kernels so each replay makes fewer passes over the state;
+ *  - gate fusion (sim/fusion.hh) packs the compact circuit into dense
+ *    one- and two-qubit operators, so each replay makes fewer passes
+ *    over the state;
  *  - a circuit whose flip table (sim/pauli_frame.hh) is deterministic
  *    takes the frame path: a faulty trial's outcome is the correct
  *    answer XOR the fixed flip masks of its faults, so no trial

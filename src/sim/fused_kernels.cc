@@ -1,6 +1,7 @@
 /**
  * @file
- * Apply kernels for the gate-fusion pre-pass (see sim/fusion.hh). Kept
+ * The two apply kernels of gate fusion (see sim/fusion.hh):
+ * applyFused1 for a 2x2 operator and applyFused2 for a 4x4 one. Kept
  * in a separate translation unit so the build can give just these hot
  * loops tuned optimization flags (TRIQ_NATIVE_KERNELS) without changing
  * code generation for the per-gate baseline paths in statevector.cc —
@@ -26,10 +27,11 @@
  * (the inner fmaddsub puts mi*x.im - acc.re in even lanes and
  * mi*x.re + acc.im in odd lanes; the outer one restores the signs
  * while adding the real-part products.) The innermost state stride
- * must cover at least
- * two amplitudes for this layout; stride-1 operand patterns and
- * non-x86 builds take the scalar loops, which compute the same sums in
- * a different association order. Fused-path amplitudes were never
+ * must cover at least two amplitudes for this layout, so when qubit 0
+ * is an operand each kernel takes a stride-1 layout that splits one
+ * loaded vector into broadcast halves. Builds without AVX2+FMA take the
+ * scalar loops, which compute the same sums in a different association
+ * order. Fused-path amplitudes were never
  * bit-identical to the per-gate path (only equivalent to ~1e-15 per
  * gate, locked by tests/test_fusion.cc), so the kernels are free to
  * pick the fastest association.
@@ -44,7 +46,6 @@
 #include "sim/statevector.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/logging.hh"
 
@@ -114,31 +115,29 @@ cmul2(__m256d x, __m256d mr, __m256d mi)
 }
 
 /**
- * Stride-1 dense apply: when qubit 0 is an operand, amplitude pairs
+ * Stride-1 applyFused2: when qubit 0 is an operand, amplitude pairs
  * (i, i|1) are adjacent, so one vector holds two *different* basis
  * states of the same group. Each loaded vector covers matrix columns
- * (h, h | c0) where c0 is qubit 0's column bit and h the column bits of
- * the k high operands; each output vector covers the same pair of rows.
- * The matrix entries are pre-splatted into per-lane coefficient vectors
- * (lanes 0-1 = first row of the pair, lanes 2-3 = second), so the inner
- * loop is plain cmulAdd2 chains over 2^k loaded vectors split into
- * per-column broadcast halves.
+ * (h, h | c0) where c0 is qubit 0's column bit and h is 0 or the high
+ * operand's column bit; each output vector covers the same pair of
+ * rows. The matrix entries are pre-splatted into per-lane
+ * coefficient vectors (lanes 0-1 = first row of the pair, lanes 2-3 =
+ * second), so the inner loop is plain cmulAdd2 chains over the two
+ * loaded vectors split into per-column broadcast halves.
  *
- * `m` is the (2^{k+1})^2 row-major matrix, `c0` qubit 0's column bit,
- * `hcol[g]`/`hoff[g]` the column bits and amplitude offset (doubles) of
- * high-operand combination g, `strides` the high operands' amplitude
- * strides ascending. One vector unit covers one group; the `groups`
- * groups are walked in halved-stride space (vector unit w holds
- * amplitudes 2w and 2w+1).
+ * `m` is the 4x4 row-major matrix, `c0` qubit 0's column bit,
+ * `hcol[g]`/`hoff[g]` the column bits and amplitude offset (doubles)
+ * of high-operand value g, `stride` the high operand's amplitude
+ * stride. One vector unit covers one group; the `groups` groups are
+ * walked in halved-stride space (vector unit w holds amplitudes 2w and
+ * 2w+1).
  */
-template <int K>
 inline void
-applyStride1Dense(double *ad, uint64_t groups, const Cplx *m, int c0,
-                  const int *hcol, const uint64_t *hoff,
-                  const uint64_t *strides)
+applyStride1Dense2(double *ad, uint64_t groups, const Cplx *m, int c0,
+                   const int *hcol, const uint64_t *hoff, uint64_t stride)
 {
-    constexpr int G = 1 << K;      // high-bit combinations
-    constexpr int NC = 2 * G;      // matrix dimension
+    constexpr int G = 2;           // high-bit values
+    constexpr int NC = 4;          // matrix dimension
     __m256d cr[G][NC], ci[G][NC];  // per-lane coefficients
     for (int g = 0; g < G; ++g) {
         const int r0 = hcol[g], r1 = hcol[g] | c0;
@@ -150,10 +149,8 @@ applyStride1Dense(double *ad, uint64_t groups, const Cplx *m, int c0,
                                       b.imag());
         }
     }
-    uint64_t vstrides[K];
-    for (int j = 0; j < K; ++j)
-        vstrides[j] = strides[j] >> 1;
-    forSegments(groups, vstrides, K, [&](uint64_t w0, uint64_t n) {
+    const uint64_t vstride = stride >> 1;
+    forSegments(groups, &vstride, 1, [&](uint64_t w0, uint64_t n) {
         for (uint64_t w = w0; w < w0 + n; ++w) {
             const uint64_t i = 2 * w;
             __m256d v[G], dup[NC];
@@ -284,8 +281,7 @@ StateVector::applyFused2(const Cplx *m, int q0, int q1)
         const int c0 = b0 == 1 ? 1 : 2;
         const int hcol[2] = {0, b0 == 1 ? 2 : 1};
         const uint64_t hoff[2] = {0, 2 * bh};
-        const uint64_t hstrides[1] = {bh};
-        applyStride1Dense<1>(ad, groups, m, c0, hcol, hoff, hstrides);
+        applyStride1Dense2(ad, groups, m, c0, hcol, hoff, bh);
         return;
     }
 #endif
@@ -312,194 +308,6 @@ StateVector::applyFused2(const Cplx *m, int q0, int q1)
             }
         }
     });
-}
-
-void
-StateVector::applyFused3(const Cplx *m, int q0, int q1, int q2)
-{
-    checkQubit(q0);
-    checkQubit(q1);
-    checkQubit(q2);
-    if (q0 == q1 || q0 == q2 || q1 == q2)
-        panic("applyFused3: identical qubits");
-    const uint64_t b0 = uint64_t{1} << q0;
-    const uint64_t b1 = uint64_t{1} << q1;
-    const uint64_t b2 = uint64_t{1} << q2;
-    uint64_t s0 = b0, s1 = b1, s2 = b2; // ascending copies
-    if (s0 > s1)
-        std::swap(s0, s1);
-    if (s1 > s2)
-        std::swap(s1, s2);
-    if (s0 > s1)
-        std::swap(s0, s1);
-    const uint64_t strides[3] = {s0, s1, s2};
-    const uint64_t groups = dim() >> 3;
-    const double *md = reinterpret_cast<const double *>(m);
-    double *ad = reinterpret_cast<double *>(amps_.data());
-#ifdef TRIQ_KERNELS_AVX2
-    if (s0 >= 2) {
-        forSegments(groups, strides, 3, [&](uint64_t i0, uint64_t n) {
-            for (uint64_t i = i0; i < i0 + n; i += 2) {
-                double *p[8];
-                __m256d x[8];
-                for (int k = 0; k < 8; ++k) {
-                    uint64_t j = i;
-                    if (k & 1)
-                        j |= b0;
-                    if (k & 2)
-                        j |= b1;
-                    if (k & 4)
-                        j |= b2;
-                    p[k] = ad + 2 * j;
-                    x[k] = _mm256_loadu_pd(p[k]);
-                }
-                for (int r = 0; r < 8; ++r) {
-                    const double *row = md + 16 * r;
-                    __m256d acc = cmul2(x[0], _mm256_set1_pd(row[0]),
-                                        _mm256_set1_pd(row[1]));
-                    for (int col = 1; col < 8; ++col)
-                        acc = cmulAdd2(x[col], _mm256_set1_pd(row[2 * col]),
-                                       _mm256_set1_pd(row[2 * col + 1]),
-                                       acc);
-                    _mm256_storeu_pd(p[r], acc);
-                }
-            }
-        });
-        return;
-    }
-    {
-        // Qubit 0 is an operand: pairs (i, i|1) are adjacent. Column
-        // bit k belongs to the operand with stride b_k; sort the two
-        // high operands by stride for the iteration.
-        const uint64_t bq[3] = {b0, b1, b2};
-        int k0 = 0, ka = -1, kb = -1;
-        for (int k = 0; k < 3; ++k) {
-            if (bq[k] == 1)
-                k0 = k;
-            else if (ka == -1)
-                ka = k;
-            else
-                kb = k;
-        }
-        if (bq[ka] > bq[kb])
-            std::swap(ka, kb);
-        const int c0 = 1 << k0, ca = 1 << ka, cb = 1 << kb;
-        const uint64_t sa = bq[ka], sb = bq[kb];
-        const int hcol[4] = {0, ca, cb, ca | cb};
-        const uint64_t hoff[4] = {0, 2 * sa, 2 * sb, 2 * (sa | sb)};
-        const uint64_t hstrides[2] = {sa, sb};
-        applyStride1Dense<2>(ad, groups, m, c0, hcol, hoff, hstrides);
-        return;
-    }
-#endif
-    forSegments(groups, strides, 3, [&](uint64_t i0, uint64_t n) {
-        for (uint64_t i = i0; i < i0 + n; ++i) {
-            double *p[8];
-            double xr[8], xi[8];
-            for (int k = 0; k < 8; ++k) {
-                uint64_t j = i;
-                if (k & 1)
-                    j |= b0;
-                if (k & 2)
-                    j |= b1;
-                if (k & 4)
-                    j |= b2;
-                p[k] = ad + 2 * j;
-                xr[k] = p[k][0];
-                xi[k] = p[k][1];
-            }
-            for (int r = 0; r < 8; ++r) {
-                const double *row = md + 16 * r;
-                double sr = 0.0, si = 0.0;
-                for (int col = 0; col < 8; ++col) {
-                    const double br = row[2 * col];
-                    const double bi = row[2 * col + 1];
-                    sr += br * xr[col] - bi * xi[col];
-                    si += br * xi[col] + bi * xr[col];
-                }
-                p[r][0] = sr;
-                p[r][1] = si;
-            }
-        }
-    });
-}
-
-void
-StateVector::applyDiagonal(const Cplx *diag, const int *qubits,
-                           int num_qubits)
-{
-    if (num_qubits < 1)
-        panic("applyDiagonal: need at least one qubit");
-    for (int k = 0; k < num_qubits; ++k)
-        checkQubit(qubits[k]);
-    const double *dd = reinterpret_cast<const double *>(diag);
-    double *ad = reinterpret_cast<double *>(amps_.data());
-
-    // Gathering the support bits per amplitude (a shift/or chain over
-    // num_qubits) costs more than the complex multiply itself. Instead,
-    // precompute the table-index contribution of the low and middle 8
-    // basis bits once; per amplitude the local index is then two
-    // lookups (plus a rare residual term for qubits above bit 15).
-    uint32_t lo8[256], mid[256];
-    uint32_t contrib_lo[8] = {}, contrib_mid[8] = {};
-    bool has_mid = false, has_res = false;
-    for (int k = 0; k < num_qubits; ++k) {
-        const int q = qubits[k];
-        if (q < 8) {
-            contrib_lo[q] |= uint32_t{1} << k;
-        } else if (q < 16) {
-            contrib_mid[q - 8] |= uint32_t{1} << k;
-            has_mid = true;
-        } else {
-            has_res = true;
-        }
-    }
-    // Fill each table from its already-filled prefix: entry b extends
-    // entry b with its lowest bit cleared.
-    lo8[0] = 0;
-    const uint64_t lo_n = std::min(dim(), uint64_t{256});
-    for (uint64_t b = 1; b < lo_n; ++b) {
-        const uint64_t low = b & (0 - b);
-        lo8[b] = lo8[b ^ low] | contrib_lo[std::countr_zero(low)];
-    }
-    if (has_mid) {
-        mid[0] = 0;
-        const uint64_t mid_n = std::min(dim() >> 8, uint64_t{256});
-        for (uint64_t b = 1; b < mid_n; ++b) {
-            const uint64_t low = b & (0 - b);
-            mid[b] = mid[b ^ low] | contrib_mid[std::countr_zero(low)];
-        }
-    }
-    auto localIdx = [&](uint64_t i) -> uint32_t {
-        uint32_t local = lo8[i & 255];
-        if (has_mid)
-            local |= mid[(i >> 8) & 255];
-        if (has_res)
-            for (int k = 0; k < num_qubits; ++k)
-                if (qubits[k] >= 16)
-                    local |= ((i >> qubits[k]) & 1) << k;
-        return local;
-    };
-
-#ifdef TRIQ_KERNELS_AVX2
-    for (uint64_t i = 0; i < dim(); i += 2) {
-        const uint32_t l0 = localIdx(i), l1 = localIdx(i + 1);
-        __m256d c = _mm256_set_m128d(_mm_loadu_pd(dd + 2 * l1),
-                                     _mm_loadu_pd(dd + 2 * l0));
-        __m256d x = _mm256_loadu_pd(ad + 2 * i);
-        __m256d y = cmul2(x, _mm256_movedup_pd(c),
-                          _mm256_permute_pd(c, 0xF));
-        _mm256_storeu_pd(ad + 2 * i, y);
-    }
-#else
-    for (uint64_t i = 0; i < dim(); ++i) {
-        const uint32_t local = localIdx(i);
-        const double br = dd[2 * local], bi = dd[2 * local + 1];
-        const double xr = ad[2 * i], xi = ad[2 * i + 1];
-        ad[2 * i] = br * xr - bi * xi;
-        ad[2 * i + 1] = br * xi + bi * xr;
-    }
-#endif
 }
 
 } // namespace triq

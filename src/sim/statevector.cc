@@ -225,10 +225,11 @@ StateVector::applySwap(int a, int b)
             std::swap(amps_[i], amps_[(i & ~ba) | bb]);
 }
 
-// applyFused1/2/3 and applyDiagonal — the kernels used by the
-// gate-fusion pre-pass — live in fused_kernels.cc so the build can give
-// them tuned optimization flags without affecting the per-gate baseline
-// paths above.
+// applyFused1 and applyFused2, the two kernels gate fusion applies its
+// 2x2 and 4x4 operators with, live in fused_kernels.cc so the build can
+// give them tuned optimization flags. The per-gate paths here keep the
+// generic build: applyGate below is what the ideal pass and unfused
+// replay run, gate by gate.
 
 void
 StateVector::applyGate(const Gate &g)

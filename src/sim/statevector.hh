@@ -92,25 +92,14 @@ class StateVector
     void applySwap(int a, int b);
 
     /**
-     * Dense kernels used by the gate-fusion pass (sim/fusion.hh).
-     * Unlike applyMatrix1/2 they enumerate only the amplitudes they
-     * touch (no skip branch), and the 3-qubit variant completes the
-     * ladder for fused regions. Matrices are row-major with local
+     * The two kernels gate fusion (sim/fusion.hh) applies its operators
+     * with. Unlike applyMatrix1/2 they enumerate only the amplitudes
+     * they touch (no skip branch). Matrices are row-major with local
      * qubit i = bit i; amplitudes agree with the matrix path to
      * rounding (see fused_kernels.cc).
      */
-    void applyFused1(const Cplx *m, int q);             //!< m: 2x2.
-    void applyFused2(const Cplx *m, int q0, int q1);    //!< m: 4x4.
-    void applyFused3(const Cplx *m, int q0, int q1, int q2); //!< 8x8.
-
-    /**
-     * Multiply by a diagonal operator supported on a qubit subset:
-     * amps[i] *= diag[local(i)] where bit k of local(i) is bit
-     * qubits[k] of i. One pass over the state regardless of how many
-     * diagonal gates were collapsed into the table.
-     */
-    void applyDiagonal(const Cplx *diag, const int *qubits,
-                       int num_qubits);
+    void applyFused1(const Cplx *m, int q);          //!< m: 2x2.
+    void applyFused2(const Cplx *m, int q0, int q1); //!< m: 4x4.
 
     /**
      * Sample a full measurement outcome (all qubits) without collapsing.

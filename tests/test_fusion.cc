@@ -3,7 +3,9 @@
  * Gate-fusion tests: fused replay must match the gate-by-gate path to
  * 1e-12 on random circuits over the full fast-path gate set, and so
  * must every sub-range replay, whether it starts or stops inside a
- * fused op (split operators) or lies inside one (original gates).
+ * fused operator (split tail or head) or lies inside one (the adjoint
+ * of one head, then another). The packing rule and its refusal of
+ * gates wider than two qubits are pinned too.
  */
 
 #include <cmath>
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/unitary.hh"
 #include "sim/executor.hh"
@@ -24,10 +27,7 @@ namespace triq
 namespace
 {
 
-/**
- * A random circuit over every gate kind the simulator fast-paths,
- * weighted toward the diagonal and 1Q gates fusion targets.
- */
+/** A random circuit over every gate kind the simulator fast-paths. */
 Circuit
 randomCircuit(int num_qubits, int num_gates, uint64_t seed)
 {
@@ -118,10 +118,9 @@ maxAmpDelta(const StateVector &a, const StateVector &b)
 }
 
 /**
- * Apply `gates`, written over local qubits 0..2, to `sv` with local
+ * Apply `gates`, written over local qubits 0 and 1, to `sv` with local
  * qubit i on qubit qs[i], through the reference kernels the fused ones
- * must agree with: applyMatrix1, applyMatrix2 and applyGate's generic
- * 3-qubit loop.
+ * must agree with: applyMatrix1 and applyMatrix2.
  */
 void
 applyReference(StateVector &sv, const std::vector<Gate> &gates,
@@ -132,10 +131,8 @@ applyReference(StateVector &sv, const std::vector<Gate> &gates,
             g.qubits[i] = qs[g.qubits[i]];
         if (g.arity() == 1)
             sv.applyMatrix1(gateMatrix(g), g.qubit(0));
-        else if (g.arity() == 2)
-            sv.applyMatrix2(gateMatrix(g), g.qubit(0), g.qubit(1));
         else
-            sv.applyGate(g);
+            sv.applyMatrix2(gateMatrix(g), g.qubit(0), g.qubit(1));
     }
 }
 
@@ -152,11 +149,45 @@ referenceMatrix(int k, const std::vector<Gate> &gates)
         StateVector col(k);
         col.amps()[0] = Cplx(0, 0);
         col.amps()[c] = Cplx(1, 0);
-        applyReference(col, gates, {0, 1, 2});
+        applyReference(col, gates, {0, 1});
         for (uint64_t r = 0; r < dim; ++r)
             m[r * dim + c] = col.amplitude(r);
     }
     return m;
+}
+
+/**
+ * For every 0 <= a <= b <= n, replaying [a, b) of `c` through `fused`
+ * from the gate-by-gate state after a gates must land within 1e-12 of
+ * the gate-by-gate state after b gates. The gate-by-gate states start
+ * from a random state drawn from `seed`, so every phase is observable,
+ * and skip Measure gates, as replay does.
+ */
+void
+expectEverySubrangeMatches(const Circuit &c, const FusedProgram &fused,
+                           uint64_t seed)
+{
+    Rng rng(seed);
+    StateVector sv(c.numQubits());
+    for (Cplx &a : sv.amps())
+        a = Cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    const double norm = std::sqrt(sv.normSquared());
+    for (Cplx &a : sv.amps())
+        a /= norm;
+    std::vector<StateVector> after{sv};
+    for (const Gate &g : c.gates()) {
+        if (g.kind != GateKind::Measure)
+            sv.applyGate(g);
+        after.push_back(sv);
+    }
+    const int n = c.numGates();
+    for (int a = 0; a <= n; ++a)
+        for (int b = a; b <= n; ++b) {
+            StateVector part = after[a];
+            fused.apply(part, a, b);
+            ASSERT_LE(maxAmpDelta(part, after[b]), 1e-12)
+                << "range [" << a << ", " << b << ")";
+        }
 }
 
 TEST(Fusion, FusedMatchesUnfusedOnRandomCircuits)
@@ -174,69 +205,79 @@ TEST(Fusion, FusedMatchesUnfusedOnRandomCircuits)
         EXPECT_GT(fused.stats().fusedGates, 0) << "seed " << seed;
         EXPECT_LT(fused.stats().ops, fused.stats().gates)
             << "seed " << seed;
-        EXPECT_LT(fused.stats().modeledCostRatio, 1.0)
-            << "seed " << seed;
     }
 }
 
 TEST(Fusion, AnySubrangeMatchesGateByGate)
 {
-    // For every 0 <= a <= b <= n, replaying [a, b) from the gate-by-gate
-    // state after a gates must land on the gate-by-gate state after b
-    // gates. That covers ranges which start inside an op (split tail),
-    // stop inside one (split head), lie inside one, or span several.
-    // The circuits carry 3-qubit dense ops and diagonal runs over more
-    // than 3 qubits, so the per-gate path stays covered too.
-    for (uint64_t seed : {3, 4, 5}) {
-        Circuit c = randomCircuit(5, 120, seed);
-        FusedProgram fused(c);
-        ASSERT_GT(fused.stats().dense3, 0) << "seed " << seed;
-        ASSERT_GT(fused.stats().wideDiagonal, 0) << "seed " << seed;
-        // Start from a random state so every phase is observable.
-        Rng rng(seed);
-        StateVector sv(5);
-        for (Cplx &a : sv.amps())
-            a = Cplx(rng.uniform(-1, 1), rng.uniform(-1, 1));
-        const double norm = std::sqrt(sv.normSquared());
-        for (Cplx &a : sv.amps())
-            a /= norm;
-        std::vector<StateVector> after{sv};
-        for (const Gate &g : c.gates()) {
-            sv.applyGate(g);
-            after.push_back(sv);
+    // Every range of random circuits on 3 qubits, the width most study
+    // replay cells compact to, and on 5: ranges that start or stop
+    // inside operators, span several or lie inside one.
+    int gates = 0, ops = 0;
+    for (int width : {3, 5})
+        for (uint64_t seed : {3, 4, 5}) {
+            SCOPED_TRACE(std::to_string(width) + " qubits, seed " +
+                         std::to_string(seed));
+            Circuit c = randomCircuit(width, 120, seed);
+            FusedProgram fused(c);
+            gates += fused.stats().fusedGates;
+            ops += fused.stats().ops;
+            expectEverySubrangeMatches(c, fused, seed);
         }
-        const int n = c.numGates();
-        for (int a = 0; a <= n; ++a)
-            for (int b = a; b <= n; ++b) {
-                StateVector part = after[a];
-                fused.apply(part, a, b);
-                ASSERT_LE(maxAmpDelta(part, after[b]), 1e-12)
-                    << "seed " << seed << " range [" << a << ", " << b
-                    << ")";
-            }
-    }
+    // More than two gates per operator: some operator covers at least 3,
+    // so the two-pass path for a range inside one operator ran.
+    EXPECT_GT(gates, 2 * ops);
 }
 
-TEST(Fusion, DiagonalRunsCollapse)
+TEST(Fusion, PacksGatesByTwoQubitSupport)
+{
+    // Four operators, each closed a different way.
+    Circuit c(4);
+    // [0, 3) on {1, 3}: closed by a gate that brings in qubit 0. Its
+    // first gate lands on local qubit 1 once the support grows.
+    c.add(Gate::h(3));
+    c.add(Gate::cnot(3, 1));
+    c.add(Gate::rz(1, 0.3));
+    // [3, 15) on {0, 1}: twelve gates, closed by a 13th on the pair.
+    c.add(Gate::cnot(1, 0));
+    c.add(Gate::u3(0, 0.4, 0.2, -0.9));
+    c.add(Gate::cnot(0, 1));
+    c.add(Gate::t(1));
+    c.add(Gate::xx(1, 0, 0.8));
+    c.add(Gate::cphase(0, 1, 0.5));
+    c.add(Gate::sdg(0));
+    c.add(Gate::swap(1, 0));
+    c.add(Gate::u1(1, -0.7));
+    c.add(Gate::cz(0, 1));
+    c.add(Gate::h(1));
+    c.add(Gate::y(0));
+    // [15, 17) on {0, 1}: closed by the mid-circuit Barrier at 17.
+    c.add(Gate::cnot(0, 1));
+    c.add(Gate::rx(1, 0.9));
+    c.add(Gate::barrier());
+    // [18, 21) on {0}, which would have joined [15, 17): closed by the
+    // terminal Measures, which belong to no operator.
+    c.add(Gate::u3(0, 0.7, -0.3, 1.1));
+    c.add(Gate::h(0));
+    c.add(Gate::s(0));
+    for (int q = 0; q < 4; ++q)
+        c.add(Gate::measure(q));
+
+    FusedProgram fused(c);
+    EXPECT_EQ(fused.stats().gates, 25);
+    EXPECT_EQ(fused.stats().ops, 4);
+    EXPECT_EQ(fused.stats().dense1, 1);
+    EXPECT_EQ(fused.stats().dense2, 3);
+    EXPECT_EQ(fused.stats().fusedGates, 20);
+    expectEverySubrangeMatches(c, fused, 11);
+}
+
+TEST(Fusion, RejectsGatesWiderThanTwoQubits)
 {
     Circuit c(3);
-    c.add(Gate::t(0));
-    c.add(Gate::rz(1, 0.7));
-    c.add(Gate::cz(0, 1));
-    c.add(Gate::cphase(1, 2, 0.3));
-    c.add(Gate::s(2));
-    FusedProgram fused(c);
-    EXPECT_EQ(fused.stats().diagonal, 1);
-    EXPECT_EQ(fused.stats().fusedGates, 5);
-    StateVector plain(3), sv(3);
-    // Start from a superposition so every phase is observable.
-    for (int q = 0; q < 3; ++q)
-        plain.applyGate(Gate::h(q));
-    plain.applyCircuit(c);
-    for (int q = 0; q < 3; ++q)
-        sv.applyGate(Gate::h(q));
-    fused.applyAll(sv);
-    EXPECT_LE(maxAmpDelta(sv, plain), 1e-12);
+    c.add(Gate::h(0));
+    c.add(Gate::ccx(0, 1, 2));
+    EXPECT_THROW(FusedProgram{c}, PanicError);
 }
 
 TEST(Fusion, SameQubitRunsMergeToOneKernel)
@@ -258,7 +299,7 @@ TEST(Fusion, SameQubitRunsMergeToOneKernel)
 TEST(Fusion, FusedKernelsMatchMatrixPath)
 {
     // The fused kernels themselves are exact: applying a gate's
-    // matrix through applyFused{1,2,3}/applyDiagonal must equal the
+    // matrix through applyFused1/applyFused2 must equal the
     // established applyMatrix path bit for bit is too strict across
     // compilers, so we require <= 1e-15 per amplitude for one gate and
     // <= 1e-12 after a sequence of them.
@@ -284,14 +325,6 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
     b.applyFused2(f2, 0, 2);
     EXPECT_LE(maxAmpDelta(a, b), 1e-15);
 
-    // diag over (q0, q2): bit 0 carries S's phase i, bit 1 Z's -1.
-    int qs[2] = {0, 2};
-    Cplx full[4] = {Cplx(1, 0), Cplx(0, 1), Cplx(-1, 0), Cplx(0, -1)};
-    a.applyGate(Gate::s(0));
-    a.applyGate(Gate::z(2));
-    b.applyDiagonal(full, qs, 2);
-    EXPECT_LE(maxAmpDelta(a, b), 1e-12);
-
     // Dense operators whose every entry is nonzero, on operand lists
     // that reach each kernel path: qubit 0 first or later (the
     // stride-1 AVX2 layouts), operands above it only (the general
@@ -300,15 +333,8 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
     const std::vector<Gate> dense2 = {Gate::xx(0, 1, 0.8),
                                       Gate::u3(0, 0.3, -0.5, 1.2),
                                       Gate::u3(1, 1.1, 0.6, -0.2)};
-    const std::vector<Gate> dense3 = {
-        Gate::ccx(0, 1, 2), Gate::u3(0, 0.7, -0.3, 1.1),
-        Gate::u3(1, 1.3, 0.5, 0.4), Gate::u3(2, 0.2, -1.0, 0.9)};
     const std::vector<Cplx> f1m = referenceMatrix(1, dense1);
     const std::vector<Cplx> f2m = referenceMatrix(2, dense2);
-    const std::vector<Cplx> f3m = referenceMatrix(3, dense3);
-    Cplx table[8];
-    for (int i = 0; i < 8; ++i)
-        table[i] = std::polar(1.0, 0.37 * i * i - 0.5);
     for (int n : {4, 11}) {
         const int top = n - 1;
         StateVector fused(n), ref(n);
@@ -334,15 +360,8 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
             applyReference(ref, dense2, qs);
             check("applyFused2", qs);
         }
-        for (std::vector<int> qs : {std::vector<int>{0, 1, top},
-                                    {top, 0, 1}, {1, 2, 3}, {3, 1, 2}}) {
-            fused.applyFused3(f3m.data(), qs[0], qs[1], qs[2]);
-            applyReference(ref, dense3, qs);
-            check("applyFused3", qs);
-        }
 
-        // Diagonals: the phase kernels against applyMatrix1, and a
-        // 3-qubit table against a plain per-amplitude multiply.
+        // The phase kernels against applyMatrix1.
         const Cplx phase(0.6, 0.8);
         Matrix pm(2, 2);
         pm(0, 0) = Cplx(1, 0);
@@ -353,17 +372,6 @@ TEST(Fusion, FusedKernelsMatchMatrixPath)
         fused.applyRz(top, 0.9);
         ref.applyMatrix1(gateMatrix(Gate::rz(top, 0.9)), top);
         check("applyRz", {top});
-        for (std::vector<int> qs :
-             {std::vector<int>{0, 1, top}, {top, 0, n / 2}}) {
-            fused.applyDiagonal(table, qs.data(), 3);
-            for (uint64_t i = 0; i < ref.dim(); ++i) {
-                uint64_t local = 0;
-                for (int k = 0; k < 3; ++k)
-                    local |= ((i >> qs[k]) & 1) << k;
-                ref.amps()[i] *= table[local];
-            }
-            check("applyDiagonal", qs);
-        }
     }
 }
 
